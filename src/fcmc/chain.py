@@ -8,6 +8,10 @@ An ``EndX`` assigns a cochain complex to each edge of a graph; a
 multilinear map X(e_1) x .. x X(e_n) -> X(e') stored sparsely by input
 basis tuples.  Arity-0 maps are identified with elements of the output
 complex (their single table key is the empty tuple).
+
+``hat_d`` and ``compose_end`` iterate over the stored table entries, so
+their cost scales with the entries a map stores, not with the product of
+the dimensions of its input complexes.
 """
 from __future__ import annotations
 
@@ -77,7 +81,12 @@ class CochainComplex:
 
     def __init__(self, basis: GradedBasis, d: dict[str, Vector]):
         self.basis = basis
-        self.d = {x: dict(_clean(v)) for x, v in d.items() if _clean(v)}
+        self.d = {x: cv for x, v in d.items() if (cv := _clean(v))}
+        # the transpose of d: d_into[y] lists every (x, c) with c*y in d(x)
+        self.d_into: dict[str, list[tuple[str, Scalar]]] = {}
+        for x, vec in self.d.items():
+            for y, c in vec.items():
+                self.d_into.setdefault(y, []).append((x, c))
 
     def d_of(self, x: str) -> Vector:
         return dict(self.d.get(x, {}))
@@ -123,10 +132,6 @@ def make_complex(elements: Iterable[tuple[str, int]],
     return cx
 
 
-def zero_complex_like(elements: Iterable[tuple[str, int]]) -> CochainComplex:
-    return make_complex(elements, {})
-
-
 def tensor_differential(complexes: Sequence[CochainComplex],
                         elem: dict[tuple[str, ...], Scalar]
                         ) -> dict[tuple[str, ...], Scalar]:
@@ -159,6 +164,9 @@ class MultiMap:
 
     The table is keyed by input basis tuples; values are sparse vectors
     over the output basis.  Construct through multimap() for validation.
+    Every table key must be a tuple of basis ids of the input complexes
+    (multimap() enforces it): hat_d and compose_end read only the stored
+    entries and rely on that.
     """
 
     def __init__(self, inputs: tuple[str, ...], output: str, degree: int,
@@ -166,8 +174,7 @@ class MultiMap:
         self.inputs = tuple(inputs)
         self.output = output
         self.degree = degree
-        self.table = {k: dict(_clean(v)) for k, v in table.items()
-                      if _clean(v)}
+        self.table = {k: cv for k, v in table.items() if (cv := _clean(v))}
 
     def arity(self) -> int:
         return len(self.inputs)
@@ -285,23 +292,26 @@ def _basis_tuples(cxs: Sequence[CochainComplex]):
 def hat_d(X: EndX, xi: MultiMap) -> MultiMap:
     """The differential on maps: post-compose with d, subtract the
     pre-compositions, each with the sign of everything to its left
-    (the map itself and the earlier arguments)."""
+    (the map itself and the earlier arguments).
+
+    Each stored entry key -> vec contributes d(vec) at key and, for every
+    slot k and every x with c*key[k] in d(x), -sign*c*vec at key with x in
+    slot k."""
     cxs = X.input_complexes(xi)
-    out_cx = X.complex(xi.output)
+    out_d = X.complex(xi.output).d
+    first = -1 if xi.degree % 2 else 1
     table: dict[tuple[str, ...], Vector] = {}
-    for args in _basis_tuples(cxs):
-        acc: Vector = {}
-        _add_into(acc, out_cx.apply_d(xi.apply(args)))
-        sign = -1 if xi.degree % 2 else 1
-        for k, x in enumerate(args):
-            for y, c in cxs[k].d_of(x).items():
-                _add_into(acc, xi.apply(args[:k] + (y,) + args[k + 1:]),
-                          -sign * c)
-            if cxs[k].degree(x) % 2:
+    for key, vec in xi.table.items():
+        acc = table.setdefault(key, {})
+        for y, c in vec.items():
+            _add_into(acc, out_d.get(y, {}), c)
+        sign = first
+        for k, (cx, y) in enumerate(zip(cxs, key)):
+            for x, c in cx.d_into.get(y, ()):
+                _add_into(table.setdefault(key[:k] + (x,) + key[k + 1:], {}),
+                          vec, -sign * c)
+            if cx.degree(y) % 2:
                 sign = -sign
-        acc = _clean(acc)
-        if acc:
-            table[args] = acc
     return MultiMap(xi.inputs, xi.output, xi.degree + 1, table)
 
 
@@ -309,6 +319,9 @@ def compose_end(X: EndX, xi1: MultiMap, i: int, xi2: MultiMap,
                 sign_fault: bool = False) -> MultiMap:
     """Partial composition: feed xi2's value into slot i of xi1, with the
     sign of moving xi2 past the first i-1 arguments.
+
+    xi1's entries are grouped by their slot-i basis id, so each entry of
+    xi2 meets only the entries of xi1 it feeds.
 
     sign_fault drops that sign; it exists to demonstrate that the dg laws
     detect it.
@@ -321,25 +334,20 @@ def compose_end(X: EndX, xi1: MultiMap, i: int, xi2: MultiMap,
             f"slot {i} expects {xi1.inputs[i - 1]!r}, inner map produces "
             f"{xi2.output!r}")
     new_inputs = xi1.inputs[:i - 1] + xi2.inputs + xi1.inputs[i:]
+    signed = xi2.degree % 2 and not sign_fault
     pre_cxs = [X.complex(e) for e in xi1.inputs[:i - 1]]
-    in_cxs = X.input_complexes(xi2)
-    post_cxs = [X.complex(e) for e in xi1.inputs[i:]]
+    by_slot: dict[str, list[tuple[tuple, tuple, int, Vector]]] = {}
+    for key, vec in xi1.table.items():
+        pre = key[:i - 1]
+        sign = -1 if signed and sum(
+            cx.degree(x) for cx, x in zip(pre_cxs, pre)) % 2 else 1
+        by_slot.setdefault(key[i - 1], []).append((pre, key[i:], sign, vec))
     table: dict[tuple[str, ...], Vector] = {}
-    for pre in _basis_tuples(pre_cxs):
-        pre_deg = sum(cx.degree(x) for cx, x in zip(pre_cxs, pre))
-        sign = -1 if (xi2.degree % 2 and pre_deg % 2
-                      and not sign_fault) else 1
-        for mid in _basis_tuples(in_cxs):
-            inner = xi2.apply(mid)
-            if not inner:
-                continue
-            for post in _basis_tuples(post_cxs):
-                acc: Vector = {}
-                for m, cm in inner.items():
-                    _add_into(acc, xi1.apply(pre + (m,) + post), sign * cm)
-                acc = _clean(acc)
-                if acc:
-                    table[pre + mid + post] = acc
+    for mid, inner in xi2.table.items():
+        for m, cm in inner.items():
+            for pre, post, sign, vec in by_slot.get(m, ()):
+                _add_into(table.setdefault(pre + mid + post, {}), vec,
+                          sign * cm)
     return MultiMap(new_inputs, xi1.output, xi1.degree + xi2.degree, table)
 
 
@@ -356,8 +364,7 @@ class EndDgReport:
         return f"FAIL: {self.failure}\n  witness: {self.witness}"
 
 
-def _population(X: EndX, loops, single_entry_only: bool = False
-                ) -> list[MultiMap]:
+def _population(X: EndX, loops) -> list[MultiMap]:
     """All single-entry basis-supported maps over the given profile-loops."""
     maps: list[MultiMap] = []
     for loop in loops:

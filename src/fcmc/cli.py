@@ -43,6 +43,7 @@ from .freedg import (
 )
 from .algebra import AlgebraError, check_algebra, check_both_routes, \
     direct_checker_for
+from .chain import ChainError
 from . import serde
 
 DEFAULT_BOUNDS = {"arity": 5, "labels": 2, "path_len": 4}
@@ -365,7 +366,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         bounds = resolve_bounds(args)
         run = args.fn(args, bounds)
     except (CliError, serde.SerdeError, GraphError, LabelError,
-            CompositionError, AlgebraError) as exc:
+            CompositionError, AlgebraError, ChainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(run.render(args.format))

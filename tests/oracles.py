@@ -207,3 +207,58 @@ def ref_left_module_delta_terms(a):
     pure = sum(a - s + 1 for s in range(2, a + 1))
     headed = max(a - 1, 0)
     return pure + headed
+
+
+def ref_hat_d(in_cxs, out_cx, degree, table):
+    """The differential on a multilinear map, by scanning every input
+    basis tuple.
+
+    A complex is a pair (degs, d): ``degs`` an ordered {id: degree} dict,
+    ``d`` a dict {id: dict vector}.  ``table`` maps input tuples to dict
+    vectors (missing tuples are zero).  Returns the table of d∘xi minus
+    the signed pre-compositions xi∘(1 ⊗ .. ⊗ d ⊗ .. ⊗ 1), zeros removed.
+    """
+    out_degs, out_d = out_cx
+    result = {}
+    for args in product(*[list(degs) for degs, _ in in_cxs]):
+        acc = {}
+        for y, c in table.get(args, {}).items():
+            for z, cz in out_d.get(y, {}).items():
+                acc[z] = acc.get(z, 0) + c * cz
+        sign = -1 if degree % 2 else 1
+        for k, x in enumerate(args):
+            degs, d = in_cxs[k]
+            for y, c in d.get(x, {}).items():
+                moved = args[:k] + (y,) + args[k + 1:]
+                for z, cz in table.get(moved, {}).items():
+                    acc[z] = acc.get(z, 0) - sign * c * cz
+            if degs[x] % 2:
+                sign = -sign
+        acc = {k: v for k, v in acc.items() if v != 0}
+        if acc:
+            result[args] = acc
+    return result
+
+
+def ref_compose(in1, table1, i, in2, degree2, table2, sign_fault=False):
+    """Partial composition xi1 ∘_i xi2, by scanning every input basis tuple.
+
+    ``in1``/``in2`` are the input complexes of the two maps, as in
+    ``ref_hat_d``.  xi2 moves past the first i-1 inputs of xi1, which
+    costs (-1)^(deg xi2 · their degree); ``sign_fault`` drops that sign.
+    """
+    pre_cxs, post_cxs = in1[:i - 1], in1[i:]
+    result = {}
+    for pre in product(*[list(degs) for degs, _ in pre_cxs]):
+        pre_deg = sum(degs[x] for (degs, _), x in zip(pre_cxs, pre))
+        sign = -1 if degree2 % 2 and pre_deg % 2 and not sign_fault else 1
+        for mid in product(*[list(degs) for degs, _ in in2]):
+            for post in product(*[list(degs) for degs, _ in post_cxs]):
+                acc = {}
+                for m, cm in table2.get(mid, {}).items():
+                    for z, cz in table1.get(pre + (m,) + post, {}).items():
+                        acc[z] = acc.get(z, 0) + sign * cm * cz
+                acc = {k: v for k, v in acc.items() if v != 0}
+                if acc:
+                    result[pre + mid + post] = acc
+    return result

@@ -4,6 +4,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import ref_compose, ref_hat_d
+
 from fcmc.graphs import CompositionError, enumerate_profile_loops, make_graph
 from fcmc.chain import (
     ChainError,
@@ -298,3 +300,89 @@ def test_nested_identity_random(a, b, c):
             lhs = compose_end(X, compose_end(X, xi1, i, xi2), i - 1 + j, xi3)
             rhs = compose_end(X, xi1, i, compose_end(X, xi2, j, xi3))
             assert lhs == rhs
+
+
+# ------------------------------------------------------------ dense oracle
+
+ORACLE_EDGES = ("a", "b", "c")
+COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+@st.composite
+def plain_complexes(draw):
+    """One random complex of dim <= 3 per edge, as plain (degs, d) dicts.
+
+    A nonzero d^2 needs two chained nonzero arrows x -> y -> z, and in
+    dim <= 3 such a chain is the whole of d^2 on x, so every arrow that
+    would start or end such a chain is skipped.
+    """
+    cxs = {}
+    for e in ORACLE_EDGES:
+        dim = draw(st.integers(1, 3))
+        degs = {f"{e}{n}": draw(st.integers(-1, 1)) for n in range(dim)}
+        d: dict = {}
+        hit = set()
+        for x, dx in degs.items():
+            for y, dy in degs.items():
+                if dy != dx + 1 or x in hit or y in d:
+                    continue
+                c = draw(st.sampled_from((0,) + COEFFS))
+                if c:
+                    d.setdefault(x, {})[y] = c
+                    hit.add(y)
+        cxs[e] = (degs, d)
+    return cxs
+
+
+@st.composite
+def plain_map(draw, cxs, inputs, output):
+    """A degree-homogeneous table over the given complexes: empty, a
+    single entry, or dense (each admissible entry kept with odds 0.6)."""
+    out_degs = cxs[output][0]
+    by_degree: dict = {}
+    for key in itertools.product(*[list(cxs[e][0]) for e in inputs]):
+        key_deg = sum(cxs[e][0][x] for e, x in zip(inputs, key))
+        for y, dy in out_degs.items():
+            by_degree.setdefault(dy - key_deg, []).append((key, y))
+    degree = draw(st.sampled_from(sorted(by_degree)))
+    pairs = by_degree[degree]
+    kind = draw(st.sampled_from(("empty", "single", "dense")))
+    if kind == "empty":
+        chosen = []
+    elif kind == "single":
+        chosen = [draw(st.sampled_from(pairs))]
+    else:
+        chosen = [p for p in pairs if draw(st.integers(0, 9)) < 6]
+    table: dict = {}
+    for key, y in chosen:
+        table.setdefault(key, {})[y] = draw(st.sampled_from(COEFFS))
+    return degree, table
+
+
+def words(max_arity=3):
+    return st.integers(0, max_arity).flatmap(
+        lambda n: st.tuples(*([st.sampled_from(ORACLE_EDGES)] * n)))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_hat_d_and_compose_end_match_dense_oracle(data):
+    cxs = data.draw(plain_complexes())
+    g = make_graph(["v"], [(e, "v", "v") for e in ORACLE_EDGES])
+    X = EndX(g, {e: make_complex(list(degs.items()), d)
+                 for e, (degs, d) in cxs.items()})
+    w1 = data.draw(words())
+    out1 = data.draw(st.sampled_from(ORACLE_EDGES))
+    deg1, t1 = data.draw(plain_map(cxs, w1, out1))
+    xi1 = multimap(X, w1, out1, deg1, t1)
+    assert hat_d(X, xi1).table == \
+        ref_hat_d([cxs[e] for e in w1], cxs[out1], deg1, t1)
+    for i in range(1, len(w1) + 1):
+        w2 = data.draw(words())
+        deg2, t2 = data.draw(plain_map(cxs, w2, w1[i - 1]))
+        xi2 = multimap(X, w2, w1[i - 1], deg2, t2)
+        for sign_fault in (False, True):
+            got = compose_end(X, xi1, i, xi2, sign_fault=sign_fault)
+            assert got.table == ref_compose(
+                [cxs[e] for e in w1], t1, i, [cxs[e] for e in w2], deg2, t2,
+                sign_fault)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fcmc
 from fcmc.cli import main, resolve_bounds, build_parser
 from fcmc.serde import (
     algebra_job_to_doc,
@@ -285,6 +289,36 @@ def test_algebra_check_bad_assignment_profile(capsys, tmp_path):
     path = write(tmp_path, "b.json", doc)
     code, _, err = run(capsys, ["algebra-check", path])
     assert code == 2
+
+
+def _d_squared_nonzero_doc():
+    doc = dual_doc()
+    doc["complexes"]["e"] = {
+        "basis": [{"id": "a", "degree": 0}, {"id": "b", "degree": 1},
+                  {"id": "c", "degree": 2}],
+        "differential": [{"from": "a", "to": "b", "coeff": "1"},
+                         {"from": "b", "to": "c", "coeff": "1"}]}
+    return doc
+
+
+def _unknown_basis_id_doc():
+    doc = dual_doc()
+    doc["assignment"][0]["entries"][0]["inputs"][0] = "nowhere"
+    return doc
+
+
+@pytest.mark.parametrize("make_doc", [_d_squared_nonzero_doc,
+                                      _unknown_basis_id_doc])
+def test_algebra_check_bad_complex_or_map_exits_2(tmp_path, make_doc):
+    path = write(tmp_path, "bad.json", make_doc())
+    src = os.path.dirname(os.path.dirname(fcmc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "fcmc.cli",
+                           "algebra-check", path],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 # ------------------------------------------------------- output discipline
