@@ -43,6 +43,7 @@ from .graphs import (
     is_subgraph,
     make_graph,
     make_path,
+    partition_subgraph,
     profile_loop,
     subgraph,
     validate_graph,

@@ -185,9 +185,7 @@ def check_algebra(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
     failures = []
     gens = fc.generators(arity_bound, cap)
     for gen in gens:
-        lhs = hat_d(A.X, A.alpha_of(gen))
-        rhs = evaluate_alpha(A, fc.delta_generator(gen))
-        residue = lhs.sub(rhs)
+        residue = algebra_residue(fc, A, gen)
         if not residue.is_zero():
             failures.append(RelationFailure(
                 gen.name, gen.arity(), str(gen.label),
@@ -198,6 +196,7 @@ def check_algebra(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
 
 def algebra_residue(fc: FreeDgFc, A: AlgebraData,
                     gen: GeneratorSpec) -> MultiMap:
+    """hat_d(alpha(m)) - alpha(delta(m)) for one generator m."""
     return hat_d(A.X, A.alpha_of(gen)).sub(
         evaluate_alpha(A, fc.delta_generator(gen)))
 
@@ -305,11 +304,9 @@ def _require_graph_shape(fc: FreeDgFc, expected: str) -> None:
         wanted = {f"{u}->{w}" for u in vs for w in vs}
         ok = {e.id for e in g.edges} == wanted and \
             all(e.id == f"{e.src}->{e.tgt}" for e in g.edges)
-    elif expected == "bimodule":
+    else:  # bimodule
         ok = {e.id for e in g.edges} == {"e0", "e01", "e1"} and \
             len(g.vertices) == 2
-    else:
-        ok = True
     if not ok:
         raise AlgebraError(
             f"{expected} checker needs the {expected} preset graph")
@@ -317,8 +314,13 @@ def _require_graph_shape(fc: FreeDgFc, expected: str) -> None:
 
 def check_ainfty_direct(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
                         label_bound: Optional[int] = None) -> RelationReport:
-    """One-object relation sums: every way of applying an inner operation
-    to a consecutive block, signed by the arguments before the block."""
+    """The direct route on the one-object graph.
+
+    Like the other two direct checkers, this is :func:`_run_direct`, which
+    sums every inner operation applied to a consecutive block, signed by
+    the arguments before the block.  The three differ only in the graph
+    shape they require and in the route name of the report.
+    """
     _require_graph_shape(fc, "ainf")
     return _run_direct(fc, A, "ainf-direct", arity_bound, label_bound)
 
@@ -326,7 +328,7 @@ def check_ainfty_direct(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
 def check_category_direct(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
                           label_bound: Optional[int] = None
                           ) -> RelationReport:
-    """Relation sums per composable word over the pair graph."""
+    """The direct route (:func:`_run_direct`) on a pair graph."""
     _require_graph_shape(fc, "category")
     return _run_direct(fc, A, "category-direct", arity_bound, label_bound)
 
@@ -334,8 +336,7 @@ def check_category_direct(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
 def check_bimodule_direct(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
                           label_bound: Optional[int] = None
                           ) -> RelationReport:
-    """The two one-sided relation families plus the three-block two-sided
-    sums, per word over the bimodule graph."""
+    """The direct route (:func:`_run_direct`) on the bimodule graph."""
     _require_graph_shape(fc, "bimodule")
     return _run_direct(fc, A, "bimodule-direct", arity_bound, label_bound)
 

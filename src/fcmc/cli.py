@@ -27,7 +27,7 @@ from .graphs import (
     endpoint_violation,
     is_endpoint_closed,
     is_subgraph,
-    subgraph,
+    partition_subgraph,
     validate_graph,
 )
 from .labels import LabelError, LabelMonoid, LabelingFc
@@ -174,16 +174,11 @@ def cmd_graph_check(args, bounds) -> Run:
                 f"{loop.inputs.source} admit the outside output "
                 f"{loop.output}")
     if "partition" in doc:
-        parts = [[str(v) for v in part] for part in doc["partition"]]
-        listed = [v for part in parts for v in part]
-        if sorted(listed) != sorted(g.vertex_ids()):
-            raise CliError("partition must list every vertex exactly once")
-        pos = {v: k for k, part in enumerate(parts) for v in part}
-        kept = [e.id for e in g.edges if pos[e.src] <= pos[e.tgt]]
-        psub = subgraph(g, g.vertex_ids(), kept)
+        parts = serde.partition_from_doc(doc["partition"])
+        psub = partition_subgraph(g, parts)
         if is_endpoint_closed(g, psub):
             run.add_check("endpoint-closed(partition)", True,
-                          f"yes ({len(kept)} edges kept)")
+                          f"yes ({len(psub.edges)} edges kept)")
         else:
             loop = endpoint_violation(g, psub)
             run.add_check("endpoint-closed(partition)", False,

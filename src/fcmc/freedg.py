@@ -249,9 +249,6 @@ class FreeCell:
                 return c
         return 0
 
-    def map_terms(self) -> dict[CompTree, Scalar]:
-        return dict(self.terms)
-
     def __add__(self, other: "FreeCell") -> "FreeCell":
         if (self.profile, self.label, self.degree) != (
                 other.profile, other.label, other.degree):

@@ -300,18 +300,6 @@ def subgraph(g: DirectedGraph, vertex_ids: Iterable[str],
     return DirectedGraph(vs, edges)
 
 
-def _reachable_in(sub: DirectedGraph, start: str) -> set[str]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        at = queue.popleft()
-        for e in sub.out_edges(at):
-            if e.tgt not in seen:
-                seen.add(e.tgt)
-                queue.append(e.tgt)
-    return seen
-
-
 def is_endpoint_closed(g: DirectedGraph, sub: DirectedGraph) -> bool:
     """Decide endpoint-closedness of a subgraph, with no length bound.
 
@@ -415,28 +403,35 @@ def build_bimodule_graph() -> DirectedGraph:
         [("e0", "v0", "v0"), ("e1", "v1", "v1"), ("e01", "v0", "v1")])
 
 
-def build_partition_subgraph(object_ids: Sequence[str],
-                             parts: Sequence[Sequence[str]]) -> DirectedGraph:
-    """The subgraph of the pair graph keeping edges that respect the order.
+def partition_subgraph(g: DirectedGraph,
+                       parts: Sequence[Sequence[str]]) -> DirectedGraph:
+    """The subgraph of g keeping the edges that respect an ordered partition.
 
-    For an ordered partition (P_1, ..., P_r) the kept edges are u->w with
-    u in P_j, w in P_k, j <= k.  The result is always endpoint-closed in
-    the pair graph: a subgraph path can only move weakly forward through
-    the parts, and every weakly-forward edge is kept.
+    ``parts`` (P_1, ..., P_r) must list every vertex of g exactly once.
+    Every vertex is kept, and an edge u->w is kept iff u in P_j and w in
+    P_k with j <= k.
     """
-    object_ids = tuple(object_ids)
     part_of: dict[str, int] = {}
     for k, part in enumerate(parts):
         for v in part:
             if v in part_of:
                 raise GraphError(f"vertex {v!r} occurs in two parts")
-            if v not in object_ids:
-                raise GraphError(f"vertex {v!r} is not an object")
+            if not g.has_vertex(v):
+                raise GraphError(f"vertex {v!r} is not in the graph")
             part_of[v] = k
-    if set(part_of) != set(object_ids):
-        missing = sorted(set(object_ids) - set(part_of))
+    if len(part_of) != len(g.vertices):
+        missing = sorted(set(g.vertex_ids()) - set(part_of))
         raise GraphError(f"partition misses vertices {missing!r}")
-    edges = [(pair_edge_id(u, w), u, w)
-             for u in object_ids for w in object_ids
-             if part_of[u] <= part_of[w]]
-    return make_graph(object_ids, edges)
+    kept = [e.id for e in g.edges if part_of[e.src] <= part_of[e.tgt]]
+    return subgraph(g, g.vertex_ids(), kept)
+
+
+def build_partition_subgraph(object_ids: Sequence[str],
+                             parts: Sequence[Sequence[str]]) -> DirectedGraph:
+    """The partition subgraph of the pair graph on the objects.
+
+    The result is always endpoint-closed in the pair graph: a subgraph
+    path can only move weakly forward through the parts, and every
+    weakly-forward edge is kept.
+    """
+    return partition_subgraph(build_pair_graph(object_ids), parts)

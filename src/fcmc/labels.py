@@ -105,9 +105,6 @@ class LabelingFc:
     monoid: LabelMonoid
     reduced: bool
 
-    def fiber(self, loop: ProfileLoop) -> list[MonoidElem]:
-        return fiber(self, loop)
-
 
 def fiber(lfc: LabelingFc, loop: ProfileLoop) -> list[MonoidElem]:
     """Labels available over one profile-loop, within the truncation.

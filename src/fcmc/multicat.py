@@ -231,6 +231,7 @@ class TableInstance(FcInstance):
     ``table`` maps (outer id, slot, inner id) to the composite's cell id.
     Compositions whose endpoints match but which have no table entry
     return OutOfBound so partially specified instances stay usable.
+    Units and table results must name declared cells.
     """
 
     def __init__(self, graph: DirectedGraph, cells: Sequence[TwoCell],
@@ -244,10 +245,15 @@ class TableInstance(FcInstance):
         for c in self._cell_list:
             if not is_profile_loop(graph, c.profile.inputs, c.profile.output):
                 raise GraphError(f"cell {c.id!r} has an invalid profile")
+        undeclared = set(units.values()) | set(table.values())
+        undeclared -= set(self._by_id)
+        if undeclared:
+            raise GraphError(f"units or table name undeclared cells "
+                             f"{sorted(undeclared)!r}")
         self._units = {}
         for eid, cid in units.items():
             cell = self._by_id[cid]
-            e = graph.edge(eid)
+            graph.edge(eid)
             if cell.profile.inputs.edges != (eid,) or cell.profile.output != eid:
                 raise GraphError(
                     f"unit for {eid!r} must sit over the identity loop")
@@ -342,73 +348,38 @@ class AxiomReport:
 class _Indexed:
     """The slot-composition table of a bounded population, on integers.
 
-    Every cell of the population gets an index; ``tab[u][i][p]`` is the
-    index of the composite of cell u at slot i+1 with the p-th cell whose
-    output matches that slot, or -1 when the composite leaves the
-    population (out of bound, no table entry, or beyond the arity cap).
-    The cubic identity checks then run on plain list indexing instead of
-    rebuilding cells.
+    Every cell of the population gets an index.  ``comp[u][i-1]`` maps
+    each inner cell index v whose output matches slot i of cell u to the
+    index of the composite u o_i v, and holds only composites inside the
+    population: a composite out of bound, without a table entry, or
+    beyond the arity cap has no entry.  The identity checks then run on
+    plain dict lookups instead of rebuilding cells.
     """
 
     def __init__(self, fc: FcInstance, arity_bound: int):
-        self.fc = fc
         self.cells = [c for c in fc.cells() if c.arity() <= arity_bound]
-        self.idx = {c.id: k for k, c in enumerate(self.cells)}
+        idx = {c.id: k for k, c in enumerate(self.cells)}
         self.arity = [c.arity() for c in self.cells]
         self.by_out: dict[str, list[int]] = {}
         for k, c in enumerate(self.cells):
             self.by_out.setdefault(c.profile.output, []).append(k)
-        self.pos: dict[str, dict[int, int]] = {
-            e: {k: p for p, k in enumerate(ks)}
-            for e, ks in self.by_out.items()}
-        self.tab: list[list[list[int]]] = []
-        # conc[u][i-1]: only the concrete entries, as (inner, composite)
-        self.conc: list[list[list[tuple[int, int]]]] = []
+        self.comp: list[list[dict[int, int]]] = []
         for u in self.cells:
             rows = []
-            crows = []
             for i, eid in enumerate(u.profile.inputs.edges, start=1):
-                row = []
-                crow = []
+                row = {}
                 for k in self.by_out.get(eid, []):
                     uv = fc.compose(u, i, self.cells[k])
-                    if isinstance(uv, OutOfBound):
-                        row.append(-1)
-                    else:
-                        r = self.idx.get(uv.id, -1)
-                        row.append(r)
+                    if not isinstance(uv, OutOfBound):
+                        r = idx.get(uv.id, -1)
                         if r >= 0:
-                            crow.append((k, r))
+                            row[k] = r
                 rows.append(row)
-                crows.append(crow)
-            self.tab.append(rows)
-            self.conc.append(crows)
-
-    def compose_idx(self, u: int, i: int, v: int) -> int:
-        """Composite index via the table; -1 when out of population."""
-        eid = self.cells[u].profile.inputs.edges[i - 1]
-        p = self.pos.get(eid, {}).get(v)
-        if p is None:
-            return -1
-        return self.tab[u][i - 1][p]
-
-    def gamma_idx(self, u: int, inners: Sequence[int],
-                  order: Sequence[int]) -> int:
-        acc = u
-        done: list[int] = []
-        for slot in order:
-            shift = sum(self.arity[inners[j - 1]] - 1
-                        for j in done if j < slot)
-            acc = self.compose_idx(acc, slot + shift, inners[slot - 1])
-            if acc < 0:
-                return -1
-            done.append(slot)
-        return acc
+            self.comp.append(rows)
 
 
-def check_axioms(fc: FcInstance, arity_bound: int,
-                 gamma_orders: bool = True) -> AxiomReport:
-    """Audit unit laws and both composition-associativity identities.
+def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
+    """Audit unit laws, both associativity identities and gamma.
 
     Checks, exhaustively over cells of arity <= arity_bound:
 
@@ -416,8 +387,8 @@ def check_axioms(fc: FcInstance, arity_bound: int,
     * nested:   (u o_i v) o_{i-1+j} w = u o_i (v o_j w);
     * parallel: (u o_i v) o_{k-1+m} w = (u o_k w) o_i v for i < k, m the
       arity of v;
-    * optionally, order-independence of gamma over all full slot
-      assignments and all insertion orders.
+    * order-independence of gamma over all full slot assignments and all
+      insertion orders.
 
     Comparisons where some route leaves the population (instance bounds or
     the arity cap) are counted as skipped, not failed.
@@ -450,20 +421,19 @@ def check_axioms(fc: FcInstance, arity_bound: int,
 
     # Only triples where both comparison routes stay inside the population
     # are decidable, and both routes share the pair composites u o_i v
-    # resp. v o_j w / u o_k w; iterating concrete pair entries therefore
+    # resp. v o_j w / u o_k w; iterating the table's entries therefore
     # visits every comparable triple while skipping dead combinations
     # wholesale.
     arity = ix.arity
-    conc = ix.conc
-    compose_idx = ix.compose_idx
+    comp = ix.comp
     for u in range(len(cells)):
         for i in range(1, arity[u] + 1):
-            for v, uv in conc[u][i - 1]:
+            for v, uv in comp[u][i - 1].items():
                 # nested: w lands inside v
                 for j in range(1, arity[v] + 1):
-                    for w, vw in conc[v][j - 1]:
-                        a = compose_idx(uv, i - 1 + j, w)
-                        b = compose_idx(u, i, vw)
+                    for w, vw in comp[v][j - 1].items():
+                        a = comp[uv][i - 2 + j].get(w, -1)
+                        b = comp[u][i - 1].get(vw, -1)
                         if a < 0 or b < 0:
                             skipped += 1
                             continue
@@ -475,9 +445,9 @@ def check_axioms(fc: FcInstance, arity_bound: int,
                 # parallel: w lands in a later slot of u
                 m = arity[v]
                 for k in range(i + 1, arity[u] + 1):
-                    for w, uw in conc[u][k - 1]:
-                        a = compose_idx(uv, k - 1 + m, w)
-                        b = compose_idx(uw, i, v)
+                    for w, uw in comp[u][k - 1].items():
+                        a = comp[uv][k - 2 + m].get(w, -1)
+                        b = comp[uw][i - 1].get(v, -1)
                         if a < 0 or b < 0:
                             skipped += 1
                             continue
@@ -487,12 +457,10 @@ def check_axioms(fc: FcInstance, arity_bound: int,
                                 "parallel associativity",
                                 (cells[u].id, i, cells[v].id, k, cells[w].id))
 
-    if gamma_orders:
-        result = _check_gamma_orders(fc, ix, checked, skipped, fail)
-        if isinstance(result, AxiomReport):
-            return result
-        checked, skipped = result
-
+    result = _check_gamma_orders(ix, checked, skipped, fail)
+    if isinstance(result, AxiomReport):
+        return result
+    checked, skipped = result
     return AxiomReport(True, None, None, checked, skipped)
 
 
@@ -500,29 +468,34 @@ def _label_total(cell: TwoCell) -> int:
     return cell.label.total() if cell.label is not None else 0
 
 
-def _check_gamma_orders(fc, ix, checked, skipped, fail):
+def _check_gamma_orders(ix, checked, skipped, fail):
     """Compare all insertion orders of gamma over all full slot fillings.
 
     Inner tuples are enumerated depth-first with budget pruning: once the
     partial arity sum (the composite's final input length) or the partial
     label total can no longer stay within the instance bounds, the branch
-    dies.  This visits every tuple for which any order completes.
+    dies.  This visits every tuple for which any order completes.  Each
+    order replays gamma's iterated partial composition on the table,
+    shifting a slot by the arities already inserted before it, and stops
+    at the first composite outside the population.
     """
     cells = ix.cells
-    arity_cap = max((c.arity() for c in cells), default=0)
+    arity = ix.arity
+    comp = ix.comp
+    arity_cap = max(arity, default=0)
     label_cap = max((_label_total(c) for c in cells), default=0)
     # bucket candidates per edge by (arity, label total) for the pruning
     buckets: dict[str, list[tuple[int, int, list[int]]]] = {}
     for e, ks in ix.by_out.items():
         grouped: dict[tuple[int, int], list[int]] = {}
         for k in ks:
-            key = (ix.arity[k], _label_total(cells[k]))
+            key = (arity[k], _label_total(cells[k]))
             grouped.setdefault(key, []).append(k)
         buckets[e] = [(a, l, ks2) for (a, l), ks2 in sorted(grouped.items())]
     orders_by_n: dict[int, list[tuple[int, ...]]] = {}
 
     for u in range(len(cells)):
-        n = ix.arity[u]
+        n = arity[u]
         if n < 2:
             continue
         if n not in orders_by_n:
@@ -552,7 +525,15 @@ def _check_gamma_orders(fc, ix, checked, skipped, fail):
             first = -1
             first_order = None
             for order in orders_by_n[n]:
-                r = ix.gamma_idx(u, inners, order)
+                r = u
+                done: list[int] = []
+                for slot in order:
+                    shift = sum(arity[inners[j - 1]] - 1
+                                for j in done if j < slot)
+                    r = comp[r][slot + shift - 1].get(inners[slot - 1], -1)
+                    if r < 0:
+                        break
+                    done.append(slot)
                 if r < 0:
                     continue
                 if first < 0:

@@ -71,11 +71,6 @@ def scalar_from_str(s) -> Fraction:
     return f
 
 
-def _vector_to_doc(vec: dict) -> list[dict]:
-    return [{"to": x, "coeff": scalar_to_str(c)}
-            for x, c in sorted(vec.items())]
-
-
 # ---------------------------------------------------------------- documents
 
 
@@ -104,9 +99,32 @@ def check_version(doc: dict) -> None:
 
 
 def _require(doc: dict, key: str):
+    if not isinstance(doc, dict):
+        raise SerdeError(f"expected an object with field {key!r}, "
+                         f"got {doc!r}")
     if key not in doc:
         raise SerdeError(f"missing required field {key!r}")
     return doc[key]
+
+
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SerdeError(f"{what} must be an integer, got {value!r}") \
+            from None
+
+
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SerdeError(f"{what} must be an array, got {value!r}")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SerdeError(f"{what} must be an object, got {value!r}")
+    return value
 
 
 # ------------------------------------------------------------------- graphs
@@ -119,11 +137,11 @@ def graph_to_doc(g: DirectedGraph) -> dict:
 
 
 def graph_from_doc(doc: dict, validate: bool = True) -> DirectedGraph:
-    verts = _require(doc, "vertices")
-    edges = _require(doc, "edges")
+    verts = _array(_require(doc, "vertices"), "vertices")
+    edges = _array(_require(doc, "edges"), "edges")
     for e in edges:
         for k in ("id", "src", "tgt"):
-            if k not in e:
+            if k not in _object(e, "edge entry"):
                 raise SerdeError(f"edge entry missing {k!r}: {e!r}")
     g = DirectedGraph((Vertex(str(v)) for v in verts),
                       (Edge(str(e["id"]), str(e["src"]), str(e["tgt"]))
@@ -135,6 +153,12 @@ def graph_from_doc(doc: dict, validate: bool = True) -> DirectedGraph:
     return g
 
 
+def partition_from_doc(value) -> list[list[str]]:
+    """An ordered partition: an array of arrays of vertex ids."""
+    return [[str(v) for v in _array(part, "partition part")]
+            for part in _array(value, "partition")]
+
+
 # ----------------------------------------------------------- labels, loops
 
 
@@ -143,8 +167,9 @@ def monoid_to_doc(m: LabelMonoid) -> dict:
 
 
 def monoid_from_doc(doc: dict) -> LabelMonoid:
-    return LabelMonoid(rank=int(_require(doc, "rank")),
-                       truncation=int(_require(doc, "truncation")))
+    return LabelMonoid(
+        rank=_int(_require(doc, "rank"), "monoid rank"),
+        truncation=_int(_require(doc, "truncation"), "monoid truncation"))
 
 
 def label_to_doc(beta: MonoidElem) -> list[int]:
@@ -154,7 +179,7 @@ def label_to_doc(beta: MonoidElem) -> list[int]:
 def label_from_doc(arr) -> MonoidElem:
     if not isinstance(arr, (list, tuple)):
         raise SerdeError(f"label must be an integer array, got {arr!r}")
-    return MonoidElem(tuple(int(c) for c in arr))
+    return MonoidElem(tuple(_int(c, "label coordinate") for c in arr))
 
 
 def loop_to_doc(loop: ProfileLoop) -> dict:
@@ -165,7 +190,7 @@ def loop_to_doc(loop: ProfileLoop) -> dict:
 
 
 def loop_from_doc(g: DirectedGraph, doc: dict) -> ProfileLoop:
-    word = tuple(str(e) for e in _require(doc, "inputs"))
+    word = tuple(str(e) for e in _array(_require(doc, "inputs"), "inputs"))
     out = str(_require(doc, "output"))
     if word:
         src = g.edge(word[0]).src
@@ -188,10 +213,11 @@ def complex_to_doc(cx: CochainComplex) -> dict:
 
 
 def complex_from_doc(doc: dict) -> CochainComplex:
-    basis = [(str(b["id"]), int(b["degree"]))
-             for b in _require(doc, "basis")]
+    basis = [(str(_require(b, "id")),
+              _int(_require(b, "degree"), "basis degree"))
+             for b in _array(_require(doc, "basis"), "basis")]
     d: dict[str, dict] = {}
-    for entry in doc.get("differential", []):
+    for entry in _array(doc.get("differential", []), "differential"):
         src = str(_require(entry, "from"))
         tgt = str(_require(entry, "to"))
         c = scalar_from_str(_require(entry, "coeff"))
@@ -211,12 +237,13 @@ def multimap_to_doc(xi: MultiMap) -> dict:
 
 
 def multimap_from_doc(X: EndX, doc: dict) -> MultiMap:
-    word = tuple(str(e) for e in _require(doc, "inputs"))
+    word = tuple(str(e) for e in _array(_require(doc, "inputs"), "inputs"))
     out = str(_require(doc, "output"))
-    degree = int(doc.get("degree", 1))
+    degree = _int(doc.get("degree", 1), "map degree")
     table: dict[tuple, dict] = {}
-    for entry in doc.get("entries", []):
-        key = tuple(str(x) for x in _require(entry, "inputs"))
+    for entry in _array(doc.get("entries", []), "entries"):
+        key = tuple(str(x) for x in
+                    _array(_require(entry, "inputs"), "entry inputs"))
         y = str(_require(entry, "output"))
         c = scalar_from_str(_require(entry, "coeff"))
         vec = table.setdefault(key, {})
@@ -263,10 +290,10 @@ def _rule_to_doc(cell: FreeCell) -> list[dict]:
 def _rule_from_doc(fc: FreeDgFc, gen: GeneratorSpec,
                    terms: Sequence[dict]) -> FreeCell:
     acc: dict[CompTree, object] = {}
-    for term in terms:
+    for term in _array(terms, "rule terms"):
         outer = generator_from_doc(fc, _require(term, "outer"))
         inner = generator_from_doc(fc, _require(term, "inner"))
-        slot = int(_require(term, "slot"))
+        slot = _int(_require(term, "slot"), "rule slot")
         t = graft(leaf_of(outer), slot, leaf_of(inner))
         c = scalar_from_str(_require(term, "coeff"))
         acc[t] = acc.get(t, 0) + c
@@ -311,7 +338,7 @@ def freedg_from_doc(doc: dict) -> tuple[FreeDgFc,
     if differential == "custom":
         fc = FreeDgFc(g, labeling, preset="custom", custom_only=True)
         rules = {}
-        for rule in doc.get("rules", []):
+        for rule in _array(doc.get("rules", []), "rules"):
             gen = generator_from_doc(fc, _require(rule, "generator"))
             rules[gen] = _rule_from_doc(fc, gen, _require(rule, "terms"))
         fc = FreeDgFc(g, labeling, preset="custom", custom_only=True,
@@ -324,7 +351,8 @@ def freedg_from_doc(doc: dict) -> tuple[FreeDgFc,
             f"{NAMED_DIFFERENTIALS + ('custom',)}, got {differential!r}")
     gens = None
     if "generators" in doc:
-        gens = [generator_from_doc(fc, gd) for gd in doc["generators"]]
+        gens = [generator_from_doc(fc, gd)
+                for gd in _array(doc["generators"], "generators")]
     return fc, gens
 
 
@@ -380,12 +408,14 @@ def instance_from_doc(doc: dict, path_len: int,
                                            bool(doc.get("reduced", False))),
                                 path_len)
     elif kind == "table":
-        cells = [cell_from_doc(g, cd) for cd in _require(doc, "cells")]
-        units = {str(e): str(c)
-                 for e, c in _require(doc, "units").items()}
+        cells = [cell_from_doc(g, cd)
+                 for cd in _array(_require(doc, "cells"), "cells")]
+        units = {str(e): str(c) for e, c in
+                 _object(_require(doc, "units"), "units").items()}
         table = {}
-        for row in doc.get("table", []):
-            key = (str(_require(row, "outer")), int(_require(row, "slot")),
+        for row in _array(doc.get("table", []), "table"):
+            key = (str(_require(row, "outer")),
+                   _int(_require(row, "slot"), "table slot"),
                    str(_require(row, "inner")))
             table[key] = str(_require(row, "result"))
         inst = TableInstance(g, cells, units, table)
@@ -399,9 +429,6 @@ def instance_from_doc(doc: dict, path_len: int,
 
 
 # ------------------------------------------------------------ algebra jobs
-
-
-PRESET_GRAPHLESS = {"ainf", "bimodule"}
 
 
 def algebra_job_to_doc(fc: FreeDgFc, A: AlgebraData) -> dict:
@@ -427,11 +454,11 @@ def algebra_job_from_doc(doc: dict) -> tuple[FreeDgFc, AlgebraData]:
     fc, _ = freedg_from_doc(dict(doc, differential=doc.get(
         "preset", doc.get("differential", "generalized")),
         kind="free-dg"))
-    cx_docs = _require(doc, "complexes")
+    cx_docs = _object(_require(doc, "complexes"), "complexes")
     complexes = {str(e): complex_from_doc(cd) for e, cd in cx_docs.items()}
     X = EndX(fc.graph, complexes)
     assignment: dict[GeneratorSpec, MultiMap] = {}
-    for entry in doc.get("assignment", []):
+    for entry in _array(doc.get("assignment", []), "assignment"):
         gen = generator_from_doc(fc, entry)
         if gen in assignment:
             raise SerdeError(f"duplicate assignment for {gen.name}")

@@ -356,14 +356,12 @@ def test_acceptance_6_axiom_audit_exhaustive():
     monoid = LabelMonoid(1, 2)
     plain = labeled = 0
     for g in family:
-        rep = check_axioms(profile_loop_instance(g, 3), 3,
-                           gamma_orders=True)
+        rep = check_axioms(profile_loop_instance(g, 3), 3)
         assert rep.ok, (g.edges, rep.summary())
         plain += rep.checked
     for g in family:
         rep = check_axioms(
-            labeled_instance(LabelingFc(g, monoid, False), 3), 3,
-            gamma_orders=True)
+            labeled_instance(LabelingFc(g, monoid, False), 3), 3)
         assert rep.ok, (g.edges, rep.summary())
         labeled += rep.checked
     _line(6, "unit/associativity/order-independence identities hold: "

@@ -321,6 +321,63 @@ def test_algebra_check_bad_complex_or_map_exits_2(tmp_path, make_doc):
     assert "Traceback" not in proc.stderr
 
 
+def _edit(make_doc, edit):
+    def make():
+        doc = make_doc()
+        edit(doc)
+        return doc
+    return make
+
+
+def _basis(doc):
+    return doc["complexes"]["e"]["basis"]
+
+
+def _graph_with_partition_doc():
+    return {"format_version": 1, "kind": "graph", "graph": BIMOD_GRAPH,
+            "partition": [["v0"], ["v1"]]}
+
+
+MALFORMED = [
+    ("algebra-check", "basis-no-degree",
+     _edit(dual_doc, lambda d: _basis(d)[0].pop("degree"))),
+    ("algebra-check", "basis-degree-not-int",
+     _edit(dual_doc, lambda d: _basis(d)[0].update(degree="x"))),
+    ("algebra-check", "basis-entry-not-object",
+     _edit(dual_doc, lambda d: _basis(d).__setitem__(0, "x"))),
+    ("algebra-check", "map-degree-not-int",
+     _edit(dual_doc, lambda d: d["assignment"][0].update(degree="x"))),
+    ("algebra-check", "monoid-rank-not-int",
+     _edit(dual_doc, lambda d: d["monoid"].update(rank="x"))),
+    ("algebra-check", "label-coordinate-not-int",
+     _edit(dual_doc, lambda d: d["assignment"][0].update(label=["a"]))),
+    ("algebra-check", "complexes-not-object",
+     _edit(dual_doc, lambda d: d.update(complexes=[]))),
+    ("fc-audit", "unit-names-unknown-cell",
+     _edit(_table_doc, lambda d: d.update(units={"e": "nowhere"}))),
+    ("fc-audit", "result-names-unknown-cell",
+     _edit(_table_doc, lambda d: d["table"][0].update(result="nowhere"))),
+    ("fc-audit", "slot-not-int",
+     _edit(_table_doc, lambda d: d["table"][0].update(slot="x"))),
+    ("graph-check", "partition-not-list",
+     _edit(_graph_with_partition_doc, lambda d: d.update(partition=5))),
+]
+
+
+@pytest.mark.parametrize("command, make_doc",
+                         [pytest.param(c, m, id=f"{c}-{n}")
+                          for c, n, m in MALFORMED])
+def test_malformed_document_exits_2(tmp_path, command, make_doc):
+    path = write(tmp_path, "bad.json", make_doc())
+    src = os.path.dirname(os.path.dirname(fcmc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "fcmc.cli", command, path],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 # ------------------------------------------------------- output discipline
 
 

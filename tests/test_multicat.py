@@ -16,6 +16,7 @@ from fcmc.graphs import (
 )
 from fcmc.labels import LabelMonoid, LabelingFc, label
 from fcmc.multicat import (
+    AxiomReport,
     OutOfBound,
     TableInstance,
     TwoCell,
@@ -277,6 +278,11 @@ def test_table_instance_validation():
     with pytest.raises(GraphError):
         TableInstance(g, [TwoCell("c", profile_loop(g, [], "e"), None)],
                       {"e": "c"}, {})
+    unit = TwoCell("c", profile_loop(g, ["e"], "e"), None)
+    with pytest.raises(GraphError):
+        TableInstance(g, [unit], {"e": "nowhere"}, {})
+    with pytest.raises(GraphError):
+        TableInstance(g, [unit], {"e": "c"}, {("c", 1, "c"): "nowhere"})
 
 
 # ------------------------------------------------- full subs, factor-closure
@@ -339,3 +345,56 @@ def test_loop_token_readable():
     g = build_bimodule_graph()
     assert loop_token(profile_loop(g, ["e0", "e01"], "e01")) == "e0,e01;e01"
     assert loop_token(profile_loop(g, [], "e0")) == ";e0"
+
+
+# ------------------------------------------------------ axiom failure kinds
+#
+# One hand-built table instance per failure kind of check_axioms, over the
+# one-loop graph with unit "1" (no unit entries unless listed).  Every
+# unlisted composition is out of bound, so the whole report is pinned.
+
+def _loop_table(arities, entries):
+    g = single_loop()
+    cells = [TwoCell(c, profile_loop(g, ["e"] * n, "e"), None)
+             for c, n in arities.items()]
+    table = {(o, i, v): r for o, i, v, r in entries}
+    return TableInstance(g, cells, {"e": "1"}, table)
+
+
+AXIOM_FAILURES = [
+    pytest.param(
+        {"1": 1, "m": 2},
+        [("1", 1, "m", "1")],
+        ("left unit law", ("m",), 1, 2), id="left-unit"),
+    pytest.param(
+        {"1": 1, "m": 2},
+        [("1", 1, "m", "m"), ("m", 1, "1", "m"), ("m", 2, "1", "1")],
+        ("right unit law", ("m", 2), 3, 2), id="right-unit"),
+    pytest.param(
+        {"1": 1, "a": 1, "b": 1, "c": 1, "p": 1, "q": 1, "s": 1, "t": 1},
+        [("a", 1, "b", "p"), ("p", 1, "c", "q"),
+         ("b", 1, "c", "s"), ("a", 1, "s", "t")],
+        ("nested associativity", ("a", 1, "b", 1, "c"), 1, 16),
+        id="nested"),
+    pytest.param(
+        {"1": 1, "a": 1, "b": 1, "m": 2, "p": 2, "q": 2, "r": 2, "s": 2},
+        [("m", 1, "a", "p"), ("p", 2, "b", "q"),
+         ("m", 2, "b", "r"), ("r", 1, "a", "s")],
+        ("parallel associativity", ("m", 1, "a", 2, "b"), 1, 21),
+        id="parallel"),
+    pytest.param(
+        {"1": 1, "a": 1, "b": 1, "c": 1,
+         "u": 3, "p": 3, "q": 3, "r1": 3, "s": 3, "t": 3, "r2": 3},
+        [("u", 1, "a", "p"), ("p", 2, "b", "q"), ("q", 3, "c", "r1"),
+         ("u", 3, "c", "s"), ("s", 2, "b", "t"), ("t", 1, "a", "r2")],
+        ("gamma order-dependence",
+         ("u", ("a", "b", "c"), (1, 2, 3), (3, 2, 1)), 0, 37),
+        id="gamma"),
+]
+
+
+@pytest.mark.parametrize("arities, entries, expected", AXIOM_FAILURES)
+def test_check_axioms_failure_kinds(arities, entries, expected):
+    failure, witness, checked, skipped = expected
+    report = check_axioms(_loop_table(arities, entries), 3)
+    assert report == AxiomReport(False, failure, witness, checked, skipped)
