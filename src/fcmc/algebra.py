@@ -13,15 +13,12 @@ a checked property.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .chain import (
-    CochainComplex,
     EndX,
     MultiMap,
-    Scalar,
     Vector,
     _add_into,
     _basis_tuples,
@@ -39,14 +36,12 @@ from .freedg import (
     FreeDgFc,
     GeneratorSpec,
     build_Ainf_operad,
-    generator_cell,
     leaf_count,
-    tree_leaves,
 )
-from .graphs import (CompositionError, EdgePath, ProfileLoop,
-                     enumerate_profile_loops, path_vertices)
-from .labels import MonoidElem, TRIVIAL_MONOID, decompose, fiber
-from .multicat import OutOfBound, loop_token
+from .graphs import (EdgePath, ProfileLoop, enumerate_profile_loops,
+                     path_vertices)
+from .labels import MonoidElem, TRIVIAL_MONOID, decompose
+from .multicat import loop_token
 
 
 class AlgebraError(Exception):

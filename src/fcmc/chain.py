@@ -400,9 +400,12 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
         if not hat_d(X, identity_map(X, eid)).is_zero():
             return fail("hat_d(identity) != 0", f"edge {eid}")
         checked += 1
+    d_pop: list[MultiMap] = []
     for xi in pop:
-        if not hat_d(X, hat_d(X, xi)).is_zero():
+        d_xi = hat_d(X, xi)
+        if not hat_d(X, d_xi).is_zero():
             return fail("hat_d^2 != 0", repr(xi))
+        d_pop.append(d_xi)
         checked += 1
     # unit laws
     for xi in pop:
@@ -416,17 +419,17 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
             return fail("id o_1 xi != xi", repr(xi))
         checked += 1
     # Leibniz
-    for xi1 in pop:
-        for xi2 in pop:
+    for xi1, d_xi1 in zip(pop, d_pop):
+        for xi2, d_xi2 in zip(pop, d_pop):
             for i in range(1, xi1.arity() + 1):
                 if xi1.inputs[i - 1] != xi2.output:
                     continue
                 comp = compose_end(X, xi1, i, xi2, sign_fault=sign_fault)
                 lhs = hat_d(X, comp)
                 s = -1 if xi1.degree % 2 else 1
-                rhs = compose_end(X, hat_d(X, xi1), i, xi2,
+                rhs = compose_end(X, d_xi1, i, xi2,
                                   sign_fault=sign_fault).add(
-                    compose_end(X, xi1, i, hat_d(X, xi2),
+                    compose_end(X, xi1, i, d_xi2,
                                 sign_fault=sign_fault).scale(s))
                 if lhs != rhs:
                     return fail(

@@ -26,7 +26,7 @@ Dropping either parity breaks the square-zero property already at arity 4.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -45,7 +45,15 @@ from .graphs import (
     make_graph,
     path_vertices,
 )
-from .labels import LabelMonoid, LabelingFc, MonoidElem, add, decompose, fiber
+from .labels import (
+    LabelMonoid,
+    LabelingFc,
+    MonoidElem,
+    add,
+    decompose,
+    fiber,
+    in_fiber,
+)
 from .multicat import OutOfBound, loop_token, substituted_profile
 
 Scalar = Union[int, Fraction]
@@ -62,6 +70,14 @@ class GeneratorSpec:
     profile: ProfileLoop
     label: MonoidElem
     degree: int = 1
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (self.name, self.profile, self.label, self.degree)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def arity(self) -> int:
         return self.profile.arity()
@@ -75,9 +91,21 @@ Child = Union[str, "CompTree"]
 
 @dataclass(frozen=True)
 class CompTree:
-    """A planar tree of generators; leaves carry the composite's inputs."""
+    """A planar tree of generators; leaves carry the composite's inputs.
+
+    The hash is computed once, at construction, like the generator's.  It
+    depends on the process's string hashing, so trees must not be pickled
+    into another process.
+    """
     gen: GeneratorSpec
     children: tuple[Child, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.gen, self.children)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def unit_spec(g: DirectedGraph, eid: str) -> GeneratorSpec:
@@ -328,6 +356,10 @@ class FreeDgFc:
     coefficient -1; summands whose factors are not generators are dropped,
     since the free object has no such symbols.  Custom rules may override
     specific generators.
+
+    Generators are interned: ``generator`` returns one object per
+    (profile-loop, label), so dictionaries keyed by generators and trees
+    mostly hit by identity.
     """
 
     def __init__(self, graph: DirectedGraph, labeling: LabelingFc,
@@ -354,6 +386,8 @@ class FreeDgFc:
                 raise CompositionError(
                     f"rule for {gen.name} must keep its profile and label")
         self._delta_cache: dict[GeneratorSpec, FreeCell] = {}
+        # (source, target, input edges, output, label coords) -> generator
+        self._generators: dict[tuple, Optional[GeneratorSpec]] = {}
 
     # ------------------------------------------------------------ generators
 
@@ -362,17 +396,32 @@ class FreeDgFc:
             return f"m[{loop_token(loop)}]"
         return f"m[{loop_token(loop)}]@{beta}"
 
+    def _lookup(self, loop: ProfileLoop,
+                beta: MonoidElem) -> Optional[GeneratorSpec]:
+        """The interned generator over (loop, beta), or None if there is
+        none; the answer is computed once per key."""
+        ins = loop.inputs
+        key = (ins.source, ins.target, ins.edges, loop.output, beta.coords)
+        try:
+            return self._generators[key]
+        except KeyError:
+            pass
+        gen = None
+        if in_fiber(self.labeling, loop, beta) and not (
+                ins.edges == (loop.output,) and beta.is_zero()):
+            gen = GeneratorSpec(self.generator_name(loop, beta), loop, beta)
+        self._generators[key] = gen
+        return gen
+
     def is_generator(self, loop: ProfileLoop, beta: MonoidElem) -> bool:
-        if beta not in fiber(self.labeling, loop):
-            return False
-        unit_case = (loop.inputs.edges == (loop.output,) and beta.is_zero())
-        return not unit_case
+        return self._lookup(loop, beta) is not None
 
     def generator(self, loop: ProfileLoop, beta: MonoidElem) -> GeneratorSpec:
-        if not self.is_generator(loop, beta):
+        gen = self._lookup(loop, beta)
+        if gen is None:
             raise CompositionError(
                 f"no generator over {loop_token(loop)} with label {beta}")
-        return GeneratorSpec(self.generator_name(loop, beta), loop, beta)
+        return gen
 
     def generators(self, max_arity: int,
                    max_label: Optional[int] = None) -> list[GeneratorSpec]:
@@ -384,8 +433,9 @@ class FreeDgFc:
             for beta in fiber(self.labeling, loop):
                 if beta.total() > cap:
                     continue
-                if self.is_generator(loop, beta):
-                    out.append(self.generator(loop, beta))
+                gen = self._lookup(loop, beta)
+                if gen is not None:
+                    out.append(gen)
         return out
 
     def unit_cell(self, eid: str) -> FreeCell:
@@ -423,11 +473,12 @@ class FreeDgFc:
                                           loop.inputs.target)
                     outer_loop = ProfileLoop(outer_path, loop.output)
                     for b1, b2 in decompose(beta):
-                        if not (self.is_generator(outer_loop, b1)
-                                and self.is_generator(inner_loop, b2)):
+                        outer = self._lookup(outer_loop, b1)
+                        if outer is None:
                             continue
-                        outer = self.generator(outer_loop, b1)
-                        inner = self.generator(inner_loop, b2)
+                        inner = self._lookup(inner_loop, b2)
+                        if inner is None:
+                            continue
                         kids = (ins[:r] + (CompTree(inner, ins[r:r + s]),)
                                 + ins[r + s:])
                         t = CompTree(outer, kids)

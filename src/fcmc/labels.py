@@ -119,3 +119,12 @@ def fiber(lfc: LabelingFc, loop: ProfileLoop) -> list[MonoidElem]:
     if lfc.reduced and loop.inputs.is_empty():
         out = [b for b in out if not b.is_zero()]
     return out
+
+
+def in_fiber(lfc: LabelingFc, loop: ProfileLoop, beta: MonoidElem) -> bool:
+    """``beta in fiber(lfc, loop)``, decided without building the fiber."""
+    if not is_profile_loop(lfc.graph, loop.inputs, loop.output):
+        return False
+    if not lfc.monoid.contains(beta):
+        return False
+    return not (lfc.reduced and loop.inputs.is_empty() and beta.is_zero())

@@ -34,7 +34,7 @@ from .graphs import (
     is_profile_loop,
     is_subgraph,
 )
-from .labels import LabelingFc, MonoidElem, add, fiber
+from .labels import LabelingFc, MonoidElem, add, fiber, in_fiber
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ class LabeledInstance(FcInstance):
     def contains(self, cell: TwoCell) -> bool:
         return (cell.label is not None
                 and cell.arity() <= self.max_len
-                and cell.label in fiber(self.labeling, cell.profile)
+                and in_fiber(self.labeling, cell.profile, cell.label)
                 and cell.id == cell_token(cell.profile, cell.label))
 
     def unit(self, eid: str) -> TwoCell:
@@ -354,19 +354,26 @@ class _Indexed:
     population: a composite out of bound, without a table entry, or
     beyond the arity cap has no entry.  The identity checks then run on
     plain dict lookups instead of rebuilding cells.
+
+    ``bad_profile`` is the first entry (u id, i, v id) whose composite does
+    not sit over the substituted profile, or None; the index arithmetic of
+    the identity checks is only valid when there is none.
     """
 
     def __init__(self, fc: FcInstance, arity_bound: int):
         self.cells = [c for c in fc.cells() if c.arity() <= arity_bound]
         idx = {c.id: k for k, c in enumerate(self.cells)}
         self.arity = [c.arity() for c in self.cells]
+        ins = [c.profile.inputs.edges for c in self.cells]
+        outs = [c.profile.output for c in self.cells]
         self.by_out: dict[str, list[int]] = {}
-        for k, c in enumerate(self.cells):
-            self.by_out.setdefault(c.profile.output, []).append(k)
+        for k, out in enumerate(outs):
+            self.by_out.setdefault(out, []).append(k)
         self.comp: list[list[dict[int, int]]] = []
-        for u in self.cells:
+        self.bad_profile: Optional[tuple[str, int, str]] = None
+        for x, u in enumerate(self.cells):
             rows = []
-            for i, eid in enumerate(u.profile.inputs.edges, start=1):
+            for i, eid in enumerate(ins[x], start=1):
                 row = {}
                 for k in self.by_out.get(eid, []):
                     uv = fc.compose(u, i, self.cells[k])
@@ -374,6 +381,10 @@ class _Indexed:
                         r = idx.get(uv.id, -1)
                         if r >= 0:
                             row[k] = r
+                            if self.bad_profile is None and (
+                                    outs[r] != outs[x] or ins[r] !=
+                                    ins[x][:i - 1] + ins[k] + ins[x][i:]):
+                                self.bad_profile = (u.id, i, self.cells[k].id)
                 rows.append(row)
             self.comp.append(rows)
 
@@ -390,6 +401,8 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
     * order-independence of gamma over all full slot assignments and all
       insertion orders.
 
+    A composite that does not sit over the substituted profile fails as
+    "composite profile" (checked after the unit laws, not counted).
     Comparisons where some route leaves the population (instance bounds or
     the arity cap) are counted as skipped, not failed.
     """
@@ -418,6 +431,8 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
             checked += 1
             if right != u:
                 return fail("right unit law", (u.id, i))
+    if ix.bad_profile is not None:
+        return fail("composite profile", ix.bad_profile)
 
     # Only triples where both comparison routes stay inside the population
     # are decidable, and both routes share the pair composites u o_i v

@@ -247,6 +247,19 @@ def test_fc_audit_corrupted_table_fails_with_witness(capsys, tmp_path):
     assert "FAIL" in out and "m" in out
 
 
+def test_fc_audit_wrong_composite_profile_fails_cleanly(tmp_path):
+    doc = _table_doc()
+    doc["table"] += [{"outer": "m", "slot": 2, "inner": "m", "result": "u"}]
+    path = write(tmp_path, "t.json", doc)
+    src = os.path.dirname(os.path.dirname(fcmc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "fcmc.cli", "fc-audit", path],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "FAIL: composite profile on m, 2, m" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
 # ------------------------------------------------------------ algebra-check
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -9,6 +10,7 @@ from fcmc.multicat import OutOfBound
 from fcmc.freedg import (
     CompTree,
     FreeDgFc,
+    GeneratorSpec,
     build_Ainf_bimodule,
     build_Ainf_category,
     build_Ainf_generalized,
@@ -673,3 +675,55 @@ def test_unit_tree_composes_neutrally():
     assert graft(t, 1, u) == t
     assert graft(u, 1, t) == t
     assert tree_degree(u) == 0
+
+
+# ------------------------------------------------------ interned generators
+
+
+def test_generator_is_interned():
+    fc = build_Ainf_operad(LabelMonoid(rank=1, truncation=1))
+    loop, beta = m_loop(3), label(1)
+    gen = fc.generator(loop, beta)
+    assert fc.generator(loop, beta) is gen
+    # equal boundary data built independently finds the same object
+    assert fc.generator(m_loop(3), label(1)) is gen
+    assert any(g is gen for g in fc.generators(3))
+    assert not fc.is_generator(m_loop(1), label(0))
+    with pytest.raises(CompositionError):
+        fc.generator(m_loop(1), label(0))
+
+
+def test_equal_trees_and_specs_hash_equal_and_keep_repr():
+    fc = ainf()
+    m2, m3 = m_gen(fc, 2), m_gen(fc, 3)
+    spec = GeneratorSpec(m2.name, m_loop(2), label(0))
+    assert spec == m2 and spec is not m2 and hash(spec) == hash(m2)
+    assert repr(spec) == (
+        "GeneratorSpec(name='m[e,e;e]', profile=ProfileLoop(inputs=EdgePath("
+        "edges=('e', 'e'), source='v', target='v'), output='e'), "
+        "label=MonoidElem(coords=(0,)), degree=1)")
+    t = CompTree(m3, ("e", CompTree(m2, ("e", "e")), "e"))
+    built = CompTree(GeneratorSpec(m3.name, m_loop(3), label(0)),
+                     ("e", CompTree(spec, ("e", "e")), "e"))
+    assert built == t and hash(built) == hash(t)
+    assert repr(built) == repr(t) == f"CompTree(gen={m3!r}, children=('e', " \
+        f"CompTree(gen={m2!r}, children=('e', 'e')), 'e'))"
+    assert {t: 5}[built] == 5
+    assert CompTree(m2, ("e", "e")) != CompTree(m3, ("e", "e", "e"))
+
+
+def test_sign_fault_residue_strings_unchanged():
+    fc0 = ainf()
+    fc = FreeDgFc(fc0.graph, fc0.labeling, sign_fault=True)
+    rep = delta_squared_report(fc, 4)
+    assert rep.residues == (("m[e,e,e,e;e]",
+        "2*m[e,e;e](e,m[e,e;e](e,m[e,e;e](e,e))) "
+        "+ 2*m[e,e;e](e,m[e,e;e](m[e,e;e](e,e),e)) "
+        "+ 2*m[e,e;e](m[e,e;e](e,m[e,e;e](e,e)),e) "
+        "+ 2*m[e,e;e](m[e,e;e](m[e,e;e](e,e),e),e)"),)
+    b = build_Ainf_bimodule(LabelMonoid(rank=1, truncation=1))
+    rep = delta_squared_report(
+        FreeDgFc(b.graph, b.labeling, sign_fault=True), 4)
+    assert (rep.generators, len(rep.residues)) == (35, 21)
+    assert hashlib.sha256(repr(rep.residues).encode()).hexdigest() == (
+        "746032c166987095e571ccdd3bb589ea9558eb74b217b278d6db253d3267ff7a")

@@ -5,7 +5,14 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from fcmc.graphs import build_bimodule_graph, profile_loop
+from fcmc.graphs import (
+    EdgePath,
+    ProfileLoop,
+    build_bimodule_graph,
+    build_pair_graph,
+    enumerate_profile_loops,
+    profile_loop,
+)
 from fcmc.labels import (
     LabelError,
     LabelMonoid,
@@ -15,6 +22,7 @@ from fcmc.labels import (
     add,
     decompose,
     fiber,
+    in_fiber,
     label,
 )
 
@@ -139,8 +147,27 @@ def test_fiber_reduced_drops_zero_on_empty_inputs_only():
 
 
 def test_fiber_empty_for_non_loops():
-    from fcmc.graphs import EdgePath, ProfileLoop
     g = build_bimodule_graph()
     lfc = LabelingFc(g, LabelMonoid(rank=1, truncation=1), reduced=False)
     bad = ProfileLoop(EdgePath(("e1",), "v1", "v1"), "e0")
     assert fiber(lfc, bad) == []
+
+
+@pytest.mark.parametrize("graph", [build_bimodule_graph(),
+                                   build_pair_graph(["a", "b"])],
+                         ids=["bimodule", "pair"])
+def test_in_fiber_matches_fiber_exhaustively(graph):
+    # boundary data whose endpoints match no edge of the graph
+    non_loop = ProfileLoop(EdgePath((graph.edges[-1].id,), "x", "x"),
+                           graph.edges[0].id)
+    loops = enumerate_profile_loops(graph, 3) + [non_loop]
+    for rank, truncation, reduced in itertools.product(
+            (1, 2), (0, 1, 2), (False, True)):
+        lfc = LabelingFc(graph, LabelMonoid(rank, truncation), reduced)
+        labels = [MonoidElem(t) for t in ref_labels_upto(rank, truncation + 1)]
+        for loop in loops:
+            members = fiber(lfc, loop)
+            for beta in labels:
+                assert in_fiber(lfc, loop, beta) == (beta in members), (
+                    loop, beta, rank, truncation, reduced)
+    assert fiber(lfc, non_loop) == []

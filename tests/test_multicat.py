@@ -390,6 +390,12 @@ AXIOM_FAILURES = [
         ("gamma order-dependence",
          ("u", ("a", "b", "c"), (1, 2, 3), (3, 2, 1)), 0, 37),
         id="gamma"),
+    # m o_2 m names the unary "1", whose one slot the nested-associativity
+    # lookup would index past
+    pytest.param(
+        {"1": 1, "m": 2},
+        [("m", 2, "m", "1"), ("m", 2, "1", "m")],
+        ("composite profile", ("m", 2, "m"), 1, 4), id="composite-profile"),
 ]
 
 
