@@ -84,8 +84,9 @@ def resolve_bounds(args) -> dict:
         if flag is not None:
             base[key] = flag
     for key, val in base.items():
-        if val < (0 if key == "labels" else 1):
-            raise CliError(f"bound {key} must be positive, got {val}")
+        least = 0 if key == "labels" else 1
+        if val < least:
+            raise CliError(f"bound {key} must be >= {least}, got {val}")
     return base
 
 

@@ -399,7 +399,12 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
     * parallel: (u o_i v) o_{k-1+m} w = (u o_k w) o_i v for i < k, m the
       arity of v;
     * order-independence of gamma over all full slot assignments and all
-      insertion orders.
+      insertion orders, decided by a recursion over the sets of inserted
+      slots rather than by replaying every order (exact, because a slot's
+      shift depends only on which slots are already filled; see
+      ``_check_gamma_orders``).  Only a failing filling replays the orders
+      lexicographically, to name its first completing order and the first
+      later one that disagrees.
 
     A composite that does not sit over the substituted profile fails as
     "composite profile" (checked after the unit laws, not counted).
@@ -484,15 +489,33 @@ def _label_total(cell: TwoCell) -> int:
 
 
 def _check_gamma_orders(ix, checked, skipped, fail):
-    """Compare all insertion orders of gamma over all full slot fillings.
+    """Decide order-independence of gamma over all full slot fillings.
 
     Inner tuples are enumerated depth-first with budget pruning: once the
     partial arity sum (the composite's final input length) or the partial
     label total can no longer stay within the instance bounds, the branch
-    dies.  This visits every tuple for which any order completes.  Each
-    order replays gamma's iterated partial composition on the table,
-    shifting a slot by the arities already inserted before it, and stops
-    at the first composite outside the population.
+    dies.  This visits every tuple for which any order completes.
+
+    The insertion orders are not replayed one by one.  gamma inserts slot
+    j at its original position shifted by the arities already inserted
+    before it, and that shift depends only on *which* slots are filled,
+    not on the order they were filled in.  So ``states[mask]``, the set of
+    composites reached by inserting exactly the slots in ``mask`` in some
+    order, is the union over the slots j in ``mask`` of inserting j into
+    each composite of ``states[mask - {j}]``.  Orders stop at their first
+    composite outside the population and so drop out of the sets; the
+    full mask holds exactly the results of the orders that complete.  None
+    means skipped, one means checked, and two or more means that two
+    completing orders disagree, which is the failure.  (That the results
+    should coincide is parallel associativity; see Markl-Shnider-Stasheff,
+    *Operads in Algebra, Topology and Physics*, 2002.)
+
+    The recursion runs inside the enumeration: filling slot t computes the
+    masks whose highest slot is t, in increasing order, so every mask it
+    reads is already known, and all tuples below share the masks of the
+    slots before t.  Only a failing tuple replays the orders, in
+    lexicographic order, to name the first completing order and the first
+    later one that disagrees with it (:func:`_gamma_witness`).
     """
     cells = ix.cells
     arity = ix.arity
@@ -507,62 +530,100 @@ def _check_gamma_orders(ix, checked, skipped, fail):
             key = (arity[k], _label_total(cells[k]))
             grouped.setdefault(key, []).append(k)
         buckets[e] = [(a, l, ks2) for (a, l), ks2 in sorted(grouped.items())]
-    orders_by_n: dict[int, list[tuple[int, ...]]] = {}
+    # plan[t] lists each mask m whose highest slot is t, with s = m - {t}
+    # and, for every other slot j of m, (m - {j}, j, the slots of s below j)
+    plan = [[(s | 1 << t, s,
+              [(s ^ 1 << j | 1 << t, j, s & (1 << j) - 1)
+               for j in range(t) if s >> j & 1])
+             for s in range(1 << t)]
+            for t in range(arity_cap)]
+    counts = [skipped, checked]  # indexed by the number of full composites
 
     for u in range(len(cells)):
         n = arity[u]
         if n < 2:
             continue
-        if n not in orders_by_n:
-            orders_by_n[n] = list(permutations(range(1, n + 1)))
         ins = cells[u].profile.inputs.edges
         slot_buckets = [buckets.get(e, []) for e in ins]
         if any(not b for b in slot_buckets):
             continue
         budget_a = arity_cap
         budget_l = label_cap - _label_total(cells[u])
-        tuples: list[list[int]] = []
+        full = (1 << n) - 1
+        inners = [0] * n
+        states: list = [()] * (1 << n)
+        states[0] = (u,)
+        # shift[mask]: how far the inserted slots of mask move later slots
+        shift = [0] * (1 << n)
 
-        def grow(slot: int, sum_a: int, sum_l: int, acc: list[int]):
-            if slot == n:
-                tuples.append(list(acc))
-                return
-            for a, l, ks in slot_buckets[slot]:
+        def grow(t: int, sum_a: int, sum_l: int) -> Optional[AxiomReport]:
+            for a, l, ks in slot_buckets[t]:
                 if sum_a + a > budget_a or sum_l + l > budget_l:
                     continue
                 for k in ks:
-                    acc.append(k)
-                    grow(slot + 1, sum_a + a, sum_l + l, acc)
-                    acc.pop()
+                    inners[t] = k
+                    for m, s, others in plan[t]:
+                        shift[m] = shift[s] + a - 1
+                        p = t + shift[s]
+                        out = set()
+                        for r in states[s]:
+                            c = comp[r][p].get(k, -1)
+                            if c >= 0:
+                                out.add(c)
+                        for prev, j, below in others:
+                            p = j + shift[below]
+                            kj = inners[j]
+                            for r in states[prev]:
+                                c = comp[r][p].get(kj, -1)
+                                if c >= 0:
+                                    out.add(c)
+                        states[m] = out
+                    if t + 1 < n:
+                        report = grow(t + 1, sum_a + a, sum_l + l)
+                        if report is not None:
+                            return report
+                    elif len(states[full]) > 1:
+                        return fail("gamma order-dependence",
+                                    _gamma_witness(ix, u, inners))
+                    else:
+                        counts[len(states[full])] += 1
+            return None
 
-        grow(0, 0, 0, [])
-        for inners in tuples:
-            first = -1
-            first_order = None
-            for order in orders_by_n[n]:
-                r = u
-                done: list[int] = []
-                for slot in order:
-                    shift = sum(arity[inners[j - 1]] - 1
-                                for j in done if j < slot)
-                    r = comp[r][slot + shift - 1].get(inners[slot - 1], -1)
-                    if r < 0:
-                        break
-                    done.append(slot)
-                if r < 0:
-                    continue
-                if first < 0:
-                    first, first_order = r, order
-                elif r != first:
-                    return fail(
-                        "gamma order-dependence",
-                        (cells[u].id, tuple(cells[k].id for k in inners),
-                         first_order, order))
-            if first < 0:
-                skipped += 1
-            else:
-                checked += 1
+        report = grow(0, 0, 0)
+        if report is not None:
+            return report
+    skipped, checked = counts
     return checked, skipped
+
+
+def _gamma_witness(ix, u: int, inners: list[int]) -> tuple:
+    """Name a disagreement of gamma on cell u filled with ``inners``.
+
+    Replays every insertion order in lexicographic order on the table and
+    returns (u id, inner ids, first completing order, first later order
+    with a different composite); the caller knows that one exists.
+    """
+    arity = ix.arity
+    comp = ix.comp
+    first = -1
+    first_order = None
+    for order in permutations(range(1, len(inners) + 1)):
+        r = u
+        done: list[int] = []
+        for slot in order:
+            shift = sum(arity[inners[j - 1]] - 1 for j in done if j < slot)
+            r = comp[r][slot + shift - 1].get(inners[slot - 1], -1)
+            if r < 0:
+                break
+            done.append(slot)
+        if r < 0:
+            continue
+        if first < 0:
+            first, first_order = r, order
+        elif r != first:
+            return (ix.cells[u].id, tuple(ix.cells[k].id for k in inners),
+                    first_order, order)
+    raise AssertionError("no two completing orders disagree")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ here imports from the package.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 
 def ref_paths(vertices, edges, max_len):
@@ -262,3 +262,60 @@ def ref_compose(in1, table1, i, in2, degree2, table2, sign_fault=False):
                 if acc:
                     result[pre + mid + post] = acc
     return result
+
+
+def ref_gamma_orders(cells, table):
+    """Order-independence of simultaneous composition, by replaying orders.
+
+    ``cells`` lists the population as (arity, label total, output edge,
+    input edge tuple); ``table`` maps (outer index, slot, inner index),
+    slots counted from 1, to the index of the composite, for composites
+    inside the population only.
+
+    For every cell u of arity n >= 2, the inner tuples are taken slot by
+    slot, each slot's candidates (cells whose output is that input edge)
+    in order of (arity, label total, index).  A tuple is audited when every
+    prefix keeps its arity sum within the largest arity and its label sum
+    within the largest label total minus u's.  Each of the n! insertion
+    orders is replayed in lexicographic order: slot j goes to position
+    j + (arity - 1) summed over the slots already inserted below j, and an
+    order stops at its first missing composite.  A tuple where no order
+    completes is skipped; one where the completing orders agree is
+    checked.  Returns ("pass", checked, skipped) or, at the first tuple
+    where two completing orders disagree, ("fail", u, inners, first
+    completing order, first later order with another result).
+    """
+    arity_cap = max((c[0] for c in cells), default=0)
+    label_cap = max((c[1] for c in cells), default=0)
+    checked = skipped = 0
+    for u, (n, u_label, _, ins) in enumerate(cells):
+        if n < 2:
+            continue
+        slots = [sorted((c[0], c[1], k) for k, c in enumerate(cells)
+                        if c[2] == e) for e in ins]
+        for picks in product(*slots):
+            if any(sum(p[0] for p in picks[:m]) > arity_cap
+                   or sum(p[1] for p in picks[:m]) > label_cap - u_label
+                   for m in range(1, n + 1)):
+                continue
+            inners = tuple(p[2] for p in picks)
+            first = first_order = None
+            for order in permutations(range(1, n + 1)):
+                r = u
+                for m, slot in enumerate(order):
+                    shift = sum(cells[inners[j - 1]][0] - 1
+                                for j in order[:m] if j < slot)
+                    r = table.get((r, slot + shift, inners[slot - 1]))
+                    if r is None:
+                        break
+                if r is None:
+                    continue
+                if first is None:
+                    first, first_order = r, order
+                elif r != first:
+                    return ("fail", u, inners, first_order, order)
+            if first is None:
+                skipped += 1
+            else:
+                checked += 1
+    return ("pass", checked, skipped)

@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from fcmc.cli import main
 from fcmc.graphs import (
     EdgePath,
@@ -351,6 +353,7 @@ def test_acceptance_5_endpoint_closed_implies_factor_closed():
 # --------------------------------------------------------------- criterion 6
 
 
+@pytest.mark.slow
 def test_acceptance_6_axiom_audit_exhaustive():
     family = graph_family()
     monoid = LabelMonoid(1, 2)

@@ -1,9 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fcmc
 from fcmc.cli import main, resolve_bounds, build_parser
@@ -85,6 +89,23 @@ def test_bad_env_var(capsys, monkeypatch):
 def test_nonpositive_bound_rejected(capsys):
     code, _, err = run(capsys, ["free-d2", "ainf", "--arity", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--labels", "-1"], "error: bound labels must be >= 0, got -1\n"),
+    (["--arity", "0"], "error: bound arity must be >= 1, got 0\n"),
+    (["--path-len", "0"], "error: bound path_len must be >= 1, got 0\n"),
+])
+def test_bound_error_names_the_minimum(capsys, monkeypatch, flags, message):
+    monkeypatch.delenv("FCMC_BOUNDS", raising=False)
+    code, _, err = run(capsys, ["free-d2", "ainf", *flags])
+    assert (code, err) == (2, message)
+
+
+def test_zero_label_bound_accepted(capsys):
+    code, out, _ = run(capsys, ["free-d2", "ainf", "--arity", "3",
+                                "--labels", "0"])
+    assert code == 0 and "label sum <= 0" in out
 
 
 # ----------------------------------------------------------------- free-d2
@@ -418,3 +439,107 @@ def test_text_output_deterministic(capsys):
 def test_seed_recorded_in_text(capsys):
     _, out, _ = run(capsys, ["free-d2", "ainf", "--seed", "9"])
     assert "seed: 9" in out
+
+
+# ------------------------------------------------------ exit-code contract
+#
+# Valid fc-audit and graph-check documents, mutated a few times each: a
+# field or array item dropped, a value replaced by one of another type, two
+# ids swapped, an array truncated.  Whatever the document, the run must end
+# with 0 (PASS), 1 (FAIL) or 2 (error: ...), and never with a traceback.
+
+FUZZ_BASES = [
+    (["fc-audit", "--arity", "3", "--path-len", "3"],
+     {"format_version": 1, "kind": "fc-instance",
+      "instance": "profile-loop", "graph": BIMOD_GRAPH,
+      "sub": {"vertices": ["v0"],
+              "edges": [{"id": "e0", "src": "v0", "tgt": "v0"}]}}),
+    (["fc-audit", "--arity", "2", "--path-len", "2", "--labels", "1"],
+     {"format_version": 1, "kind": "fc-instance", "instance": "labeled",
+      "graph": LOOP_GRAPH, "monoid": {"rank": 1, "truncation": 2},
+      "reduced": False, "sub": LOOP_GRAPH}),
+    (["fc-audit", "--arity", "3"], _table_doc()),
+    (["graph-check"],
+     {"format_version": 1, "kind": "graph", "graph": BIMOD_GRAPH,
+      "sub": {"vertices": ["v0", "v1"],
+              "edges": [{"id": "e0", "src": "v0", "tgt": "v0"},
+                        {"id": "e1", "src": "v1", "tgt": "v1"}]},
+      "partition": [["v0"], ["v1"]]}),
+]
+
+OTHER_TYPES = [None, True, 0, -1, 2, 1.5, "", "x", [], {}]
+
+
+def _paths(node, at=()):
+    """Every (path, value) below the root, containers before children."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield at + (key,), child
+        yield from _paths(child, at + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    argv, base = draw(st.sampled_from(FUZZ_BASES))
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        kind = draw(st.sampled_from(["drop", "retype", "swap", "truncate"]))
+        if kind == "swap":
+            strings = [p for p, v in paths if isinstance(v, str)]
+            if len(strings) < 2:
+                continue
+            a, b = draw(st.lists(st.sampled_from(strings), min_size=2,
+                                 max_size=2, unique=True))
+            pa, pb = _parent(doc, a), _parent(doc, b)
+            pa[a[-1]], pb[b[-1]] = pb[b[-1]], pa[a[-1]]
+        elif kind == "truncate":
+            arrays = [p for p, v in paths if isinstance(v, list) and v]
+            if not arrays:
+                continue
+            path = draw(st.sampled_from(arrays))
+            arr = _parent(doc, path)[path[-1]]
+            del arr[draw(st.integers(0, len(arr) - 1)):]
+        else:
+            if not paths:
+                continue
+            path, value = draw(st.sampled_from(paths))
+            parent = _parent(doc, path)
+            if kind == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = draw(st.sampled_from(
+                    [v for v in OTHER_TYPES if type(v) is not type(value)]))
+    return argv, doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=mutated_documents())
+def test_mutated_documents_keep_the_exit_code_contract(fuzz_dir, case):
+    argv, doc = case
+    path = fuzz_dir / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(path), *argv[1:]])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and not out
+    else:
+        verdict = "verdict: PASS" if code == 0 else "verdict: FAIL"
+        assert out.endswith(verdict + "\n"), out

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fcmc.graphs import (
     CompositionError,
@@ -17,6 +18,8 @@ from fcmc.graphs import (
 from fcmc.labels import LabelMonoid, LabelingFc, label
 from fcmc.multicat import (
     AxiomReport,
+    _check_gamma_orders,
+    _Indexed,
     OutOfBound,
     TableInstance,
     TwoCell,
@@ -29,7 +32,9 @@ from fcmc.multicat import (
     labeled_instance,
     loop_token,
     profile_loop_instance,
+    substituted_profile,
 )
+from oracles import ref_gamma_orders
 
 
 def single_loop():
@@ -404,3 +409,134 @@ def test_check_axioms_failure_kinds(arities, entries, expected):
     failure, witness, checked, skipped = expected
     report = check_axioms(_loop_table(arities, entries), 3)
     assert report == AxiomReport(False, failure, witness, checked, skipped)
+
+
+# ------------------------------------------- gamma audit vs the replay oracle
+
+
+def _gamma_audit(fc, bound):
+    """The audit's verdict: (checked, skipped), or the failure and witness."""
+    return _check_gamma_orders(_Indexed(fc, bound), 0, 0,
+                               lambda kind, witness: (kind, witness))
+
+
+def _gamma_oracle(fc, bound):
+    """ref_gamma_orders on the instance's table, built with fc.compose."""
+    cells = [c for c in fc.cells() if c.arity() <= bound]
+    idx = {c.id: k for k, c in enumerate(cells)}
+    table = {}
+    for x, u in enumerate(cells):
+        for i, eid in enumerate(u.profile.inputs.edges, start=1):
+            for k, v in enumerate(cells):
+                if v.profile.output == eid:
+                    uv = fc.compose(u, i, v)
+                    if not isinstance(uv, OutOfBound) and uv.id in idx:
+                        table[(x, i, k)] = idx[uv.id]
+    plain = [(c.arity(), c.label.total() if c.label is not None else 0,
+              c.profile.output, c.profile.inputs.edges) for c in cells]
+    result = ref_gamma_orders(plain, table)
+    if result[0] == "pass":
+        return result[1], result[2]
+    _, u, inners, first_order, order = result
+    return ("gamma order-dependence",
+            (cells[u].id, tuple(cells[k].id for k in inners),
+             first_order, order))
+
+
+def _two_loops():
+    return make_graph(["v"], [("a", "v", "v"), ("b", "v", "v")])
+
+
+@pytest.mark.parametrize("make_fc", [
+    lambda: profile_loop_instance(single_loop(), 3),
+    lambda: profile_loop_instance(_two_loops(), 3),
+    lambda: profile_loop_instance(build_bimodule_graph(), 3),
+    lambda: profile_loop_instance(build_pair_graph(["a", "b"]), 3),
+    lambda: labeled_instance(
+        LabelingFc(single_loop(), LabelMonoid(1, 2), reduced=False), 3),
+    lambda: labeled_instance(
+        LabelingFc(single_loop(), LabelMonoid(1, 2), reduced=True), 3),
+    lambda: labeled_instance(
+        LabelingFc(build_bimodule_graph(), LabelMonoid(1, 1),
+                   reduced=False), 3),
+], ids=["loop", "two-loops", "bimodule", "pair", "labeled-loop",
+        "labeled-loop-reduced", "labeled-bimodule"])
+def test_gamma_audit_matches_oracle_on_instances(make_fc):
+    fc = make_fc()
+    got = _gamma_audit(fc, 3)
+    assert got == _gamma_oracle(fc, 3)
+    assert got[0] > 0
+
+
+@st.composite
+def random_tables(draw):
+    """A partial, generally non-associative table over one or two loops.
+
+    Several cells share each profile, and every entry names a cell over
+    the substituted profile, so orders can disagree but never mis-shape.
+    """
+    g = draw(st.sampled_from([single_loop(), _two_loops()]))
+    edges = [e.id for e in g.edges]
+    labeled = draw(st.booleans())
+    cells = []
+    for k in range(draw(st.integers(3, 10))):
+        word = draw(st.lists(st.sampled_from(edges), max_size=3))
+        lab = label(draw(st.integers(0, 2))) if labeled else None
+        cells.append(TwoCell(f"c{k}", profile_loop(g, word, edges[0]), lab))
+    if len(edges) > 1:
+        cells += [TwoCell(f"d{k}", profile_loop(g, word, "b"),
+                          label(0) if labeled else None)
+                  for k, word in enumerate([["b"], [], ["a", "b"]])]
+    by_profile = {}
+    for c in cells:
+        by_profile.setdefault(c.profile, []).append(c.id)
+    density = draw(st.floats(0.5, 1.0))
+    table = {}
+    for u in cells:
+        for i, eid in enumerate(u.profile.inputs.edges, start=1):
+            for v in cells:
+                if v.profile.output != eid:
+                    continue
+                ids = by_profile.get(substituted_profile(u.profile, i,
+                                                         v.profile))
+                if ids and draw(st.floats(0, 1)) < density:
+                    table[(u.id, i, v.id)] = draw(st.sampled_from(ids))
+    return TableInstance(g, cells, {}, table), draw(st.integers(2, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=random_tables())
+def test_gamma_audit_matches_oracle_on_random_tables(case):
+    fc, bound = case
+    assert _gamma_audit(fc, bound) == _gamma_oracle(fc, bound)
+
+
+# Hand-built tables over the one-loop graph with unary cells and cells of
+# one higher arity n: each slot takes any unary cell, so there are
+# (n-ary cells) * (unary cells)**n inner tuples, all but one skipped.
+
+def test_gamma_audit_some_orders_complete():
+    # only inserting slot 1 first completes: u o_2 b is missing
+    fc = _loop_table({"1": 1, "a": 1, "b": 1, "u": 2, "p": 2, "q": 2},
+                     [("u", 1, "a", "p"), ("p", 2, "b", "q")])
+    expected = (1, 3 * 3 ** 2 - 1)
+    assert _gamma_audit(fc, 3) == expected == _gamma_oracle(fc, 3)
+
+
+CONVERGING = [("u", 1, "a", "p"), ("p", 2, "b", "q1"), ("q1", 3, "c", "r"),
+              ("u", 2, "b", "s"), ("s", 1, "a", "q2")]
+TERNARY = {"1": 1, "a": 1, "b": 1, "c": 1,
+           "u": 3, "p": 3, "s": 3, "q1": 3, "q2": 3, "r": 3, "r2": 3}
+
+
+def test_gamma_audit_same_mask_different_composites():
+    # orders 1,2,3 and 2,1,3 fill slots {1, 2} with q1 and q2, which
+    # both give r when c goes in: the full composites agree
+    fc = _loop_table(TERNARY, CONVERGING + [("q2", 3, "c", "r")])
+    expected = (1, 7 * 4 ** 3 - 1)
+    assert _gamma_audit(fc, 3) == expected == _gamma_oracle(fc, 3)
+    # ... and when q2 o_3 c is r2 instead, they disagree
+    fc = _loop_table(TERNARY, CONVERGING + [("q2", 3, "c", "r2")])
+    expected = ("gamma order-dependence",
+                ("u", ("a", "b", "c"), (1, 2, 3), (2, 1, 3)))
+    assert _gamma_audit(fc, 3) == expected == _gamma_oracle(fc, 3)
