@@ -7,16 +7,16 @@ are closed under "a composite landed inside, so both factors must be".
 """
 
 from fcmc import (
+    FullSub,
+    ProfileLoopInstance,
     build_bimodule_graph,
     build_pair_graph,
     build_partition_subgraph,
     endpoint_violation,
     enumerate_paths,
     enumerate_profile_loops,
-    full_submulticategory,
     is_endpoint_closed,
     is_factor_closed,
-    profile_loop_instance,
     subgraph,
 )
 
@@ -49,9 +49,9 @@ print("  witness: inputs", viol.inputs.edges or "(empty)",
       "at", viol.inputs.source, "with outside output", viol.output)
 
 # Endpoint-closed subgraphs give factor-closed full sub-instances.
-inst = profile_loop_instance(g, 3)
+inst = ProfileLoopInstance(g, 3)
 for name, s in [("{e0,e1}", sub), ("{e01,e1}", sub2)]:
-    rep = is_factor_closed(inst, full_submulticategory(inst, s), 3)
+    rep = is_factor_closed(inst, FullSub(inst, s), 3)
     print(f"full sub over {name}: {rep.summary()}")
 
 # Ordered partitions of the pair graph's objects always produce

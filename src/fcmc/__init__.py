@@ -29,10 +29,9 @@ from .graphs import (
     ProfileLoop,
     Vertex,
     build_bimodule_graph,
-    build_left_module_graph,
+    build_module_graph,
     build_pair_graph,
     build_partition_subgraph,
-    build_right_module_graph,
     concatenate,
     empty_path,
     endpoint_violation,
@@ -63,19 +62,15 @@ from .multicat import (
     AxiomReport,
     FactorReport,
     FcInstance,
+    FullSub,
     LabeledInstance,
     OutOfBound,
     ProfileLoopInstance,
     TableInstance,
     TwoCell,
     check_axioms,
-    compose_i,
-    full_submulticategory,
     gamma,
-    identity_cell,
     is_factor_closed,
-    labeled_instance,
-    profile_loop_instance,
 )
 from .freedg import (
     CompTree,
@@ -85,7 +80,6 @@ from .freedg import (
     GeneratorSpec,
     build_Ainf_bimodule,
     build_Ainf_category,
-    build_Ainf_generalized,
     build_Ainf_operad,
     build_module_preset,
     build_rmodule_preset,

@@ -51,14 +51,11 @@ class AlgebraError(Exception):
 class AlgebraData:
     """Complexes over the edges plus one MultiMap per assigned generator.
 
-    Unassigned generators act as zero by default; strict mode makes
-    looking one up an error instead.
+    Unassigned generators act as zero.
     """
 
-    def __init__(self, X: EndX, assignment: dict[GeneratorSpec, MultiMap],
-                 strict: bool = False):
+    def __init__(self, X: EndX, assignment: dict[GeneratorSpec, MultiMap]):
         self.X = X
-        self.strict = strict
         self.assignment = dict(assignment)
         for gen, xi in self.assignment.items():
             if xi.inputs != gen.profile.inputs.edges or \
@@ -75,8 +72,6 @@ class AlgebraData:
     def alpha_of(self, gen: GeneratorSpec) -> MultiMap:
         if gen in self.assignment:
             return self.assignment[gen]
-        if self.strict:
-            raise AlgebraError(f"generator {gen.name} is unassigned")
         return zero_map(self.X, gen.profile.inputs.edges,
                         gen.profile.output, 1)
 
@@ -152,11 +147,10 @@ class RelationReport:
         return "\n".join(lines)
 
 
-def _map_witness(residue: MultiMap) -> str:
-    key = residue.support()[0]
-    vec = residue.apply(key)
+def _residue_witness(args: Sequence[str], vec: Vector) -> str:
+    """A failure's witness: the residue on one tuple of basis inputs."""
     terms = " + ".join(f"{c}*{y}" for y, c in sorted(vec.items()))
-    return f"on inputs ({','.join(key)}) residue {terms}"
+    return f"on inputs ({','.join(args)}) residue {terms}"
 
 
 def _preset_notes(fc: FreeDgFc) -> tuple[str, ...]:
@@ -175,16 +169,16 @@ def check_algebra(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
     """The defining condition, generator by generator: applying the
     differential to the assigned map must equal the assignment applied to
     the generator's differential."""
-    cap = fc.monoid.truncation if label_bound is None else min(
-        label_bound, fc.monoid.truncation)
+    cap = fc.monoid.cap(label_bound)
     failures = []
     gens = fc.generators(arity_bound, cap)
     for gen in gens:
         residue = algebra_residue(fc, A, gen)
         if not residue.is_zero():
+            key = residue.support()[0]
             failures.append(RelationFailure(
                 gen.name, gen.arity(), str(gen.label),
-                _map_witness(residue)))
+                _residue_witness(key, residue.apply(key))))
     return RelationReport(not failures, "generic", len(gens), arity_bound,
                           cap, tuple(failures), _preset_notes(fc))
 
@@ -268,8 +262,7 @@ def _direct_residues(fc: FreeDgFc, A: AlgebraData, tables,
 
 def _run_direct(fc: FreeDgFc, A: AlgebraData, route: str, arity_bound: int,
                 label_bound: Optional[int]) -> RelationReport:
-    cap = fc.monoid.truncation if label_bound is None else min(
-        label_bound, fc.monoid.truncation)
+    cap = fc.monoid.cap(label_bound)
     tables = _direct_tables(fc, A)
     failures = []
     checked = 0
@@ -280,12 +273,9 @@ def _run_direct(fc: FreeDgFc, A: AlgebraData, route: str, arity_bound: int,
             checked += 1
             bad = _direct_residues(fc, A, tables, loop, beta)
             if bad:
-                args, vec = bad[0]
-                terms = " + ".join(f"{c}*{y}" for y, c in sorted(vec.items()))
                 failures.append(RelationFailure(
                     f"relation[{loop_token(loop)}]@{beta}", loop.arity(),
-                    str(beta),
-                    f"on inputs ({','.join(args)}) residue {terms}"))
+                    str(beta), _residue_witness(*bad[0])))
     return RelationReport(not failures, route, checked, arity_bound, cap,
                           tuple(failures), _preset_notes(fc))
 

@@ -33,6 +33,7 @@ from .graphs import (
 from .labels import LabelError, LabelMonoid, LabelingFc
 from .multicat import CompositionError, check_axioms, is_factor_closed
 from .freedg import (
+    PRESETS,
     FreeDgFc,
     build_Ainf_bimodule,
     build_Ainf_category,
@@ -48,9 +49,6 @@ from . import serde
 
 DEFAULT_BOUNDS = {"arity": 5, "labels": 2, "path_len": 4}
 BOUNDS_ENV = "FCMC_BOUNDS"
-
-PRESETS = ("ainf", "category", "bimodule", "left-module", "right-module",
-           "rmodule")
 
 
 class CliError(Exception):
@@ -247,14 +245,12 @@ def cmd_free_d2(args, bounds) -> Run:
                                  not args.unreduced)
     if args.debug_sign_fault:
         fc = FreeDgFc(fc.graph, fc.labeling, preset=fc.preset,
-                      custom_rules=fc.custom_rules,
-                      custom_only=fc.custom_only, sign_fault=True)
+                      custom_rules=fc.custom_rules, sign_fault=True)
         run.note("debug: Leibniz sign deliberately dropped")
     if args.unreduced:
         run.note("curved variant (proposed definition): empty-input "
                  "generators included, the square need not vanish")
-    cap = min(bounds["labels"], fc.monoid.truncation)
-    run.add(delta_squared_report(fc, bounds["arity"], cap, gens))
+    run.add(delta_squared_report(fc, bounds["arity"], bounds["labels"], gens))
     return run
 
 
@@ -266,17 +262,16 @@ def cmd_algebra_check(args, bounds) -> Run:
               args.seed)
     doc = _read_doc(args.file)
     fc, A = serde.algebra_job_from_doc(doc)
-    cap = min(bounds["labels"], fc.monoid.truncation)
+    arity, labels = bounds["arity"], bounds["labels"]
     if args.route == "generic":
-        run.add(check_algebra(fc, A, bounds["arity"], cap))
+        run.add(check_algebra(fc, A, arity, labels))
     elif args.route == "direct":
         checker = direct_checker_for(fc)
         if checker is None:
             raise CliError(f"no direct route for preset {fc.preset!r}")
-        run.add(checker(fc, A, bounds["arity"], cap))
+        run.add(checker(fc, A, arity, labels))
     else:
-        generic, direct, agree = check_both_routes(fc, A, bounds["arity"],
-                                                   cap)
+        generic, direct, agree = check_both_routes(fc, A, arity, labels)
         run.add(generic)
         run.add(direct)
         run.add_check("routes-agree", agree,

@@ -37,10 +37,9 @@ from .graphs import (
     GraphError,
     ProfileLoop,
     build_bimodule_graph,
-    build_left_module_graph,
+    build_module_graph,
     build_pair_graph,
     build_partition_subgraph,
-    build_right_module_graph,
     enumerate_profile_loops,
     make_graph,
     path_vertices,
@@ -57,6 +56,10 @@ from .labels import (
 from .multicat import OutOfBound, loop_token, substituted_profile
 
 Scalar = Union[int, Fraction]
+
+# the named presets with the standard splitting differential
+PRESETS = ("ainf", "category", "bimodule", "left-module", "right-module",
+           "rmodule")
 
 
 @dataclass(frozen=True)
@@ -354,8 +357,10 @@ class FreeDgFc:
     label).  The differential of a generator replaces it by the sum of all
     two-node composites with the same boundary and total label, with
     coefficient -1; summands whose factors are not generators are dropped,
-    since the free object has no such symbols.  Custom rules may override
-    specific generators.
+    since the free object has no such symbols.
+
+    A ``custom_rules`` table replaces that differential altogether: it is
+    the whole presentation, and generators without a rule are delta-closed.
 
     Generators are interned: ``generator`` returns one object per
     (profile-loop, label), so dictionaries keyed by generators and trees
@@ -365,7 +370,7 @@ class FreeDgFc:
     def __init__(self, graph: DirectedGraph, labeling: LabelingFc,
                  preset: str = "generalized",
                  custom_rules: Optional[dict[GeneratorSpec, FreeCell]] = None,
-                 custom_only: bool = False, sign_fault: bool = False):
+                 sign_fault: bool = False):
         if labeling.graph != graph:
             raise GraphError("labeling is over a different graph")
         self.graph = graph
@@ -373,11 +378,9 @@ class FreeDgFc:
         self.monoid = labeling.monoid
         self.preset = preset
         self.sign_fault = sign_fault
-        # custom_only: the rule table is the whole presentation; generators
-        # without a listed rule are delta-closed
-        self.custom_only = custom_only
-        self.custom_rules = dict(custom_rules or {})
-        for gen, cell in self.custom_rules.items():
+        self.custom_rules = None if custom_rules is None else dict(
+            custom_rules)
+        for gen, cell in (custom_rules or {}).items():
             if cell.degree != 2 or any(len(tree_nodes(t)) != 2
                                        for t, _ in cell.terms):
                 raise CompositionError(
@@ -426,8 +429,7 @@ class FreeDgFc:
     def generators(self, max_arity: int,
                    max_label: Optional[int] = None) -> list[GeneratorSpec]:
         """All generators with input length <= max_arity, stable order."""
-        cap = self.monoid.truncation if max_label is None else min(
-            max_label, self.monoid.truncation)
+        cap = self.monoid.cap(max_label)
         out = []
         for loop in enumerate_profile_loops(self.graph, max_arity):
             for beta in fiber(self.labeling, loop):
@@ -446,13 +448,15 @@ class FreeDgFc:
     # ---------------------------------------------------------- differential
 
     def delta_generator(self, gen: GeneratorSpec) -> FreeCell:
-        """The splitting rule: minus the sum of matching 2-node composites."""
+        """The splitting rule: minus the sum of matching 2-node composites,
+        or the custom rule table's entry (zero when it has none)."""
         if gen.is_unit():
             return zero_cell(gen.profile, gen.label, 1)
-        if gen in self.custom_rules:
-            return self.custom_rules[gen]
-        if self.custom_only:
-            return zero_cell(gen.profile, gen.label, gen.degree + 1)
+        if self.custom_rules is not None:
+            rule = self.custom_rules.get(gen)
+            if rule is None:
+                return zero_cell(gen.profile, gen.label, gen.degree + 1)
+            return rule
         cached = self._delta_cache.get(gen)
         if cached is not None:
             return cached
@@ -668,7 +672,7 @@ def delta_squared_report(fc: FreeDgFc, arity_bound: int,
     An explicit generator list (for custom presentations) overrides the
     enumerated family; bounds still filter it.
     """
-    cap = fc.monoid.truncation if label_bound is None else label_bound
+    cap = fc.monoid.cap(label_bound)
     if gens is None:
         gens = fc.generators(arity_bound, cap)
     else:
@@ -703,11 +707,6 @@ def build_Ainf_category(object_ids: Sequence[str], monoid: LabelMonoid,
     return FreeDgFc(g, LabelingFc(g, monoid, reduced), preset="category")
 
 
-def build_Ainf_generalized(graph: DirectedGraph, labeling: LabelingFc,
-                           preset: str = "generalized") -> FreeDgFc:
-    return FreeDgFc(graph, labeling, preset=preset)
-
-
 def build_Ainf_bimodule(monoid: LabelMonoid, reduced: bool = True) -> FreeDgFc:
     g = build_bimodule_graph()
     return FreeDgFc(g, LabelingFc(g, monoid, reduced), preset="bimodule")
@@ -715,12 +714,7 @@ def build_Ainf_bimodule(monoid: LabelMonoid, reduced: bool = True) -> FreeDgFc:
 
 def build_module_preset(object_ids: Sequence[str], side: str,
                         monoid: LabelMonoid, reduced: bool = True) -> FreeDgFc:
-    if side == "left":
-        g = build_left_module_graph(object_ids)
-    elif side == "right":
-        g = build_right_module_graph(object_ids)
-    else:
-        raise GraphError(f"side must be 'left' or 'right', not {side!r}")
+    g = build_module_graph(object_ids, side)
     return FreeDgFc(g, LabelingFc(g, monoid, reduced), preset=f"{side}-module")
 
 

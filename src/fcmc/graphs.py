@@ -198,14 +198,12 @@ def concatenate(paths: Sequence[EdgePath]) -> EdgePath:
     return EdgePath(edges, paths[0].source, paths[-1].target)
 
 
-def enumerate_paths(g: DirectedGraph, max_len: int,
-                    source: Optional[str] = None,
-                    target: Optional[str] = None) -> list[EdgePath]:
+def enumerate_paths(g: DirectedGraph, max_len: int) -> list[EdgePath]:
     """All composable paths of length <= max_len, in a stable order.
 
-    Empty paths (one per vertex) are included.  Optional endpoint filters
-    restrict the result.  Order: by length, then by generation; generation
-    follows vertex and edge declaration order, so repeated runs agree.
+    Empty paths (one per vertex) are included.  Order: by length, then by
+    generation; generation follows vertex and edge declaration order, so
+    repeated runs agree.
     """
     if max_len < 0:
         raise GraphError("max_len must be >= 0")
@@ -221,10 +219,6 @@ def enumerate_paths(g: DirectedGraph, max_len: int,
         frontier = nxt
         if not frontier:
             break
-    if source is not None:
-        out = [p for p in out if p.source == source]
-    if target is not None:
-        out = [p for p in out if p.target == target]
     return out
 
 
@@ -368,32 +362,24 @@ def build_pair_graph(object_ids: Sequence[str]) -> DirectedGraph:
     return make_graph(object_ids, edges)
 
 
-def build_left_module_graph(object_ids: Sequence[str],
-                            star: str = "*") -> DirectedGraph:
-    """Pair graph plus a fresh vertex with one edge star->v per object.
+def build_module_graph(object_ids: Sequence[str],
+                       side: str) -> DirectedGraph:
+    """Pair graph plus a fresh vertex ``*`` with one edge per object:
+    ``*->v`` for a left module, ``v->*`` for a right module.
 
-    The fresh vertex has no loop and no incoming edges, so paths out of it
-    start with one of the added edges and never return.
+    The fresh vertex has no loop, and its added edges all point the same
+    way, so a path meets them only at its start (left) or its end (right).
     """
+    if side not in ("left", "right"):
+        raise GraphError(f"side must be 'left' or 'right', not {side!r}")
     object_ids = tuple(object_ids)
-    if star in object_ids:
-        raise GraphError(f"fresh vertex id {star!r} collides with an object")
-    base = build_pair_graph(object_ids)
-    edges = [(e.id, e.src, e.tgt) for e in base.edges]
-    edges += [(pair_edge_id(star, v), star, v) for v in object_ids]
-    return make_graph(object_ids + (star,), edges)
-
-
-def build_right_module_graph(object_ids: Sequence[str],
-                             star: str = "*") -> DirectedGraph:
-    """Pair graph plus a fresh vertex with one edge v->star per object."""
-    object_ids = tuple(object_ids)
-    if star in object_ids:
-        raise GraphError(f"fresh vertex id {star!r} collides with an object")
-    base = build_pair_graph(object_ids)
-    edges = [(e.id, e.src, e.tgt) for e in base.edges]
-    edges += [(pair_edge_id(v, star), v, star) for v in object_ids]
-    return make_graph(object_ids + (star,), edges)
+    if "*" in object_ids:
+        raise GraphError("fresh vertex id '*' collides with an object")
+    edges = [(e.id, e.src, e.tgt) for e in build_pair_graph(object_ids).edges]
+    for v in object_ids:
+        src, tgt = ("*", v) if side == "left" else (v, "*")
+        edges.append((pair_edge_id(src, tgt), src, tgt))
+    return make_graph(object_ids + ("*",), edges)
 
 
 def build_bimodule_graph() -> DirectedGraph:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Optional
 
 from .graphs import DirectedGraph, ProfileLoop, is_profile_loop
 
@@ -82,6 +83,13 @@ class LabelMonoid:
 
     def zero(self) -> MonoidElem:
         return MonoidElem((0,) * self.rank)
+
+    def cap(self, bound: Optional[int]) -> int:
+        """The label-sum bound a check sweeps: ``bound`` (no bound when
+        None) clipped to the truncation, past which nothing is enumerated.
+        """
+        return self.truncation if bound is None else min(bound,
+                                                         self.truncation)
 
     def contains(self, beta: MonoidElem) -> bool:
         """Within rank and truncation — the enumerable part of the monoid."""

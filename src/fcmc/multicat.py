@@ -104,14 +104,6 @@ class FcInstance:
                 f"wants {expected!r}")
 
 
-def identity_cell(fc: FcInstance, eid: str) -> TwoCell:
-    return fc.unit(eid)
-
-
-def compose_i(fc: FcInstance, u: TwoCell, i: int, v: TwoCell) -> ComposeResult:
-    return fc.compose(u, i, v)
-
-
 def gamma(fc: FcInstance, u: TwoCell, inners: Sequence[TwoCell],
           order: Optional[Sequence[int]] = None) -> ComposeResult:
     """Simultaneous substitution, as iterated partial composition.
@@ -281,14 +273,6 @@ class TableInstance(FcInstance):
         return self._by_id[self.table[key]]
 
 
-def profile_loop_instance(g: DirectedGraph, max_len: int) -> ProfileLoopInstance:
-    return ProfileLoopInstance(g, max_len)
-
-
-def labeled_instance(lfc: LabelingFc, max_len: int) -> LabeledInstance:
-    return LabeledInstance(lfc, max_len)
-
-
 class FullSub(FcInstance):
     """The full submulticategory over a subgraph: same fibers, restricted."""
 
@@ -323,10 +307,6 @@ class FullSub(FcInstance):
         # a composite of cells inside the subgraph only uses their edges,
         # so the restriction is automatically closed under composition
         return self.parent.compose(u, i, v)
-
-
-def full_submulticategory(fc: FcInstance, sub: DirectedGraph) -> FullSub:
-    return FullSub(fc, sub)
 
 
 @dataclass(frozen=True)

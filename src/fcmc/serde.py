@@ -27,13 +27,14 @@ from .multicat import (
     AxiomReport,
     FactorReport,
     FcInstance,
+    FullSub,
+    LabeledInstance,
+    ProfileLoopInstance,
     TableInstance,
     TwoCell,
-    full_submulticategory,
-    labeled_instance,
-    profile_loop_instance,
 )
 from .freedg import (
+    PRESETS,
     CompTree,
     Delta2Report,
     FreeCell,
@@ -108,6 +109,9 @@ def _require(doc: dict, key: str):
 
 
 def _int(value, what: str) -> int:
+    # int() would truncate 1.9 to 1 and read true as 1
+    if isinstance(value, (bool, float)):
+        raise SerdeError(f"{what} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -297,11 +301,7 @@ def _rule_from_doc(fc: FreeDgFc, gen: GeneratorSpec,
         t = graft(leaf_of(outer), slot, leaf_of(inner))
         c = scalar_from_str(_require(term, "coeff"))
         acc[t] = acc.get(t, 0) + c
-    return free_cell(gen.profile, gen.label, 2, acc, validate=False)
-
-
-NAMED_DIFFERENTIALS = ("ainf", "category", "bimodule", "left-module",
-                       "right-module", "rmodule", "generalized")
+    return free_cell(gen.profile, gen.label, 2, acc)
 
 
 def freedg_to_doc(fc: FreeDgFc,
@@ -312,7 +312,8 @@ def freedg_to_doc(fc: FreeDgFc,
         "graph": graph_to_doc(fc.graph),
         "monoid": monoid_to_doc(fc.monoid),
         "reduced": fc.labeling.reduced,
-        "differential": "custom" if fc.custom_only else fc.preset,
+        "differential": "custom" if fc.custom_rules is not None
+        else fc.preset,
     }
     if gens is not None:
         doc["generators"] = [generator_to_doc(g) for g in gens]
@@ -336,19 +337,19 @@ def freedg_from_doc(doc: dict) -> tuple[FreeDgFc,
     labeling = LabelingFc(g, monoid, reduced)
     differential = str(_require(doc, "differential"))
     if differential == "custom":
-        fc = FreeDgFc(g, labeling, preset="custom", custom_only=True)
+        # rules name generators, which exist whatever the differential
+        fc = FreeDgFc(g, labeling)
         rules = {}
         for rule in _array(doc.get("rules", []), "rules"):
             gen = generator_from_doc(fc, _require(rule, "generator"))
             rules[gen] = _rule_from_doc(fc, gen, _require(rule, "terms"))
-        fc = FreeDgFc(g, labeling, preset="custom", custom_only=True,
-                      custom_rules=rules)
-    elif differential in NAMED_DIFFERENTIALS:
+        fc = FreeDgFc(g, labeling, preset="custom", custom_rules=rules)
+    elif differential in PRESETS + ("generalized",):
         fc = FreeDgFc(g, labeling, preset=differential)
     else:
         raise SerdeError(
             f"differential must be one of "
-            f"{NAMED_DIFFERENTIALS + ('custom',)}, got {differential!r}")
+            f"{PRESETS + ('generalized', 'custom')}, got {differential!r}")
     gens = None
     if "generators" in doc:
         gens = [generator_from_doc(fc, gd)
@@ -398,15 +399,13 @@ def instance_from_doc(doc: dict, path_len: int,
     g = graph_from_doc(_require(doc, "graph"))
     kind = str(doc.get("instance", "profile-loop"))
     if kind == "profile-loop":
-        inst: FcInstance = profile_loop_instance(g, path_len)
+        inst: FcInstance = ProfileLoopInstance(g, path_len)
     elif kind == "labeled":
         monoid = monoid_from_doc(_require(doc, "monoid"))
-        if label_bound is not None:
-            monoid = LabelMonoid(monoid.rank,
-                                 min(monoid.truncation, label_bound))
-        inst = labeled_instance(LabelingFc(g, monoid,
-                                           bool(doc.get("reduced", False))),
-                                path_len)
+        monoid = LabelMonoid(monoid.rank, monoid.cap(label_bound))
+        inst = LabeledInstance(LabelingFc(g, monoid,
+                                          bool(doc.get("reduced", False))),
+                               path_len)
     elif kind == "table":
         cells = [cell_from_doc(g, cd)
                  for cd in _array(_require(doc, "cells"), "cells")]
@@ -424,7 +423,7 @@ def instance_from_doc(doc: dict, path_len: int,
     sub = None
     if "sub" in doc:
         sub_graph = graph_from_doc(doc["sub"])
-        sub = full_submulticategory(inst, sub_graph)
+        sub = FullSub(inst, sub_graph)
     return inst, sub
 
 

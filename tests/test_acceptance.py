@@ -23,12 +23,12 @@ from fcmc.graphs import (
 )
 from fcmc.labels import TRIVIAL_MONOID, LabelMonoid, LabelingFc
 from fcmc.multicat import (
+    FullSub,
+    LabeledInstance,
     OutOfBound,
+    ProfileLoopInstance,
     check_axioms,
-    full_submulticategory,
     is_factor_closed,
-    labeled_instance,
-    profile_loop_instance,
 )
 from fcmc.chain import EndX, check_end_dg, make_complex, multimap
 from fcmc.algebra import (
@@ -324,11 +324,11 @@ def _oracle_violation(inst, sub):
 def test_acceptance_5_endpoint_closed_implies_factor_closed():
     closed = caught = vacuous = 0
     for g in graph_family():
-        inst = profile_loop_instance(g, 3)
+        inst = ProfileLoopInstance(g, 3)
         for sub in all_subgraphs(g):
             sub_v = {v.id for v in sub.vertices}
             sub_e = {e.id for e in sub.edges}
-            rep = is_factor_closed(inst, full_submulticategory(inst, sub),
+            rep = is_factor_closed(inst, FullSub(inst, sub),
                                    3)
             if is_endpoint_closed(g, sub):
                 closed += 1
@@ -359,12 +359,12 @@ def test_acceptance_6_axiom_audit_exhaustive():
     monoid = LabelMonoid(1, 2)
     plain = labeled = 0
     for g in family:
-        rep = check_axioms(profile_loop_instance(g, 3), 3)
+        rep = check_axioms(ProfileLoopInstance(g, 3), 3)
         assert rep.ok, (g.edges, rep.summary())
         plain += rep.checked
     for g in family:
         rep = check_axioms(
-            labeled_instance(LabelingFc(g, monoid, False), 3), 3)
+            LabeledInstance(LabelingFc(g, monoid, False), 3), 3)
         assert rep.ok, (g.edges, rep.summary())
         labeled += rep.checked
     _line(6, "unit/associativity/order-independence identities hold: "

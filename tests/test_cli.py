@@ -19,8 +19,8 @@ from fcmc.serde import (
     parse_report_set,
 )
 from fcmc.algebra import lift_dga
-from fcmc.freedg import build_Ainf_bimodule
-from fcmc.labels import TRIVIAL_MONOID
+from fcmc.freedg import FreeDgFc, build_Ainf_bimodule, build_Ainf_operad
+from fcmc.labels import TRIVIAL_MONOID, LabelMonoid
 
 BIMOD_GRAPH = {"vertices": ["v0", "v1"],
                "edges": [{"id": "e0", "src": "v0", "tgt": "v0"},
@@ -156,6 +156,32 @@ def test_free_d2_generalized_file(capsys, tmp_path):
     code, out, _ = run(capsys, ["free-d2", f"generalized:{path}"])
     assert code == 0
     assert "all 9 generators" in out
+
+
+def _custom_rules_doc():
+    base = build_Ainf_operad(LabelMonoid(1, 1))
+    gens = base.generators(2)
+    fc = FreeDgFc(base.graph, base.labeling, preset="custom",
+                  custom_rules={g: base.delta_generator(g) for g in gens})
+    return freedg_to_doc(fc, gens=gens)
+
+
+def _bimodule_free_doc():
+    fc = build_Ainf_bimodule(TRIVIAL_MONOID)
+    return dict(freedg_to_doc(fc, gens=fc.generators(2)),
+                differential="generalized")
+
+
+def test_free_d2_rule_term_off_its_generator_exits_2(capsys, tmp_path):
+    doc = _custom_rules_doc()
+    # one input more on an inner factor: the term leaves its generator's
+    # profile
+    inner = next(r for r in doc["rules"] if r["terms"])["terms"][0]["inner"]
+    inner["inputs"].append("e")
+    path = write(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, ["free-d2", f"generalized:{path}"])
+    assert code == 2 and not out
+    assert "has profile" in err
 
 
 def test_free_d2_rmodule_parts(capsys):
@@ -393,6 +419,10 @@ MALFORMED = [
      _edit(_table_doc, lambda d: d["table"][0].update(result="nowhere"))),
     ("fc-audit", "slot-not-int",
      _edit(_table_doc, lambda d: d["table"][0].update(slot="x"))),
+    ("fc-audit", "slot-float",
+     _edit(_table_doc, lambda d: d["table"][1].update(slot=1.9))),
+    ("fc-audit", "slot-bool",
+     _edit(_table_doc, lambda d: d["table"][1].update(slot=True))),
     ("graph-check", "partition-not-list",
      _edit(_graph_with_partition_doc, lambda d: d.update(partition=5))),
 ]
@@ -443,10 +473,11 @@ def test_seed_recorded_in_text(capsys):
 
 # ------------------------------------------------------ exit-code contract
 #
-# Valid fc-audit and graph-check documents, mutated a few times each: a
-# field or array item dropped, a value replaced by one of another type, two
-# ids swapped, an array truncated.  Whatever the document, the run must end
-# with 0 (PASS), 1 (FAIL) or 2 (error: ...), and never with a traceback.
+# Valid documents of every subcommand (free-d2 reads its document as a
+# generalized:FILE preset), mutated a few times each: a field or array item
+# dropped, a value replaced by one of another type, two ids swapped, an
+# array truncated.  Whatever the document, the run must end with 0 (PASS),
+# 1 (FAIL) or 2 (error: ...), and never with a traceback.
 
 FUZZ_BASES = [
     (["fc-audit", "--arity", "3", "--path-len", "3"],
@@ -465,9 +496,14 @@ FUZZ_BASES = [
               "edges": [{"id": "e0", "src": "v0", "tgt": "v0"},
                         {"id": "e1", "src": "v1", "tgt": "v1"}]},
       "partition": [["v0"], ["v1"]]}),
+    (["algebra-check", "--arity", "3"], dual_doc()),
+    (["algebra-check", "--arity", "3", "--route", "direct"],
+     perturbed_doc()),
+    (["free-d2", "--arity", "3"], _custom_rules_doc()),
+    (["free-d2", "--arity", "3", "--labels", "1"], _bimodule_free_doc()),
 ]
 
-OTHER_TYPES = [None, True, 0, -1, 2, 1.5, "", "x", [], {}]
+OTHER_TYPES = [None, True, False, 0, -1, 2, 1.0, 1.5, "", "x", [], {}]
 
 
 def _paths(node, at=()):
@@ -532,9 +568,10 @@ def test_mutated_documents_keep_the_exit_code_contract(fuzz_dir, case):
     argv, doc = case
     path = fuzz_dir / "doc.json"
     path.write_text(json.dumps(doc))
+    target = f"generalized:{path}" if argv[0] == "free-d2" else str(path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([argv[0], str(path), *argv[1:]])
+        code = main([argv[0], target, *argv[1:]])
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
     assert "Traceback" not in err

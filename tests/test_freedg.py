@@ -13,7 +13,6 @@ from fcmc.freedg import (
     GeneratorSpec,
     build_Ainf_bimodule,
     build_Ainf_category,
-    build_Ainf_generalized,
     build_Ainf_operad,
     build_module_preset,
     build_rmodule_preset,
@@ -423,8 +422,8 @@ def test_labeled_bimodule_curvature_exchange():
 
 def test_bimodule_equals_generalized_on_same_graph():
     bim = build_Ainf_bimodule(TRIVIAL_MONOID)
-    gen = build_Ainf_generalized(
-        bim.graph, LabelingFc(bim.graph, TRIVIAL_MONOID, reduced=True))
+    gen = FreeDgFc(bim.graph,
+                   LabelingFc(bim.graph, TRIVIAL_MONOID, reduced=True))
     assert gen.generators(4) == bim.generators(4)
     for g in bim.generators(4):
         assert gen.delta_generator(g) == bim.delta_generator(g)
@@ -628,25 +627,18 @@ def test_tree_boundary_bookkeeping(t):
 # ------------------------------------------------- custom rules & diagnostics
 
 
-def test_custom_rule_override():
-    fc0 = ainf()
-    g3 = m_gen(fc0, 3)
-    silenced = FreeDgFc(fc0.graph, fc0.labeling,
-                        custom_rules={g3: free_cell(g3.profile, g3.label, 2,
-                                                    {})})
-    assert silenced.delta_generator(g3).is_zero()
-    assert not silenced.delta_generator(m_gen(silenced, 4)).is_zero()
-
-
 def test_custom_only_presentation():
     fc0 = ainf()
     g3, g4 = m_gen(fc0, 3), m_gen(fc0, 4)
-    fc = FreeDgFc(fc0.graph, fc0.labeling, custom_only=True,
+    fc = FreeDgFc(fc0.graph, fc0.labeling,
                   custom_rules={g3: fc0.delta_generator(g3)})
     assert fc.delta_generator(g3) == fc0.delta_generator(g3)
     assert fc.delta_generator(g4).is_zero()
     rep = delta_squared_report(fc, 4, gens=[g3, g4])
     assert rep.ok and rep.generators == 2
+    # an empty table is a presentation too: every generator is closed
+    empty = FreeDgFc(fc0.graph, fc0.labeling, custom_rules={})
+    assert empty.delta_generator(g3).is_zero()
 
 
 def test_custom_rule_validation():
@@ -658,6 +650,13 @@ def test_custom_rule_validation():
     with pytest.raises(CompositionError):
         FreeDgFc(fc0.graph, fc0.labeling,
                  custom_rules={g4: fc0.delta(fc0.delta_generator(g4))})
+
+
+def test_label_bound_is_capped_by_truncation():
+    rep = delta_squared_report(build_Ainf_operad(LabelMonoid(1, 1)), 3,
+                               label_bound=5)
+    assert rep.label_bound == 1
+    assert "label <= 1" in rep.summary()
 
 
 def test_sign_fault_breaks_square_zero():

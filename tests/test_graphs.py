@@ -14,10 +14,9 @@ from fcmc.graphs import (
     ProfileLoop,
     Vertex,
     build_bimodule_graph,
-    build_left_module_graph,
+    build_module_graph,
     build_pair_graph,
     build_partition_subgraph,
-    build_right_module_graph,
     concatenate,
     empty_path,
     endpoint_violation,
@@ -180,10 +179,12 @@ def test_enumerate_paths_prefix_property(g, m, extra):
 
 
 def test_enumerate_paths_source_target_filters():
-    g = build_bimodule_graph()
-    assert all(p.source == "v0" and p.target == "v1"
-               for p in enumerate_paths(g, 3, source="v0", target="v1"))
-    assert len(enumerate_paths(g, 3, source="v1", target="v0")) == 0
+    paths = enumerate_paths(build_bimodule_graph(), 3)
+    forward = [p.edges for p in paths if (p.source, p.target) == ("v0", "v1")]
+    assert forward == [("e01",), ("e0", "e01"), ("e01", "e1"),
+                       ("e0", "e0", "e01"), ("e0", "e01", "e1"),
+                       ("e01", "e1", "e1")]
+    assert not [p for p in paths if (p.source, p.target) == ("v1", "v0")]
 
 
 # ------------------------------------------------------------- profile-loops
@@ -259,14 +260,16 @@ def test_pair_graph_sizes():
 
 
 def test_module_graphs():
-    left = build_left_module_graph(["v"])
+    left = build_module_graph(["v"], "left")
     assert len(left.vertices) == 2 and len(left.edges) == 2
-    assert len(build_left_module_graph(["a", "b"]).edges) == 6
-    right = build_right_module_graph(["a", "b"])
+    assert len(build_module_graph(["a", "b"], "left").edges) == 6
+    right = build_module_graph(["a", "b"], "right")
     assert right.out_edges("*") == ()
     assert len([e for e in right.edges if e.tgt == "*"]) == 2
     with pytest.raises(GraphError):
-        build_left_module_graph(["*", "v"])
+        build_module_graph(["*", "v"], "left")
+    with pytest.raises(GraphError):
+        build_module_graph(["v"], "up")
 
 
 def test_bimodule_graph_shape():

@@ -23,15 +23,13 @@ from fcmc.multicat import (
     OutOfBound,
     TableInstance,
     TwoCell,
+    FullSub,
+    LabeledInstance,
+    ProfileLoopInstance,
     check_axioms,
-    compose_i,
-    full_submulticategory,
     gamma,
-    identity_cell,
     is_factor_closed,
-    labeled_instance,
     loop_token,
-    profile_loop_instance,
     substituted_profile,
 )
 from oracles import ref_gamma_orders
@@ -76,8 +74,8 @@ def table_from_instance(fc, bound):
 # ---------------------------------------------------------------- unit cells
 
 def test_identity_cell_profile_loop_instance():
-    fc = profile_loop_instance(single_loop(), 3)
-    u = identity_cell(fc, "e")
+    fc = ProfileLoopInstance(single_loop(), 3)
+    u = fc.unit("e")
     assert u.profile.inputs.edges == ("e",)
     assert u.profile.output == "e"
     assert len(u.profile.inputs.edges) == 1
@@ -85,69 +83,69 @@ def test_identity_cell_profile_loop_instance():
 
 def test_identity_cell_labeled_is_zero():
     lfc = LabelingFc(single_loop(), LabelMonoid(1, 2), reduced=False)
-    fc = labeled_instance(lfc, 3)
-    assert identity_cell(fc, "e").label == label(0)
+    fc = LabeledInstance(lfc, 3)
+    assert fc.unit("e").label == label(0)
 
 
 def test_identity_cell_missing_edge():
-    fc = profile_loop_instance(single_loop(), 3)
+    fc = ProfileLoopInstance(single_loop(), 3)
     with pytest.raises(GraphError):
-        identity_cell(fc, "zz")
+        fc.unit("zz")
 
 
 # --------------------------------------------------------------- composition
 
 def test_compose_with_unit_is_identity():
-    fc = profile_loop_instance(build_bimodule_graph(), 4)
+    fc = ProfileLoopInstance(build_bimodule_graph(), 4)
     u = cell_of(fc, ["e0", "e01", "e1"], "e01")
     for i, eid in enumerate(u.profile.inputs.edges, start=1):
-        assert compose_i(fc, u, i, identity_cell(fc, eid)) == u
-    assert compose_i(fc, identity_cell(fc, "e01"), 1, u) == u
+        assert fc.compose(u, i, fc.unit(eid)) == u
+    assert fc.compose(fc.unit("e01"), 1, u) == u
 
 
 def test_compose_substitution_on_bimodule_graph():
-    fc = profile_loop_instance(build_bimodule_graph(), 5)
+    fc = ProfileLoopInstance(build_bimodule_graph(), 5)
     u = cell_of(fc, ["e0", "e01", "e1"], "e01")
     v = cell_of(fc, ["e0", "e01"], "e01")
-    uv = compose_i(fc, u, 2, v)
+    uv = fc.compose(u, 2, v)
     assert uv.profile.inputs.edges == ("e0", "e0", "e01", "e1")
     assert uv.profile.output == "e01"
 
 
 def test_compose_empty_inner_removes_slot():
-    fc = profile_loop_instance(build_bimodule_graph(), 4)
+    fc = ProfileLoopInstance(build_bimodule_graph(), 4)
     u = cell_of(fc, ["e0", "e01"], "e01")
     empty = cell_of(fc, [], "e0")
-    uv = compose_i(fc, u, 1, empty)
+    uv = fc.compose(u, 1, empty)
     assert uv.profile.inputs.edges == ("e01",)
 
 
 def test_compose_slot_mismatch():
-    fc = profile_loop_instance(build_bimodule_graph(), 4)
+    fc = ProfileLoopInstance(build_bimodule_graph(), 4)
     u = cell_of(fc, ["e0", "e01"], "e01")
     v = cell_of(fc, ["e1"], "e1")
     with pytest.raises(CompositionError):
-        compose_i(fc, u, 1, v)
+        fc.compose(u, 1, v)
     with pytest.raises(CompositionError):
-        compose_i(fc, u, 3, v)
+        fc.compose(u, 3, v)
 
 
 def test_compose_out_of_bound_length():
-    fc = profile_loop_instance(single_loop(), 2)
+    fc = ProfileLoopInstance(single_loop(), 2)
     u = cell_of(fc, ["e", "e"], "e")
-    r = compose_i(fc, u, 1, u)
+    r = fc.compose(u, 1, u)
     assert isinstance(r, OutOfBound)
     assert "exceeds bound" in r.reason
 
 
 def test_labeled_composition_adds_labels():
     lfc = LabelingFc(single_loop(), LabelMonoid(1, 2), reduced=False)
-    fc = labeled_instance(lfc, 3)
+    fc = LabeledInstance(lfc, 3)
     u = cell_of(fc, ["e"], "e", label(1))
-    uv = compose_i(fc, u, 1, u)
+    uv = fc.compose(u, 1, u)
     assert uv.label == label(2)
     # one more unit of label leaves the truncation
-    r = compose_i(fc, uv, 1, u)
+    r = fc.compose(uv, 1, u)
     assert isinstance(r, OutOfBound)
     assert "truncation" in r.reason
 
@@ -155,7 +153,7 @@ def test_labeled_composition_adds_labels():
 def test_labeled_fiber_example():
     g = build_bimodule_graph()
     lfc = LabelingFc(g, LabelMonoid(1, 1), reduced=False)
-    fc = labeled_instance(lfc, 2)
+    fc = LabeledInstance(lfc, 2)
     over = [c.label for c in fc.cells()
             if c.profile == profile_loop(g, ["e0"], "e0")]
     assert set(over) == {label(0), label(1)}
@@ -163,7 +161,7 @@ def test_labeled_fiber_example():
 
 def test_label_additivity_everywhere():
     lfc = LabelingFc(build_bimodule_graph(), LabelMonoid(1, 2), reduced=False)
-    fc = labeled_instance(lfc, 3)
+    fc = LabeledInstance(lfc, 3)
     cells = fc.cells()
     by_out = {}
     for c in cells:
@@ -172,7 +170,7 @@ def test_label_additivity_everywhere():
     for u in cells:
         for i, eid in enumerate(u.profile.inputs.edges, start=1):
             for v in by_out.get(eid, []):
-                uv = compose_i(fc, u, i, v)
+                uv = fc.compose(u, i, v)
                 if isinstance(uv, OutOfBound):
                     continue
                 assert uv.label.coords == tuple(
@@ -184,14 +182,14 @@ def test_label_additivity_everywhere():
 # --------------------------------------------------------------------- gamma
 
 def test_gamma_of_units_is_identity():
-    fc = profile_loop_instance(build_bimodule_graph(), 4)
+    fc = ProfileLoopInstance(build_bimodule_graph(), 4)
     u = cell_of(fc, ["e0", "e01", "e1"], "e01")
-    ids = [identity_cell(fc, e) for e in u.profile.inputs.edges]
+    ids = [fc.unit(e) for e in u.profile.inputs.edges]
     assert gamma(fc, u, ids) == u
 
 
 def test_gamma_order_independence_exhaustive():
-    fc = profile_loop_instance(build_bimodule_graph(), 3)
+    fc = ProfileLoopInstance(build_bimodule_graph(), 3)
     cells = fc.cells()
     by_out = {}
     for c in cells:
@@ -214,7 +212,7 @@ def test_gamma_order_independence_exhaustive():
 
 def test_gamma_labeled_additivity():
     lfc = LabelingFc(single_loop(), LabelMonoid(1, 3), reduced=False)
-    fc = labeled_instance(lfc, 4)
+    fc = LabeledInstance(lfc, 4)
     u = cell_of(fc, ["e", "e"], "e", label(1))
     inners = [cell_of(fc, ["e"], "e", label(1)),
               cell_of(fc, [], "e", label(1))]
@@ -224,9 +222,9 @@ def test_gamma_labeled_additivity():
 
 
 def test_gamma_validation():
-    fc = profile_loop_instance(build_bimodule_graph(), 4)
+    fc = ProfileLoopInstance(build_bimodule_graph(), 4)
     u = cell_of(fc, ["e0", "e01"], "e01")
-    good = [cell_of(fc, [], "e0"), identity_cell(fc, "e01")]
+    good = [cell_of(fc, [], "e0"), fc.unit("e01")]
     with pytest.raises(CompositionError):
         gamma(fc, u, good[:1])
     with pytest.raises(CompositionError):
@@ -239,25 +237,25 @@ def test_check_axioms_profile_loop_instances():
     for g in (single_loop(),
               build_bimodule_graph(),
               make_graph(["v"], [("a", "v", "v"), ("b", "v", "v")])):
-        report = check_axioms(profile_loop_instance(g, 3), 3)
+        report = check_axioms(ProfileLoopInstance(g, 3), 3)
         assert report.ok, report.summary()
         assert report.checked > 0
 
 
 def test_check_axioms_labeled_instance():
     lfc = LabelingFc(build_bimodule_graph(), LabelMonoid(1, 2), reduced=False)
-    report = check_axioms(labeled_instance(lfc, 3), 3)
+    report = check_axioms(LabeledInstance(lfc, 3), 3)
     assert report.ok, report.summary()
 
 
 def test_check_axioms_reduced_labeling():
     lfc = LabelingFc(single_loop(), LabelMonoid(1, 2), reduced=True)
-    report = check_axioms(labeled_instance(lfc, 3), 3)
+    report = check_axioms(LabeledInstance(lfc, 3), 3)
     assert report.ok, report.summary()
 
 
 def test_check_axioms_corrupted_table():
-    fc = profile_loop_instance(single_loop(), 3)
+    fc = ProfileLoopInstance(single_loop(), 3)
     table = table_from_instance(fc, 3)
     # redirect one unit composition to a wrong cell
     u = cell_of(fc, ["e", "e"], "e")
@@ -270,7 +268,7 @@ def test_check_axioms_corrupted_table():
 
 
 def test_table_instance_materialization_passes():
-    fc = profile_loop_instance(build_bimodule_graph(), 3)
+    fc = ProfileLoopInstance(build_bimodule_graph(), 3)
     report = check_axioms(table_from_instance(fc, 3), 3)
     assert report.ok, report.summary()
 
@@ -293,16 +291,16 @@ def test_table_instance_validation():
 # ------------------------------------------------- full subs, factor-closure
 
 def test_full_sub_on_whole_graph_is_same():
-    fc = profile_loop_instance(build_bimodule_graph(), 3)
-    sub = full_submulticategory(fc, fc.graph)
+    fc = ProfileLoopInstance(build_bimodule_graph(), 3)
+    sub = FullSub(fc, fc.graph)
     assert set(c.id for c in sub.cells()) == set(c.id for c in fc.cells())
 
 
 def test_full_sub_restricts_words():
     g = build_pair_graph(["a", "b"])
-    fc = profile_loop_instance(g, 3)
+    fc = ProfileLoopInstance(g, 3)
     part = build_partition_subgraph(["a", "b"], [["a"], ["b"]])
-    sub = full_submulticategory(fc, part)
+    sub = FullSub(fc, part)
     for c in sub.cells():
         assert "b->a" not in c.profile.inputs.edges
         assert c.profile.output != "b->a"
@@ -311,18 +309,18 @@ def test_full_sub_restricts_words():
 
 def test_factor_closed_on_endpoint_closed_sub():
     g = build_pair_graph(["a", "b"])
-    fc = profile_loop_instance(g, 3)
+    fc = ProfileLoopInstance(g, 3)
     part = build_partition_subgraph(["a", "b"], [["a"], ["b"]])
-    report = is_factor_closed(fc, full_submulticategory(fc, part), 3)
+    report = is_factor_closed(fc, FullSub(fc, part), 3)
     assert report.ok
     assert report.checked > 0
 
 
 def test_factor_closed_fails_without_endpoint_closure():
     g = build_pair_graph(["a", "b"])
-    fc = profile_loop_instance(g, 3)
+    fc = ProfileLoopInstance(g, 3)
     open_sub = subgraph(g, ["a", "b"], ["a->b"])
-    report = is_factor_closed(fc, full_submulticategory(fc, open_sub), 3)
+    report = is_factor_closed(fc, FullSub(fc, open_sub), 3)
     assert not report.ok
     u, i, v = report.witness
     # the offending composite uses an empty-input (unit-like) insertion
@@ -332,7 +330,7 @@ def test_factor_closed_fails_without_endpoint_closure():
 
 
 def test_factor_closed_whole_instance():
-    fc = profile_loop_instance(build_bimodule_graph(), 3)
+    fc = ProfileLoopInstance(build_bimodule_graph(), 3)
     report = is_factor_closed(fc, fc, 3)
     assert report.ok
 
@@ -340,8 +338,8 @@ def test_factor_closed_whole_instance():
 def test_factor_closed_rejects_foreign_sub():
     g = build_pair_graph(["a", "b"])
     h = build_pair_graph(["a", "c"])
-    fc = profile_loop_instance(g, 2)
-    other = profile_loop_instance(h, 2)
+    fc = ProfileLoopInstance(g, 2)
+    other = ProfileLoopInstance(h, 2)
     with pytest.raises(GraphError):
         is_factor_closed(fc, other, 2)
 
@@ -448,15 +446,15 @@ def _two_loops():
 
 
 @pytest.mark.parametrize("make_fc", [
-    lambda: profile_loop_instance(single_loop(), 3),
-    lambda: profile_loop_instance(_two_loops(), 3),
-    lambda: profile_loop_instance(build_bimodule_graph(), 3),
-    lambda: profile_loop_instance(build_pair_graph(["a", "b"]), 3),
-    lambda: labeled_instance(
+    lambda: ProfileLoopInstance(single_loop(), 3),
+    lambda: ProfileLoopInstance(_two_loops(), 3),
+    lambda: ProfileLoopInstance(build_bimodule_graph(), 3),
+    lambda: ProfileLoopInstance(build_pair_graph(["a", "b"]), 3),
+    lambda: LabeledInstance(
         LabelingFc(single_loop(), LabelMonoid(1, 2), reduced=False), 3),
-    lambda: labeled_instance(
+    lambda: LabeledInstance(
         LabelingFc(single_loop(), LabelMonoid(1, 2), reduced=True), 3),
-    lambda: labeled_instance(
+    lambda: LabeledInstance(
         LabelingFc(build_bimodule_graph(), LabelMonoid(1, 1),
                    reduced=False), 3),
 ], ids=["loop", "two-loops", "bimodule", "pair", "labeled-loop",

@@ -160,7 +160,6 @@ def test_freedg_round_trip_custom_rules():
     base = build_Ainf_operad(TRIVIAL_MONOID)
     gen = base.generators(3)[-1]
     fc = FreeDgFc(base.graph, base.labeling, preset="custom",
-                  custom_only=True,
                   custom_rules={gen: base.delta_generator(gen)})
     doc = freedg_to_doc(fc)
     fc2, _ = freedg_from_doc(doc)
@@ -168,6 +167,8 @@ def test_freedg_round_trip_custom_rules():
     assert fc2.delta_generator(gen) == base.delta_generator(gen)
     other = base.generators(2)[0]
     assert fc2.delta_generator(other).is_zero()
+    empty = FreeDgFc(base.graph, base.labeling, custom_rules={})
+    assert freedg_to_doc(empty)["differential"] == "custom"
 
 
 def test_freedg_rejects_unknown_differential():
@@ -264,10 +265,9 @@ def test_algebra_job_duplicate_assignment():
 def _all_reports():
     fc, A = dual()
     from fcmc.freedg import delta_squared_report
-    from fcmc.multicat import is_factor_closed, profile_loop_instance, \
-        full_submulticategory
-    inst = profile_loop_instance(fc.graph, 3)
-    sub = full_submulticategory(inst, fc.graph)
+    from fcmc.multicat import FullSub, ProfileLoopInstance, is_factor_closed
+    inst = ProfileLoopInstance(fc.graph, 3)
+    sub = FullSub(inst, fc.graph)
     return [
         delta_squared_report(fc, 4),
         check_axioms(inst, 3),
