@@ -88,7 +88,6 @@ from .freedg import (
     free_cell,
     generator_cell,
     graft,
-    normalize,
     signed_graft,
 )
 from .chain import (
@@ -124,6 +123,7 @@ from .algebra import (
     lift_dga,
     random_assignment,
     random_endx,
+    route_disagreement,
 )
 
 __version__ = "0.1.0"

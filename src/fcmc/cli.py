@@ -43,7 +43,7 @@ from .freedg import (
     delta_squared_report,
 )
 from .algebra import AlgebraError, check_algebra, check_both_routes, \
-    direct_checker_for
+    direct_checker_for, route_disagreement
 from .chain import ChainError
 from . import serde
 
@@ -150,7 +150,8 @@ def cmd_graph_check(args, bounds) -> Run:
     run = Run(f"graph-check {args.file}", bounds, args.seed)
     doc = _read_doc(args.file)
     serde.check_version(doc)
-    g = serde.graph_from_doc(serde._require(doc, "graph"), validate=False)
+    g = serde.graph_from_doc(serde.field(doc, "graph", "object"),
+                             validate=False)
     report = validate_graph(g)
     if report.ok:
         run.add_check("graph", True,
@@ -274,9 +275,8 @@ def cmd_algebra_check(args, bounds) -> Run:
         generic, direct, agree = check_both_routes(fc, A, arity, labels)
         run.add(generic)
         run.add(direct)
-        run.add_check("routes-agree", agree,
-                      "yes" if agree else
-                      "NO: the two checkers returned different verdicts")
+        run.add_check("routes-agree", agree, "yes" if agree else
+                      "NO: " + route_disagreement(generic, direct))
     return run
 
 

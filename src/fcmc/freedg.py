@@ -590,57 +590,6 @@ def compose_cells(fc: FreeDgFc, c1: FreeCell, i: int,
                      validate=False)
 
 
-# ------------------------------------------------------------- expressions
-
-def normalize(fc: FreeDgFc, expr) -> FreeCell | OutOfBound:
-    """Evaluate a nested composite expression into its tree normal form.
-
-    Expression grammar (nested tuples):
-      ("gen", GeneratorSpec)        a generator
-      ("unit", edge id)             an identity cell
-      ("compose", e, slot, e)       partial composition
-      ("scale", scalar, e)          scalar multiple
-      ("sum", e, e, ...)            sum of like-boundaried expressions
-    """
-    kind = expr[0]
-    if kind == "gen":
-        gen = expr[1]
-        if not isinstance(gen, GeneratorSpec):
-            raise CompositionError("gen expression needs a GeneratorSpec")
-        return generator_cell(gen)
-    if kind == "unit":
-        return fc.unit_cell(expr[1])
-    if kind == "compose":
-        _, left, slot, right = expr
-        lc = normalize(fc, left)
-        rc = normalize(fc, right)
-        if isinstance(lc, OutOfBound):
-            return lc
-        if isinstance(rc, OutOfBound):
-            return rc
-        return compose_cells(fc, lc, slot, rc)
-    if kind == "scale":
-        _, c, sub = expr
-        cell = normalize(fc, sub)
-        if isinstance(cell, OutOfBound):
-            return cell
-        return cell.scale(c)
-    if kind == "sum":
-        cells = []
-        for sub in expr[1:]:
-            cell = normalize(fc, sub)
-            if isinstance(cell, OutOfBound):
-                return cell
-            cells.append(cell)
-        if not cells:
-            raise CompositionError("empty sum has no boundary data")
-        total = cells[0]
-        for cell in cells[1:]:
-            total = total + cell
-        return total
-    raise CompositionError(f"unknown expression kind {kind!r}")
-
-
 # ------------------------------------------------------------------ reports
 
 @dataclass(frozen=True)

@@ -389,7 +389,8 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
     A composite that does not sit over the substituted profile fails as
     "composite profile" (checked after the unit laws, not counted).
     Comparisons where some route leaves the population (instance bounds or
-    the arity cap) are counted as skipped, not failed.
+    the arity cap) are counted as skipped, not failed.  A failure reports
+    the counts reached at it, the failing comparison counted as checked.
     """
     ix = _Indexed(fc, arity_bound)
     cells = ix.cells
@@ -457,19 +458,16 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
                                 "parallel associativity",
                                 (cells[u].id, i, cells[v].id, k, cells[w].id))
 
-    result = _check_gamma_orders(ix, checked, skipped, fail)
-    if isinstance(result, AxiomReport):
-        return result
-    checked, skipped = result
-    return AxiomReport(True, None, None, checked, skipped)
+    return _check_gamma_orders(ix, checked, skipped)
 
 
 def _label_total(cell: TwoCell) -> int:
     return cell.label.total() if cell.label is not None else 0
 
 
-def _check_gamma_orders(ix, checked, skipped, fail):
-    """Decide order-independence of gamma over all full slot fillings.
+def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
+    """Decide order-independence of gamma over all full slot fillings, and
+    report it with the counts carried on from ``checked``/``skipped``.
 
     Inner tuples are enumerated depth-first with budget pruning: once the
     partial arity sum (the composite's final input length) or the partial
@@ -563,8 +561,11 @@ def _check_gamma_orders(ix, checked, skipped, fail):
                         if report is not None:
                             return report
                     elif len(states[full]) > 1:
-                        return fail("gamma order-dependence",
-                                    _gamma_witness(ix, u, inners))
+                        # the failing filling is a decided comparison
+                        return AxiomReport(
+                            False, "gamma order-dependence",
+                            _gamma_witness(ix, u, inners), counts[1] + 1,
+                            counts[0])
                     else:
                         counts[len(states[full])] += 1
             return None
@@ -572,8 +573,7 @@ def _check_gamma_orders(ix, checked, skipped, fail):
         report = grow(0, 0, 0)
         if report is not None:
             return report
-    skipped, checked = counts
-    return checked, skipped
+    return AxiomReport(True, None, None, counts[1], counts[0])
 
 
 def _gamma_witness(ix, u: int, inners: list[int]) -> tuple:

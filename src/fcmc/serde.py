@@ -63,10 +63,8 @@ def scalar_to_str(c) -> str:
 
 
 def scalar_from_str(s) -> Fraction:
-    if not isinstance(s, str):
-        raise SerdeError(f"coefficient must be a 'p/q' string, got {s!r}")
     try:
-        f = Fraction(s)
+        f = Fraction(_typed(s, "string", "coefficient"))
     except (ValueError, ZeroDivisionError) as exc:
         raise SerdeError(f"bad coefficient {s!r}: {exc}") from None
     return f
@@ -93,42 +91,46 @@ def loads_doc(text: str) -> dict:
 
 
 def check_version(doc: dict) -> None:
-    v = doc.get("format_version")
+    v = field(doc, "format_version", "integer")
     if v != FORMAT_VERSION:
         raise SerdeError(
             f"format_version must be {FORMAT_VERSION}, got {v!r}")
 
 
-def _require(doc: dict, key: str):
-    if not isinstance(doc, dict):
+# The JSON types a field may be declared with.  An integer is never a
+# boolean (type(True) is bool, not int) and never a float, and nothing is
+# coerced: a value of another type is unusable input.
+_JSON_TYPES = {
+    "string": (str,),
+    "integer": (int,),
+    "boolean": (bool,),
+    "array": (list,),
+    "object": (dict,),
+    "string or null": (str, type(None)),
+    "array or null": (list, type(None)),
+}
+
+_REQUIRED = object()
+
+
+def _typed(value, kind: str, what: str):
+    """``value`` itself, if it already has the JSON type ``kind``."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise SerdeError(f"{what} must be a JSON {kind}, got {value!r}")
+    return value
+
+
+def field(doc, key: str, kind: str, default=_REQUIRED):
+    """The one way a document field is read: ``doc[key]`` checked to be of
+    the JSON type ``kind``; a missing optional field gives ``default``."""
+    if type(doc) is not dict:
         raise SerdeError(f"expected an object with field {key!r}, "
                          f"got {doc!r}")
-    if key not in doc:
+    if key in doc:
+        return _typed(doc[key], kind, f"field {key!r}")
+    if default is _REQUIRED:
         raise SerdeError(f"missing required field {key!r}")
-    return doc[key]
-
-
-def _int(value, what: str) -> int:
-    # int() would truncate 1.9 to 1 and read true as 1
-    if isinstance(value, (bool, float)):
-        raise SerdeError(f"{what} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise SerdeError(f"{what} must be an integer, got {value!r}") \
-            from None
-
-
-def _array(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise SerdeError(f"{what} must be an array, got {value!r}")
-    return value
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise SerdeError(f"{what} must be an object, got {value!r}")
-    return value
+    return default
 
 
 # ------------------------------------------------------------------- graphs
@@ -141,15 +143,12 @@ def graph_to_doc(g: DirectedGraph) -> dict:
 
 
 def graph_from_doc(doc: dict, validate: bool = True) -> DirectedGraph:
-    verts = _array(_require(doc, "vertices"), "vertices")
-    edges = _array(_require(doc, "edges"), "edges")
-    for e in edges:
-        for k in ("id", "src", "tgt"):
-            if k not in _object(e, "edge entry"):
-                raise SerdeError(f"edge entry missing {k!r}: {e!r}")
-    g = DirectedGraph((Vertex(str(v)) for v in verts),
-                      (Edge(str(e["id"]), str(e["src"]), str(e["tgt"]))
-                       for e in edges))
+    verts = [Vertex(_typed(v, "string", "vertex id"))
+             for v in field(doc, "vertices", "array")]
+    edges = [Edge(field(e, "id", "string"), field(e, "src", "string"),
+                  field(e, "tgt", "string"))
+             for e in field(doc, "edges", "array")]
+    g = DirectedGraph(verts, edges)
     if validate:
         report = validate_graph(g)
         if not report.ok:
@@ -159,8 +158,9 @@ def graph_from_doc(doc: dict, validate: bool = True) -> DirectedGraph:
 
 def partition_from_doc(value) -> list[list[str]]:
     """An ordered partition: an array of arrays of vertex ids."""
-    return [[str(v) for v in _array(part, "partition part")]
-            for part in _array(value, "partition")]
+    return [[_typed(v, "string", "partition vertex id")
+             for v in _typed(part, "array", "partition part")]
+            for part in _typed(value, "array", "partition")]
 
 
 # ----------------------------------------------------------- labels, loops
@@ -172,18 +172,17 @@ def monoid_to_doc(m: LabelMonoid) -> dict:
 
 def monoid_from_doc(doc: dict) -> LabelMonoid:
     return LabelMonoid(
-        rank=_int(_require(doc, "rank"), "monoid rank"),
-        truncation=_int(_require(doc, "truncation"), "monoid truncation"))
+        rank=field(doc, "rank", "integer"),
+        truncation=field(doc, "truncation", "integer"))
 
 
 def label_to_doc(beta: MonoidElem) -> list[int]:
     return list(beta.coords)
 
 
-def label_from_doc(arr) -> MonoidElem:
-    if not isinstance(arr, (list, tuple)):
-        raise SerdeError(f"label must be an integer array, got {arr!r}")
-    return MonoidElem(tuple(_int(c, "label coordinate") for c in arr))
+def label_from_doc(arr: list) -> MonoidElem:
+    return MonoidElem(tuple(_typed(c, "integer", "label coordinate")
+                            for c in arr))
 
 
 def loop_to_doc(loop: ProfileLoop) -> dict:
@@ -194,13 +193,14 @@ def loop_to_doc(loop: ProfileLoop) -> dict:
 
 
 def loop_from_doc(g: DirectedGraph, doc: dict) -> ProfileLoop:
-    word = tuple(str(e) for e in _array(_require(doc, "inputs"), "inputs"))
-    out = str(_require(doc, "output"))
+    word = tuple(_typed(e, "string", "input edge id")
+                 for e in field(doc, "inputs", "array"))
+    out = field(doc, "output", "string")
     if word:
         src = g.edge(word[0]).src
         tgt = g.edge(word[-1]).tgt
     else:
-        src = tgt = str(_require(doc, "basepoint"))
+        src = tgt = field(doc, "basepoint", "string")
     return ProfileLoop(EdgePath(word, src, tgt), out)
 
 
@@ -217,14 +217,13 @@ def complex_to_doc(cx: CochainComplex) -> dict:
 
 
 def complex_from_doc(doc: dict) -> CochainComplex:
-    basis = [(str(_require(b, "id")),
-              _int(_require(b, "degree"), "basis degree"))
-             for b in _array(_require(doc, "basis"), "basis")]
+    basis = [(field(b, "id", "string"), field(b, "degree", "integer"))
+             for b in field(doc, "basis", "array")]
     d: dict[str, dict] = {}
-    for entry in _array(doc.get("differential", []), "differential"):
-        src = str(_require(entry, "from"))
-        tgt = str(_require(entry, "to"))
-        c = scalar_from_str(_require(entry, "coeff"))
+    for entry in field(doc, "differential", "array", []):
+        src = field(entry, "from", "string")
+        tgt = field(entry, "to", "string")
+        c = scalar_from_str(field(entry, "coeff", "string"))
         d.setdefault(src, {})
         d[src][tgt] = d[src].get(tgt, 0) + c
     return make_complex(basis, d)
@@ -241,15 +240,16 @@ def multimap_to_doc(xi: MultiMap) -> dict:
 
 
 def multimap_from_doc(X: EndX, doc: dict) -> MultiMap:
-    word = tuple(str(e) for e in _array(_require(doc, "inputs"), "inputs"))
-    out = str(_require(doc, "output"))
-    degree = _int(doc.get("degree", 1), "map degree")
+    word = tuple(_typed(e, "string", "input edge id")
+                 for e in field(doc, "inputs", "array"))
+    out = field(doc, "output", "string")
+    degree = field(doc, "degree", "integer", 1)
     table: dict[tuple, dict] = {}
-    for entry in _array(doc.get("entries", []), "entries"):
-        key = tuple(str(x) for x in
-                    _array(_require(entry, "inputs"), "entry inputs"))
-        y = str(_require(entry, "output"))
-        c = scalar_from_str(_require(entry, "coeff"))
+    for entry in field(doc, "entries", "array", []):
+        key = tuple(_typed(x, "string", "basis id")
+                    for x in field(entry, "inputs", "array"))
+        y = field(entry, "output", "string")
+        c = scalar_from_str(field(entry, "coeff", "string"))
         vec = table.setdefault(key, {})
         vec[y] = vec.get(y, 0) + c
     return multimap(X, word, out, degree, table)
@@ -267,7 +267,8 @@ def generator_to_doc(gen: GeneratorSpec) -> dict:
 
 def generator_from_doc(fc: FreeDgFc, doc: dict) -> GeneratorSpec:
     loop = loop_from_doc(fc.graph, doc)
-    beta = label_from_doc(doc.get("label", [0] * fc.monoid.rank))
+    beta = label_from_doc(field(doc, "label", "array",
+                                [0] * fc.monoid.rank))
     return fc.generator(loop, beta)
 
 
@@ -294,12 +295,12 @@ def _rule_to_doc(cell: FreeCell) -> list[dict]:
 def _rule_from_doc(fc: FreeDgFc, gen: GeneratorSpec,
                    terms: Sequence[dict]) -> FreeCell:
     acc: dict[CompTree, object] = {}
-    for term in _array(terms, "rule terms"):
-        outer = generator_from_doc(fc, _require(term, "outer"))
-        inner = generator_from_doc(fc, _require(term, "inner"))
-        slot = _int(_require(term, "slot"), "rule slot")
+    for term in terms:
+        outer = generator_from_doc(fc, field(term, "outer", "object"))
+        inner = generator_from_doc(fc, field(term, "inner", "object"))
+        slot = field(term, "slot", "integer")
         t = graft(leaf_of(outer), slot, leaf_of(inner))
-        c = scalar_from_str(_require(term, "coeff"))
+        c = scalar_from_str(field(term, "coeff", "string"))
         acc[t] = acc.get(t, 0) + c
     return free_cell(gen.profile, gen.label, 2, acc)
 
@@ -330,19 +331,19 @@ def freedg_from_doc(doc: dict) -> tuple[FreeDgFc,
     """Rebuild a free dg structure; the optional second component is the
     generator sweep set a verification run should restrict to."""
     check_version(doc)
-    g = graph_from_doc(_require(doc, "graph"))
-    monoid = monoid_from_doc(doc.get("monoid",
-                                     {"rank": 1, "truncation": 0}))
-    reduced = bool(doc.get("reduced", True))
-    labeling = LabelingFc(g, monoid, reduced)
-    differential = str(_require(doc, "differential"))
+    g = graph_from_doc(field(doc, "graph", "object"))
+    monoid = monoid_from_doc(field(doc, "monoid", "object",
+                                   {"rank": 1, "truncation": 0}))
+    labeling = LabelingFc(g, monoid, field(doc, "reduced", "boolean", True))
+    differential = field(doc, "differential", "string")
     if differential == "custom":
         # rules name generators, which exist whatever the differential
         fc = FreeDgFc(g, labeling)
         rules = {}
-        for rule in _array(doc.get("rules", []), "rules"):
-            gen = generator_from_doc(fc, _require(rule, "generator"))
-            rules[gen] = _rule_from_doc(fc, gen, _require(rule, "terms"))
+        for rule in field(doc, "rules", "array", []):
+            gen = generator_from_doc(fc, field(rule, "generator", "object"))
+            rules[gen] = _rule_from_doc(fc, gen,
+                                        field(rule, "terms", "array"))
         fc = FreeDgFc(g, labeling, preset="custom", custom_rules=rules)
     elif differential in PRESETS + ("generalized",):
         fc = FreeDgFc(g, labeling, preset=differential)
@@ -350,10 +351,9 @@ def freedg_from_doc(doc: dict) -> tuple[FreeDgFc,
         raise SerdeError(
             f"differential must be one of "
             f"{PRESETS + ('generalized', 'custom')}, got {differential!r}")
-    gens = None
-    if "generators" in doc:
-        gens = [generator_from_doc(fc, gd)
-                for gd in _array(doc["generators"], "generators")]
+    gens = field(doc, "generators", "array", None)
+    if gens is not None:
+        gens = [generator_from_doc(fc, gd) for gd in gens]
     return fc, gens
 
 
@@ -370,8 +370,9 @@ def cell_to_doc(cell: TwoCell) -> dict:
 
 def cell_from_doc(g: DirectedGraph, doc: dict) -> TwoCell:
     loop = loop_from_doc(g, doc)
-    lbl = label_from_doc(doc["label"]) if "label" in doc else None
-    return TwoCell(str(_require(doc, "id")), loop, lbl)
+    lbl = field(doc, "label", "array", None)
+    return TwoCell(field(doc, "id", "string"), loop,
+                   None if lbl is None else label_from_doc(lbl))
 
 
 def table_instance_to_doc(inst: TableInstance) -> dict:
@@ -396,34 +397,31 @@ def instance_from_doc(doc: dict, path_len: int,
     explicit table instances ignore it.
     """
     check_version(doc)
-    g = graph_from_doc(_require(doc, "graph"))
-    kind = str(doc.get("instance", "profile-loop"))
+    g = graph_from_doc(field(doc, "graph", "object"))
+    kind = field(doc, "instance", "string", "profile-loop")
     if kind == "profile-loop":
         inst: FcInstance = ProfileLoopInstance(g, path_len)
     elif kind == "labeled":
-        monoid = monoid_from_doc(_require(doc, "monoid"))
+        monoid = monoid_from_doc(field(doc, "monoid", "object"))
         monoid = LabelMonoid(monoid.rank, monoid.cap(label_bound))
-        inst = LabeledInstance(LabelingFc(g, monoid,
-                                          bool(doc.get("reduced", False))),
-                               path_len)
+        reduced = field(doc, "reduced", "boolean", False)
+        inst = LabeledInstance(LabelingFc(g, monoid, reduced), path_len)
     elif kind == "table":
-        cells = [cell_from_doc(g, cd)
-                 for cd in _array(_require(doc, "cells"), "cells")]
-        units = {str(e): str(c) for e, c in
-                 _object(_require(doc, "units"), "units").items()}
+        cells = [cell_from_doc(g, cd) for cd in field(doc, "cells", "array")]
+        units = {e: _typed(c, "string", "unit cell id")
+                 for e, c in field(doc, "units", "object").items()}
         table = {}
-        for row in _array(doc.get("table", []), "table"):
-            key = (str(_require(row, "outer")),
-                   _int(_require(row, "slot"), "table slot"),
-                   str(_require(row, "inner")))
-            table[key] = str(_require(row, "result"))
+        for row in field(doc, "table", "array", []):
+            key = (field(row, "outer", "string"),
+                   field(row, "slot", "integer"),
+                   field(row, "inner", "string"))
+            table[key] = field(row, "result", "string")
         inst = TableInstance(g, cells, units, table)
     else:
         raise SerdeError(f"unknown instance kind {kind!r}")
-    sub = None
-    if "sub" in doc:
-        sub_graph = graph_from_doc(doc["sub"])
-        sub = FullSub(inst, sub_graph)
+    sub = field(doc, "sub", "object", None)
+    if sub is not None:
+        sub = FullSub(inst, graph_from_doc(sub))
     return inst, sub
 
 
@@ -431,33 +429,29 @@ def instance_from_doc(doc: dict, path_len: int,
 
 
 def algebra_job_to_doc(fc: FreeDgFc, A: AlgebraData) -> dict:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "algebra-check",
-        "preset": fc.preset,
-        "graph": graph_to_doc(fc.graph),
-        "monoid": monoid_to_doc(fc.monoid),
-        "reduced": fc.labeling.reduced,
-        "complexes": {eid: complex_to_doc(cx)
-                      for eid, cx in sorted(A.X.complexes.items())},
-        "assignment": [dict(multimap_to_doc(xi),
-                            label=label_to_doc(gen.label))
-                       for gen, xi in sorted(A.assignment.items(),
-                                             key=lambda kv: kv[0].name)],
-    }
+    """The structure's free-dg block, with ``differential`` named
+    ``preset``, plus the complexes and the assigned maps."""
+    doc = freedg_to_doc(fc)
+    doc["kind"] = "algebra-check"
+    doc["preset"] = doc.pop("differential")
+    doc["complexes"] = {eid: complex_to_doc(cx)
+                        for eid, cx in sorted(A.X.complexes.items())}
+    doc["assignment"] = [dict(multimap_to_doc(xi),
+                              label=label_to_doc(gen.label))
+                         for gen, xi in sorted(A.assignment.items(),
+                                               key=lambda kv: kv[0].name)]
     return doc
 
 
 def algebra_job_from_doc(doc: dict) -> tuple[FreeDgFc, AlgebraData]:
     check_version(doc)
     fc, _ = freedg_from_doc(dict(doc, differential=doc.get(
-        "preset", doc.get("differential", "generalized")),
-        kind="free-dg"))
-    cx_docs = _object(_require(doc, "complexes"), "complexes")
-    complexes = {str(e): complex_from_doc(cd) for e, cd in cx_docs.items()}
+        "preset", doc.get("differential", "generalized"))))
+    complexes = {e: complex_from_doc(cd)
+                 for e, cd in field(doc, "complexes", "object").items()}
     X = EndX(fc.graph, complexes)
     assignment: dict[GeneratorSpec, MultiMap] = {}
-    for entry in _array(doc.get("assignment", []), "assignment"):
+    for entry in field(doc, "assignment", "array", []):
         gen = generator_from_doc(fc, entry)
         if gen in assignment:
             raise SerdeError(f"duplicate assignment for {gen.name}")
@@ -512,14 +506,23 @@ def check_report_doc(name: str, ok: bool, detail: str) -> dict:
 
 
 _REPORT_FIELDS = {
-    "delta-squared": {"ok", "generators", "arity_bound", "label_bound",
-                      "residues"},
-    "axioms": {"ok", "failure", "witness", "checked", "skipped"},
-    "factor-closed": {"ok", "witness", "checked"},
-    "relations": {"ok", "route", "checked", "arity_bound", "label_bound",
-                  "failures", "notes"},
-    "check": {"ok", "name", "detail"},
+    "delta-squared": {"ok": "boolean", "generators": "integer",
+                      "arity_bound": "integer", "label_bound": "integer",
+                      "residues": "array"},
+    "axioms": {"ok": "boolean", "failure": "string or null",
+               "witness": "array or null", "checked": "integer",
+               "skipped": "integer"},
+    "factor-closed": {"ok": "boolean", "witness": "array or null",
+                      "checked": "integer"},
+    "relations": {"ok": "boolean", "route": "string", "checked": "integer",
+                  "arity_bound": "integer", "label_bound": "integer",
+                  "failures": "array", "notes": "array"},
+    "check": {"ok": "boolean", "name": "string", "detail": "string"},
 }
+
+_REPORT_SET_FIELDS = {"command": "string", "bounds": "object",
+                      "seed": "integer", "notes": "array", "ok": "boolean",
+                      "reports": "array"}
 
 
 def parse_report(doc: dict) -> dict:
@@ -529,16 +532,13 @@ def parse_report(doc: dict) -> dict:
     document exactly, which is the round-trip the batch interface promises.
     """
     check_version(doc)
-    if doc.get("kind") != "report":
+    if field(doc, "kind", "string") != "report":
         raise SerdeError("not a report document")
-    rkind = doc.get("report")
+    rkind = field(doc, "report", "string")
     if rkind not in _REPORT_FIELDS:
         raise SerdeError(f"unknown report type {rkind!r}")
-    missing = _REPORT_FIELDS[rkind] - set(doc)
-    if missing:
-        raise SerdeError(f"report missing fields {sorted(missing)}")
-    if not isinstance(doc["ok"], bool):
-        raise SerdeError("ok must be boolean")
+    for key, kind in _REPORT_FIELDS[rkind].items():
+        field(doc, key, kind)
     return {k: doc[k] for k in sorted(doc)}
 
 
@@ -556,11 +556,10 @@ def report_set_to_doc(command: str, bounds: dict, seed: int,
 
 def parse_report_set(doc: dict) -> dict:
     check_version(doc)
-    if doc.get("kind") != "report-set":
+    if field(doc, "kind", "string") != "report-set":
         raise SerdeError("not a report-set document")
-    for key in ("command", "bounds", "seed", "notes", "ok", "reports"):
-        if key not in doc:
-            raise SerdeError(f"report-set missing field {key!r}")
+    for key, kind in _REPORT_SET_FIELDS.items():
+        field(doc, key, kind)
     reports = [parse_report(r) for r in doc["reports"]]
     if doc["ok"] != all(r["ok"] for r in reports):
         raise SerdeError("ok flag inconsistent with member reports")
@@ -568,13 +567,15 @@ def parse_report_set(doc: dict) -> dict:
 
 
 def relation_report_from_doc(doc: dict) -> RelationReport:
-    parse_report(doc)
-    if doc.get("report") != "relations":
+    parse_report(doc)  # types every top-level field
+    if doc["report"] != "relations":
         raise SerdeError("not a relation report")
     return RelationReport(
-        bool(doc["ok"]), str(doc["route"]), int(doc["checked"]),
-        int(doc["arity_bound"]), int(doc["label_bound"]),
-        tuple(RelationFailure(f["name"], int(f["arity"]), f["label"],
-                              f["witness"])
+        doc["ok"], doc["route"], doc["checked"], doc["arity_bound"],
+        doc["label_bound"],
+        tuple(RelationFailure(field(f, "name", "string"),
+                              field(f, "arity", "integer"),
+                              field(f, "label", "string"),
+                              field(f, "witness", "string"))
               for f in doc["failures"]),
-        tuple(doc["notes"]))
+        tuple(_typed(n, "string", "note") for n in doc["notes"]))

@@ -7,6 +7,7 @@ here imports from the package.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations, product
 
 
@@ -319,3 +320,48 @@ def ref_gamma_orders(cells, table):
             else:
                 checked += 1
     return ("pass", checked, skipped)
+
+
+def ref_planar_trees(n):
+    """Planar trees with n >= 2 leaves whose internal nodes have at least
+    two children, written as nested tuples: a leaf is None, a node is the
+    tuple of its children.  Their numbers are the super-Catalan numbers
+    1, 3, 11, 45, 197, 903, ... (the faces of the associahedron K_n)."""
+    trees = {1: [None]}
+    for m in range(2, n + 1):
+        trees[m] = []
+        # a node's children split the m leaves into >= 2 consecutive blocks,
+        # one block per choice of cut positions among the m - 1 gaps
+        for cuts in range(1, 1 << (m - 1)):
+            sizes, size = [], 1
+            for gap in range(m - 1):
+                if cuts >> gap & 1:
+                    sizes.append(size)
+                    size = 1
+                else:
+                    size += 1
+            sizes.append(size)
+            trees[m].extend(product(*(trees[k] for k in sizes)))
+    return trees[n]
+
+
+def ref_rank(rows):
+    """Rank over the rationals of a matrix given as a list of sparse rows
+    {column index: coefficient}, by exact Gaussian elimination."""
+    pivots = {}  # column -> row with 1 there and no smaller column
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                lead = row[col]
+                pivots[col] = {c: v / lead for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in pivots[col].items():
+                left = row.get(c, 0) - factor * v
+                if left:
+                    row[c] = left
+                else:
+                    row.pop(c, None)
+    return len(pivots)

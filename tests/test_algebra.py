@@ -23,6 +23,8 @@ from fcmc.chain import (
 from fcmc.algebra import (
     AlgebraData,
     AlgebraError,
+    RelationFailure,
+    RelationReport,
     algebra_residue,
     check_algebra,
     check_ainfty_direct,
@@ -33,6 +35,7 @@ from fcmc.algebra import (
     lift_dga,
     random_assignment,
     random_endx,
+    route_disagreement,
 )
 from oracles import ref_ainf_residue
 
@@ -345,6 +348,24 @@ def test_routes_agree_on_labeled_preset():
         A = random_assignment(fc, X, seed, 3, density=0.6)
         g, d, agree = check_both_routes(fc, A, 3)
         assert agree
+
+
+def test_route_disagreement_names_the_failing_pairs():
+    def report(route, names):
+        return RelationReport(False, route, 9, 3, 1, tuple(
+            RelationFailure(name, 2, beta, "w") for name, beta in names))
+
+    generic = report("generic", [("m[e,e;e]@(1)", "(1)"),
+                                 ("m[e,e,e;e]@(0)", "(0)")])
+    same = report("ainf-direct", [("relation[e,e,e;e]@(0)", "(0)"),
+                                  ("relation[e,e;e]@(1)", "(1)")])
+    assert route_disagreement(generic, same) is None
+    # the same lowest arity and verdict, but another pair
+    other = report("ainf-direct", [("relation[e,e,e;e]@(0)", "(0)"),
+                                   ("relation[e,e;e]@(0)", "(0)")])
+    assert route_disagreement(generic, other) == (
+        "only generic fails on e,e;e@(1); "
+        "only ainf-direct fails on e,e;e@(0)")
 
 
 def test_generic_residue_matches_external_reference():

@@ -14,6 +14,7 @@ from fcmc.cli import main, resolve_bounds, build_parser
 from fcmc.serde import (
     algebra_job_to_doc,
     dumps_doc,
+    freedg_from_doc,
     freedg_to_doc,
     loads_doc,
     parse_report_set,
@@ -351,6 +352,27 @@ def test_algebra_check_bad_assignment_profile(capsys, tmp_path):
     assert code == 2
 
 
+def test_algebra_check_custom_rules_survive_the_document(capsys, tmp_path):
+    # the standard rules up to arity 3, as a custom presentation read back
+    # from its document; the dual-number product below is not associative,
+    # which only the arity-3 rule sees
+    base = build_Ainf_operad(TRIVIAL_MONOID)
+    fc, _ = freedg_from_doc(freedg_to_doc(FreeDgFc(
+        base.graph, base.labeling,
+        custom_rules={g: base.delta_generator(g)
+                      for g in base.generators(3)})))
+    _, A = lift_dga([("1", 0), ("eps", 0)], {}, {
+        ("1", "1"): {"1": 1, "eps": 1}, ("1", "eps"): {"eps": 1},
+        ("eps", "1"): {"eps": -1}, ("eps", "eps"): {}})
+    doc = algebra_job_to_doc(fc, A)
+    path = write(tmp_path, "custom.json", doc)
+    code, out, _ = run(capsys, ["algebra-check", path, "--route", "generic",
+                                "--arity", "3"])
+    assert code == 1
+    assert "lowest arity 3" in out
+    assert doc["preset"] == "custom" and len(doc.get("rules", [])) == 2
+
+
 def _d_squared_nonzero_doc():
     doc = dual_doc()
     doc["complexes"]["e"] = {
@@ -398,6 +420,17 @@ def _graph_with_partition_doc():
             "partition": [["v0"], ["v1"]]}
 
 
+def _graph_doc_with_ids(vertex, edge):
+    return {"format_version": 1, "kind": "graph",
+            "graph": {"vertices": [vertex, "v"],
+                      "edges": [{"id": edge, "src": "v", "tgt": vertex}]}}
+
+
+def _labeled_doc():
+    return {"format_version": 1, "kind": "fc-instance", "instance": "labeled",
+            "graph": LOOP_GRAPH, "monoid": {"rank": 1, "truncation": 2}}
+
+
 MALFORMED = [
     ("algebra-check", "basis-no-degree",
      _edit(dual_doc, lambda d: _basis(d)[0].pop("degree"))),
@@ -425,6 +458,10 @@ MALFORMED = [
      _edit(_table_doc, lambda d: d["table"][1].update(slot=True))),
     ("graph-check", "partition-not-list",
      _edit(_graph_with_partition_doc, lambda d: d.update(partition=5))),
+    ("graph-check", "null-ids", lambda: _graph_doc_with_ids(None, None)),
+    ("graph-check", "integer-ids", lambda: _graph_doc_with_ids(1, 2)),
+    ("fc-audit", "reduced-string",
+     _edit(_labeled_doc, lambda d: d.update(reduced="false"))),
 ]
 
 
