@@ -199,7 +199,7 @@ def algebra_residue(fc: FreeDgFc, A: AlgebraData,
 # delta_generator so the two routes can serve as each other's oracle.
 
 
-def _direct_tables(fc: FreeDgFc, A: AlgebraData):
+def _direct_tables(A: AlgebraData):
     """Index the assignment by (input word, output edge, label)."""
     tables = {}
     for gen, xi in A.assignment.items():
@@ -208,8 +208,8 @@ def _direct_tables(fc: FreeDgFc, A: AlgebraData):
     return tables
 
 
-def _direct_apply(fc: FreeDgFc, A: AlgebraData, tables, word, out_edge,
-                  beta, args) -> Vector:
+def _direct_apply(A: AlgebraData, tables, word, out_edge, beta,
+                  args) -> Vector:
     """Value of the indexed operation on basis elements, as a raw vector.
 
     The identity-shaped index (single input equal to the output, zero
@@ -243,15 +243,13 @@ def _direct_residues(fc: FreeDgFc, A: AlgebraData, tables,
                         continue
                     outer_word = word[:r] + (bridge.id,) + word[r + s:]
                     for b1, b2 in decompose(beta):
-                        inner = _direct_apply(fc, A, tables,
-                                              word[r:r + s], bridge.id, b2,
-                                              args[r:r + s])
+                        inner = _direct_apply(A, tables, word[r:r + s],
+                                              bridge.id, b2, args[r:r + s])
                         if not inner:
                             continue
                         for mid, cm in inner.items():
                             outer = _direct_apply(
-                                fc, A, tables, outer_word,
-                                loop.output, b1,
+                                A, tables, outer_word, loop.output, b1,
                                 args[:r] + (mid,) + args[r + s:])
                             _add_into(total, outer, sign * cm)
         total = _clean(total)
@@ -263,7 +261,7 @@ def _direct_residues(fc: FreeDgFc, A: AlgebraData, tables,
 def _run_direct(fc: FreeDgFc, A: AlgebraData, route: str, arity_bound: int,
                 label_bound: Optional[int]) -> RelationReport:
     cap = fc.monoid.cap(label_bound)
-    tables = _direct_tables(fc, A)
+    tables = _direct_tables(A)
     failures = []
     checked = 0
     for loop in enumerate_profile_loops(fc.graph, arity_bound):

@@ -53,7 +53,8 @@ from .labels import (
     fiber,
     in_fiber,
 )
-from .multicat import OutOfBound, loop_token, substituted_profile
+from .multicat import (OutOfBound, check_slot, loop_token,
+                       substituted_profile)
 
 Scalar = Union[int, Fraction]
 
@@ -127,16 +128,13 @@ def leaf_of(gen: GeneratorSpec) -> CompTree:
     return CompTree(gen, gen.profile.inputs.edges)
 
 
-def tree_degree(t: CompTree) -> int:
-    return t.gen.degree + sum(tree_degree(c) for c in t.children
-                              if isinstance(c, CompTree))
-
-
-def leaf_count(t: CompTree) -> int:
-    total = 0
+def tree_nodes(t: CompTree) -> list[GeneratorSpec]:
+    """Internal nodes in pre-order: root first, subtrees left to right."""
+    out = [t.gen]
     for c in t.children:
-        total += 1 if isinstance(c, str) else leaf_count(c)
-    return total
+        if isinstance(c, CompTree):
+            out.extend(tree_nodes(c))
+    return out
 
 
 def tree_leaves(t: CompTree) -> tuple[str, ...]:
@@ -149,6 +147,22 @@ def tree_leaves(t: CompTree) -> tuple[str, ...]:
     return tuple(out)
 
 
+def tree_degree(t: CompTree) -> int:
+    return sum(n.degree for n in tree_nodes(t))
+
+
+def leaf_count(t: CompTree) -> int:
+    return len(tree_leaves(t))
+
+
+def tree_label(t: CompTree) -> MonoidElem:
+    nodes = tree_nodes(t)
+    beta = nodes[0].label
+    for n in nodes[1:]:
+        beta = add(beta, n.label)
+    return beta
+
+
 def tree_profile(t: CompTree) -> ProfileLoop:
     # substitution preserves endpoints, so the composite inherits the
     # root's source/target
@@ -157,21 +171,13 @@ def tree_profile(t: CompTree) -> ProfileLoop:
     return ProfileLoop(path, root.output)
 
 
-def tree_label(t: CompTree) -> MonoidElem:
-    beta = t.gen.label
-    for c in t.children:
+def inner_position(rule_tree: CompTree) -> int:
+    """The child position q (0-based) of the inner node of a two-node rule
+    term; the children before it are leaves, so its input slot is q + 1."""
+    for q, c in enumerate(rule_tree.children):
         if isinstance(c, CompTree):
-            beta = add(beta, tree_label(c))
-    return beta
-
-
-def tree_nodes(t: CompTree) -> list[GeneratorSpec]:
-    """Internal nodes in pre-order: root first, subtrees left to right."""
-    out = [t.gen]
-    for c in t.children:
-        if isinstance(c, CompTree):
-            out.extend(tree_nodes(c))
-    return out
+            return q
+    raise CompositionError(f"{format_tree(rule_tree)} has no inner node")
 
 
 def tree_key(t: CompTree):
@@ -506,56 +512,44 @@ class FreeDgFc:
         acc: dict[CompTree, Scalar] = {}
         for t, coeff in cell.terms:
             for t2, c2 in self._delta_tree(t):
-                key = t2
-                acc[key] = acc.get(key, 0) + coeff * c2
+                acc[t2] = acc.get(t2, 0) + coeff * c2
         return free_cell(cell.profile, cell.label, cell.degree + 1, acc,
                          validate=False)
 
     def _delta_tree(self, t: CompTree) -> list[tuple[CompTree, Scalar]]:
-        out: list[tuple[CompTree, Scalar]] = []
-        self._delta_walk(t, 0, 1, out, lambda sub: sub)
-        return out
+        """The signed terms of delta on one tree, nodes in pre-order.
 
-    def _delta_walk(self, t: CompTree, deg_before: int, coeff: Scalar,
-                    out: list[tuple[CompTree, Scalar]], rebuild) -> None:
-        """Recurse over nodes; ``rebuild`` lifts a replaced subtree back up.
-
-        ``deg_before`` is the degree sum of the nodes preceding this
-        subtree's root in the whole tree's pre-order.
+        First the root's rule terms, expanded onto its children; then the
+        terms of each subtree, rebuilt under the root with the sign
+        (-1)^(degree of the root and of the subtrees left of it).  The
+        signs multiply out to (-1)^(degree sum before the replaced node).
         """
-        rule = self.delta_generator(t.gen)
-        if rule.terms:
-            sign = 1 if (deg_before % 2 == 0 or self.sign_fault) else -1
-            for rt, rc in rule.terms:
-                # rt is outer(leaf.., inner(..), leaf..); re-attach t's
-                # children to the expansion
-                expanded, extra = _expand_node(rt, t.children)
-                out.append((rebuild(expanded), coeff * sign * rc * extra))
-        running = deg_before + t.gen.degree
-        for pos, c in enumerate(t.children):
+        kids = t.children
+        out = []
+        for rt, rc in self.delta_generator(t.gen).terms:
+            expanded, sign = _expand_node(rt, kids)
+            out.append((expanded, sign * rc))
+        before = t.gen.degree
+        for pos, c in enumerate(kids):
             if not isinstance(c, CompTree):
                 continue
-            def lift(sub, pos=pos):
-                kids = t.children[:pos] + (sub,) + t.children[pos + 1:]
-                return rebuild(CompTree(t.gen, kids))
-            self._delta_walk(c, running, coeff, out, lift)
-            running += tree_degree(c)
+            sign = 1 if (before % 2 == 0 or self.sign_fault) else -1
+            for sub, x in self._delta_tree(c):
+                out.append((CompTree(t.gen, kids[:pos] + (sub,)
+                                     + kids[pos + 1:]), sign * x))
+            before += tree_degree(c)
+        return out
 
 
 def _expand_node(rule_tree: CompTree,
                  children: tuple[Child, ...]) -> tuple[CompTree, int]:
     """Attach a node's children to its two-node expansion, with the sign.
 
-    ``rule_tree`` is outer with a single inner subtree at some slot q; the
-    inner node moves past the children attached left of that slot, giving
-    (-1)^(their degree sum).
+    ``rule_tree`` is outer with a single inner subtree at child position
+    q; the inner node moves past the children attached left of that slot,
+    giving (-1)^(their degree sum).
     """
-    q = None
-    for pos, c in enumerate(rule_tree.children):
-        if isinstance(c, CompTree):
-            q = pos
-            break
-    assert q is not None, "rule term must contain an inner node"
+    q = inner_position(rule_tree)
     inner = rule_tree.children[q]
     s = len(inner.children)
     outer_kids = (children[:q] + (CompTree(inner.gen, children[q:q + s]),)
@@ -569,13 +563,7 @@ def _expand_node(rule_tree: CompTree,
 def compose_cells(fc: FreeDgFc, c1: FreeCell, i: int,
                   c2: FreeCell) -> FreeCell | OutOfBound:
     """Bilinear signed grafting of cells; adds degrees and labels."""
-    if not 1 <= i <= c1.profile.arity():
-        raise CompositionError(
-            f"slot {i} out of range for arity {c1.profile.arity()}")
-    if c1.profile.inputs.edges[i - 1] != c2.profile.output:
-        raise CompositionError(
-            f"inner cell produces {c2.profile.output!r}, slot {i} wants "
-            f"{c1.profile.inputs.edges[i - 1]!r}")
+    check_slot(c1.profile, i, c2.profile)
     beta = add(c1.label, c2.label)
     if beta.total() > fc.monoid.truncation:
         return OutOfBound(

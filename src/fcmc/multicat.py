@@ -76,6 +76,18 @@ def substituted_profile(outer: ProfileLoop, i: int,
     return ProfileLoop(path, outer.output)
 
 
+def check_slot(outer: ProfileLoop, i: int, inner: ProfileLoop) -> None:
+    """Raise unless slot i of ``outer`` exists and takes ``inner``'s output."""
+    if not 1 <= i <= outer.arity():
+        raise CompositionError(
+            f"slot {i} out of range for arity {outer.arity()}")
+    expected = outer.inputs.edges[i - 1]
+    if inner.output != expected:
+        raise CompositionError(
+            f"inner cell produces {inner.output!r}, slot {i} "
+            f"wants {expected!r}")
+
+
 class FcInstance:
     """Base class: a graph plus cells, units, and partial composition."""
 
@@ -92,16 +104,6 @@ class FcInstance:
 
     def compose(self, u: TwoCell, i: int, v: TwoCell) -> ComposeResult:
         raise NotImplementedError
-
-    def _check_slot(self, u: TwoCell, i: int, v: TwoCell) -> None:
-        if not 1 <= i <= u.arity():
-            raise CompositionError(
-                f"slot {i} out of range for arity {u.arity()}")
-        expected = u.profile.inputs.edges[i - 1]
-        if v.profile.output != expected:
-            raise CompositionError(
-                f"inner cell produces {v.profile.output!r}, slot {i} "
-                f"wants {expected!r}")
 
 
 def gamma(fc: FcInstance, u: TwoCell, inners: Sequence[TwoCell],
@@ -162,7 +164,7 @@ class ProfileLoopInstance(FcInstance):
         return self._cell(loop)
 
     def compose(self, u: TwoCell, i: int, v: TwoCell) -> ComposeResult:
-        self._check_slot(u, i, v)
+        check_slot(u.profile, i, v.profile)
         profile = substituted_profile(u.profile, i, v.profile)
         if profile.arity() > self.max_len:
             return OutOfBound(
@@ -203,7 +205,7 @@ class LabeledInstance(FcInstance):
         return self._cell(loop, self.labeling.monoid.zero())
 
     def compose(self, u: TwoCell, i: int, v: TwoCell) -> ComposeResult:
-        self._check_slot(u, i, v)
+        check_slot(u.profile, i, v.profile)
         assert u.label is not None and v.label is not None
         beta = add(u.label, v.label)
         if beta.total() > self.labeling.monoid.truncation:
@@ -223,7 +225,9 @@ class TableInstance(FcInstance):
     ``table`` maps (outer id, slot, inner id) to the composite's cell id.
     Compositions whose endpoints match but which have no table entry
     return OutOfBound so partially specified instances stay usable.
-    Units and table results must name declared cells.
+    Units, table results and both ids of a row must name declared cells,
+    and a row's slot must exist on its outer cell and take the inner
+    cell's output; a row the audit could never read is unusable input.
     """
 
     def __init__(self, graph: DirectedGraph, cells: Sequence[TwoCell],
@@ -238,10 +242,14 @@ class TableInstance(FcInstance):
             if not is_profile_loop(graph, c.profile.inputs, c.profile.output):
                 raise GraphError(f"cell {c.id!r} has an invalid profile")
         undeclared = set(units.values()) | set(table.values())
+        for o, _, v in table:
+            undeclared |= {o, v}
         undeclared -= set(self._by_id)
         if undeclared:
             raise GraphError(f"units or table name undeclared cells "
                              f"{sorted(undeclared)!r}")
+        for o, i, v in table:
+            check_slot(self._by_id[o].profile, i, self._by_id[v].profile)
         self._units = {}
         for eid, cid in units.items():
             cell = self._by_id[cid]
@@ -266,7 +274,7 @@ class TableInstance(FcInstance):
             raise CompositionError(f"no unit declared for edge {eid!r}") from None
 
     def compose(self, u: TwoCell, i: int, v: TwoCell) -> ComposeResult:
-        self._check_slot(u, i, v)
+        check_slot(u.profile, i, v.profile)
         key = (u.id, i, v.id)
         if key not in self.table:
             return OutOfBound(f"no table entry for {key!r}")
@@ -509,11 +517,11 @@ def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
             grouped.setdefault(key, []).append(k)
         buckets[e] = [(a, l, ks2) for (a, l), ks2 in sorted(grouped.items())]
     # plan[t] lists each mask m whose highest slot is t, with s = m - {t}
-    # and, for every other slot j of m, (m - {j}, j, the slots of s below j)
-    plan = [[(s | 1 << t, s,
-              [(s ^ 1 << j | 1 << t, j, s & (1 << j) - 1)
-               for j in range(t) if s >> j & 1])
-             for s in range(1 << t)]
+    # and, for every slot j of m, (m - {j}, j, the slots of m below j)
+    plan = [[(m, m ^ 1 << t,
+              [(m ^ 1 << j, j, m & (1 << j) - 1)
+               for j in range(t + 1) if m >> j & 1])
+             for m in range(1 << t, 2 << t)]
             for t in range(arity_cap)]
     counts = [skipped, checked]  # indexed by the number of full composites
 
@@ -542,12 +550,7 @@ def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
                     inners[t] = k
                     for m, s, others in plan[t]:
                         shift[m] = shift[s] + a - 1
-                        p = t + shift[s]
                         out = set()
-                        for r in states[s]:
-                            c = comp[r][p].get(k, -1)
-                            if c >= 0:
-                                out.add(c)
                         for prev, j, below in others:
                             p = j + shift[below]
                             kj = inners[j]

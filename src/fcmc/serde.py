@@ -42,6 +42,7 @@ from .freedg import (
     GeneratorSpec,
     free_cell,
     graft,
+    inner_position,
     leaf_of,
 )
 from .chain import CochainComplex, EndX, MultiMap, make_complex, multimap
@@ -275,20 +276,11 @@ def generator_from_doc(fc: FreeDgFc, doc: dict) -> GeneratorSpec:
 def _rule_to_doc(cell: FreeCell) -> list[dict]:
     terms = []
     for t, coeff in sorted(cell.terms, key=lambda tc: str(tc[0])):
-        inner_slot = None
-        width = 0
-        for child in t.children:
-            if isinstance(child, CompTree):
-                inner_slot = width + 1
-                inner = child
-                break
-            width += 1
-        if inner_slot is None:
-            raise SerdeError("rule term has no inner node")
+        q = inner_position(t)
         terms.append({"coeff": scalar_to_str(coeff),
                       "outer": generator_to_doc(t.gen),
-                      "slot": inner_slot,
-                      "inner": generator_to_doc(inner.gen)})
+                      "slot": q + 1,
+                      "inner": generator_to_doc(t.children[q].gen)})
     return terms
 
 
@@ -415,6 +407,8 @@ def instance_from_doc(doc: dict, path_len: int,
             key = (field(row, "outer", "string"),
                    field(row, "slot", "integer"),
                    field(row, "inner", "string"))
+            if key in table:
+                raise SerdeError(f"duplicate table row for {key!r}")
             table[key] = field(row, "result", "string")
         inst = TableInstance(g, cells, units, table)
     else:

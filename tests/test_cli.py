@@ -456,6 +456,18 @@ MALFORMED = [
      _edit(_table_doc, lambda d: d["table"][1].update(slot=1.9))),
     ("fc-audit", "slot-bool",
      _edit(_table_doc, lambda d: d["table"][1].update(slot=True))),
+    # rows the audit could never read, or that silently replace another
+    ("fc-audit", "conflicting-duplicate-row",
+     _edit(lambda: _table_doc("u"), lambda d: d["table"].append(
+         {"outer": "m", "slot": 1, "inner": "u", "result": "m"}))),
+    ("fc-audit", "slot-zero",
+     _edit(_table_doc, lambda d: d["table"][0].update(slot=0))),
+    ("fc-audit", "slot-beyond-arity",
+     _edit(_table_doc, lambda d: d["table"][0].update(slot=7))),
+    ("fc-audit", "outer-names-unknown-cell",
+     _edit(_table_doc, lambda d: d["table"][0].update(outer="nowhere"))),
+    ("fc-audit", "inner-names-unknown-cell",
+     _edit(_table_doc, lambda d: d["table"][0].update(inner="nowhere"))),
     ("graph-check", "partition-not-list",
      _edit(_graph_with_partition_doc, lambda d: d.update(partition=5))),
     ("graph-check", "null-ids", lambda: _graph_doc_with_ids(None, None)),

@@ -22,6 +22,7 @@ from fcmc.freedg import (
     free_cell,
     generator_cell,
     graft,
+    inner_position,
     leaf_of,
     signed_graft,
     tree_degree,
@@ -686,6 +687,16 @@ def test_custom_rule_validation():
     with pytest.raises(CompositionError):
         FreeDgFc(fc0.graph, fc0.labeling,
                  custom_rules={g4: fc0.delta(fc0.delta_generator(g4))})
+    # degree 2 over the generator's boundary, but not a two-node tree: the
+    # shape check itself must reject the rule
+    m2 = leaf_of(m_gen(fc0, 2))
+    for gen, tree in ((g4, graft(graft(m2, 1, m2), 1, m2)),
+                      (g3, leaf_of(g3))):
+        rule = free_cell(gen.profile, gen.label, 2, {tree: 1}, validate=False)
+        with pytest.raises(CompositionError, match="two-node degree-2"):
+            FreeDgFc(fc0.graph, fc0.labeling, custom_rules={gen: rule})
+    with pytest.raises(CompositionError, match="no inner node"):
+        inner_position(leaf_of(g3))
 
 
 def test_label_bound_is_capped_by_truncation():

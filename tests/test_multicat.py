@@ -286,6 +286,20 @@ def test_table_instance_validation():
         TableInstance(g, [unit], {"e": "nowhere"}, {})
     with pytest.raises(GraphError):
         TableInstance(g, [unit], {"e": "c"}, {("c", 1, "c"): "nowhere"})
+    # a row's key must name declared cells and a slot that can take the
+    # inner cell, or the audit could never read it
+    with pytest.raises(GraphError):
+        TableInstance(g, [unit], {"e": "c"}, {("nowhere", 1, "c"): "c"})
+    with pytest.raises(GraphError):
+        TableInstance(g, [unit], {"e": "c"}, {("c", 1, "nowhere"): "c"})
+    for slot in (0, 2, -1):
+        with pytest.raises(CompositionError, match="out of range"):
+            TableInstance(g, [unit], {"e": "c"}, {("c", slot, "c"): "c"})
+    g2 = make_graph(["v"], [("e", "v", "v"), ("f", "v", "v")])
+    cells = [TwoCell("c", profile_loop(g2, ["e"], "e"), None),
+             TwoCell("d", profile_loop(g2, ["f"], "f"), None)]
+    with pytest.raises(CompositionError, match="wants 'e'"):
+        TableInstance(g2, cells, {"e": "c", "f": "d"}, {("c", 1, "d"): "c"})
 
 
 # ------------------------------------------------- full subs, factor-closure
