@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .chain import (
     EndX,
     MultiMap,
+    Scalar,
     Vector,
     _add_into,
     _basis_tuples,
@@ -208,51 +209,69 @@ def _direct_tables(A: AlgebraData):
     return tables
 
 
-def _direct_apply(A: AlgebraData, tables, word, out_edge, beta,
-                  args) -> Vector:
-    """Value of the indexed operation on basis elements, as a raw vector.
+def _direct_entries(A: AlgebraData, tables, word, out_edge, beta):
+    """The stored entries of the indexed operation: input basis tuple to
+    raw output vector.
 
     The identity-shaped index (single input equal to the output, zero
     label) is the internal differential of that edge's complex.
     """
     if word == (out_edge,) and beta.is_zero():
-        return A.X.complex(out_edge).d.get(args[0], {})
-    tbl = tables.get((word, out_edge, beta))
-    if tbl is None:
-        return {}
-    return tbl.get(tuple(args), {})
+        return {(x,): vec for x, vec in A.X.complex(out_edge).d.items()}
+    return tables.get((word, out_edge, beta), {})
 
 
 def _direct_residues(fc: FreeDgFc, A: AlgebraData, tables,
                      loop: ProfileLoop, beta: MonoidElem):
-    """All nonzero values of the relation sum over one boundary index."""
+    """All nonzero values of the relation sum over one boundary index,
+    as (input basis tuple, vector) pairs in ``_basis_tuples`` order.
+
+    Each block of s inputs from position r, bridged by an edge, pairs an
+    inner operation on the block with the outer operation whose slot r it
+    feeds, for every split b1 + b2 = beta of the label.  The inner entries
+    are grouped by output basis id, so each stored outer entry meets only
+    the inner entries that land in its slot r; the term is signed by the
+    degrees of the arguments left of the block.
+    """
     word = loop.inputs.edges
     n = len(word)
     walk = path_vertices(fc.graph, loop.inputs)
     cxs = [A.X.complex(e) for e in word]
+    parity = [{x: d % 2 for x, d in cx.basis.elements} for cx in cxs]
+    splits = decompose(beta)
+    blocks = [(r, s, bridge.id)
+              for r in range(n + 1) for s in range(n - r + 1)
+              for bridge in fc.graph.edges
+              if bridge.src == walk[r] and bridge.tgt == walk[r + s]]
+    totals: dict[tuple[str, ...], Vector] = {}
+    for r, s, bridge in blocks:
+        inner_word = word[r:r + s]
+        outer_word = word[:r] + (bridge,) + word[r + s:]
+        for b1, b2 in splits:
+            inner = _direct_entries(A, tables, inner_word, bridge, b2)
+            if not inner:
+                continue
+            outer = _direct_entries(A, tables, outer_word, loop.output, b1)
+            if not outer:
+                continue
+            feeds: dict[str, list[tuple[tuple[str, ...], Scalar]]] = {}
+            for key, vec in inner.items():
+                for mid, cm in vec.items():
+                    feeds.setdefault(mid, []).append((key, cm))
+            for key, vec in outer.items():
+                fed = feeds.get(key[r])
+                if fed is None:
+                    continue
+                pre, post = key[:r], key[r + 1:]
+                sign = -1 if sum(p[x] for p, x in zip(parity, pre)) % 2 \
+                    else 1
+                for mid_key, cm in fed:
+                    _add_into(totals.setdefault(pre + mid_key + post, {}),
+                              vec, sign * cm)
+    index = [{x: i for i, x in enumerate(cx.basis.ids())} for cx in cxs]
     out: list[tuple[tuple[str, ...], Vector]] = []
-    for args in _basis_tuples(cxs):
-        total: Vector = {}
-        sign = 1
-        for r in range(n + 1):
-            if r > 0 and cxs[r - 1].degree(args[r - 1]) % 2:
-                sign = -sign
-            for s in range(n - r + 1):
-                for bridge in fc.graph.edges:
-                    if bridge.src != walk[r] or bridge.tgt != walk[r + s]:
-                        continue
-                    outer_word = word[:r] + (bridge.id,) + word[r + s:]
-                    for b1, b2 in decompose(beta):
-                        inner = _direct_apply(A, tables, word[r:r + s],
-                                              bridge.id, b2, args[r:r + s])
-                        if not inner:
-                            continue
-                        for mid, cm in inner.items():
-                            outer = _direct_apply(
-                                A, tables, outer_word, loop.output, b1,
-                                args[:r] + (mid,) + args[r + s:])
-                            _add_into(total, outer, sign * cm)
-        total = _clean(total)
+    for args in sorted(totals, key=lambda a: [k[x] for k, x in zip(index, a)]):
+        total = _clean(totals[args])
         if total:
             out.append((args, total))
     return out

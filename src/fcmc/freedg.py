@@ -470,6 +470,7 @@ class FreeDgFc:
         n = loop.arity()
         walk = path_vertices(self.graph, loop.inputs)
         ins = loop.inputs.edges
+        splits = decompose(beta)
         terms: dict[CompTree, Scalar] = {}
         for r in range(n + 1):
             for s in range(n - r + 1):
@@ -482,7 +483,7 @@ class FreeDgFc:
                                           loop.inputs.source,
                                           loop.inputs.target)
                     outer_loop = ProfileLoop(outer_path, loop.output)
-                    for b1, b2 in decompose(beta):
+                    for b1, b2 in splits:
                         outer = self._lookup(outer_loop, b1)
                         if outer is None:
                             continue

@@ -334,6 +334,8 @@ def freedg_from_doc(doc: dict) -> tuple[FreeDgFc,
         rules = {}
         for rule in field(doc, "rules", "array", []):
             gen = generator_from_doc(fc, field(rule, "generator", "object"))
+            if gen in rules:
+                raise SerdeError(f"duplicate rule for {gen.name}")
             rules[gen] = _rule_from_doc(fc, gen,
                                         field(rule, "terms", "array"))
         fc = FreeDgFc(g, labeling, preset="custom", custom_rules=rules)

@@ -166,7 +166,7 @@ def ref_ainf_residue(dims, degs, d_of, maps, n):
                     inner_vec = dict(d_of.get(args[r], {}))
                 else:
                     inner_vec = apply_m(s, args[r:r + s])
-                sign = (-1) ** sum(degs[a] for a in args[:r])
+                sign = -1 if sum(degs[a] for a in args[:r]) % 2 else 1
                 outer_arity = r + 1 + t
                 for mid, cmid in inner_vec.items():
                     if outer_arity == 1:
@@ -180,6 +180,55 @@ def ref_ainf_residue(dims, degs, d_of, maps, n):
         if total:
             residues[args] = total
     return residues
+
+
+def ref_direct_residues(fc, A, loop, beta):
+    """The relation sum over one boundary index, by scanning every input
+    basis tuple against every (r, s, bridge) block and label split.
+
+    Reads only the plain data of a free dg structure ``fc`` (its graph's
+    edges), of an assignment ``A`` (complexes and raw map tables) and of
+    a profile-loop and label; the identity-shaped index is the edge's
+    internal differential.  Returns the nonzero residues as (input tuple,
+    vector) pairs, input tuples in basis order, slot by slot.
+    """
+    tables = {(gen.profile.inputs.edges, gen.profile.output,
+               gen.label.coords): xi.table
+              for gen, xi in A.assignment.items()}
+
+    def apply(word, out_edge, coords, args):
+        if word == (out_edge,) and not any(coords):
+            return A.X.complex(out_edge).d.get(args[0], {})
+        return tables.get((word, out_edge, coords), {}).get(args, {})
+
+    ends = {e.id: e.tgt for e in fc.graph.edges}
+    word = loop.inputs.edges
+    n = len(word)
+    walk = [loop.inputs.source] + [ends[e] for e in word]
+    cxs = [A.X.complex(e) for e in word]
+    out = []
+    for args in product(*[[x for x, _ in cx.basis.elements] for cx in cxs]):
+        total = {}
+        for r in range(n + 1):
+            sign = -1 if sum(cx.degree(x)
+                             for cx, x in zip(cxs, args[:r])) % 2 else 1
+            for s in range(n - r + 1):
+                for bridge in fc.graph.edges:
+                    if bridge.src != walk[r] or bridge.tgt != walk[r + s]:
+                        continue
+                    outer_word = word[:r] + (bridge.id,) + word[r + s:]
+                    for b1, b2 in ref_decompose(beta.coords):
+                        inner = apply(word[r:r + s], bridge.id, b2,
+                                      args[r:r + s])
+                        for mid, cm in inner.items():
+                            outer = apply(outer_word, loop.output, b1,
+                                          args[:r] + (mid,) + args[r + s:])
+                            for y, cy in outer.items():
+                                total[y] = total.get(y, 0) + sign * cm * cy
+        total = {y: c for y, c in total.items() if c != 0}
+        if total:
+            out.append((args, total))
+    return out
 
 
 def ref_ainf_delta_terms(n):

@@ -2,12 +2,15 @@ import itertools
 
 import pytest
 
-from fcmc.graphs import EdgePath, ProfileLoop, make_graph
+from fcmc.graphs import (EdgePath, ProfileLoop, enumerate_profile_loops,
+                         make_graph)
 from fcmc.labels import LabelMonoid, TRIVIAL_MONOID, label
 from fcmc.freedg import (
     build_Ainf_bimodule,
     build_Ainf_category,
     build_Ainf_operad,
+    build_module_preset,
+    build_rmodule_preset,
     compose_cells,
     generator_cell,
     graft,
@@ -25,6 +28,11 @@ from fcmc.algebra import (
     AlgebraError,
     RelationFailure,
     RelationReport,
+    _direct_entries,
+    _direct_residues,
+    _direct_tables,
+    _residue_witness,
+    _run_direct,
     algebra_residue,
     check_algebra,
     check_ainfty_direct,
@@ -37,7 +45,7 @@ from fcmc.algebra import (
     random_endx,
     route_disagreement,
 )
-from oracles import ref_ainf_residue
+from oracles import ref_ainf_residue, ref_direct_residues
 
 
 def dual_numbers():
@@ -396,6 +404,69 @@ def test_generic_residue_matches_external_reference():
                                              for y, c in vec.items()}
                 for key, vec in mine.table.items()}
             assert mine_idx == ref
+
+
+DIRECT_PRESETS = {
+    "ainf": lambda m, red: build_Ainf_operad(m, red),
+    "category": lambda m, red: build_Ainf_category(["x", "y"], m, red),
+    "bimodule": lambda m, red: build_Ainf_bimodule(m, red),
+    "left-module": lambda m, red: build_module_preset(["x"], "left", m, red),
+    "right-module": lambda m, red: build_module_preset(["x"], "right", m,
+                                                       red),
+    "rmodule": lambda m, red: build_rmodule_preset(["x", "y"],
+                                                   [["x"], ["y"]], m, red),
+}
+
+
+@pytest.mark.parametrize("reduced", [True, False],
+                         ids=["reduced", "curved"])
+@pytest.mark.parametrize("preset", sorted(DIRECT_PRESETS))
+def test_direct_residues_match_dense_reference(preset, reduced):
+    # the sparse walk must return the dense scan's full ordered residue
+    # list on every (profile-loop, label), and _run_direct must report the
+    # first residue of each failing pair as its witness
+    monoids = [LabelMonoid(1, 1)]
+    if preset == "ainf":
+        monoids.append(LabelMonoid(2, 1))
+    nonzero = 0
+    for monoid in monoids:
+        fc = DIRECT_PRESETS[preset](monoid, reduced)
+        for seed in range(6):
+            X = random_endx(fc.graph, seed, max_dim=2, degree_range=(-1, 2))
+            A = random_assignment(fc, X, seed + 100, 3, density=0.6)
+            tables = _direct_tables(A)
+            expected = []
+            for loop in enumerate_profile_loops(fc.graph, 3):
+                for beta in fc.monoid.elements():
+                    ref = ref_direct_residues(fc, A, loop, beta)
+                    assert _direct_residues(fc, A, tables, loop, beta) == \
+                        ref, (preset, reduced, monoid, seed, loop, beta)
+                    if ref:
+                        expected.append((loop.arity(), str(beta),
+                                         _residue_witness(*ref[0])))
+            rep = _run_direct(fc, A, "direct", 3, None)
+            assert [(f.arity, f.label, f.witness)
+                    for f in rep.failures] == expected
+            nonzero += len(expected)
+    assert nonzero > 0  # the population must exercise nonzero residues
+
+
+def _names(code):
+    """Every global or attribute name a code object and its nested code
+    objects (comprehensions, lambdas) refer to."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names(const)
+    return names
+
+
+def test_direct_route_shares_no_code_with_generic_route():
+    generic = {"hat_d", "compose_end", "delta_generator", "evaluate_alpha",
+               "algebra_residue", "_evaluate_tree"}
+    for fn in (_direct_residues, _direct_entries, _direct_tables,
+               _run_direct):
+        assert not _names(fn.__code__) & generic, fn.__name__
 
 
 def test_curved_preset_notes():

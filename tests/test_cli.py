@@ -474,6 +474,10 @@ MALFORMED = [
     ("graph-check", "integer-ids", lambda: _graph_doc_with_ids(1, 2)),
     ("fc-audit", "reduced-string",
      _edit(_labeled_doc, lambda d: d.update(reduced="false"))),
+    # a second rule for one generator would silently replace the first
+    ("free-d2", "duplicate-rule",
+     _edit(_custom_rules_doc, lambda d: d["rules"].append(
+         dict(d["rules"][0], terms=[])))),
 ]
 
 
@@ -484,6 +488,8 @@ def test_malformed_document_exits_2(tmp_path, command, make_doc):
     path = write(tmp_path, "bad.json", make_doc())
     src = os.path.dirname(os.path.dirname(fcmc.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    if command == "free-d2":  # free-d2 reads a document as a preset
+        path = f"generalized:{path}"
     proc = subprocess.run([sys.executable, "-m", "fcmc.cli", command, path],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2, proc.stderr
