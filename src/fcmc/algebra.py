@@ -344,12 +344,16 @@ def check_bimodule_direct(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
 
 
 def direct_checker_for(fc: FreeDgFc):
-    """The matching direct route for a preset, if one exists."""
-    return {
+    """The matching direct route for a preset; AlgebraError if the preset
+    has none."""
+    checker = {
         "ainf": check_ainfty_direct,
         "category": check_category_direct,
         "bimodule": check_bimodule_direct,
     }.get(fc.preset)
+    if checker is None:
+        raise AlgebraError(f"no direct checker for preset {fc.preset!r}")
+    return checker
 
 
 def _failing_pairs(rep: RelationReport) -> set[tuple[str, str]]:
@@ -378,11 +382,8 @@ def check_both_routes(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
                       ) -> tuple[RelationReport, RelationReport, bool]:
     """Run generic and direct checkers; they agree when they fail on the
     same (profile-loop, label) pairs."""
-    generic = check_algebra(fc, A, arity_bound, label_bound)
     direct_fn = direct_checker_for(fc)
-    if direct_fn is None:
-        raise AlgebraError(
-            f"no direct checker for preset {fc.preset!r}")
+    generic = check_algebra(fc, A, arity_bound, label_bound)
     direct = direct_fn(fc, A, arity_bound, label_bound)
     return generic, direct, route_disagreement(generic, direct) is None
 

@@ -520,45 +520,36 @@ class FreeDgFc:
     def _delta_tree(self, t: CompTree) -> list[tuple[CompTree, Scalar]]:
         """The signed terms of delta on one tree, nodes in pre-order.
 
-        First the root's rule terms, expanded onto its children; then the
-        terms of each subtree, rebuilt under the root with the sign
-        (-1)^(degree of the root and of the subtrees left of it).  The
+        ``left[p]`` is the parity of the degrees of the subtrees among the
+        first p children, walked once.  First the root's rule terms: the
+        outer node keeps the children, the inner node at child position q
+        takes the next s of them and moves past the first q, with sign
+        (-1)^left[q].  Then the terms of each subtree, rebuilt under the
+        root with the sign (-1)^(degree of the root + left[pos]).  The
         signs multiply out to (-1)^(degree sum before the replaced node).
         """
         kids = t.children
+        left = [0]
+        for c in kids:
+            left.append((left[-1] + tree_degree(c)) % 2
+                        if isinstance(c, CompTree) else left[-1])
         out = []
         for rt, rc in self.delta_generator(t.gen).terms:
-            expanded, sign = _expand_node(rt, kids)
-            out.append((expanded, sign * rc))
-        before = t.gen.degree
+            q = inner_position(rt)
+            inner = rt.children[q]
+            s = len(inner.children)
+            outer_kids = (kids[:q] + (CompTree(inner.gen, kids[q:q + s]),)
+                          + kids[q + s:])
+            out.append((CompTree(rt.gen, outer_kids), -rc if left[q] else rc))
         for pos, c in enumerate(kids):
             if not isinstance(c, CompTree):
                 continue
-            sign = 1 if (before % 2 == 0 or self.sign_fault) else -1
+            odd = (t.gen.degree + left[pos]) % 2 and not self.sign_fault
+            sign = -1 if odd else 1
             for sub, x in self._delta_tree(c):
                 out.append((CompTree(t.gen, kids[:pos] + (sub,)
                                      + kids[pos + 1:]), sign * x))
-            before += tree_degree(c)
         return out
-
-
-def _expand_node(rule_tree: CompTree,
-                 children: tuple[Child, ...]) -> tuple[CompTree, int]:
-    """Attach a node's children to its two-node expansion, with the sign.
-
-    ``rule_tree`` is outer with a single inner subtree at child position
-    q; the inner node moves past the children attached left of that slot,
-    giving (-1)^(their degree sum).
-    """
-    q = inner_position(rule_tree)
-    inner = rule_tree.children[q]
-    s = len(inner.children)
-    outer_kids = (children[:q] + (CompTree(inner.gen, children[q:q + s]),)
-                  + children[q + s:])
-    passed = sum(tree_degree(c) for c in children[:q]
-                 if isinstance(c, CompTree))
-    sign = -1 if passed % 2 else 1
-    return CompTree(rule_tree.gen, outer_kids), sign
 
 
 def compose_cells(fc: FreeDgFc, c1: FreeCell, i: int,

@@ -441,8 +441,9 @@ def algebra_job_to_doc(fc: FreeDgFc, A: AlgebraData) -> dict:
 
 def algebra_job_from_doc(doc: dict) -> tuple[FreeDgFc, AlgebraData]:
     check_version(doc)
-    fc, _ = freedg_from_doc(dict(doc, differential=doc.get(
-        "preset", doc.get("differential", "generalized"))))
+    preset = field(doc, "preset", "string",
+                   doc.get("differential", "generalized"))
+    fc, _ = freedg_from_doc(dict(doc, differential=preset))
     complexes = {e: complex_from_doc(cd)
                  for e, cd in field(doc, "complexes", "object").items()}
     X = EndX(fc.graph, complexes)

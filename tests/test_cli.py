@@ -19,8 +19,11 @@ from fcmc.serde import (
     loads_doc,
     parse_report_set,
 )
-from fcmc.algebra import lift_dga
-from fcmc.freedg import FreeDgFc, build_Ainf_bimodule, build_Ainf_operad
+from fcmc.algebra import AlgebraData, AlgebraError, direct_checker_for, \
+    lift_dga
+from fcmc.chain import EndX, make_complex
+from fcmc.freedg import FreeDgFc, build_Ainf_bimodule, build_Ainf_operad, \
+    build_module_preset
 from fcmc.labels import TRIVIAL_MONOID, LabelMonoid
 
 BIMOD_GRAPH = {"vertices": ["v0", "v1"],
@@ -62,29 +65,11 @@ def run(capsys, argv):
 
 
 def test_default_bounds_printed(capsys, monkeypatch):
-    monkeypatch.delenv("FCMC_BOUNDS", raising=False)
+    # bounds come from the flags alone; the environment is not read
+    monkeypatch.setenv("FCMC_BOUNDS", "arity=3,path-len=2")
     code, out, _ = run(capsys, ["free-d2", "ainf"])
     assert code == 0
     assert "arity <= 5, label sum <= 2, path length <= 4" in out
-
-
-def test_env_var_overrides_defaults(capsys, monkeypatch):
-    monkeypatch.setenv("FCMC_BOUNDS", "arity=3, path-len=2")
-    code, out, _ = run(capsys, ["free-d2", "ainf"])
-    assert code == 0
-    assert "arity <= 3" in out and "path length <= 2" in out
-
-
-def test_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("FCMC_BOUNDS", "arity=3")
-    code, out, _ = run(capsys, ["free-d2", "ainf", "--arity", "6"])
-    assert "arity <= 6" in out
-
-
-def test_bad_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("FCMC_BOUNDS", "bogus=1")
-    code, _, err = run(capsys, ["free-d2", "ainf"])
-    assert code == 2 and "bogus" in err
 
 
 def test_nonpositive_bound_rejected(capsys):
@@ -97,8 +82,7 @@ def test_nonpositive_bound_rejected(capsys):
     (["--arity", "0"], "error: bound arity must be >= 1, got 0\n"),
     (["--path-len", "0"], "error: bound path_len must be >= 1, got 0\n"),
 ])
-def test_bound_error_names_the_minimum(capsys, monkeypatch, flags, message):
-    monkeypatch.delenv("FCMC_BOUNDS", raising=False)
+def test_bound_error_names_the_minimum(capsys, flags, message):
     code, _, err = run(capsys, ["free-d2", "ainf", *flags])
     assert (code, err) == (2, message)
 
@@ -342,6 +326,24 @@ def test_algebra_check_direct_unavailable(capsys, tmp_path):
     code, _, err = run(capsys, ["algebra-check", path, "--route", "direct"])
     assert code == 2
     assert "direct" in err
+    # one message for a missing direct route, whichever route asks for it
+    fc = build_module_preset(["o1"], "left", TRIVIAL_MONOID)
+    cx = make_complex([("x", 0)], {})
+    doc = algebra_job_to_doc(fc, AlgebraData(
+        EndX(fc.graph, {e.id: cx for e in fc.graph.edges}), {}))
+    assert doc["preset"] == "left-module"
+    path = write(tmp_path, "m.json", doc)
+    for route in ("direct", "both"):
+        code, _, err = run(capsys, ["algebra-check", path, "--route", route])
+        assert (code, err) == (
+            2, "error: no direct checker for preset 'left-module'\n")
+    base = build_Ainf_operad(TRIVIAL_MONOID)
+    for preset in ("left-module", "right-module", "rmodule", "generalized",
+                   "custom"):
+        with pytest.raises(AlgebraError,
+                           match=f"no direct checker for preset '{preset}'"):
+            direct_checker_for(FreeDgFc(base.graph, base.labeling,
+                                        preset=preset))
 
 
 def test_algebra_check_bad_assignment_profile(capsys, tmp_path):
@@ -446,6 +448,8 @@ MALFORMED = [
      _edit(dual_doc, lambda d: d["assignment"][0].update(label=["a"]))),
     ("algebra-check", "complexes-not-object",
      _edit(dual_doc, lambda d: d.update(complexes=[]))),
+    ("algebra-check", "preset-not-string",
+     _edit(dual_doc, lambda d: d.update(preset=5))),
     ("fc-audit", "unit-names-unknown-cell",
      _edit(_table_doc, lambda d: d.update(units={"e": "nowhere"}))),
     ("fc-audit", "result-names-unknown-cell",
@@ -481,10 +485,14 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("command, make_doc",
-                         [pytest.param(c, m, id=f"{c}-{n}")
+# the field an error message must name, where that is pinned
+NAMED_FIELD = {"preset-not-string": "field 'preset'"}
+
+
+@pytest.mark.parametrize("command, name, make_doc",
+                         [pytest.param(c, n, m, id=f"{c}-{n}")
                           for c, n, m in MALFORMED])
-def test_malformed_document_exits_2(tmp_path, command, make_doc):
+def test_malformed_document_exits_2(tmp_path, command, name, make_doc):
     path = write(tmp_path, "bad.json", make_doc())
     src = os.path.dirname(os.path.dirname(fcmc.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -495,6 +503,7 @@ def test_malformed_document_exits_2(tmp_path, command, make_doc):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+    assert NAMED_FIELD.get(name, "") in proc.stderr
 
 
 # ------------------------------------------------------- output discipline
