@@ -8,7 +8,7 @@ are closed under "a composite landed inside, so both factors must be".
 
 from fcmc import (
     FullSub,
-    ProfileLoopInstance,
+    LoopInstance,
     build_bimodule_graph,
     build_pair_graph,
     build_partition_subgraph,
@@ -49,7 +49,7 @@ print("  witness: inputs", viol.inputs.edges or "(empty)",
       "at", viol.inputs.source, "with outside output", viol.output)
 
 # Endpoint-closed subgraphs give factor-closed full sub-instances.
-inst = ProfileLoopInstance(g, 3)
+inst = LoopInstance(g, 3)
 for name, s in [("{e0,e1}", sub), ("{e01,e1}", sub2)]:
     rep = is_factor_closed(inst, FullSub(inst, s), 3)
     print(f"full sub over {name}: {rep.summary()}")

@@ -6,8 +6,9 @@ The package splits into six layers, each usable on its own:
   endpoint-closed subgraphs, and the preset graph constructions.
 * :mod:`fcmc.labels`   — additive monoid labels with truncation and the
   label fibers of the free constructions.
-* :mod:`fcmc.multicat` — finite fc-multicategory instances (profile-loop,
-  labeled, hand-built tables), their axioms, and factor-closedness.
+* :mod:`fcmc.multicat` — finite fc-multicategory instances (loop
+  instances, unlabeled or labeled, and hand-built tables), their axioms,
+  and factor-closedness.
 * :mod:`fcmc.freedg`   — free differential graded structures: planar-tree
   cells, the splitting differential, and the A-infinity presets.
 * :mod:`fcmc.chain`    — finite cochain complexes and the differential
@@ -63,9 +64,8 @@ from .multicat import (
     FactorReport,
     FcInstance,
     FullSub,
-    LabeledInstance,
+    LoopInstance,
     OutOfBound,
-    ProfileLoopInstance,
     TableInstance,
     TwoCell,
     check_axioms,

@@ -20,6 +20,7 @@ presets; every other preset needs ``--route generic``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -118,7 +119,7 @@ def _read_doc(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
     try:
         return serde.loads_doc(text)
@@ -280,6 +281,7 @@ def _bound_flags(p: argparse.ArgumentParser) -> None:
                    "parser")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fcmc",

@@ -41,6 +41,7 @@ from .graphs import (
     build_pair_graph,
     build_partition_subgraph,
     enumerate_profile_loops,
+    identity_loop,
     make_graph,
     path_vertices,
 )
@@ -112,15 +113,11 @@ class CompTree:
         return self._hash
 
 
-def unit_spec(g: DirectedGraph, eid: str) -> GeneratorSpec:
-    e = g.edge(eid)
-    loop = ProfileLoop(EdgePath((eid,), e.src, e.tgt), eid)
-    zero = MonoidElem((0,))
-    return GeneratorSpec(f"1[{eid}]", loop, zero, degree=0)
-
-
-def unit_tree(g: DirectedGraph, eid: str) -> CompTree:
-    return CompTree(unit_spec(g, eid), (eid,))
+def unit_tree(g: DirectedGraph, eid: str, zero: MonoidElem) -> CompTree:
+    """The unit over an edge: a degree-0 spec over its identity loop,
+    labeled by the structure's zero."""
+    unit = GeneratorSpec(f"1[{eid}]", identity_loop(g, eid), zero, degree=0)
+    return CompTree(unit, (eid,))
 
 
 def leaf_of(gen: GeneratorSpec) -> CompTree:
@@ -447,9 +444,9 @@ class FreeDgFc:
         return out
 
     def unit_cell(self, eid: str) -> FreeCell:
-        t = unit_tree(self.graph, eid)
-        return free_cell(t.gen.profile, self.monoid.zero(), 0,
-                         {t: 1}, validate=False)
+        t = unit_tree(self.graph, eid, self.monoid.zero())
+        return free_cell(t.gen.profile, t.gen.label, 0, {t: 1},
+                         validate=False)
 
     # ---------------------------------------------------------- differential
 

@@ -253,6 +253,13 @@ def profile_loop(g: DirectedGraph, edge_ids: Sequence[str], output: str,
     return ProfileLoop(p, output)
 
 
+def identity_loop(g: DirectedGraph, eid: str) -> ProfileLoop:
+    """The profile-loop of a unit: the edge's one-edge path, closed by
+    itself."""
+    e = g.edge(eid)
+    return ProfileLoop(EdgePath((eid,), e.src, e.tgt), eid)
+
+
 def enumerate_profile_loops(g: DirectedGraph, max_len: int) -> list[ProfileLoop]:
     """All profile-loops with input length <= max_len, in a stable order."""
     by_ends: dict[tuple[str, str], list[str]] = {}

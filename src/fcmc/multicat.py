@@ -5,17 +5,16 @@ produces the output edge.  Partial composition substitutes one cell's
 inputs into a slot of another; simultaneous composition (gamma) fills
 every slot at once and must not depend on the insertion order.
 
-Three concrete instance families are provided:
+Two concrete instance families are provided:
 
-* profile-loop instances — one cell per profile-loop, composition is path
-  substitution itself;
-* labeled instances — cells are (profile-loop, monoid label) pairs,
-  composition adds labels;
+* loop instances — one cell per profile-loop, or, given a labeling, one
+  per (profile-loop, monoid label) pair; composition is path substitution
+  itself and adds labels;
 * table instances — hand-built finite cell sets with explicit composition
   tables, used for audits and fault injection.
 
-Free-like instances are infinite, so every instance carries an input
-length bound (and the labeled ones a truncation); a composition that
+Free-like instances are infinite, so every loop instance carries an input
+length bound (and a labeled one its truncation); a composition that
 leaves the bounds returns a typed :class:`OutOfBound` instead of raising.
 """
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .graphs import (
     GraphError,
     ProfileLoop,
     enumerate_profile_loops,
+    identity_loop,
     is_profile_loop,
     is_subgraph,
 )
@@ -134,84 +134,57 @@ def gamma(fc: FcInstance, u: TwoCell, inners: Sequence[TwoCell],
     return acc
 
 
-class ProfileLoopInstance(FcInstance):
-    """One cell per profile-loop; composition is path substitution."""
+class LoopInstance(FcInstance):
+    """One cell per profile-loop, or per (profile-loop, fiber label) pair
+    when a labeling is given; composition is path substitution, and adds
+    labels."""
 
-    def __init__(self, graph: DirectedGraph, max_len: int):
+    def __init__(self, graph: DirectedGraph, max_len: int,
+                 labeling: Optional[LabelingFc] = None):
+        if labeling is not None and labeling.graph != graph:
+            raise GraphError("labeling is over a different graph")
         self.graph = graph
         self.max_len = max_len
-        self._cells: Optional[list[TwoCell]] = None
-
-    def _cell(self, loop: ProfileLoop) -> TwoCell:
-        return TwoCell(loop_token(loop), loop, None)
-
-    def cells(self) -> list[TwoCell]:
-        if self._cells is None:
-            self._cells = [self._cell(l) for l in
-                           enumerate_profile_loops(self.graph, self.max_len)]
-        return self._cells
-
-    def contains(self, cell: TwoCell) -> bool:
-        return (cell.label is None
-                and cell.arity() <= self.max_len
-                and is_profile_loop(self.graph, cell.profile.inputs,
-                                    cell.profile.output)
-                and cell.id == loop_token(cell.profile))
-
-    def unit(self, eid: str) -> TwoCell:
-        e = self.graph.edge(eid)
-        loop = ProfileLoop(EdgePath((eid,), e.src, e.tgt), eid)
-        return self._cell(loop)
-
-    def compose(self, u: TwoCell, i: int, v: TwoCell) -> ComposeResult:
-        check_slot(u.profile, i, v.profile)
-        profile = substituted_profile(u.profile, i, v.profile)
-        if profile.arity() > self.max_len:
-            return OutOfBound(
-                f"input length {profile.arity()} exceeds bound {self.max_len}")
-        return self._cell(profile)
-
-
-class LabeledInstance(FcInstance):
-    """Cells are (profile-loop, label) pairs; composition adds labels."""
-
-    def __init__(self, labeling: LabelingFc, max_len: int):
         self.labeling = labeling
-        self.graph = labeling.graph
-        self.max_len = max_len
         self._cells: Optional[list[TwoCell]] = None
 
-    def _cell(self, loop: ProfileLoop, beta: MonoidElem) -> TwoCell:
+    def _cell(self, loop: ProfileLoop, beta: Optional[MonoidElem]) -> TwoCell:
         return TwoCell(cell_token(loop, beta), loop, beta)
 
     def cells(self) -> list[TwoCell]:
         if self._cells is None:
             out = []
             for loop in enumerate_profile_loops(self.graph, self.max_len):
-                for beta in fiber(self.labeling, loop):
-                    out.append(self._cell(loop, beta))
+                labels = ((None,) if self.labeling is None
+                          else fiber(self.labeling, loop))
+                out.extend(self._cell(loop, beta) for beta in labels)
             self._cells = out
         return self._cells
 
     def contains(self, cell: TwoCell) -> bool:
-        return (cell.label is not None
-                and cell.arity() <= self.max_len
-                and in_fiber(self.labeling, cell.profile, cell.label)
-                and cell.id == cell_token(cell.profile, cell.label))
+        if ((cell.label is None) != (self.labeling is None)
+                or cell.arity() > self.max_len):
+            return False
+        if self.labeling is None:
+            member = is_profile_loop(self.graph, cell.profile.inputs,
+                                     cell.profile.output)
+        else:
+            member = in_fiber(self.labeling, cell.profile, cell.label)
+        return member and cell.id == cell_token(cell.profile, cell.label)
 
     def unit(self, eid: str) -> TwoCell:
-        e = self.graph.edge(eid)
-        loop = ProfileLoop(EdgePath((eid,), e.src, e.tgt), eid)
-        return self._cell(loop, self.labeling.monoid.zero())
+        zero = None if self.labeling is None else self.labeling.monoid.zero()
+        return self._cell(identity_loop(self.graph, eid), zero)
 
     def compose(self, u: TwoCell, i: int, v: TwoCell) -> ComposeResult:
         check_slot(u.profile, i, v.profile)
-        assert u.label is not None and v.label is not None
-        beta = add(u.label, v.label)
-        if beta.total() > self.labeling.monoid.truncation:
-            return OutOfBound(
-                f"label {beta} exceeds truncation "
-                f"{self.labeling.monoid.truncation}")
+        beta = None
+        if self.labeling is not None:
+            beta = add(u.label, v.label)
+            if beta.total() > self.labeling.monoid.truncation:
+                return OutOfBound(
+                    f"label {beta} exceeds truncation "
+                    f"{self.labeling.monoid.truncation}")
         profile = substituted_profile(u.profile, i, v.profile)
         if profile.arity() > self.max_len:
             return OutOfBound(

@@ -28,8 +28,7 @@ from .multicat import (
     FactorReport,
     FcInstance,
     FullSub,
-    LabeledInstance,
-    ProfileLoopInstance,
+    LoopInstance,
     TableInstance,
     TwoCell,
 )
@@ -394,12 +393,12 @@ def instance_from_doc(doc: dict, path_len: int,
     g = graph_from_doc(field(doc, "graph", "object"))
     kind = field(doc, "instance", "string", "profile-loop")
     if kind == "profile-loop":
-        inst: FcInstance = ProfileLoopInstance(g, path_len)
+        inst: FcInstance = LoopInstance(g, path_len)
     elif kind == "labeled":
         monoid = monoid_from_doc(field(doc, "monoid", "object"))
         monoid = LabelMonoid(monoid.rank, monoid.cap(label_bound))
         reduced = field(doc, "reduced", "boolean", False)
-        inst = LabeledInstance(LabelingFc(g, monoid, reduced), path_len)
+        inst = LoopInstance(g, path_len, LabelingFc(g, monoid, reduced))
     elif kind == "table":
         cells = [cell_from_doc(g, cd) for cd in field(doc, "cells", "array")]
         units = {e: _typed(c, "string", "unit cell id")
@@ -432,7 +431,7 @@ def algebra_job_to_doc(fc: FreeDgFc, A: AlgebraData) -> dict:
     doc["preset"] = doc.pop("differential")
     doc["complexes"] = {eid: complex_to_doc(cx)
                         for eid, cx in sorted(A.X.complexes.items())}
-    doc["assignment"] = [dict(multimap_to_doc(xi),
+    doc["assignment"] = [dict(multimap_to_doc(xi), **loop_to_doc(gen.profile),
                               label=label_to_doc(gen.label))
                          for gen, xi in sorted(A.assignment.items(),
                                                key=lambda kv: kv[0].name)]

@@ -24,9 +24,8 @@ from fcmc.graphs import (
 from fcmc.labels import TRIVIAL_MONOID, LabelMonoid, LabelingFc
 from fcmc.multicat import (
     FullSub,
-    LabeledInstance,
+    LoopInstance,
     OutOfBound,
-    ProfileLoopInstance,
     check_axioms,
     is_factor_closed,
 )
@@ -324,7 +323,7 @@ def _oracle_violation(inst, sub):
 def test_acceptance_5_endpoint_closed_implies_factor_closed():
     closed = caught = vacuous = 0
     for g in graph_family():
-        inst = ProfileLoopInstance(g, 3)
+        inst = LoopInstance(g, 3)
         for sub in all_subgraphs(g):
             sub_v = {v.id for v in sub.vertices}
             sub_e = {e.id for e in sub.edges}
@@ -359,12 +358,12 @@ def test_acceptance_6_axiom_audit_exhaustive():
     monoid = LabelMonoid(1, 2)
     plain = labeled = 0
     for g in family:
-        rep = check_axioms(ProfileLoopInstance(g, 3), 3)
+        rep = check_axioms(LoopInstance(g, 3), 3)
         assert rep.ok, (g.edges, rep.summary())
         plain += rep.checked
     for g in family:
         rep = check_axioms(
-            LabeledInstance(LabelingFc(g, monoid, False), 3), 3)
+            LoopInstance(g, 3, LabelingFc(g, monoid, False)), 3)
         assert rep.ok, (g.edges, rep.summary())
         labeled += rep.checked
     _line(6, "unit/associativity/order-independence identities hold: "

@@ -506,6 +506,22 @@ def test_malformed_document_exits_2(tmp_path, command, name, make_doc):
     assert NAMED_FIELD.get(name, "") in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["free-d2", "graph-check", "fc-audit",
+                                     "algebra-check"])
+def test_non_utf8_document_exits_2(tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"a":1}')
+    target = f"generalized:{path}" if command == "free-d2" else str(path)
+    src = os.path.dirname(os.path.dirname(fcmc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "fcmc.cli", command, target],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not proc.stdout
+
+
 # ------------------------------------------------------- output discipline
 
 

@@ -153,6 +153,14 @@ def test_normalize_unit_laws():
     unit = fc.unit_cell("e")
     assert compose_cells(fc, g, 1, unit) == g
     assert compose_cells(fc, unit, 1, g) == g
+    # the unit's tree carries the structure's zero, of the monoid's rank
+    fc2 = build_Ainf_operad(LabelMonoid(rank=2, truncation=1))
+    unit = fc2.unit_cell("e")
+    assert unit.label == label(0, 0)
+    assert free_cell(unit.profile, unit.label, 0, dict(unit.terms)) == unit
+    g = generator_cell(m_gen(fc2, 2, label(1, 0)))
+    assert compose_cells(fc2, g, 2, unit) == g
+    assert compose_cells(fc2, unit, 1, g) == g
 
 
 def test_normalize_nested_parenthesizations_agree():
@@ -716,7 +724,7 @@ def test_sign_fault_breaks_square_zero():
 
 def test_unit_tree_composes_neutrally():
     fc = ainf()
-    u = unit_tree(fc.graph, "e")
+    u = unit_tree(fc.graph, "e", fc.monoid.zero())
     t = leaf_of(m_gen(fc, 2))
     assert graft(t, 1, u) == t
     assert graft(u, 1, t) == t

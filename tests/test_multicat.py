@@ -24,8 +24,8 @@ from fcmc.multicat import (
     TableInstance,
     TwoCell,
     FullSub,
-    LabeledInstance,
-    ProfileLoopInstance,
+    LoopInstance,
+    cell_token,
     check_axioms,
     gamma,
     is_factor_closed,
@@ -74,7 +74,7 @@ def table_from_instance(fc, bound):
 # ---------------------------------------------------------------- unit cells
 
 def test_identity_cell_profile_loop_instance():
-    fc = ProfileLoopInstance(single_loop(), 3)
+    fc = LoopInstance(single_loop(), 3)
     u = fc.unit("e")
     assert u.profile.inputs.edges == ("e",)
     assert u.profile.output == "e"
@@ -83,12 +83,12 @@ def test_identity_cell_profile_loop_instance():
 
 def test_identity_cell_labeled_is_zero():
     lfc = LabelingFc(single_loop(), LabelMonoid(1, 2), reduced=False)
-    fc = LabeledInstance(lfc, 3)
+    fc = LoopInstance(lfc.graph, 3, lfc)
     assert fc.unit("e").label == label(0)
 
 
 def test_identity_cell_missing_edge():
-    fc = ProfileLoopInstance(single_loop(), 3)
+    fc = LoopInstance(single_loop(), 3)
     with pytest.raises(GraphError):
         fc.unit("zz")
 
@@ -96,7 +96,7 @@ def test_identity_cell_missing_edge():
 # --------------------------------------------------------------- composition
 
 def test_compose_with_unit_is_identity():
-    fc = ProfileLoopInstance(build_bimodule_graph(), 4)
+    fc = LoopInstance(build_bimodule_graph(), 4)
     u = cell_of(fc, ["e0", "e01", "e1"], "e01")
     for i, eid in enumerate(u.profile.inputs.edges, start=1):
         assert fc.compose(u, i, fc.unit(eid)) == u
@@ -104,7 +104,7 @@ def test_compose_with_unit_is_identity():
 
 
 def test_compose_substitution_on_bimodule_graph():
-    fc = ProfileLoopInstance(build_bimodule_graph(), 5)
+    fc = LoopInstance(build_bimodule_graph(), 5)
     u = cell_of(fc, ["e0", "e01", "e1"], "e01")
     v = cell_of(fc, ["e0", "e01"], "e01")
     uv = fc.compose(u, 2, v)
@@ -113,7 +113,7 @@ def test_compose_substitution_on_bimodule_graph():
 
 
 def test_compose_empty_inner_removes_slot():
-    fc = ProfileLoopInstance(build_bimodule_graph(), 4)
+    fc = LoopInstance(build_bimodule_graph(), 4)
     u = cell_of(fc, ["e0", "e01"], "e01")
     empty = cell_of(fc, [], "e0")
     uv = fc.compose(u, 1, empty)
@@ -121,7 +121,7 @@ def test_compose_empty_inner_removes_slot():
 
 
 def test_compose_slot_mismatch():
-    fc = ProfileLoopInstance(build_bimodule_graph(), 4)
+    fc = LoopInstance(build_bimodule_graph(), 4)
     u = cell_of(fc, ["e0", "e01"], "e01")
     v = cell_of(fc, ["e1"], "e1")
     with pytest.raises(CompositionError):
@@ -131,7 +131,7 @@ def test_compose_slot_mismatch():
 
 
 def test_compose_out_of_bound_length():
-    fc = ProfileLoopInstance(single_loop(), 2)
+    fc = LoopInstance(single_loop(), 2)
     u = cell_of(fc, ["e", "e"], "e")
     r = fc.compose(u, 1, u)
     assert isinstance(r, OutOfBound)
@@ -140,7 +140,7 @@ def test_compose_out_of_bound_length():
 
 def test_labeled_composition_adds_labels():
     lfc = LabelingFc(single_loop(), LabelMonoid(1, 2), reduced=False)
-    fc = LabeledInstance(lfc, 3)
+    fc = LoopInstance(lfc.graph, 3, lfc)
     u = cell_of(fc, ["e"], "e", label(1))
     uv = fc.compose(u, 1, u)
     assert uv.label == label(2)
@@ -153,7 +153,7 @@ def test_labeled_composition_adds_labels():
 def test_labeled_fiber_example():
     g = build_bimodule_graph()
     lfc = LabelingFc(g, LabelMonoid(1, 1), reduced=False)
-    fc = LabeledInstance(lfc, 2)
+    fc = LoopInstance(lfc.graph, 2, lfc)
     over = [c.label for c in fc.cells()
             if c.profile == profile_loop(g, ["e0"], "e0")]
     assert set(over) == {label(0), label(1)}
@@ -161,7 +161,7 @@ def test_labeled_fiber_example():
 
 def test_label_additivity_everywhere():
     lfc = LabelingFc(build_bimodule_graph(), LabelMonoid(1, 2), reduced=False)
-    fc = LabeledInstance(lfc, 3)
+    fc = LoopInstance(lfc.graph, 3, lfc)
     cells = fc.cells()
     by_out = {}
     for c in cells:
@@ -182,14 +182,14 @@ def test_label_additivity_everywhere():
 # --------------------------------------------------------------------- gamma
 
 def test_gamma_of_units_is_identity():
-    fc = ProfileLoopInstance(build_bimodule_graph(), 4)
+    fc = LoopInstance(build_bimodule_graph(), 4)
     u = cell_of(fc, ["e0", "e01", "e1"], "e01")
     ids = [fc.unit(e) for e in u.profile.inputs.edges]
     assert gamma(fc, u, ids) == u
 
 
 def test_gamma_order_independence_exhaustive():
-    fc = ProfileLoopInstance(build_bimodule_graph(), 3)
+    fc = LoopInstance(build_bimodule_graph(), 3)
     cells = fc.cells()
     by_out = {}
     for c in cells:
@@ -212,7 +212,7 @@ def test_gamma_order_independence_exhaustive():
 
 def test_gamma_labeled_additivity():
     lfc = LabelingFc(single_loop(), LabelMonoid(1, 3), reduced=False)
-    fc = LabeledInstance(lfc, 4)
+    fc = LoopInstance(lfc.graph, 4, lfc)
     u = cell_of(fc, ["e", "e"], "e", label(1))
     inners = [cell_of(fc, ["e"], "e", label(1)),
               cell_of(fc, [], "e", label(1))]
@@ -222,7 +222,7 @@ def test_gamma_labeled_additivity():
 
 
 def test_gamma_validation():
-    fc = ProfileLoopInstance(build_bimodule_graph(), 4)
+    fc = LoopInstance(build_bimodule_graph(), 4)
     u = cell_of(fc, ["e0", "e01"], "e01")
     good = [cell_of(fc, [], "e0"), fc.unit("e01")]
     with pytest.raises(CompositionError):
@@ -237,25 +237,25 @@ def test_check_axioms_profile_loop_instances():
     for g in (single_loop(),
               build_bimodule_graph(),
               make_graph(["v"], [("a", "v", "v"), ("b", "v", "v")])):
-        report = check_axioms(ProfileLoopInstance(g, 3), 3)
+        report = check_axioms(LoopInstance(g, 3), 3)
         assert report.ok, report.summary()
         assert report.checked > 0
 
 
 def test_check_axioms_labeled_instance():
     lfc = LabelingFc(build_bimodule_graph(), LabelMonoid(1, 2), reduced=False)
-    report = check_axioms(LabeledInstance(lfc, 3), 3)
+    report = check_axioms(LoopInstance(lfc.graph, 3, lfc), 3)
     assert report.ok, report.summary()
 
 
 def test_check_axioms_reduced_labeling():
     lfc = LabelingFc(single_loop(), LabelMonoid(1, 2), reduced=True)
-    report = check_axioms(LabeledInstance(lfc, 3), 3)
+    report = check_axioms(LoopInstance(lfc.graph, 3, lfc), 3)
     assert report.ok, report.summary()
 
 
 def test_check_axioms_corrupted_table():
-    fc = ProfileLoopInstance(single_loop(), 3)
+    fc = LoopInstance(single_loop(), 3)
     table = table_from_instance(fc, 3)
     # redirect one unit composition to a wrong cell
     u = cell_of(fc, ["e", "e"], "e")
@@ -268,7 +268,7 @@ def test_check_axioms_corrupted_table():
 
 
 def test_table_instance_materialization_passes():
-    fc = ProfileLoopInstance(build_bimodule_graph(), 3)
+    fc = LoopInstance(build_bimodule_graph(), 3)
     report = check_axioms(table_from_instance(fc, 3), 3)
     assert report.ok, report.summary()
 
@@ -305,14 +305,14 @@ def test_table_instance_validation():
 # ------------------------------------------------- full subs, factor-closure
 
 def test_full_sub_on_whole_graph_is_same():
-    fc = ProfileLoopInstance(build_bimodule_graph(), 3)
+    fc = LoopInstance(build_bimodule_graph(), 3)
     sub = FullSub(fc, fc.graph)
     assert set(c.id for c in sub.cells()) == set(c.id for c in fc.cells())
 
 
 def test_full_sub_restricts_words():
     g = build_pair_graph(["a", "b"])
-    fc = ProfileLoopInstance(g, 3)
+    fc = LoopInstance(g, 3)
     part = build_partition_subgraph(["a", "b"], [["a"], ["b"]])
     sub = FullSub(fc, part)
     for c in sub.cells():
@@ -323,7 +323,7 @@ def test_full_sub_restricts_words():
 
 def test_factor_closed_on_endpoint_closed_sub():
     g = build_pair_graph(["a", "b"])
-    fc = ProfileLoopInstance(g, 3)
+    fc = LoopInstance(g, 3)
     part = build_partition_subgraph(["a", "b"], [["a"], ["b"]])
     report = is_factor_closed(fc, FullSub(fc, part), 3)
     assert report.ok
@@ -332,7 +332,7 @@ def test_factor_closed_on_endpoint_closed_sub():
 
 def test_factor_closed_fails_without_endpoint_closure():
     g = build_pair_graph(["a", "b"])
-    fc = ProfileLoopInstance(g, 3)
+    fc = LoopInstance(g, 3)
     open_sub = subgraph(g, ["a", "b"], ["a->b"])
     report = is_factor_closed(fc, FullSub(fc, open_sub), 3)
     assert not report.ok
@@ -344,7 +344,7 @@ def test_factor_closed_fails_without_endpoint_closure():
 
 
 def test_factor_closed_whole_instance():
-    fc = ProfileLoopInstance(build_bimodule_graph(), 3)
+    fc = LoopInstance(build_bimodule_graph(), 3)
     report = is_factor_closed(fc, fc, 3)
     assert report.ok
 
@@ -352,8 +352,8 @@ def test_factor_closed_whole_instance():
 def test_factor_closed_rejects_foreign_sub():
     g = build_pair_graph(["a", "b"])
     h = build_pair_graph(["a", "c"])
-    fc = ProfileLoopInstance(g, 2)
-    other = ProfileLoopInstance(h, 2)
+    fc = LoopInstance(g, 2)
+    other = LoopInstance(h, 2)
     with pytest.raises(GraphError):
         is_factor_closed(fc, other, 2)
 
@@ -463,20 +463,42 @@ def _two_loops():
     return make_graph(["v"], [("a", "v", "v"), ("b", "v", "v")])
 
 
-@pytest.mark.parametrize("make_fc", [
-    lambda: ProfileLoopInstance(single_loop(), 3),
-    lambda: ProfileLoopInstance(_two_loops(), 3),
-    lambda: ProfileLoopInstance(build_bimodule_graph(), 3),
-    lambda: ProfileLoopInstance(build_pair_graph(["a", "b"]), 3),
-    lambda: LabeledInstance(
-        LabelingFc(single_loop(), LabelMonoid(1, 2), reduced=False), 3),
-    lambda: LabeledInstance(
-        LabelingFc(single_loop(), LabelMonoid(1, 2), reduced=True), 3),
-    lambda: LabeledInstance(
-        LabelingFc(build_bimodule_graph(), LabelMonoid(1, 1),
-                   reduced=False), 3),
+def _labeled(g, truncation, reduced):
+    return LoopInstance(g, 3, LabelingFc(g, LabelMonoid(1, truncation),
+                                         reduced))
+
+
+LOOP_INSTANCES = pytest.mark.parametrize("make_fc", [
+    lambda: LoopInstance(single_loop(), 3),
+    lambda: LoopInstance(_two_loops(), 3),
+    lambda: LoopInstance(build_bimodule_graph(), 3),
+    lambda: LoopInstance(build_pair_graph(["a", "b"]), 3),
+    lambda: _labeled(single_loop(), 2, reduced=False),
+    lambda: _labeled(single_loop(), 2, reduced=True),
+    lambda: _labeled(build_bimodule_graph(), 1, reduced=False),
 ], ids=["loop", "two-loops", "bimodule", "pair", "labeled-loop",
         "labeled-loop-reduced", "labeled-bimodule"])
+
+
+@LOOP_INSTANCES
+def test_contains_rejects_the_other_label_kind(make_fc):
+    # a labeled cell is never a cell of an unlabeled instance, and the
+    # reverse, even when its id is the canonical one
+    fc = make_fc()
+    for c in fc.cells():
+        assert fc.contains(c)
+        other = label(0) if c.label is None else None
+        flipped = TwoCell(cell_token(c.profile, other), c.profile, other)
+        assert not fc.contains(flipped)
+
+
+def test_loop_instance_rejects_labeling_over_another_graph():
+    lfc = LabelingFc(single_loop(), LabelMonoid(1, 1), reduced=False)
+    with pytest.raises(GraphError, match="different graph"):
+        LoopInstance(build_bimodule_graph(), 3, lfc)
+
+
+@LOOP_INSTANCES
 def test_gamma_audit_matches_oracle_on_instances(make_fc):
     fc = make_fc()
     got = _gamma_audit(fc, 3)

@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fcmc.graphs import GraphError, make_graph
+from fcmc.graphs import GraphError, make_graph, profile_loop
 from fcmc.labels import TRIVIAL_MONOID, LabelMonoid, label
 from fcmc.multicat import TableInstance, TwoCell, check_axioms
 from fcmc.freedg import FreeDgFc, build_Ainf_bimodule, build_Ainf_operad
-from fcmc.chain import ChainError, EndX, make_complex
-from fcmc.algebra import check_algebra, lift_dga
+from fcmc.chain import ChainError, EndX, make_complex, multimap
+from fcmc.algebra import AlgebraData, check_algebra, lift_dga
 from fcmc import serde
 from fcmc.serde import (
     SerdeError,
@@ -251,6 +251,20 @@ def test_algebra_job_round_trip():
     assert check_algebra(fc2, A2, 5).ok
 
 
+def test_algebra_job_round_trip_labeled_m0():
+    # an empty-input map needs its generator's basepoint in the document
+    fc = build_Ainf_operad(LabelMonoid(1, 1))
+    X = EndX(fc.graph, {"e": make_complex([("a", 1)], {})})
+    m0 = fc.generator(profile_loop(fc.graph, [], "e"), label(1))
+    A = AlgebraData(X, {m0: multimap(X, (), "e", 1, {(): {"a": 1}})})
+    doc = loads_doc(dumps_doc(algebra_job_to_doc(fc, A)))
+    assert doc["assignment"][0]["basepoint"] == "v"
+    fc2, A2 = algebra_job_from_doc(doc)
+    assert algebra_job_to_doc(fc2, A2) == doc
+    [(gen, xi)] = A2.assignment.items()
+    assert gen == m0 and xi.table == {(): {"a": 1}}
+
+
 def test_algebra_job_duplicate_assignment():
     fc, A = dual()
     doc = algebra_job_to_doc(fc, A)
@@ -265,8 +279,8 @@ def test_algebra_job_duplicate_assignment():
 def _all_reports():
     fc, A = dual()
     from fcmc.freedg import delta_squared_report
-    from fcmc.multicat import FullSub, ProfileLoopInstance, is_factor_closed
-    inst = ProfileLoopInstance(fc.graph, 3)
+    from fcmc.multicat import FullSub, LoopInstance, is_factor_closed
+    inst = LoopInstance(fc.graph, 3)
     sub = FullSub(inst, fc.graph)
     return [
         delta_squared_report(fc, 4),
