@@ -240,6 +240,15 @@ def is_profile_loop(g: DirectedGraph, p: EdgePath, eid: str) -> bool:
     return e.src == p.source and e.tgt == p.target
 
 
+def is_loop_of(g: DirectedGraph, loop: ProfileLoop) -> bool:
+    """True iff ``loop`` is a profile-loop of ``g``; unlike
+    :func:`is_profile_loop`, an edge id outside ``g`` answers False."""
+    try:
+        return is_profile_loop(g, loop.inputs, loop.output)
+    except GraphError:
+        return False
+
+
 def profile_loop(g: DirectedGraph, edge_ids: Sequence[str], output: str,
                  basepoint: Optional[str] = None) -> ProfileLoop:
     """Validated profile-loop constructor."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .graphs import DirectedGraph, ProfileLoop, is_profile_loop
+from .graphs import DirectedGraph, ProfileLoop, is_loop_of
 
 
 class LabelError(ValueError):
@@ -121,7 +121,7 @@ def fiber(lfc: LabelingFc, loop: ProfileLoop) -> list[MonoidElem]:
     Boundary data that is not a profile-loop of the graph has an empty
     fiber.
     """
-    if not is_profile_loop(lfc.graph, loop.inputs, loop.output):
+    if not is_loop_of(lfc.graph, loop):
         return []
     out = lfc.monoid.elements()
     if lfc.reduced and loop.inputs.is_empty():
@@ -131,7 +131,7 @@ def fiber(lfc: LabelingFc, loop: ProfileLoop) -> list[MonoidElem]:
 
 def in_fiber(lfc: LabelingFc, loop: ProfileLoop, beta: MonoidElem) -> bool:
     """``beta in fiber(lfc, loop)``, decided without building the fiber."""
-    if not is_profile_loop(lfc.graph, loop.inputs, loop.output):
+    if not is_loop_of(lfc.graph, loop):
         return False
     if not lfc.monoid.contains(beta):
         return False

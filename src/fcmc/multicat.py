@@ -31,6 +31,7 @@ from .graphs import (
     ProfileLoop,
     enumerate_profile_loops,
     identity_loop,
+    is_loop_of,
     is_profile_loop,
     is_subgraph,
 )
@@ -92,6 +93,7 @@ class FcInstance:
     """Base class: a graph plus cells, units, and partial composition."""
 
     graph: DirectedGraph
+    _tables: Optional[dict[int, "_Indexed"]] = None
 
     def cells(self) -> list[TwoCell]:
         raise NotImplementedError
@@ -104,6 +106,15 @@ class FcInstance:
 
     def compose(self, u: TwoCell, i: int, v: TwoCell) -> ComposeResult:
         raise NotImplementedError
+
+    def _indexed(self, bound: int) -> "_Indexed":
+        """The composition table of the cells of arity <= ``bound``, built
+        on first use and kept on the instance."""
+        if self._tables is None:
+            self._tables = {}
+        if bound not in self._tables:
+            self._tables[bound] = _Indexed(self, bound)
+        return self._tables[bound]
 
 
 def gamma(fc: FcInstance, u: TwoCell, inners: Sequence[TwoCell],
@@ -166,8 +177,7 @@ class LoopInstance(FcInstance):
                 or cell.arity() > self.max_len):
             return False
         if self.labeling is None:
-            member = is_profile_loop(self.graph, cell.profile.inputs,
-                                     cell.profile.output)
+            member = is_loop_of(self.graph, cell.profile)
         else:
             member = in_fiber(self.labeling, cell.profile, cell.label)
         return member and cell.id == cell_token(cell.profile, cell.label)
@@ -312,9 +322,16 @@ class _Indexed:
     Every cell of the population gets an index.  ``comp[u][i-1]`` maps
     each inner cell index v whose output matches slot i of cell u to the
     index of the composite u o_i v, and holds only composites inside the
-    population: a composite out of bound, without a table entry, or
-    beyond the arity cap has no entry.  The identity checks then run on
-    plain dict lookups instead of rebuilding cells.
+    population: a composite out of bound or without a table entry has no
+    entry anywhere.  A composite within the instance's bounds but outside
+    the population (beyond the arity cap) goes to ``beyond[(u, i)]``,
+    which maps v to the composite cell; the identity checks skip it, and
+    the factor check counts it.  The identity checks then run on plain
+    dict lookups instead of rebuilding cells.
+
+    The table is built once per instance and bound (``fc._indexed``) and
+    shared by :func:`check_axioms` and :func:`is_factor_closed`, so an
+    instance must not change once audited.
 
     ``bad_profile`` is the first entry (u id, i, v id) whose composite does
     not sit over the substituted profile, or None; the index arithmetic of
@@ -331,6 +348,7 @@ class _Indexed:
         for k, out in enumerate(outs):
             self.by_out.setdefault(out, []).append(k)
         self.comp: list[list[dict[int, int]]] = []
+        self.beyond: dict[tuple[int, int], dict[int, TwoCell]] = {}
         self.bad_profile: Optional[tuple[str, int, str]] = None
         for x, u in enumerate(self.cells):
             rows = []
@@ -338,14 +356,17 @@ class _Indexed:
                 row = {}
                 for k in self.by_out.get(eid, []):
                     uv = fc.compose(u, i, self.cells[k])
-                    if not isinstance(uv, OutOfBound):
-                        r = idx.get(uv.id, -1)
-                        if r >= 0:
-                            row[k] = r
-                            if self.bad_profile is None and (
-                                    outs[r] != outs[x] or ins[r] !=
-                                    ins[x][:i - 1] + ins[k] + ins[x][i:]):
-                                self.bad_profile = (u.id, i, self.cells[k].id)
+                    if isinstance(uv, OutOfBound):
+                        continue
+                    r = idx.get(uv.id, -1)
+                    if r < 0:
+                        self.beyond.setdefault((x, i), {})[k] = uv
+                        continue
+                    row[k] = r
+                    if self.bad_profile is None and (
+                            outs[r] != outs[x] or ins[r] !=
+                            ins[x][:i - 1] + ins[k] + ins[x][i:]):
+                        self.bad_profile = (u.id, i, self.cells[k].id)
                 rows.append(row)
             self.comp.append(rows)
 
@@ -373,7 +394,7 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
     the arity cap) are counted as skipped, not failed.  A failure reports
     the counts reached at it, the failing comparison counted as checked.
     """
-    ix = _Indexed(fc, arity_bound)
+    ix = fc._indexed(arity_bound)
     cells = ix.cells
     checked = 0
     skipped = 0
@@ -601,7 +622,11 @@ def is_factor_closed(fc: FcInstance, sub: FcInstance,
     """Does every composite landing in ``sub`` force both factors into it?
 
     Quantifies over all composable cell pairs of ``fc`` with arity at most
-    ``bound`` whose composite stays within the enumeration bounds.
+    ``bound`` whose composite stays within the enumeration bounds, the
+    composites beyond the arity cap included.  It reads the composition
+    table that :func:`check_axioms` builds (once per instance and bound)
+    and calls no ``compose``; ``checked`` counts the pairs read, and the
+    witness is the first failing pair in the order (u, slot, v).
     """
     if not is_subgraph(fc.graph, sub.graph):
         raise GraphError("candidate is not over a subgraph")
@@ -609,19 +634,18 @@ def is_factor_closed(fc: FcInstance, sub: FcInstance,
         if not fc.contains(c):
             raise GraphError(f"cell {c.id!r} is not a cell of the ambient "
                              "instance")
-    cells = [c for c in fc.cells() if c.arity() <= bound]
-    by_out: dict[str, list[TwoCell]] = {}
-    for c in cells:
-        by_out.setdefault(c.profile.output, []).append(c)
+    ix = fc._indexed(bound)
+    cells = ix.cells
+    inside = [sub.contains(c) for c in cells]
     checked = 0
-    for u in cells:
-        for i, eid in enumerate(u.profile.inputs.edges, start=1):
-            for v in by_out.get(eid, ()):
-                uv = fc.compose(u, i, v)
-                if isinstance(uv, OutOfBound):
-                    continue
+    for u, rows in enumerate(ix.comp):
+        for i, row in enumerate(rows, start=1):
+            extra = ix.beyond.get((u, i))
+            for v in sorted(row.keys() | extra.keys()) if extra else row:
                 checked += 1
-                if sub.contains(uv) and not (sub.contains(u)
-                                             and sub.contains(v)):
-                    return FactorReport(False, (u, i, v), checked)
+                r = row.get(v, -1)
+                lands = inside[r] if r >= 0 else sub.contains(extra[v])
+                if lands and not (inside[u] and inside[v]):
+                    return FactorReport(False, (cells[u], i, cells[v]),
+                                        checked)
     return FactorReport(True, None, checked)

@@ -85,6 +85,10 @@ def loads_doc(text: str) -> dict:
         raise SerdeError(
             f"not valid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    except (RecursionError, ValueError) as exc:
+        # nesting past the recursion limit, or an integer literal past
+        # Python's digit limit
+        raise SerdeError(f"unreadable JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SerdeError("top level must be an object")
     return doc

@@ -371,6 +371,34 @@ def ref_gamma_orders(cells, table):
     return ("pass", checked, skipped)
 
 
+def ref_factor_closed(fc, sub, bound):
+    """Factor-closedness of ``sub`` in ``fc``, by composing every pair.
+
+    For every cell u of ``fc`` with arity <= bound, every slot i and every
+    such cell v whose output is that slot's edge, composes u o_i v with
+    ``fc.compose`` and passes over a result without a profile (out of
+    bound).  Every other composite is checked, whatever its arity.
+    Returns (ok, witness, checked): the witness is the first (u, i, v)
+    whose composite ``sub`` contains while it misses u or v, else None.
+    """
+    cells = [c for c in fc.cells() if c.arity() <= bound]
+    by_out = {}
+    for c in cells:
+        by_out.setdefault(c.profile.output, []).append(c)
+    checked = 0
+    for u in cells:
+        for i, eid in enumerate(u.profile.inputs.edges, start=1):
+            for v in by_out.get(eid, ()):
+                uv = fc.compose(u, i, v)
+                if not hasattr(uv, "profile"):
+                    continue
+                checked += 1
+                if sub.contains(uv) and not (sub.contains(u)
+                                             and sub.contains(v)):
+                    return False, (u, i, v), checked
+    return True, None, checked
+
+
 def ref_planar_trees(n):
     """Planar trees with n >= 2 leaves whose internal nodes have at least
     two children, written as nested tuples: a leaf is None, a node is the

@@ -509,17 +509,23 @@ def test_malformed_document_exits_2(tmp_path, command, name, make_doc):
 @pytest.mark.parametrize("command", ["free-d2", "graph-check", "fc-audit",
                                      "algebra-check"])
 def test_non_utf8_document_exits_2(tmp_path, command):
+    # also documents that decode but not parse: nesting past the recursion
+    # limit, and an integer literal past Python's digit limit
+    payloads = [b'\xff\xfe{"a":1}', b"[" * 200_000 + b"]" * 200_000,
+                b'{"format_version": ' + b"1" * 5000 + b"}"]
     path = tmp_path / "bad.json"
-    path.write_bytes(b'\xff\xfe{"a":1}')
     target = f"generalized:{path}" if command == "free-d2" else str(path)
     src = os.path.dirname(os.path.dirname(fcmc.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "fcmc.cli", command, target],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
-    assert not proc.stdout
+    for payload in payloads:
+        path.write_bytes(payload)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fcmc.cli", command, target],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert not proc.stdout
 
 
 # ------------------------------------------------------- output discipline

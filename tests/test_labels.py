@@ -151,6 +151,11 @@ def test_fiber_empty_for_non_loops():
     lfc = LabelingFc(g, LabelMonoid(rank=1, truncation=1), reduced=False)
     bad = ProfileLoop(EdgePath(("e1",), "v1", "v1"), "e0")
     assert fiber(lfc, bad) == []
+    # an edge outside the graph is boundary data of no profile-loop
+    for foreign in (ProfileLoop(EdgePath(("x",), "v1", "v1"), "e0"),
+                    ProfileLoop(EdgePath(("e0",), "v0", "v0"), "x")):
+        assert fiber(lfc, foreign) == []
+        assert not in_fiber(lfc, foreign, label(0))
 
 
 @pytest.mark.parametrize("graph", [build_bimodule_graph(),

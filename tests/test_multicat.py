@@ -18,6 +18,7 @@ from fcmc.graphs import (
 from fcmc.labels import LabelMonoid, LabelingFc, label
 from fcmc.multicat import (
     AxiomReport,
+    FactorReport,
     _check_gamma_orders,
     _Indexed,
     OutOfBound,
@@ -32,7 +33,8 @@ from fcmc.multicat import (
     loop_token,
     substituted_profile,
 )
-from oracles import ref_gamma_orders
+from oracles import ref_factor_closed, ref_gamma_orders
+from test_acceptance import all_subgraphs, graph_family
 
 
 def single_loop():
@@ -356,6 +358,77 @@ def test_factor_closed_rejects_foreign_sub():
     other = LoopInstance(h, 2)
     with pytest.raises(GraphError):
         is_factor_closed(fc, other, 2)
+
+
+def _factor_ids(report):
+    """(ok, witness ids, checked) of a FactorReport or an oracle triple."""
+    ok, witness, checked = (report if isinstance(report, tuple) else
+                            (report.ok, report.witness, report.checked))
+    if witness is not None:
+        u, i, v = witness
+        witness = (u.id, i, v.id)
+    return ok, witness, checked
+
+
+@pytest.mark.parametrize("sub_edges", [["a->a", "b->b"], ["a->b"]],
+                         ids=["closed", "open"])
+def test_factor_closed_loop_instance_sub_matches_full_sub(sub_edges):
+    # the sub's own loop instance misses the cells over edges outside it
+    # instead of raising on them
+    g = build_pair_graph(["a", "b"])
+    fc = LoopInstance(g, 3)
+    part = subgraph(g, ["a", "b"], sub_edges)
+    assert not LoopInstance(part, 3).contains(cell_of(fc, ["b->a"], "b->a"))
+    want = _factor_ids(is_factor_closed(fc, FullSub(fc, part), 3))
+    assert _factor_ids(is_factor_closed(fc, LoopInstance(part, 3), 3)) == want
+    assert want[0] == (sub_edges != ["a->b"])
+
+
+@pytest.mark.parametrize("make_fc", [
+    lambda g: LoopInstance(g, 3),
+    lambda g: table_from_instance(LoopInstance(g, 3), 3),
+], ids=["loop", "table"])
+def test_factor_closed_matches_oracle(make_fc):
+    # at bound 2 some composites of arity 3 lie beyond the cap and count
+    beyond = 0
+    for g in graph_family()[::3]:
+        fc = make_fc(g)
+        beyond += sum(map(len, fc._indexed(2).beyond.values()))
+        for part in all_subgraphs(g):
+            sub = FullSub(fc, part)
+            assert (_factor_ids(is_factor_closed(fc, sub, 2))
+                    == _factor_ids(ref_factor_closed(fc, sub, 2))), part.edges
+    assert beyond > 0
+
+
+class _CountingLoops(LoopInstance):
+    calls = 0
+
+    def compose(self, u, i, v):
+        self.calls += 1
+        return super().compose(u, i, v)
+
+
+def test_factor_check_reads_the_axiom_table():
+    g = build_pair_graph(["a", "b"])
+    fc = _CountingLoops(g, 3)
+    assert check_axioms(fc, 3).ok
+    swept = fc.calls
+    for edges in (["a->a", "b->b"], ["a->b"]):
+        is_factor_closed(fc, FullSub(fc, subgraph(g, ["a", "b"], edges)), 3)
+    assert fc.calls == swept > 0
+
+
+def test_factor_check_counts_composites_beyond_the_cap():
+    # u o_1 w = c has arity 3: outside the population at bound 2, inside
+    # the sub, while u and w use the edge f outside it
+    g = make_graph(["v"], [("e", "v", "v"), ("f", "v", "v")])
+    u = TwoCell("u", profile_loop(g, ["f", "e"], "e"))
+    w = TwoCell("w", profile_loop(g, ["e", "e"], "f"))
+    c = TwoCell("c", profile_loop(g, ["e", "e", "e"], "e"))
+    fc = TableInstance(g, [u, w, c], {}, {("u", 1, "w"): "c"})
+    sub = FullSub(fc, subgraph(g, ["v"], ["e"]))
+    assert is_factor_closed(fc, sub, 2) == FactorReport(False, (u, 1, w), 1)
 
 
 def test_loop_token_readable():
