@@ -170,7 +170,8 @@ def tree_profile(t: CompTree) -> ProfileLoop:
 
 def inner_position(rule_tree: CompTree) -> int:
     """The child position q (0-based) of the inner node of a two-node rule
-    term; the children before it are leaves, so its input slot is q + 1."""
+    term; the children before it are leaves, so its input slot is q + 1.
+    ``FreeDgFc._rule`` calls it once per rule term of each generator."""
     for q, c in enumerate(rule_tree.children):
         if isinstance(c, CompTree):
             return q
@@ -366,8 +367,12 @@ class FreeDgFc:
     the whole presentation, and generators without a rule are delta-closed.
 
     Generators are interned: ``generator`` returns one object per
-    (profile-loop, label), so dictionaries keyed by generators and trees
-    mostly hit by identity.
+    (profile-loop, label), found by the plain key (source, target, input
+    edges, output, label coords), so dictionaries keyed by generators and
+    trees mostly hit by identity.  The splitting rule of a generator is
+    built once, and its trees (each rule term and the one-node inner tree
+    in it) are interned too, in ``_trees``.  The trees ``delta`` outputs
+    are not interned: there are far more of them, and each is only summed.
     """
 
     def __init__(self, graph: DirectedGraph, labeling: LabelingFc,
@@ -391,9 +396,16 @@ class FreeDgFc:
             if (cell.profile, cell.label) != (gen.profile, gen.label):
                 raise CompositionError(
                     f"rule for {gen.name} must keep its profile and label")
+            # each term must be a valid tree over the generator's boundary:
+            # ``_delta_tree`` returns a one-node tree's rule terms as stored
+            free_cell(gen.profile, gen.label, 2, cell.terms)
         self._delta_cache: dict[GeneratorSpec, FreeCell] = {}
+        # generator -> its rule compiled by ``_rule``
+        self._rules: dict[GeneratorSpec, tuple] = {}
         # (source, target, input edges, output, label coords) -> generator
         self._generators: dict[tuple, Optional[GeneratorSpec]] = {}
+        # rule trees and their inner one-node trees, one object each
+        self._trees: dict[CompTree, CompTree] = {}
 
     # ------------------------------------------------------------ generators
 
@@ -402,22 +414,30 @@ class FreeDgFc:
             return f"m[{loop_token(loop)}]"
         return f"m[{loop_token(loop)}]@{beta}"
 
-    def _lookup(self, loop: ProfileLoop,
-                beta: MonoidElem) -> Optional[GeneratorSpec]:
-        """The interned generator over (loop, beta), or None if there is
-        none; the answer is computed once per key."""
-        ins = loop.inputs
-        key = (ins.source, ins.target, ins.edges, loop.output, beta.coords)
+    def _find(self, src: str, tgt: str, edges: tuple[str, ...], out: str,
+              beta: MonoidElem) -> Optional[GeneratorSpec]:
+        """The interned generator over the loop (src, tgt, edges; out) with
+        label beta, or None if there is none.  The answer is computed once
+        per key; the profile-loop is only built on a miss."""
+        key = (src, tgt, edges, out, beta.coords)
         try:
             return self._generators[key]
         except KeyError:
             pass
+        loop = ProfileLoop(EdgePath(edges, src, tgt), out)
         gen = None
         if in_fiber(self.labeling, loop, beta) and not (
-                ins.edges == (loop.output,) and beta.is_zero()):
+                edges == (out,) and beta.is_zero()):
             gen = GeneratorSpec(self.generator_name(loop, beta), loop, beta)
         self._generators[key] = gen
         return gen
+
+    def _lookup(self, loop: ProfileLoop,
+                beta: MonoidElem) -> Optional[GeneratorSpec]:
+        """``_find`` on the key of a profile-loop."""
+        ins = loop.inputs
+        return self._find(ins.source, ins.target, ins.edges, loop.output,
+                          beta)
 
     def is_generator(self, loop: ProfileLoop, beta: MonoidElem) -> bool:
         return self._lookup(loop, beta) is not None
@@ -465,35 +485,52 @@ class FreeDgFc:
             return cached
         loop, beta = gen.profile, gen.label
         n = loop.arity()
+        src, tgt = loop.inputs.source, loop.inputs.target
         walk = path_vertices(self.graph, loop.inputs)
         ins = loop.inputs.edges
         splits = decompose(beta)
+        intern = self._trees.setdefault
         terms: dict[CompTree, Scalar] = {}
         for r in range(n + 1):
-            for s in range(n - r + 1):
-                for bridge in self.graph.edges:
-                    if bridge.src != walk[r] or bridge.tgt != walk[r + s]:
+            for bridge in self.graph.out_edges(walk[r]):
+                for s in range(n - r + 1):
+                    if bridge.tgt != walk[r + s]:
                         continue
-                    inner_path = EdgePath(ins[r:r + s], walk[r], walk[r + s])
-                    inner_loop = ProfileLoop(inner_path, bridge.id)
-                    outer_path = EdgePath(ins[:r] + (bridge.id,) + ins[r + s:],
-                                          loop.inputs.source,
-                                          loop.inputs.target)
-                    outer_loop = ProfileLoop(outer_path, loop.output)
+                    outer_edges = ins[:r] + (bridge.id,) + ins[r + s:]
                     for b1, b2 in splits:
-                        outer = self._lookup(outer_loop, b1)
+                        outer = self._find(src, tgt, outer_edges, loop.output,
+                                           b1)
                         if outer is None:
                             continue
-                        inner = self._lookup(inner_loop, b2)
+                        inner = self._find(walk[r], walk[r + s], ins[r:r + s],
+                                           bridge.id, b2)
                         if inner is None:
                             continue
-                        kids = (ins[:r] + (CompTree(inner, ins[r:r + s]),)
-                                + ins[r + s:])
-                        t = CompTree(outer, kids)
+                        leaf = leaf_of(inner)
+                        t = CompTree(outer, ins[:r] + (intern(leaf, leaf),)
+                                     + ins[r + s:])
+                        t = intern(t, t)
                         terms[t] = terms.get(t, 0) - 1
         cell = free_cell(loop, beta, 2, terms, validate=False)
         self._delta_cache[gen] = cell
         return cell
+
+    def _rule(self, gen: GeneratorSpec) -> tuple[
+            tuple[GeneratorSpec, GeneratorSpec, int, int, Scalar], ...]:
+        """The rule of a generator compiled to (outer generator, inner
+        generator, child position q of the inner node, its width s,
+        coefficient) records, one per term, built once per generator."""
+        try:
+            return self._rules[gen]
+        except KeyError:
+            pass
+        records = []
+        for rt, rc in self.delta_generator(gen).terms:
+            q = inner_position(rt)
+            inner = rt.children[q]
+            records.append((rt.gen, inner.gen, q, len(inner.children), rc))
+        self._rules[gen] = records = tuple(records)
+        return records
 
     def delta(self, cell: FreeCell) -> FreeCell | OutOfBound:
         """Leibniz extension of the generator rule to arbitrary cells.
@@ -514,30 +551,32 @@ class FreeDgFc:
         return free_cell(cell.profile, cell.label, cell.degree + 1, acc,
                          validate=False)
 
-    def _delta_tree(self, t: CompTree) -> list[tuple[CompTree, Scalar]]:
+    def _delta_tree(self, t: CompTree) -> Sequence[tuple[CompTree, Scalar]]:
         """The signed terms of delta on one tree, nodes in pre-order.
 
-        ``left[p]`` is the parity of the degrees of the subtrees among the
-        first p children, walked once.  First the root's rule terms: the
-        outer node keeps the children, the inner node at child position q
-        takes the next s of them and moves past the first q, with sign
-        (-1)^left[q].  Then the terms of each subtree, rebuilt under the
-        root with the sign (-1)^(degree of the root + left[pos]).  The
-        signs multiply out to (-1)^(degree sum before the replaced node).
+        A generator's one-node tree (children exactly its input word) is
+        the base case: its terms are the rule's, returned as stored.
+        Otherwise ``left[p]`` is the parity of the degrees of the subtrees
+        among the first p children, walked once.  First the root's rule
+        records (see ``_rule``): the outer node keeps the children, the
+        inner node at child position q takes the next s of them and moves
+        past the first q, with sign (-1)^left[q].  Then the terms of each
+        subtree, rebuilt under the root with the sign (-1)^(degree of the
+        root + left[pos]).  The signs multiply out to (-1)^(degree sum
+        before the replaced node).
         """
         kids = t.children
+        if kids == t.gen.profile.inputs.edges:
+            return self.delta_generator(t.gen).terms
         left = [0]
         for c in kids:
             left.append((left[-1] + tree_degree(c)) % 2
                         if isinstance(c, CompTree) else left[-1])
         out = []
-        for rt, rc in self.delta_generator(t.gen).terms:
-            q = inner_position(rt)
-            inner = rt.children[q]
-            s = len(inner.children)
-            outer_kids = (kids[:q] + (CompTree(inner.gen, kids[q:q + s]),)
+        for outer, inner, q, s, rc in self._rule(t.gen):
+            outer_kids = (kids[:q] + (CompTree(inner, kids[q:q + s]),)
                           + kids[q + s:])
-            out.append((CompTree(rt.gen, outer_kids), -rc if left[q] else rc))
+            out.append((CompTree(outer, outer_kids), -rc if left[q] else rc))
         for pos, c in enumerate(kids):
             if not isinstance(c, CompTree):
                 continue

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence, Union
 
 from .graphs import (
     CompositionError,
@@ -205,7 +206,8 @@ class LoopInstance(FcInstance):
 class TableInstance(FcInstance):
     """A hand-built instance with explicit cells, units, and compositions.
 
-    ``table`` maps (outer id, slot, inner id) to the composite's cell id.
+    ``table`` maps (outer id, slot, inner id) to the composite's cell id;
+    it is a read-only view, fixed at construction.
     Compositions whose endpoints match but which have no table entry
     return OutOfBound so partially specified instances stay usable.
     Units, table results and both ids of a row must name declared cells,
@@ -241,7 +243,13 @@ class TableInstance(FcInstance):
                 raise GraphError(
                     f"unit for {eid!r} must sit over the identity loop")
             self._units[eid] = cell
-        self.table = dict(table)
+        self._table = dict(table)
+
+    @property
+    def table(self) -> Mapping[tuple[str, int, str], str]:
+        """The rows, read-only: the audit caches the composition table
+        built from them, so an edited row would go unread."""
+        return MappingProxyType(self._table)
 
     def cells(self) -> list[TwoCell]:
         return list(self._cell_list)
@@ -259,9 +267,9 @@ class TableInstance(FcInstance):
     def compose(self, u: TwoCell, i: int, v: TwoCell) -> ComposeResult:
         check_slot(u.profile, i, v.profile)
         key = (u.id, i, v.id)
-        if key not in self.table:
+        if key not in self._table:
             return OutOfBound(f"no table entry for {key!r}")
-        return self._by_id[self.table[key]]
+        return self._by_id[self._table[key]]
 
 
 class FullSub(FcInstance):
@@ -331,7 +339,8 @@ class _Indexed:
 
     The table is built once per instance and bound (``fc._indexed``) and
     shared by :func:`check_axioms` and :func:`is_factor_closed`, so an
-    instance must not change once audited.
+    instance must not change once audited (``TableInstance.table`` is a
+    read-only view for this reason).
 
     ``bad_profile`` is the first entry (u id, i, v id) whose composite does
     not sit over the substituted profile, or None; the index arithmetic of

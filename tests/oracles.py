@@ -399,6 +399,56 @@ def ref_factor_closed(fc, sub, bound):
     return True, None, checked
 
 
+def _ref_tree_degree(t):
+    return t.gen.degree + sum(_ref_tree_degree(c) for c in t.children
+                              if not isinstance(c, str))
+
+
+def _ref_inner_position(rule_tree):
+    for q, c in enumerate(rule_tree.children):
+        if not isinstance(c, str):
+            return q
+    raise ValueError("rule term has no inner node")
+
+
+def ref_delta_tree(fc, t):
+    """The signed terms of delta on one tree of a free dg structure ``fc``.
+
+    The plain recursion with no base case: at every node it asks ``fc``
+    for the node's rule and rescans each rule term for its inner slot.
+    ``left[p]`` is the parity of the degrees of the subtrees among the
+    first p children.  The root's rule terms come first: the outer node
+    keeps the children, the inner node at child position q takes the next
+    s of them and moves past the first q, with sign (-1)^left[q].  Then
+    the terms of each subtree, rebuilt under the root with the sign
+    (-1)^(degree of the root + left[pos]), or 1 under ``fc.sign_fault``.
+    Returns the (tree, coefficient) pairs uncollected.
+    """
+    tree = type(t)
+    kids = t.children
+    left = [0]
+    for c in kids:
+        left.append((left[-1] + _ref_tree_degree(c)) % 2
+                    if not isinstance(c, str) else left[-1])
+    out = []
+    for rt, rc in fc.delta_generator(t.gen).terms:
+        q = _ref_inner_position(rt)
+        inner = rt.children[q]
+        s = len(inner.children)
+        outer_kids = (kids[:q] + (tree(inner.gen, kids[q:q + s]),)
+                      + kids[q + s:])
+        out.append((tree(rt.gen, outer_kids), -rc if left[q] else rc))
+    for pos, c in enumerate(kids):
+        if isinstance(c, str):
+            continue
+        odd = (t.gen.degree + left[pos]) % 2 and not fc.sign_fault
+        sign = -1 if odd else 1
+        for sub, x in ref_delta_tree(fc, c):
+            out.append((tree(t.gen, kids[:pos] + (sub,) + kids[pos + 1:]),
+                        sign * x))
+    return out
+
+
 def ref_planar_trees(n):
     """Planar trees with n >= 2 leaves whose internal nodes have at least
     two children, written as nested tuples: a leaf is None, a node is the

@@ -4,8 +4,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fcmc.graphs import CompositionError, EdgePath, ProfileLoop
-from fcmc.labels import LabelMonoid, LabelingFc, TRIVIAL_MONOID, label
+from fcmc.graphs import (CompositionError, EdgePath, ProfileLoop,
+                         enumerate_profile_loops)
+from fcmc.labels import (LabelMonoid, LabelingFc, MonoidElem, TRIVIAL_MONOID,
+                         label)
 from fcmc.multicat import OutOfBound
 from fcmc.freedg import (
     CompTree,
@@ -35,6 +37,7 @@ from fcmc.freedg import (
 from oracles import (
     ref_ainf_delta_terms,
     ref_bimodule_delta_terms,
+    ref_delta_tree,
     ref_left_module_delta_terms,
     ref_planar_trees,
     ref_rank,
@@ -669,6 +672,53 @@ def test_tree_boundary_bookkeeping(t):
     assert tree_label(t).is_zero()
 
 
+def _ref_delta(fc, cell):
+    acc = {}
+    for t, x in cell.terms:
+        for t2, c2 in ref_delta_tree(fc, t):
+            acc[t2] = acc.get(t2, 0) + x * c2
+    return free_cell(cell.profile, cell.label, cell.degree + 1, acc,
+                     validate=False)
+
+
+@given(random_operad_trees())
+@settings(max_examples=60, deadline=None)
+def test_delta_on_arbitrary_trees_matches_reference(t):
+    fc = ainf()
+    cell = free_cell(tree_profile(t), TRIVIAL_MONOID.zero(), tree_degree(t),
+                     {t: 1})
+    d1 = fc.delta(cell)
+    assert d1 == _ref_delta(fc, cell)
+    assert fc.delta(d1) == _ref_delta(fc, d1)
+
+
+def test_delta_on_rules_matches_reference():
+    # generator cells take the one-node base case; rule cells take the
+    # compiled records at the root and the base case below it
+    fc0 = ainf()
+    g3, g4 = m_gen(fc0, 3), m_gen(fc0, 4)
+    custom = FreeDgFc(fc0.graph, fc0.labeling,
+                      custom_rules={g3: fc0.delta_generator(g3)})
+    cases = [
+        (fc0, 6, None),
+        (build_Ainf_category(["x", "y"], TRIVIAL_MONOID), 4, None),
+        (build_Ainf_bimodule(LabelMonoid(rank=1, truncation=1)), 4, None),
+        (build_module_preset(["v"], "left", TRIVIAL_MONOID), 5, None),
+        (build_module_preset(["v"], "right", TRIVIAL_MONOID), 5, None),
+        (build_rmodule_preset(["a", "b"], [["a"], ["b"]], TRIVIAL_MONOID),
+         4, None),
+        (build_Ainf_operad(LabelMonoid(rank=2, truncation=2)), 3, None),
+        (FreeDgFc(fc0.graph, fc0.labeling, sign_fault=True), 5, None),
+        (custom, 4, [g3, g4]),
+    ]
+    for fc, arity, gens in cases:
+        gens = gens or fc.generators(arity)
+        assert gens
+        for gen in gens:
+            for cell in (generator_cell(gen), fc.delta_generator(gen)):
+                assert fc.delta(cell) == _ref_delta(fc, cell), gen.name
+
+
 # ------------------------------------------------- custom rules & diagnostics
 
 
@@ -705,6 +755,19 @@ def test_custom_rule_validation():
             FreeDgFc(fc0.graph, fc0.labeling, custom_rules={gen: rule})
     with pytest.raises(CompositionError, match="no inner node"):
         inner_position(leaf_of(g3))
+
+
+def test_custom_rule_terms_must_be_valid_trees():
+    # a one-node tree's delta is its rule's terms as stored, so a rule term
+    # must be a valid tree over its generator's boundary
+    fc0 = ainf()
+    g3, m2 = m_gen(fc0, 3), m_gen(fc0, 2)
+    short_root = CompTree(g3, ("e", CompTree(m2, ("e", "e"))))
+    with_bad_leaf = CompTree(m2, (CompTree(m2, ("e", "e")), "x"))
+    for tree in (short_root, with_bad_leaf):
+        rule = free_cell(g3.profile, g3.label, 2, {tree: 1}, validate=False)
+        with pytest.raises(CompositionError):
+            FreeDgFc(fc0.graph, fc0.labeling, custom_rules={g3: rule})
 
 
 def test_label_bound_is_capped_by_truncation():
@@ -781,3 +844,34 @@ def test_sign_fault_residue_strings_unchanged():
     assert (rep.generators, len(rep.residues)) == (35, 21)
     assert hashlib.sha256(repr(rep.residues).encode()).hexdigest() == (
         "746032c166987095e571ccdd3bb589ea9558eb74b217b278d6db253d3267ff7a")
+
+
+
+def test_rule_trees_are_interned_and_lookup_is_keyed():
+    for fc in (build_Ainf_category(["x", "y"], TRIVIAL_MONOID),
+               build_Ainf_bimodule(LabelMonoid(rank=1, truncation=1)),
+               build_Ainf_operad(LabelMonoid(rank=2, truncation=2))):
+        # a curvature insert (s = 0) puts an arity-5 outer node into the
+        # rules of arity 4, so the sweep at 4 reads rules up to arity 5
+        for gen in fc.generators(5):
+            for rt, _ in fc.delta_generator(gen).terms:
+                inner = next(c for c in rt.children if isinstance(c, CompTree))
+                for node in (rt.gen, inner.gen):
+                    assert node is fc.generator(node.profile, node.label)
+                assert fc._trees[rt] is rt and fc._trees[inner] is inner
+        # the keyed lookup answers for _lookup, no-generator keys included
+        rank, cap = fc.monoid.rank, fc.monoid.truncation
+        answers = set()
+        for loop in enumerate_profile_loops(fc.graph, 3):
+            ins = loop.inputs
+            for coords in itertools.product(range(cap + 2), repeat=rank):
+                beta = MonoidElem(coords)
+                gen = fc._lookup(loop, beta)
+                assert gen is fc._find(ins.source, ins.target, ins.edges,
+                                       loop.output, beta)
+                answers.add(gen is None)
+        assert answers == {True, False}
+        # warmed up, the d^2 sweep interns nothing: output trees stay out
+        interned = len(fc._trees)
+        assert delta_squared_report(fc, 4).ok
+        assert len(fc._trees) == interned

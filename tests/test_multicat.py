@@ -263,10 +263,25 @@ def test_check_axioms_corrupted_table():
     u = cell_of(fc, ["e", "e"], "e")
     unit = fc.unit("e")
     wrong = cell_of(fc, ["e", "e", "e"], "e")
-    table.table[(u.id, 1, unit.id)] = wrong.id
+    rows = dict(table.table)
+    rows[(u.id, 1, unit.id)] = wrong.id
+    table = TableInstance(table.graph, table.cells(), {"e": unit.id}, rows)
     report = check_axioms(table, 3)
     assert not report.ok
     assert report.witness is not None
+
+
+def test_table_instance_rows_are_read_only():
+    # the audit caches the table built from the rows, so edits must fail
+    fc = LoopInstance(single_loop(), 3)
+    table = table_from_instance(fc, 3)
+    assert check_axioms(table, 3).ok
+    key = next(iter(table.table))
+    with pytest.raises(TypeError):
+        table.table[key] = cell_of(fc, ["e"], "e").id
+    with pytest.raises(TypeError):
+        table.table[("e,e;e", 1, "e,e;e")] = "e;e"
+    assert check_axioms(table, 3).ok
 
 
 def test_table_instance_materialization_passes():
