@@ -99,12 +99,10 @@ from .chain import (
     MultiMap,
     check_end_dg,
     compose_end,
-    element_map,
     hat_d,
     identity_map,
     make_complex,
     multimap,
-    tensor_differential,
     zero_map,
 )
 from .algebra import (

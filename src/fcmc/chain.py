@@ -132,33 +132,6 @@ def make_complex(elements: Iterable[tuple[str, int]],
     return cx
 
 
-def tensor_differential(complexes: Sequence[CochainComplex],
-                        elem: dict[tuple[str, ...], Scalar]
-                        ) -> dict[tuple[str, ...], Scalar]:
-    """Differential of the tensor product: d passes each factor with the
-    sign of the degrees it crossed."""
-    total_deg: Optional[int] = None
-    out: dict[tuple[str, ...], Scalar] = {}
-    for key, coeff in elem.items():
-        if len(key) != len(complexes):
-            raise ChainError(
-                f"tensor {key} has {len(key)} factors, expected "
-                f"{len(complexes)}")
-        deg = sum(cx.degree(x) for cx, x in zip(complexes, key))
-        if total_deg is None:
-            total_deg = deg
-        elif deg != total_deg:
-            raise ChainError("tensor element is not degree-homogeneous")
-        sign = 1
-        for k, (cx, x) in enumerate(zip(complexes, key)):
-            for y, c in cx.d_of(x).items():
-                new = key[:k] + (y,) + key[k + 1:]
-                out[new] = out.get(new, 0) + sign * coeff * c
-            if cx.degree(x) % 2:
-                sign = -sign
-    return {k: v for k, v in out.items() if v != 0}
-
-
 class MultiMap:
     """A degree-homogeneous multilinear map between edge complexes.
 
@@ -278,11 +251,6 @@ def identity_map(X: EndX, eid: str) -> MultiMap:
     cx = X.complex(eid)
     return MultiMap((eid,), eid, 0,
                     {(x,): {x: 1} for x in cx.basis.ids()})
-
-
-def element_map(X: EndX, eid: str, vec: Vector, degree: int) -> MultiMap:
-    """An arity-0 map: an element of X(eid), placed in the given degree."""
-    return multimap(X, (), eid, degree, {(): dict(vec)})
 
 
 def _basis_tuples(cxs: Sequence[CochainComplex]):

@@ -31,7 +31,7 @@ from .graphs import (
     partition_subgraph,
     validate_graph,
 )
-from .labels import LabelError, LabelMonoid, LabelingFc
+from .labels import LabelError, LabelMonoid
 from .multicat import CompositionError, check_axioms, is_factor_closed
 from .freedg import (
     PRESETS,

@@ -366,13 +366,13 @@ class FreeDgFc:
     A ``custom_rules`` table replaces that differential altogether: it is
     the whole presentation, and generators without a rule are delta-closed.
 
-    Generators are interned: ``generator`` returns one object per
-    (profile-loop, label), found by the plain key (source, target, input
-    edges, output, label coords), so dictionaries keyed by generators and
-    trees mostly hit by identity.  The splitting rule of a generator is
-    built once, and its trees (each rule term and the one-node inner tree
-    in it) are interned too, in ``_trees``.  The trees ``delta`` outputs
-    are not interned: there are far more of them, and each is only summed.
+    Each generator is stored once, as its one-node tree, under the plain
+    key (source, target, input edges, output, label coords); ``generator``
+    returns that tree's node, so dictionaries keyed by generators and trees
+    mostly hit by identity.  The splitting rule of a generator is built
+    once, and every rule term with a generator as its inner node holds that
+    generator's stored tree.  No other tree is interned: the trees
+    ``delta`` outputs are far more numerous, and each is only summed.
     """
 
     def __init__(self, graph: DirectedGraph, labeling: LabelingFc,
@@ -402,10 +402,9 @@ class FreeDgFc:
         self._delta_cache: dict[GeneratorSpec, FreeCell] = {}
         # generator -> its rule compiled by ``_rule``
         self._rules: dict[GeneratorSpec, tuple] = {}
-        # (source, target, input edges, output, label coords) -> generator
-        self._generators: dict[tuple, Optional[GeneratorSpec]] = {}
-        # rule trees and their inner one-node trees, one object each
-        self._trees: dict[CompTree, CompTree] = {}
+        # (source, target, input edges, output, label coords) -> the
+        # generator's one-node tree, or None where there is no generator
+        self._generators: dict[tuple, Optional[CompTree]] = {}
 
     # ------------------------------------------------------------ generators
 
@@ -415,32 +414,32 @@ class FreeDgFc:
         return f"m[{loop_token(loop)}]@{beta}"
 
     def _find(self, src: str, tgt: str, edges: tuple[str, ...], out: str,
-              beta: MonoidElem) -> Optional[GeneratorSpec]:
-        """The interned generator over the loop (src, tgt, edges; out) with
-        label beta, or None if there is none.  The answer is computed once
-        per key; the profile-loop is only built on a miss."""
+              beta: MonoidElem) -> Optional[CompTree]:
+        """The one-node tree of the generator over the loop (src, tgt,
+        edges; out) with label beta, or None if there is none.  The answer
+        is computed once per key; the profile-loop is only built on a
+        miss."""
         key = (src, tgt, edges, out, beta.coords)
         try:
             return self._generators[key]
         except KeyError:
             pass
         loop = ProfileLoop(EdgePath(edges, src, tgt), out)
-        gen = None
+        tree = None
         if in_fiber(self.labeling, loop, beta) and not (
                 edges == (out,) and beta.is_zero()):
-            gen = GeneratorSpec(self.generator_name(loop, beta), loop, beta)
-        self._generators[key] = gen
-        return gen
+            tree = leaf_of(GeneratorSpec(self.generator_name(loop, beta),
+                                         loop, beta))
+        self._generators[key] = tree
+        return tree
 
     def _lookup(self, loop: ProfileLoop,
                 beta: MonoidElem) -> Optional[GeneratorSpec]:
-        """``_find`` on the key of a profile-loop."""
+        """The generator ``_find`` stores for a profile-loop, or None."""
         ins = loop.inputs
-        return self._find(ins.source, ins.target, ins.edges, loop.output,
+        tree = self._find(ins.source, ins.target, ins.edges, loop.output,
                           beta)
-
-    def is_generator(self, loop: ProfileLoop, beta: MonoidElem) -> bool:
-        return self._lookup(loop, beta) is not None
+        return None if tree is None else tree.gen
 
     def generator(self, loop: ProfileLoop, beta: MonoidElem) -> GeneratorSpec:
         gen = self._lookup(loop, beta)
@@ -489,7 +488,6 @@ class FreeDgFc:
         walk = path_vertices(self.graph, loop.inputs)
         ins = loop.inputs.edges
         splits = decompose(beta)
-        intern = self._trees.setdefault
         terms: dict[CompTree, Scalar] = {}
         for r in range(n + 1):
             for bridge in self.graph.out_edges(walk[r]):
@@ -506,10 +504,8 @@ class FreeDgFc:
                                            bridge.id, b2)
                         if inner is None:
                             continue
-                        leaf = leaf_of(inner)
-                        t = CompTree(outer, ins[:r] + (intern(leaf, leaf),)
-                                     + ins[r + s:])
-                        t = intern(t, t)
+                        t = CompTree(outer.gen,
+                                     ins[:r] + (inner,) + ins[r + s:])
                         terms[t] = terms.get(t, 0) - 1
         cell = free_cell(loop, beta, 2, terms, validate=False)
         self._delta_cache[gen] = cell

@@ -344,7 +344,10 @@ class _Indexed:
 
     ``bad_profile`` is the first entry (u id, i, v id) whose composite does
     not sit over the substituted profile, or None; the index arithmetic of
-    the identity checks is only valid when there is none.
+    the identity checks is only valid when there is none.  ``labels_add``
+    says whether every entry's label total is the sum of its factors'
+    (always so on loop instances, not necessarily on tables); the gamma
+    audit prunes by label only when it is.
     """
 
     def __init__(self, fc: FcInstance, arity_bound: int):
@@ -359,6 +362,8 @@ class _Indexed:
         self.comp: list[list[dict[int, int]]] = []
         self.beyond: dict[tuple[int, int], dict[int, TwoCell]] = {}
         self.bad_profile: Optional[tuple[str, int, str]] = None
+        totals = [_label_total(c) for c in self.cells]
+        self.labels_add = True
         for x, u in enumerate(self.cells):
             rows = []
             for i, eid in enumerate(ins[x], start=1):
@@ -376,6 +381,8 @@ class _Indexed:
                             outs[r] != outs[x] or ins[r] !=
                             ins[x][:i - 1] + ins[k] + ins[x][i:]):
                         self.bad_profile = (u.id, i, self.cells[k].id)
+                    if totals[r] != totals[x] + totals[k]:
+                        self.labels_add = False
                 rows.append(row)
             self.comp.append(rows)
 
@@ -483,7 +490,10 @@ def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
     Inner tuples are enumerated depth-first with budget pruning: once the
     partial arity sum (the composite's final input length) or the partial
     label total can no longer stay within the instance bounds, the branch
-    dies.  This visits every tuple for which any order completes.
+    dies.  The label total bounds the composite only where composition
+    adds labels (``ix.labels_add``); elsewhere the label budget is n times
+    the largest label total, which no tuple exceeds.  This visits every
+    tuple for which any order completes.
 
     The insertion orders are not replayed one by one.  gamma inserts slot
     j at its original position shifted by the arities already inserted
@@ -537,7 +547,8 @@ def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
         if any(not b for b in slot_buckets):
             continue
         budget_a = arity_cap
-        budget_l = label_cap - _label_total(cells[u])
+        budget_l = (label_cap - _label_total(cells[u]) if ix.labels_add
+                    else n * label_cap)
         full = (1 << n) - 1
         inners = [0] * n
         states: list = [()] * (1 << n)

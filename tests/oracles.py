@@ -325,8 +325,9 @@ def ref_gamma_orders(cells, table):
     For every cell u of arity n >= 2, the inner tuples are taken slot by
     slot, each slot's candidates (cells whose output is that input edge)
     in order of (arity, label total, index).  A tuple is audited when every
-    prefix keeps its arity sum within the largest arity and its label sum
-    within the largest label total minus u's.  Each of the n! insertion
+    prefix keeps its arity sum within the largest arity and, if every table
+    entry's label total is the sum of its factors', its label sum within
+    the largest label total minus u's.  Each of the n! insertion
     orders is replayed in lexicographic order: slot j goes to position
     j + (arity - 1) summed over the slots already inserted below j, and an
     order stops at its first missing composite.  A tuple where no order
@@ -337,6 +338,8 @@ def ref_gamma_orders(cells, table):
     """
     arity_cap = max((c[0] for c in cells), default=0)
     label_cap = max((c[1] for c in cells), default=0)
+    labels_add = all(cells[r][1] == cells[x][1] + cells[k][1]
+                     for (x, _, k), r in table.items())
     checked = skipped = 0
     for u, (n, u_label, _, ins) in enumerate(cells):
         if n < 2:
@@ -345,7 +348,8 @@ def ref_gamma_orders(cells, table):
                         if c[2] == e) for e in ins]
         for picks in product(*slots):
             if any(sum(p[0] for p in picks[:m]) > arity_cap
-                   or sum(p[1] for p in picks[:m]) > label_cap - u_label
+                   or (labels_add and sum(p[1] for p in picks[:m])
+                       > label_cap - u_label)
                    for m in range(1, n + 1)):
                 continue
             inners = tuple(p[2] for p in picks)

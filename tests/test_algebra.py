@@ -358,6 +358,25 @@ def test_routes_agree_on_labeled_preset():
         assert agree
 
 
+def test_routes_agree_below_the_truncation():
+    # a label bound under the truncation skips labels on both routes
+    fc = build_Ainf_operad(LabelMonoid(rank=1, truncation=2))
+    loops = len(enumerate_profile_loops(fc.graph, 3))
+    fails = 0
+    for seed in range(6):
+        X = random_endx(fc.graph, seed, degree_range=(-1, 2))
+        A = random_assignment(fc, X, seed, 3, density=0.6)
+        g1, d1, agree1 = check_both_routes(fc, A, 3, 1)
+        g2, d2, agree2 = check_both_routes(fc, A, 3, 2)
+        assert agree1 and agree2
+        assert g1.label_bound == d1.label_bound == 1
+        assert d1.checked == loops * 2  # labels (0) and (1) on every loop
+        assert set(g1.failures) <= set(g2.failures)
+        assert set(d1.failures) <= set(d2.failures)
+        fails += len(g1.failures)
+    assert fails > 0
+
+
 def test_route_disagreement_names_the_failing_pairs():
     def report(route, names):
         return RelationReport(False, route, 9, 3, 1, tuple(

@@ -14,12 +14,10 @@ from fcmc.chain import (
     GradedBasis,
     check_end_dg,
     compose_end,
-    element_map,
     hat_d,
     identity_map,
     make_complex,
     multimap,
-    tensor_differential,
     zero_map,
 )
 
@@ -31,11 +29,6 @@ def loop_graph():
 def two_term():
     # x in degree 0 mapping onto y in degree 1
     return make_complex([("x", 0), ("y", 1)], {"x": {"y": 1}})
-
-
-def three_term():
-    return make_complex([("u", 0), ("v", 1), ("w", 1)],
-                        {"u": {"v": 1, "w": -1}})
 
 
 def end_two_term():
@@ -91,45 +84,13 @@ def test_endx_requires_all_edges():
 
 def test_arity_zero_maps_are_elements():
     X = end_two_term()
-    el = element_map(X, "e", {"y": 1}, degree=1)
+    el = multimap(X, (), "e", 1, {(): {"y": 1}})
     assert el.arity() == 0
     assert el.apply(()) == {"y": 1}
     # hat_d of an element is d of the element
     assert hat_d(X, el).is_zero()  # y is a cycle
-    el0 = element_map(X, "e", {"x": 1}, degree=0)
+    el0 = multimap(X, (), "e", 0, {(): {"x": 1}})
     assert hat_d(X, el0).apply(()) == {"y": 1}
-
-
-# ---------------------------------------------------------------- tensor diff
-
-
-def test_tensor_differential_single_factor():
-    cx = two_term()
-    assert tensor_differential([cx], {("x",): 1}) == {("y",): 1}
-
-
-def test_tensor_differential_sign_rule():
-    # first factor of degree 1 with zero differential: d(a (x) x) = -a (x) dx
-    odd = make_complex([("a", 1)], {})
-    cx = two_term()
-    got = tensor_differential([odd, cx], {("a", "x"): 1})
-    assert got == {("a", "y"): -1}
-
-
-def test_tensor_differential_squares_to_zero():
-    cx, cx3 = two_term(), three_term()
-    for t in itertools.product(["x", "y"], ["u", "v", "w"]):
-        once = tensor_differential([cx, cx3], {t: 1})
-        if once:
-            assert tensor_differential([cx, cx3], once) == {}
-
-
-def test_tensor_differential_rejects_bad_input():
-    cx = two_term()
-    with pytest.raises(ChainError):
-        tensor_differential([cx, cx], {("x",): 1})
-    with pytest.raises(ChainError):
-        tensor_differential([cx, cx], {("x", "x"): 1, ("x", "y"): 1})
 
 
 # --------------------------------------------------------------------- hat_d

@@ -805,7 +805,6 @@ def test_generator_is_interned():
     # equal boundary data built independently finds the same object
     assert fc.generator(m_loop(3), label(1)) is gen
     assert any(g is gen for g in fc.generators(3))
-    assert not fc.is_generator(m_loop(1), label(0))
     with pytest.raises(CompositionError):
         fc.generator(m_loop(1), label(0))
 
@@ -853,12 +852,21 @@ def test_rule_trees_are_interned_and_lookup_is_keyed():
                build_Ainf_operad(LabelMonoid(rank=2, truncation=2))):
         # a curvature insert (s = 0) puts an arity-5 outer node into the
         # rules of arity 4, so the sweep at 4 reads rules up to arity 5
+        rule_trees = []
         for gen in fc.generators(5):
             for rt, _ in fc.delta_generator(gen).terms:
                 inner = next(c for c in rt.children if isinstance(c, CompTree))
-                for node in (rt.gen, inner.gen):
-                    assert node is fc.generator(node.profile, node.label)
-                assert fc._trees[rt] is rt and fc._trees[inner] is inner
+                assert rt.gen is fc.generator(rt.gen.profile, rt.gen.label)
+                # the inner node is the very tree stored for its generator
+                ins = inner.gen.profile.inputs
+                assert inner is fc._find(ins.source, ins.target, ins.edges,
+                                         inner.gen.profile.output,
+                                         inner.gen.label)
+                rule_trees.append(rt)
+        # only one-node generator trees are stored, no whole rule tree
+        stored = [t for t in fc._generators.values() if t is not None]
+        assert all(t.children == t.gen.profile.inputs.edges for t in stored)
+        assert not {id(t) for t in stored} & {id(rt) for rt in rule_trees}
         # the keyed lookup answers for _lookup, no-generator keys included
         rank, cap = fc.monoid.rank, fc.monoid.truncation
         answers = set()
@@ -867,11 +875,12 @@ def test_rule_trees_are_interned_and_lookup_is_keyed():
             for coords in itertools.product(range(cap + 2), repeat=rank):
                 beta = MonoidElem(coords)
                 gen = fc._lookup(loop, beta)
-                assert gen is fc._find(ins.source, ins.target, ins.edges,
-                                       loop.output, beta)
+                tree = fc._find(ins.source, ins.target, ins.edges,
+                                loop.output, beta)
+                assert gen is (None if tree is None else tree.gen)
                 answers.add(gen is None)
         assert answers == {True, False}
-        # warmed up, the d^2 sweep interns nothing: output trees stay out
-        interned = len(fc._trees)
+        # warmed up, the d^2 sweep stores nothing: output trees stay out
+        keys = len(fc._generators)
         assert delta_squared_report(fc, 4).ok
-        assert len(fc._trees) == interned
+        assert len(fc._generators) == keys

@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fcmc.graphs import (
     CompositionError,
@@ -172,6 +172,7 @@ def test_enumerate_paths_matches_reference(g, max_len):
 
 
 @given(small_graphs(), st.integers(0, 3), st.integers(0, 3))
+@settings(deadline=None)
 def test_enumerate_paths_prefix_property(g, m, extra):
     n = m + extra
     shorter = {p for p in enumerate_paths(g, n) if len(p) <= m}

@@ -460,9 +460,10 @@ def test_loop_token_readable():
 # failure's counts include the failing comparison and everything counted
 # before it, gamma fillings included.
 
-def _loop_table(arities, entries):
+def _loop_table(arities, entries, labels=None):
     g = single_loop()
-    cells = [TwoCell(c, profile_loop(g, ["e"] * n, "e"), None)
+    cells = [TwoCell(c, profile_loop(g, ["e"] * n, "e"),
+                     None if labels is None else label(labels[c]))
              for c, n in arities.items()]
     table = {(o, i, v): r for o, i, v, r in entries}
     return TableInstance(g, cells, {"e": "1"}, table)
@@ -666,3 +667,20 @@ def test_gamma_audit_same_mask_different_composites():
     expected = ("gamma order-dependence",
                 ("u", ("a", "b", "c"), (1, 2, 3), (2, 1, 3)))
     assert _gamma_audit(fc, 3) == expected == _gamma_oracle(fc, 3)
+
+
+def test_gamma_prunes_by_label_only_where_labels_add():
+    # the unit 1 with unit rows for 1, a binary m and a ternary t, and
+    # m o_1 m = m o_2 m = t; (m; 1, m) and (m; m, 1) complete at t, and
+    # labels (0), (1), (1) do not add under m o m = t, so a label budget
+    # must not prune them
+    rows = [("1", 1, c, c) for c in ("1", "m", "t")]
+    rows += [(c, i, "1", c) for c, n in (("m", 2), ("t", 3))
+             for i in range(1, n + 1)]
+    rows += [("m", 1, "m", "t"), ("m", 2, "m", "t")]
+    for labels in (None, {"1": 0, "m": 1, "t": 1}):
+        fc = _loop_table({"1": 1, "m": 2, "t": 3}, rows, labels)
+        assert fc._indexed(3).labels_add == (labels is None)
+        report = check_axioms(fc, 3)
+        assert (report.ok, report.checked, report.skipped) == (True, 40, 13)
+        assert _gamma_audit(fc, 3) == _gamma_oracle(fc, 3)
