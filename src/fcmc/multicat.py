@@ -149,7 +149,15 @@ def gamma(fc: FcInstance, u: TwoCell, inners: Sequence[TwoCell],
 class LoopInstance(FcInstance):
     """One cell per profile-loop, or per (profile-loop, fiber label) pair
     when a labeling is given; composition is path substitution, and adds
-    labels."""
+    labels.
+
+    Cells are interned: the population is kept by its key (input edges,
+    output edge, label coordinates or None), which names a profile-loop of
+    the graph outright, so ``unit`` and an in-bound ``compose`` return the
+    population's own cell.  A cell is built only for a key outside the
+    population (a unit beyond the length bound, or factors that are not
+    cells of this instance), and such a cell is not kept.
+    """
 
     def __init__(self, graph: DirectedGraph, max_len: int,
                  labeling: Optional[LabelingFc] = None):
@@ -159,9 +167,18 @@ class LoopInstance(FcInstance):
         self.max_len = max_len
         self.labeling = labeling
         self._cells: Optional[list[TwoCell]] = None
+        self._interned: dict[tuple, TwoCell] = {}
 
     def _cell(self, loop: ProfileLoop, beta: Optional[MonoidElem]) -> TwoCell:
         return TwoCell(cell_token(loop, beta), loop, beta)
+
+    def _lookup(self, edges: tuple[str, ...], output: str,
+                beta: Optional[MonoidElem]) -> Optional[TwoCell]:
+        """The population's cell under this key, or None."""
+        if self._cells is None:
+            self.cells()
+        return self._interned.get(
+            (edges, output, None if beta is None else beta.coords))
 
     def cells(self) -> list[TwoCell]:
         if self._cells is None:
@@ -171,6 +188,10 @@ class LoopInstance(FcInstance):
                           else fiber(self.labeling, loop))
                 out.extend(self._cell(loop, beta) for beta in labels)
             self._cells = out
+            self._interned = {
+                (c.profile.inputs.edges, c.profile.output,
+                 None if c.label is None else c.label.coords): c
+                for c in out}
         return self._cells
 
     def contains(self, cell: TwoCell) -> bool:
@@ -185,7 +206,8 @@ class LoopInstance(FcInstance):
 
     def unit(self, eid: str) -> TwoCell:
         zero = None if self.labeling is None else self.labeling.monoid.zero()
-        return self._cell(identity_loop(self.graph, eid), zero)
+        loop = identity_loop(self.graph, eid)
+        return self._lookup((eid,), eid, zero) or self._cell(loop, zero)
 
     def compose(self, u: TwoCell, i: int, v: TwoCell) -> ComposeResult:
         check_slot(u.profile, i, v.profile)
@@ -196,11 +218,15 @@ class LoopInstance(FcInstance):
                 return OutOfBound(
                     f"label {beta} exceeds truncation "
                     f"{self.labeling.monoid.truncation}")
-        profile = substituted_profile(u.profile, i, v.profile)
-        if profile.arity() > self.max_len:
+        outer = u.profile.inputs
+        edges = outer.edges[:i - 1] + v.profile.inputs.edges + outer.edges[i:]
+        if len(edges) > self.max_len:
             return OutOfBound(
-                f"input length {profile.arity()} exceeds bound {self.max_len}")
-        return self._cell(profile, beta)
+                f"input length {len(edges)} exceeds bound {self.max_len}")
+        output = u.profile.output
+        return self._lookup(edges, output, beta) or self._cell(
+            ProfileLoop(EdgePath(edges, outer.source, outer.target), output),
+            beta)
 
 
 class TableInstance(FcInstance):
@@ -347,7 +373,8 @@ class _Indexed:
     the identity checks is only valid when there is none.  ``labels_add``
     says whether every entry's label total is the sum of its factors'
     (always so on loop instances, not necessarily on tables); the gamma
-    audit prunes by label only when it is.
+    audit prunes by label only when it is.  ``totals[k]`` is cell k's
+    label total (0 when unlabeled).
     """
 
     def __init__(self, fc: FcInstance, arity_bound: int):
@@ -362,7 +389,8 @@ class _Indexed:
         self.comp: list[list[dict[int, int]]] = []
         self.beyond: dict[tuple[int, int], dict[int, TwoCell]] = {}
         self.bad_profile: Optional[tuple[str, int, str]] = None
-        totals = [_label_total(c) for c in self.cells]
+        self.totals = totals = [0 if c.label is None else c.label.total()
+                                for c in self.cells]
         self.labels_add = True
         for x, u in enumerate(self.cells):
             rows = []
@@ -418,9 +446,17 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
     def fail(kind: str, witness: tuple) -> AxiomReport:
         return AxiomReport(False, kind, witness, checked, skipped)
 
+    units: dict[str, TwoCell] = {}
+
+    def unit(eid: str) -> TwoCell:
+        # looked up once per edge, at its first use, so that a missing
+        # unit raises at the same cell as it would on every lookup
+        if eid not in units:
+            units[eid] = fc.unit(eid)
+        return units[eid]
+
     for u in cells:
-        out_unit = fc.unit(u.profile.output)
-        left = fc.compose(out_unit, 1, u)
+        left = fc.compose(unit(u.profile.output), 1, u)
         if isinstance(left, OutOfBound):
             skipped += 1
         else:
@@ -428,7 +464,7 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
             if left != u:
                 return fail("left unit law", (u.id,))
         for i, eid in enumerate(u.profile.inputs.edges, start=1):
-            right = fc.compose(u, i, fc.unit(eid))
+            right = fc.compose(u, i, unit(eid))
             if isinstance(right, OutOfBound):
                 skipped += 1
                 continue
@@ -479,10 +515,6 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
     return _check_gamma_orders(ix, checked, skipped)
 
 
-def _label_total(cell: TwoCell) -> int:
-    return cell.label.total() if cell.label is not None else 0
-
-
 def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
     """Decide order-independence of gamma over all full slot fillings, and
     report it with the counts carried on from ``checked``/``skipped``.
@@ -498,14 +530,17 @@ def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
     The insertion orders are not replayed one by one.  gamma inserts slot
     j at its original position shifted by the arities already inserted
     before it, and that shift depends only on *which* slots are filled,
-    not on the order they were filled in.  So ``states[mask]``, the set of
+    not on the order they were filled in.  So ``states[mask]``, the
     composites reached by inserting exactly the slots in ``mask`` in some
     order, is the union over the slots j in ``mask`` of inserting j into
     each composite of ``states[mask - {j}]``.  Orders stop at their first
-    composite outside the population and so drop out of the sets; the
-    full mask holds exactly the results of the orders that complete.  None
-    means skipped, one means checked, and two or more means that two
-    completing orders disagree, which is the failure.  (That the results
+    composite outside the population and so drop out; the full mask holds
+    exactly the results of the orders that complete.  A state is -1 when
+    no order reaches a composite, the one composite's index when all
+    orders that reach one agree, and the set of two or more only once two
+    disagree (:func:`_join`), so the common case allocates nothing.  At the
+    full mask, none means skipped, one means checked, and a set means that
+    two completing orders disagree, which is the failure.  (That the results
     should coincide is parallel associativity; see Markl-Shnider-Stasheff,
     *Operads in Algebra, Topology and Physics*, 2002.)
 
@@ -519,15 +554,15 @@ def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
     cells = ix.cells
     arity = ix.arity
     comp = ix.comp
+    totals = ix.totals
     arity_cap = max(arity, default=0)
-    label_cap = max((_label_total(c) for c in cells), default=0)
+    label_cap = max(totals, default=0)
     # bucket candidates per edge by (arity, label total) for the pruning
     buckets: dict[str, list[tuple[int, int, list[int]]]] = {}
     for e, ks in ix.by_out.items():
         grouped: dict[tuple[int, int], list[int]] = {}
         for k in ks:
-            key = (arity[k], _label_total(cells[k]))
-            grouped.setdefault(key, []).append(k)
+            grouped.setdefault((arity[k], totals[k]), []).append(k)
         buckets[e] = [(a, l, ks2) for (a, l), ks2 in sorted(grouped.items())]
     # plan[t] lists each mask m whose highest slot is t, with s = m - {t}
     # and, for every slot j of m, (m - {j}, j, the slots of m below j)
@@ -536,7 +571,7 @@ def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
                for j in range(t + 1) if m >> j & 1])
              for m in range(1 << t, 2 << t)]
             for t in range(arity_cap)]
-    counts = [skipped, checked]  # indexed by the number of full composites
+    counts = [checked, skipped]  # a full state of -1 counts as skipped
 
     for u in range(len(cells)):
         n = arity[u]
@@ -547,50 +582,67 @@ def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
         if any(not b for b in slot_buckets):
             continue
         budget_a = arity_cap
-        budget_l = (label_cap - _label_total(cells[u]) if ix.labels_add
+        budget_l = (label_cap - totals[u] if ix.labels_add
                     else n * label_cap)
         full = (1 << n) - 1
         inners = [0] * n
-        states: list = [()] * (1 << n)
-        states[0] = (u,)
+        states: list = [-1] * (1 << n)
+        states[0] = u
         # shift[mask]: how far the inserted slots of mask move later slots
         shift = [0] * (1 << n)
 
         def grow(t: int, sum_a: int, sum_l: int) -> Optional[AxiomReport]:
+            masks = plan[t]
             for a, l, ks in slot_buckets[t]:
                 if sum_a + a > budget_a or sum_l + l > budget_l:
                     continue
+                for m, s, _ in masks:
+                    shift[m] = shift[s] + a - 1
                 for k in ks:
                     inners[t] = k
-                    for m, s, others in plan[t]:
-                        shift[m] = shift[s] + a - 1
-                        out = set()
+                    for m, _, others in masks:
+                        got = -1
                         for prev, j, below in others:
-                            p = j + shift[below]
-                            kj = inners[j]
-                            for r in states[prev]:
-                                c = comp[r][p].get(kj, -1)
-                                if c >= 0:
-                                    out.add(c)
-                        states[m] = out
+                            state = states[prev]
+                            if state.__class__ is not int:
+                                for r in state:
+                                    got = _join(got, comp[r][
+                                        j + shift[below]].get(inners[j], -1))
+                            elif state >= 0:
+                                c = comp[state][j + shift[below]].get(
+                                    inners[j], -1)
+                                if c >= 0 and c != got:
+                                    got = c if got == -1 else _join(got, c)
+                        states[m] = got
                     if t + 1 < n:
                         report = grow(t + 1, sum_a + a, sum_l + l)
                         if report is not None:
                             return report
-                    elif len(states[full]) > 1:
+                    elif states[full].__class__ is not int:
                         # the failing filling is a decided comparison
                         return AxiomReport(
                             False, "gamma order-dependence",
-                            _gamma_witness(ix, u, inners), counts[1] + 1,
-                            counts[0])
+                            _gamma_witness(ix, u, inners),
+                            counts[0] + 1, counts[1])
                     else:
-                        counts[len(states[full])] += 1
+                        counts[states[full] < 0] += 1
             return None
 
         report = grow(0, 0, 0)
         if report is not None:
             return report
-    return AxiomReport(True, None, None, counts[1], counts[0])
+    return AxiomReport(True, None, None, *counts)
+
+
+def _join(state, c: int):
+    """Add composite ``c`` (-1 for none) to a gamma state: -1 for none,
+    one index, or the set of two or more."""
+    if c < 0 or c == state:
+        return state
+    if state.__class__ is int:
+        return c if state < 0 else {state, c}
+    state.add(c)
+    return state
 
 
 def _gamma_witness(ix, u: int, inners: list[int]) -> tuple:

@@ -15,7 +15,7 @@ from fcmc.graphs import (
     profile_loop,
     subgraph,
 )
-from fcmc.labels import LabelMonoid, LabelingFc, label
+from fcmc.labels import LabelError, LabelMonoid, LabelingFc, label
 from fcmc.multicat import (
     AxiomReport,
     FactorReport,
@@ -135,9 +135,7 @@ def test_compose_slot_mismatch():
 def test_compose_out_of_bound_length():
     fc = LoopInstance(single_loop(), 2)
     u = cell_of(fc, ["e", "e"], "e")
-    r = fc.compose(u, 1, u)
-    assert isinstance(r, OutOfBound)
-    assert "exceeds bound" in r.reason
+    assert fc.compose(u, 1, u) == OutOfBound("input length 3 exceeds bound 2")
 
 
 def test_labeled_composition_adds_labels():
@@ -147,9 +145,11 @@ def test_labeled_composition_adds_labels():
     uv = fc.compose(u, 1, u)
     assert uv.label == label(2)
     # one more unit of label leaves the truncation
-    r = fc.compose(uv, 1, u)
-    assert isinstance(r, OutOfBound)
-    assert "truncation" in r.reason
+    assert fc.compose(uv, 1, u) == OutOfBound("label (3) exceeds truncation 2")
+    # the label is checked before the length
+    long = cell_of(fc, ["e", "e", "e"], "e", label(2))
+    assert fc.compose(long, 1, long) == OutOfBound(
+        "label (4) exceeds truncation 2")
 
 
 def test_labeled_fiber_example():
@@ -581,6 +581,61 @@ def test_contains_rejects_the_other_label_kind(make_fc):
         assert not fc.contains(flipped)
 
 
+@LOOP_INSTANCES
+def test_compose_and_unit_return_the_population_cells(make_fc):
+    # interned cells: every in-bound composite and every unit is the very
+    # object the population holds, and out-of-bound reasons are pinned
+    fc = make_fc()
+    cells = fc.cells()
+    own = {id(c) for c in cells}
+    for e in fc.graph.edges:
+        assert id(fc.unit(e.id)) in own
+    lab = fc.labeling
+    kinds = set()
+    for u in cells:
+        for i, eid in enumerate(u.profile.inputs.edges, start=1):
+            for v in cells:
+                if v.profile.output != eid:
+                    continue
+                uv = fc.compose(u, i, v)
+                total = (None if lab is None
+                         else u.label.total() + v.label.total())
+                length = u.arity() - 1 + v.arity()
+                if total is not None and total > lab.monoid.truncation:
+                    kinds.add("label")
+                    assert uv == OutOfBound(
+                        f"label ({total}) exceeds truncation "
+                        f"{lab.monoid.truncation}")
+                elif length > fc.max_len:
+                    kinds.add("length")
+                    assert uv == OutOfBound(
+                        f"input length {length} exceeds bound {fc.max_len}")
+                else:
+                    assert id(uv) in own
+                    assert uv.profile == substituted_profile(
+                        u.profile, i, v.profile)
+    assert kinds == ({"length"} if lab is None else {"label", "length"})
+
+
+@LOOP_INSTANCES
+def test_compose_still_rejects_bad_slots_and_ranks(make_fc):
+    fc = make_fc()
+    u = next(c for c in fc.cells() if c.arity() == 2)
+    v = fc.unit(u.profile.inputs.edges[0])
+    for i in (0, 3):
+        with pytest.raises(CompositionError, match="out of range"):
+            fc.compose(u, i, v)
+    wrong = next((c for c in fc.cells()
+                  if c.profile.output != u.profile.inputs.edges[0]), None)
+    if wrong is not None:
+        with pytest.raises(CompositionError, match="wants"):
+            fc.compose(u, 1, wrong)
+    if fc.labeling is not None:
+        rank2 = TwoCell(v.id, v.profile, label(0, 0))
+        with pytest.raises(LabelError, match="rank mismatch"):
+            fc.compose(u, 1, rank2)
+
+
 def test_loop_instance_rejects_labeling_over_another_graph():
     lfc = LabelingFc(single_loop(), LabelMonoid(1, 1), reduced=False)
     with pytest.raises(GraphError, match="different graph"):
@@ -667,6 +722,48 @@ def test_gamma_audit_same_mask_different_composites():
     expected = ("gamma order-dependence",
                 ("u", ("a", "b", "c"), (1, 2, 3), (2, 1, 3)))
     assert _gamma_audit(fc, 3) == expected == _gamma_oracle(fc, 3)
+
+
+# u o_1 a = p1, u o_2 b = p2, u o_3 c = p3, then p1 o_2 b = q12,
+# p1 o_3 c = q13 and p2 o_3 c = q23: exactly the orders 1,2,3 / 1,3,2 /
+# 2,3,1 fill all three slots, ending in slots 3, 2 and 1
+THREE_ORDERS = [("u", 1, "a", "p1"), ("u", 2, "b", "p2"), ("u", 3, "c", "p3"),
+                ("p1", 2, "b", "q12"), ("p1", 3, "c", "q13"),
+                ("p2", 3, "c", "q23")]
+THREE_CELLS = ["u", "p1", "p2", "p3", "q12", "q13", "q23", "t3", "t2", "t1"]
+THREE_LAST = [("q12", 3, "c", "t3"), ("q13", 2, "b", "t2"),
+              ("q23", 1, "a", "t1")]
+
+
+def test_gamma_audit_three_distinct_composites():
+    # the three completing orders reach t3, t2 and t1: the full state is
+    # a set of three, and the witness is the first two orders
+    unary = {"1": 1, "a": 1, "b": 1, "c": 1}
+    fc = _loop_table(unary | {c: 3 for c in THREE_CELLS},
+                     THREE_ORDERS + THREE_LAST)
+    expected = ("gamma order-dependence",
+                ("u", ("a", "b", "c"), (1, 2, 3), (1, 3, 2)))
+    assert _gamma_audit(fc, 3) == expected == _gamma_oracle(fc, 3)
+
+
+def test_gamma_audit_three_composites_converge():
+    # the same prefix one arity up: slots 1-3 reach t3, t2 and t1, a set
+    # of three, and filling slot 4 with d takes each of them to r
+    unary = {"1": 1, "a": 1, "b": 1, "c": 1, "d": 1}
+    fc = _loop_table(unary | {c: 4 for c in THREE_CELLS + ["r"]},
+                     THREE_ORDERS + THREE_LAST
+                     + [(t, 4, "d", "r") for t in ("t1", "t2", "t3")])
+    expected = (1, 11 * 5 ** 4 - 1)
+    assert _gamma_audit(fc, 4) == expected == _gamma_oracle(fc, 4)
+    # ... and when t3, the third composite the audit meets, goes elsewhere,
+    # the orders disagree
+    fc = _loop_table(unary | {c: 4 for c in THREE_CELLS + ["r", "r2"]},
+                     THREE_ORDERS + THREE_LAST
+                     + [("t1", 4, "d", "r"), ("t2", 4, "d", "r"),
+                        ("t3", 4, "d", "r2")])
+    expected = ("gamma order-dependence",
+                ("u", ("a", "b", "c", "d"), (1, 2, 3, 4), (1, 3, 2, 4)))
+    assert _gamma_audit(fc, 4) == expected == _gamma_oracle(fc, 4)
 
 
 def test_gamma_prunes_by_label_only_where_labels_add():
