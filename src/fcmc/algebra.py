@@ -23,6 +23,7 @@ from .chain import (
     Vector,
     _add_into,
     _basis_tuples,
+    _check_exact,
     _clean,
     compose_end,
     hat_d,
@@ -402,6 +403,7 @@ def lift_dga(elements: Sequence[tuple[str, int]],
     orig_deg = dict(elements)
     for (x, y), vec in table.items():
         for z, c in vec.items():
+            _check_exact(c, f"product {x}*{y} -> {z}")
             if c != 0 and orig_deg[z] != orig_deg[x] + orig_deg[y]:
                 raise AlgebraError(
                     f"product {x}*{y} -> {z} breaks degrees "

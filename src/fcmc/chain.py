@@ -34,6 +34,15 @@ def _clean(vec: Vector) -> Vector:
     return {k: v for k, v in vec.items() if v != 0}
 
 
+def _check_exact(c, where: str) -> None:
+    """Coefficients entering through the library API must be exact: a
+    nonzero coefficient is an int (not a bool) or a Fraction."""
+    if c != 0 and (isinstance(c, bool)
+                   or not isinstance(c, (int, Fraction))):
+        raise ChainError(
+            f"{where}: coefficient {c!r} is not an int or Fraction")
+
+
 def _add_into(acc: Vector, vec: Vector, c: Scalar = 1) -> None:
     for k, v in vec.items():
         acc[k] = acc.get(k, 0) + c * v
@@ -120,6 +129,7 @@ def make_complex(elements: Iterable[tuple[str, int]],
     for x, vec in d.items():
         dx = basis.degree(x)
         for y, c in vec.items():
+            _check_exact(c, f"d({x}) -> {y}")
             if c != 0 and basis.degree(y) != dx + 1:
                 raise ChainError(
                     f"d({x}) hits {y} of degree {basis.degree(y)}, "
@@ -224,7 +234,8 @@ class EndX:
 
 def multimap(X: EndX, inputs: Sequence[str], output: str, degree: int,
              entries: dict[tuple[str, ...], Vector]) -> MultiMap:
-    """Validated constructor: every entry must be degree-consistent."""
+    """Validated constructor: every entry must be degree-consistent and
+    every coefficient exact."""
     inputs = tuple(inputs)
     cxs = [X.complex(e) for e in inputs]
     out_cx = X.complex(output)
@@ -234,6 +245,7 @@ def multimap(X: EndX, inputs: Sequence[str], output: str, degree: int,
             raise ChainError(f"entry {key} has wrong arity")
         in_deg = sum(cx.degree(x) for cx, x in zip(cxs, key))
         for y, c in vec.items():
+            _check_exact(c, f"entry {key} -> {y}")
             if c != 0 and out_cx.degree(y) != in_deg + degree:
                 raise ChainError(
                     f"entry {key} -> {y}: degree "
@@ -289,7 +301,8 @@ def compose_end(X: EndX, xi1: MultiMap, i: int, xi2: MultiMap,
     sign of moving xi2 past the first i-1 arguments.
 
     xi1's entries are grouped by their slot-i basis id, so each entry of
-    xi2 meets only the entries of xi1 it feeds.
+    xi2 meets only the entries of xi1 it feeds.  A zero factor gives the
+    zero map at once, after the slot and output checks.
 
     sign_fault drops that sign; it exists to demonstrate that the dg laws
     detect it.
@@ -302,6 +315,8 @@ def compose_end(X: EndX, xi1: MultiMap, i: int, xi2: MultiMap,
             f"slot {i} expects {xi1.inputs[i - 1]!r}, inner map produces "
             f"{xi2.output!r}")
     new_inputs = xi1.inputs[:i - 1] + xi2.inputs + xi1.inputs[i:]
+    if not xi1.table or not xi2.table:
+        return MultiMap(new_inputs, xi1.output, xi1.degree + xi2.degree, {})
     signed = xi2.degree % 2 and not sign_fault
     pre_cxs = [X.complex(e) for e in xi1.inputs[:i - 1]]
     by_slot: dict[str, list[tuple[tuple, tuple, int, Vector]]] = {}
@@ -355,6 +370,10 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
     composition satisfies both partial-composition identities (the
     parallel one with the sign for exchanging the two inner maps); unit
     laws; and the Leibniz identity tying hat_d to composition.
+
+    Each composite of two population maps is computed once, in the
+    Leibniz check, and kept in ``comps[a, i, b]`` (population indices and
+    slot); the partial-composition identities read it from there.
     """
     from .graphs import enumerate_profile_loops
     loops = enumerate_profile_loops(X.graph, arity_bound)
@@ -364,8 +383,9 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
     def fail(what, wit):
         return EndDgReport(False, checked, what, wit)
 
-    for eid in X.graph.edge_ids():
-        if not hat_d(X, identity_map(X, eid)).is_zero():
+    units = {eid: identity_map(X, eid) for eid in X.graph.edge_ids()}
+    for eid, unit in units.items():
+        if not hat_d(X, unit).is_zero():
             return fail("hat_d(identity) != 0", f"edge {eid}")
         checked += 1
     d_pop: list[MultiMap] = []
@@ -378,21 +398,21 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
     # unit laws
     for xi in pop:
         for i in range(1, xi.arity() + 1):
-            unit = identity_map(X, xi.inputs[i - 1])
-            if compose_end(X, xi, i, unit) != xi:
+            if compose_end(X, xi, i, units[xi.inputs[i - 1]]) != xi:
                 return fail("xi o_i id != xi", f"{xi!r} slot {i}")
             checked += 1
-        unit = identity_map(X, xi.output)
-        if compose_end(X, unit, 1, xi) != xi:
+        if compose_end(X, units[xi.output], 1, xi) != xi:
             return fail("id o_1 xi != xi", repr(xi))
         checked += 1
     # Leibniz
-    for xi1, d_xi1 in zip(pop, d_pop):
-        for xi2, d_xi2 in zip(pop, d_pop):
+    comps: dict[tuple[int, int, int], MultiMap] = {}
+    for a, (xi1, d_xi1) in enumerate(zip(pop, d_pop)):
+        for b, (xi2, d_xi2) in enumerate(zip(pop, d_pop)):
             for i in range(1, xi1.arity() + 1):
                 if xi1.inputs[i - 1] != xi2.output:
                     continue
-                comp = compose_end(X, xi1, i, xi2, sign_fault=sign_fault)
+                comp = comps[a, i, b] = compose_end(X, xi1, i, xi2,
+                                                    sign_fault=sign_fault)
                 lhs = hat_d(X, comp)
                 s = -1 if xi1.degree % 2 else 1
                 rhs = compose_end(X, d_xi1, i, xi2,
@@ -406,24 +426,21 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
                         f"{xi1!r} o_{i} {xi2!r}")
                 checked += 1
     # partial-composition identities
-    for xi1 in pop:
-        for xi2 in pop:
+    for a, xi1 in enumerate(pop):
+        for b, xi2 in enumerate(pop):
             for i in range(1, xi1.arity() + 1):
                 if xi1.inputs[i - 1] != xi2.output:
                     continue
-                left = compose_end(X, xi1, i, xi2, sign_fault=sign_fault)
-                for xi3 in pop:
+                left = comps[a, i, b]
+                for c, xi3 in enumerate(pop):
                     # nested
                     for j in range(1, xi2.arity() + 1):
                         if xi2.inputs[j - 1] != xi3.output:
                             continue
                         lhs = compose_end(X, left, i - 1 + j, xi3,
                                           sign_fault=sign_fault)
-                        rhs = compose_end(
-                            X, xi1, i,
-                            compose_end(X, xi2, j, xi3,
-                                        sign_fault=sign_fault),
-                            sign_fault=sign_fault)
+                        rhs = compose_end(X, xi1, i, comps[b, j, c],
+                                          sign_fault=sign_fault)
                         if lhs != rhs:
                             return fail("nested composition identity fails",
                                         f"{xi1!r} {xi2!r} {xi3!r} i={i} j={j}")
@@ -435,10 +452,8 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
                         lhs = compose_end(X, left, k - 1 + xi2.arity(), xi3,
                                           sign_fault=sign_fault)
                         s = -1 if (xi2.degree * xi3.degree) % 2 else 1
-                        rhs = compose_end(
-                            X, compose_end(X, xi1, k, xi3,
-                                           sign_fault=sign_fault),
-                            i, xi2, sign_fault=sign_fault).scale(s)
+                        rhs = compose_end(X, comps[a, k, c], i, xi2,
+                                          sign_fault=sign_fault).scale(s)
                         if lhs != rhs:
                             return fail(
                                 "parallel composition identity fails",

@@ -17,6 +17,7 @@ from fcmc.freedg import (
     leaf_of,
 )
 from fcmc.chain import (
+    ChainError,
     EndX,
     compose_end,
     make_complex,
@@ -146,6 +147,16 @@ def test_unassigned_generator_acts_as_zero():
 def test_lift_dga_rejects_degree_breaking_table():
     with pytest.raises(AlgebraError):
         lift_dga([("a", 0), ("b", 1)], {}, {("a", "a"): {"b": 1}})
+
+
+@pytest.mark.parametrize("bad", [1.0, True])
+def test_lift_dga_rejects_inexact_coefficients(bad):
+    with pytest.raises(ChainError):
+        lift_dga([("1", 0), ("eps", 0)], {}, {
+            ("1", "1"): {"1": 1}, ("1", "eps"): {"eps": bad},
+            ("eps", "1"): {"eps": 1}, ("eps", "eps"): {}})
+    with pytest.raises(ChainError):
+        lift_dga([("x", 0), ("y", 1)], {"x": {"y": bad}}, {})
 
 
 # ------------------------------------------------------------ evaluate_alpha

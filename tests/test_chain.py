@@ -76,6 +76,21 @@ def test_multimap_fraction_coefficients():
     assert xi.sub(xi).is_zero()
 
 
+@pytest.mark.parametrize("bad", [-3.0, 0.5, True, "1"])
+def test_make_complex_rejects_inexact_coefficients(bad):
+    with pytest.raises(ChainError):
+        make_complex([("x", 0), ("y", 1)], {"x": {"y": bad}})
+
+
+@pytest.mark.parametrize("bad", [-3.0, 0.5, True, "1"])
+def test_multimap_rejects_inexact_coefficients(bad):
+    X = end_two_term()
+    with pytest.raises(ChainError):
+        multimap(X, ("e",), "e", 1, {("x",): {"y": bad}})
+    with pytest.raises(ChainError):
+        multimap(X, (), "e", 0, {(): {"x": bad}})
+
+
 def test_endx_requires_all_edges():
     g = make_graph(["v0", "v1"], [("e0", "v0", "v0"), ("e01", "v0", "v1")])
     with pytest.raises(Exception):
@@ -171,6 +186,30 @@ def test_compose_end_slot_errors():
     b = multimap(X2, ("e01",), "e01", 0, {("x",): {"x": 1}})
     with pytest.raises(CompositionError):
         compose_end(X2, a, 1, b)
+    # a zero map on either side is checked the same way
+    z = zero_map(X, ("e",), "e", 0)
+    for outer, inner in ((z, xi), (xi, z), (z, z)):
+        for slot in (0, 2):
+            with pytest.raises(CompositionError):
+                compose_end(X, outer, slot, inner)
+    za = zero_map(X2, ("e0",), "e0", 0)
+    zb = zero_map(X2, ("e01",), "e01", 0)
+    for outer, inner in ((za, b), (a, zb), (za, zb)):
+        with pytest.raises(CompositionError):
+            compose_end(X2, outer, 1, inner)
+    # a valid composition with a zero factor is the zero map of its shape
+    outer = multimap(X2, ("e0", "e01"), "e01", 0, {("x", "y"): {"y": 1}})
+    inner = multimap(X2, ("e01", "e0"), "e0", -1, {("y", "y"): {"y": 1}})
+    zero_outer = zero_map(X2, ("e0", "e01"), "e01", 2)
+    zero_inner = zero_map(X2, ("e01", "e0"), "e0", 3)
+    for xi1, xi2 in ((zero_outer, inner), (outer, zero_inner),
+                     (zero_outer, zero_inner)):
+        for sign_fault in (False, True):
+            comp = compose_end(X2, xi1, 1, xi2, sign_fault=sign_fault)
+            assert comp.is_zero()
+            assert comp.inputs == ("e01", "e0", "e01")
+            assert comp.output == "e01"
+            assert comp.degree == xi1.degree + xi2.degree
 
 
 def test_compose_end_degrees_add():
@@ -199,11 +238,58 @@ def test_check_end_dg_multi_edge_graph():
     assert rep.ok
 
 
+def two_vertex_end():
+    g = make_graph(["v0", "v1"], [("e0", "v0", "v0"), ("e01", "v0", "v1"),
+                                  ("e1", "v1", "v1")])
+    return EndX(g, {"e0": make_complex([("a", 1)]),
+                    "e01": make_complex([("b", 0)]),
+                    "e1": make_complex([("c", -1)])})
+
+
+@pytest.mark.parametrize("make_x", [end_two_term, two_vertex_end])
+def test_check_end_dg_computes_no_composite_twice(monkeypatch, make_x):
+    import fcmc.chain as chain
+    compose = chain.compose_end
+    alive, seen, repeats = [], set(), []
+
+    def recording(X, xi1, i, xi2, sign_fault=False):
+        alive.append((xi1, xi2))   # keeps every id() unique for the run
+        key = (id(xi1), i, id(xi2), sign_fault)
+        if key in seen:
+            repeats.append(key)
+        seen.add(key)
+        return compose(X, xi1, i, xi2, sign_fault=sign_fault)
+
+    monkeypatch.setattr(chain, "compose_end", recording)
+    rep = check_end_dg(make_x(), 2)
+    assert rep.ok and len(seen) > 100
+    assert repeats == []
+
+
 def test_check_end_dg_sign_fault_detected():
     rep = check_end_dg(end_two_term(), 2, sign_fault=True)
     assert not rep.ok
     assert "Leibniz" in rep.failure
     assert rep.witness is not None
+
+
+def test_check_end_dg_sign_fault_first_failures_pinned():
+    # the first failure in the audit's loop order, with the count before it
+    rep = check_end_dg(end_two_term(), 2, sign_fault=True)
+    assert (rep.failure, rep.witness, rep.checked) == (
+        "Leibniz identity fails for hat_d against composition",
+        "MultiMap((e,e;e) deg -1, 1 entries) o_2 "
+        "MultiMap((e;e) deg -1, 1 entries)",
+        226)
+    # an odd-degree element: the sign fault survives Leibniz and the
+    # nested identity and is caught by the parallel one
+    X = EndX(loop_graph(), {"e": make_complex([("z", 1), ("w", 0)])})
+    rep = check_end_dg(X, 2, sign_fault=True)
+    assert (rep.failure, rep.witness, rep.checked) == (
+        "parallel composition identity fails",
+        "MultiMap((e,e;e) deg -1, 1 entries) MultiMap((;e) deg 1, 1 entries)"
+        " MultiMap((;e) deg 1, 1 entries) i=1 k=2",
+        1449)
 
 
 # ---------------------------------------------------------------- properties
