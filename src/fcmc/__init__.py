@@ -39,7 +39,7 @@ from .graphs import (
     enumerate_paths,
     enumerate_profile_loops,
     is_endpoint_closed,
-    is_profile_loop,
+    is_loop_of,
     is_subgraph,
     make_graph,
     make_path,

@@ -75,9 +75,6 @@ class GradedBasis:
         return isinstance(other, GradedBasis) and \
             self.elements == other.elements
 
-    def __hash__(self):
-        return hash(self.elements)
-
     def __repr__(self):
         return f"GradedBasis({list(self.elements)!r})"
 
@@ -112,11 +109,6 @@ class CochainComplex:
     def __eq__(self, other):
         return isinstance(other, CochainComplex) and \
             self.basis == other.basis and self.d == other.d
-
-    def __hash__(self):
-        return hash((self.basis,
-                     tuple(sorted((x, tuple(sorted(v.items())))
-                                  for x, v in self.d.items()))))
 
     def __repr__(self):
         return f"CochainComplex(dim={self.basis.dim()})"
@@ -198,11 +190,6 @@ class MultiMap:
             (self.inputs, self.output, self.degree) == \
             (other.inputs, other.output, other.degree) and \
             self.table == other.table
-
-    def __hash__(self):
-        return hash((self.inputs, self.output, self.degree,
-                     tuple(sorted((k, tuple(sorted(v.items())))
-                                  for k, v in self.table.items()))))
 
     def __repr__(self):
         return (f"MultiMap(({','.join(self.inputs)};{self.output}) "

@@ -56,6 +56,7 @@ from .labels import (
 )
 from .multicat import (OutOfBound, check_slot, loop_token,
                        substituted_profile)
+from .chain import _check_exact
 
 Scalar = Union[int, Fraction]
 
@@ -317,7 +318,12 @@ class FreeCell:
 def free_cell(profile: ProfileLoop, label_: MonoidElem, degree: int,
               terms: dict[CompTree, Scalar] | Iterable[tuple[CompTree, Scalar]],
               validate: bool = True) -> FreeCell:
-    """Normalized constructor: drops zeros, sorts terms, checks homogeneity."""
+    """Normalized constructor: drops zeros, sorts terms, checks homogeneity
+    and, when validating, that every coefficient is exact."""
+    if validate:
+        terms = list(terms.items() if isinstance(terms, dict) else terms)
+        for t, c in terms:
+            _check_exact(c, f"term {format_tree(t)}")
     if not isinstance(terms, dict):
         acc: dict[CompTree, Scalar] = {}
         for t, c in terms:

@@ -5,7 +5,9 @@ its edges are what 2-cells consume and produce.  A path is a finite
 composable string of edges; the empty path carries an explicit basepoint
 vertex, so its endpoints stay defined.  A profile-loop pairs an input path
 with one output edge sharing the path's endpoints — the boundary frame of
-a 2-cell.
+a 2-cell.  :func:`is_loop_of` is the one decision of that: every layer
+(labels, instances, the free dg structure, documents through
+:func:`profile_loop`) asks it.
 
 Also here: the graph constructions every preset is built on (pair graphs,
 one-sided module graphs, the two-vertex bimodule graph, partition
@@ -232,30 +234,31 @@ class ProfileLoop:
         return len(self.inputs.edges)
 
 
-def is_profile_loop(g: DirectedGraph, p: EdgePath, eid: str) -> bool:
-    """True iff the edge's endpoints match the path's endpoints."""
-    for pe in p.edges:
-        g.edge(pe)
-    e = g.edge(eid)
-    return e.src == p.source and e.tgt == p.target
-
-
 def is_loop_of(g: DirectedGraph, loop: ProfileLoop) -> bool:
-    """True iff ``loop`` is a profile-loop of ``g``; unlike
-    :func:`is_profile_loop`, an edge id outside ``g`` answers False."""
-    try:
-        return is_profile_loop(g, loop.inputs, loop.output)
-    except GraphError:
-        return False
+    """True iff ``loop`` is a profile-loop of ``g``: its input edges exist
+    and compose head to tail from ``inputs.source`` to ``inputs.target``,
+    and its output edge runs between those two vertices (so an empty path
+    needs ``source == target``).  Never raises."""
+    ins = loop.inputs
+    at = ins.source
+    for eid in ins.edges:
+        e = g._emap.get(eid)
+        if e is None or e.src != at:
+            return False
+        at = e.tgt
+    out = g._emap.get(loop.output)
+    return (at == ins.target and out is not None
+            and out.src == ins.source and out.tgt == at)
 
 
 def profile_loop(g: DirectedGraph, edge_ids: Sequence[str], output: str,
                  basepoint: Optional[str] = None) -> ProfileLoop:
-    """Validated profile-loop constructor."""
-    if basepoint is None and not edge_ids:
-        basepoint = g.edge(output).src
-    p = make_path(g, edge_ids, basepoint)
-    if not is_profile_loop(g, p, output):
+    """Validated profile-loop constructor: an unknown id raises
+    :class:`GraphError`, a word that does not compose or an output that
+    does not close it :class:`CompositionError`."""
+    out = g.edge(output)
+    p = make_path(g, edge_ids, out.src if basepoint is None else basepoint)
+    if not is_loop_of(g, ProfileLoop(p, output)):
         raise CompositionError(
             f"edge {output!r} does not close the path {p.edges!r} "
             f"from {p.source!r} to {p.target!r}")

@@ -33,10 +33,9 @@ from .graphs import (
     enumerate_profile_loops,
     identity_loop,
     is_loop_of,
-    is_profile_loop,
     is_subgraph,
 )
-from .labels import LabelingFc, MonoidElem, add, fiber, in_fiber
+from .labels import LabelingFc, MonoidElem, add, fiber
 
 
 @dataclass(frozen=True)
@@ -195,14 +194,8 @@ class LoopInstance(FcInstance):
         return self._cells
 
     def contains(self, cell: TwoCell) -> bool:
-        if ((cell.label is None) != (self.labeling is None)
-                or cell.arity() > self.max_len):
-            return False
-        if self.labeling is None:
-            member = is_loop_of(self.graph, cell.profile)
-        else:
-            member = in_fiber(self.labeling, cell.profile, cell.label)
-        return member and cell.id == cell_token(cell.profile, cell.label)
+        return self._lookup(cell.profile.inputs.edges, cell.profile.output,
+                            cell.label) == cell
 
     def unit(self, eid: str) -> TwoCell:
         zero = None if self.labeling is None else self.labeling.monoid.zero()
@@ -250,7 +243,7 @@ class TableInstance(FcInstance):
         if len(self._by_id) != len(self._cell_list):
             raise GraphError("duplicate cell ids")
         for c in self._cell_list:
-            if not is_profile_loop(graph, c.profile.inputs, c.profile.output):
+            if not is_loop_of(graph, c.profile):
                 raise GraphError(f"cell {c.id!r} has an invalid profile")
         undeclared = set(units.values()) | set(table.values())
         for o, _, v in table:

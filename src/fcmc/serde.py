@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 from .graphs import (
     DirectedGraph,
     Edge,
-    EdgePath,
     GraphError,
     ProfileLoop,
     Vertex,
+    profile_loop,
     validate_graph,
 )
 from .labels import LabelMonoid, LabelingFc, MonoidElem
@@ -200,12 +200,8 @@ def loop_from_doc(g: DirectedGraph, doc: dict) -> ProfileLoop:
     word = tuple(_typed(e, "string", "input edge id")
                  for e in field(doc, "inputs", "array"))
     out = field(doc, "output", "string")
-    if word:
-        src = g.edge(word[0]).src
-        tgt = g.edge(word[-1]).tgt
-    else:
-        src = tgt = field(doc, "basepoint", "string")
-    return ProfileLoop(EdgePath(word, src, tgt), out)
+    basepoint = None if word else field(doc, "basepoint", "string")
+    return profile_loop(g, word, out, basepoint)
 
 
 # -------------------------------------------------------------- complexes

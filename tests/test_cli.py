@@ -354,6 +354,52 @@ def test_algebra_check_bad_assignment_profile(capsys, tmp_path):
     assert code == 2
 
 
+# e0 ends at v0 and e1 starts at v1, so "e0,e1" is no path, although its
+# first source and last target are e01's endpoints
+NON_PATH = {"inputs": ["e0", "e1"], "output": "e01", "label": [0]}
+
+
+def _non_path_assignment_doc():
+    fc = build_Ainf_bimodule(TRIVIAL_MONOID)
+    X = EndX(fc.graph, {e: make_complex([(f"b{e}", -1)], {})
+                        for e in ("e0", "e01", "e1")})
+    doc = algebra_job_to_doc(fc, AlgebraData(X, {}))
+    doc["assignment"] = [dict(NON_PATH, degree=1, entries=[])]
+    return doc
+
+
+def _non_path_table_doc():
+    return {"format_version": 1, "kind": "fc-instance", "instance": "table",
+            "graph": BIMOD_GRAPH,
+            "cells": [{"id": f"u{e}", "inputs": [e], "output": e}
+                      for e in ("e0", "e01", "e1")] + [dict(NON_PATH, id="c")],
+            "units": {e: f"u{e}" for e in ("e0", "e01", "e1")},
+            "table": []}
+
+
+def _non_path_generator_doc():
+    doc = _bimodule_free_doc()
+    doc["generators"].append(dict(NON_PATH, name="m[e0,e1;e01]"))
+    return doc
+
+
+@pytest.mark.parametrize("argv, make_doc", [
+    (["algebra-check", "--route", "generic"], _non_path_assignment_doc),
+    (["algebra-check", "--route", "direct"], _non_path_assignment_doc),
+    (["algebra-check", "--route", "both"], _non_path_assignment_doc),
+    (["fc-audit"], _non_path_table_doc),
+    (["free-d2"], _non_path_generator_doc),
+], ids=["algebra-generic", "algebra-direct", "algebra-both", "fc-audit",
+        "free-d2"])
+def test_non_path_word_exits_2(capsys, tmp_path, argv, make_doc):
+    path = write(tmp_path, "bad.json", make_doc())
+    if argv[0] == "free-d2":
+        path = f"generalized:{path}"
+    code, out, err = run(capsys, argv[:1] + [path] + argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_algebra_check_custom_rules_survive_the_document(capsys, tmp_path):
     # the standard rules up to arity 3, as a custom presentation read back
     # from its document; the dual-number product below is not associative,

@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fcmc.chain import ChainError
 from fcmc.graphs import (CompositionError, EdgePath, ProfileLoop,
                          enumerate_profile_loops)
 from fcmc.labels import (LabelMonoid, LabelingFc, MonoidElem, TRIVIAL_MONOID,
@@ -554,6 +555,32 @@ def test_free_cell_homogeneity_enforced():
     big = graft(t2, 1, t2)
     with pytest.raises(CompositionError):
         free_cell(m_loop(3), TRIVIAL_MONOID.zero(), 1, {big: 1})
+
+
+@pytest.mark.parametrize("coeff", [1.0, 0.5, True])
+def test_free_cell_rejects_inexact_coefficients(coeff):
+    fc = ainf()
+    g2 = m_gen(fc, 2)
+    t2 = leaf_of(g2)
+    for terms in ({t2: coeff}, [(t2, coeff)]):
+        with pytest.raises(ChainError, match="not an int or Fraction"):
+            free_cell(g2.profile, g2.label, 1, terms)
+    # a custom rule is checked through the same validated constructor
+    g3, m2 = m_gen(fc, 3), leaf_of(g2)
+    rule = free_cell(g3.profile, g3.label, 2, {graft(m2, 1, m2): coeff},
+                     validate=False)
+    with pytest.raises(ChainError, match="not an int or Fraction"):
+        FreeDgFc(fc.graph, fc.labeling, custom_rules={g3: rule})
+
+
+def test_generator_needs_a_path():
+    # e0 ends at v0, e1 starts at v1: no generator sits over the word,
+    # although its first source and last target are e01's endpoints
+    bim = build_Ainf_bimodule(TRIVIAL_MONOID)
+    loop = ProfileLoop(EdgePath(("e0", "e1"), "v0", "v1"), "e01")
+    with pytest.raises(CompositionError, match="no generator"):
+        bim.generator(loop, bim.monoid.zero())
+    assert loop not in {g.profile for g in bim.generators(3)}
 
 
 def test_cell_addition_collects_and_cancels():

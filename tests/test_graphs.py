@@ -23,7 +23,7 @@ from fcmc.graphs import (
     enumerate_paths,
     enumerate_profile_loops,
     is_endpoint_closed,
-    is_profile_loop,
+    is_loop_of,
     is_subgraph,
     make_graph,
     make_path,
@@ -190,19 +190,34 @@ def test_enumerate_paths_source_target_filters():
 
 # ------------------------------------------------------------- profile-loops
 
-def test_is_profile_loop_bimodule():
+def test_is_loop_of_bimodule():
     g = build_bimodule_graph()
-    assert is_profile_loop(g, make_path(g, ["e0", "e01", "e1"]), "e01")
-    assert not is_profile_loop(g, make_path(g, ["e1"]), "e0")
-    assert is_profile_loop(g, empty_path(g, "v0"), "e0")
+    assert is_loop_of(g, ProfileLoop(make_path(g, ["e0", "e01", "e1"]), "e01"))
+    assert not is_loop_of(g, ProfileLoop(make_path(g, ["e1"]), "e0"))
+    assert is_loop_of(g, ProfileLoop(empty_path(g, "v0"), "e0"))
 
 
-def test_is_profile_loop_foreign_ids():
+def test_is_loop_of_foreign_ids():
     g = build_bimodule_graph()
-    with pytest.raises(GraphError):
-        is_profile_loop(g, make_path(g, ["e0"]), "nope")
-    with pytest.raises(GraphError):
-        is_profile_loop(g, EdgePath(("zz",), "v0", "v0"), "e0")
+    assert not is_loop_of(g, ProfileLoop(make_path(g, ["e0"]), "nope"))
+    assert not is_loop_of(g, ProfileLoop(EdgePath(("zz",), "v0", "v0"), "e0"))
+    assert not is_loop_of(g, ProfileLoop(EdgePath((), "zz", "zz"), "e0"))
+
+
+def test_is_loop_of_needs_a_path():
+    g = build_bimodule_graph()
+    # e0 ends at v0 and e1 starts at v1: the word is no path, although
+    # its first source and last target are e01's endpoints
+    assert not is_loop_of(g, ProfileLoop(EdgePath(("e0", "e1"), "v0", "v1"),
+                                         "e01"))
+    # a nonempty path must start where its first edge does
+    assert not is_loop_of(g, ProfileLoop(EdgePath(("e1",), "v0", "v1"),
+                                         "e01"))
+    # and end where its last edge does
+    assert not is_loop_of(g, ProfileLoop(EdgePath(("e0",), "v0", "v1"),
+                                         "e01"))
+    # an empty path sits at one vertex
+    assert not is_loop_of(g, ProfileLoop(EdgePath((), "v0", "v1"), "e01"))
 
 
 def test_profile_loop_constructor():
@@ -213,6 +228,14 @@ def test_profile_loop_constructor():
     assert profile_loop(g, [], "e1").inputs.source == "v1"
     with pytest.raises(CompositionError):
         profile_loop(g, ["e1"], "e01")
+    with pytest.raises(CompositionError):
+        profile_loop(g, ["e0", "e1"], "e01")
+    with pytest.raises(CompositionError):
+        profile_loop(g, [], "e01", "v1")
+    with pytest.raises(GraphError):
+        profile_loop(g, ["e0"], "nope")
+    with pytest.raises(GraphError):
+        profile_loop(g, ["zz"], "e0")
 
 
 def test_enumerate_profile_loops_single_loop():
@@ -249,7 +272,7 @@ def test_profile_loops_lie_in_enumerations(g):
     for loop in enumerate_profile_loops(g, 3):
         assert loop.inputs in paths
         assert g.has_edge(loop.output)
-        assert is_profile_loop(g, loop.inputs, loop.output)
+        assert is_loop_of(g, loop)
 
 
 # ------------------------------------------------------------------ builders
@@ -351,7 +374,7 @@ def test_endpoint_violation_witness():
     # the empty path at a already forces the loop a->a
     assert witness.inputs.edges == ()
     assert witness.output in {"a->a", "b->b"}
-    assert is_profile_loop(g, witness.inputs, witness.output)
+    assert is_loop_of(g, witness)
     assert endpoint_violation(g, g) is None
 
 
@@ -376,7 +399,7 @@ def test_endpoint_witness_always_valid():
         witness = endpoint_violation(g, sub)
         if witness is None:
             continue
-        assert is_profile_loop(g, witness.inputs, witness.output)
+        assert is_loop_of(g, witness)
         assert set(witness.inputs.edges) <= set(es)
         assert witness.output not in set(es)
 

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fcmc.graphs import (
     CompositionError,
+    EdgePath,
     GraphError,
+    ProfileLoop,
     build_bimodule_graph,
     build_pair_graph,
     build_partition_subgraph,
+    endpoint_violation,
+    is_loop_of,
     make_graph,
     profile_loop,
     subgraph,
@@ -282,6 +287,13 @@ def test_table_instance_rows_are_read_only():
     with pytest.raises(TypeError):
         table.table[("e,e;e", 1, "e,e;e")] = "e;e"
     assert check_axioms(table, 3).ok
+
+
+def test_table_instance_rejects_a_non_path_cell():
+    g = build_bimodule_graph()
+    loop = ProfileLoop(EdgePath(("e0", "e1"), "v0", "v1"), "e01")
+    with pytest.raises(GraphError, match="invalid profile"):
+        TableInstance(g, [TwoCell("c", loop, None)], {}, {})
 
 
 def test_table_instance_materialization_passes():
@@ -582,6 +594,34 @@ def test_contains_rejects_the_other_label_kind(make_fc):
 
 
 @LOOP_INSTANCES
+def test_contains_agrees_with_the_population(make_fc):
+    # seeded words of existing edges, composable or not, read with the
+    # endpoints of their first and last edges: a cell is contained iff it
+    # is one of cells()
+    fc = make_fc()
+    g = fc.graph
+    population = set(fc.cells())
+    edges = g.edge_ids()
+    labels = [None] if fc.labeling is None else LabelMonoid(
+        1, fc.labeling.monoid.truncation + 1).elements()
+    rng = random.Random(17)
+    hits = 0
+    for _ in range(400):
+        word = tuple(rng.choice(edges)
+                     for _ in range(rng.randint(0, fc.max_len + 1)))
+        if word:
+            src, tgt = g.edge(word[0]).src, g.edge(word[-1]).tgt
+        else:
+            src = tgt = rng.choice(g.vertex_ids())
+        loop = ProfileLoop(EdgePath(word, src, tgt), rng.choice(edges))
+        beta = rng.choice(labels)
+        cell = TwoCell(cell_token(loop, beta), loop, beta)
+        assert fc.contains(cell) == (cell in population), cell.id
+        hits += cell in population
+    assert hits
+
+
+@LOOP_INSTANCES
 def test_compose_and_unit_return_the_population_cells(make_fc):
     # interned cells: every in-bound composite and every unit is the very
     # object the population holds, and out-of-bound reasons are pinned
@@ -781,3 +821,58 @@ def test_gamma_prunes_by_label_only_where_labels_add():
         report = check_axioms(fc, 3)
         assert (report.ok, report.checked, report.skipped) == (True, 40, 13)
         assert _gamma_audit(fc, 3) == _gamma_oracle(fc, 3)
+
+
+# ------------------------------------------------------- renaming invariance
+
+# a seeded subset of the acceptance family, fixed here before any run
+RENAMED_GRAPHS = sorted(random.Random(20261019).sample(range(177), 12))
+
+
+def _renamed(g, rng):
+    """``g`` under a seeded bijection of vertex and edge ids, declared in
+    reverse order, with the two id maps."""
+    vids, eids = list(g.vertex_ids()), list(g.edge_ids())
+    vmap = dict(zip(vids, rng.sample([f"x{k}" for k in range(len(vids))],
+                                     len(vids))))
+    emap = dict(zip(eids, rng.sample([f"f{k}" for k in range(len(eids))],
+                                     len(eids))))
+    h = make_graph([vmap[v] for v in reversed(vids)],
+                   [(emap[e.id], vmap[e.src], vmap[e.tgt])
+                    for e in reversed(g.edges)])
+    return h, vmap, emap
+
+
+def test_renaming_preserves_audits():
+    family = graph_family()
+    assert len(family) == 177
+    rng = random.Random(7)
+    for index in RENAMED_GRAPHS:
+        g = family[index]
+        h, vmap, emap = _renamed(g, rng)
+        for make in (lambda x: LoopInstance(x, 3),
+                     lambda x: LoopInstance(x, 3, LabelingFc(
+                         x, LabelMonoid(1, 1), False))):
+            a, b = check_axioms(make(g), 3), check_axioms(make(h), 3)
+            assert ((a.ok, a.failure, a.checked, a.skipped)
+                    == (b.ok, b.failure, b.checked, b.skipped)), index
+        inst, inst_h = LoopInstance(g, 3), LoopInstance(h, 3)
+        for sub in all_subgraphs(g):
+            sub_h = subgraph(h, [vmap[v] for v in sub.vertex_ids()],
+                             [emap[e] for e in sub.edge_ids()])
+            w, w_h = endpoint_violation(g, sub), endpoint_violation(h, sub_h)
+            assert (w is None) == (w_h is None), (index, sub.edges)
+            if w is not None:
+                ins = w.inputs
+                mapped = ProfileLoop(
+                    EdgePath(tuple(emap[e] for e in ins.edges),
+                             vmap[ins.source], vmap[ins.target]),
+                    emap[w.output])
+                assert is_loop_of(h, mapped) and is_loop_of(h, w_h)
+            # a failing report stops at its first failing pair in (u, slot,
+            # v) order, which follows declaration order, so ``checked``
+            # only has to agree on a full sweep
+            f = is_factor_closed(inst, FullSub(inst, sub), 3)
+            f_h = is_factor_closed(inst_h, FullSub(inst_h, sub_h), 3)
+            assert f.ok == f_h.ok, (index, sub.edges)
+            assert not f.ok or f.checked == f_h.checked, (index, sub.edges)
