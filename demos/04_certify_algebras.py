@@ -4,15 +4,15 @@ An assignment of one multilinear map per free generator is an algebra
 exactly when, for every generator in bounds, the hat-differential of the
 assigned map equals the assignment applied to the generator's boundary.
 The generic route computes that residue literally from the free
-differential; the direct routes re-derive the same relations from the
+differential; the direct route re-derives the same relations from the
 preset's defining identities without ever touching the free structure.
 A verdict only counts when both routes agree.
 """
 
 from fcmc import (
     check_algebra,
-    check_ainfty_direct,
     check_both_routes,
+    check_direct,
     lift_dga,
     random_assignment,
     random_endx,
@@ -27,7 +27,7 @@ fc, A = lift_dga([("1", 0), ("eps", 0)], {}, {
     ("eps", "1"): {"eps": 1}, ("eps", "eps"): {}})
 print("dual numbers, shifted:")
 print(" ", check_algebra(fc, A, 5).summary())
-print(" ", check_ainfty_direct(fc, A, 5).summary())
+print(" ", check_direct(fc, A, 5).summary())
 
 # ------------------------------------------------- a broken multiplication
 # Tamper with the table -- (eps,1) now lands on -eps -- and both routes

@@ -111,12 +111,9 @@ from .algebra import (
     RelationFailure,
     RelationReport,
     algebra_residue,
-    check_ainfty_direct,
     check_algebra,
-    check_bimodule_direct,
     check_both_routes,
-    check_category_direct,
-    direct_checker_for,
+    check_direct,
     evaluate_alpha,
     lift_dga,
     random_assignment,

@@ -13,8 +13,12 @@ fails; 2 for unusable input.  Output is deterministic: a report depends
 only on the command line and the input file, so reruns are byte-identical.
 Default bounds (arity 5, label sum 2, path length 4) are overridden by the
 ``--arity``, ``--labels`` and ``--path-len`` flags alone.  The direct route
-of ``algebra-check`` exists for the ``ainf``, ``category`` and ``bimodule``
-presets; every other preset needs ``--route generic``.
+of ``algebra-check`` serves every preset with the standard splitting, the
+module presets and ``generalized`` included; a ``custom`` rule table has
+none, so ``--route direct`` and ``--route both`` exit 2 on it.  An edge id
+must be non-empty and free of "," and ";", the separators of printed
+profile-loops, or the graph is invalid.  ``free-d2 generalized:FILE``
+takes ``reduced`` from the document, so ``--unreduced`` exits 2 there.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .freedg import (
     delta_squared_report,
 )
 from .algebra import AlgebraError, check_algebra, check_both_routes, \
-    direct_checker_for, route_disagreement
+    check_direct, route_disagreement
 from .chain import ChainError
 from . import serde
 
@@ -216,6 +220,9 @@ def build_free_preset(preset: str, rank: int, truncation: int,
         part_list = _parse_parts(parts) if parts else [[n] for n in names]
         return build_rmodule_preset(names, part_list, monoid, reduced), None
     if preset.startswith("generalized:"):
+        if not reduced:
+            raise CliError("--unreduced does not apply to generalized:FILE; "
+                           "the document's \"reduced\" field decides")
         return serde.freedg_from_doc(_read_doc(preset.split(":", 1)[1]))
     raise CliError(
         f"preset must be one of {PRESETS} or generalized:FILE, "
@@ -232,7 +239,7 @@ def cmd_free_d2(args, bounds) -> Run:
         fc = FreeDgFc(fc.graph, fc.labeling, preset=fc.preset,
                       custom_rules=fc.custom_rules, sign_fault=True)
         run.note("debug: Leibniz sign deliberately dropped")
-    if args.unreduced:
+    if not fc.labeling.reduced:
         run.note("curved variant (proposed definition): empty-input "
                  "generators included, the square need not vanish")
     run.add(delta_squared_report(fc, bounds["arity"], bounds["labels"], gens))
@@ -251,7 +258,7 @@ def cmd_algebra_check(args, bounds) -> Run:
     if args.route == "generic":
         run.add(check_algebra(fc, A, arity, labels))
     elif args.route == "direct":
-        run.add(direct_checker_for(fc)(fc, A, arity, labels))
+        run.add(check_direct(fc, A, arity, labels))
     else:
         generic, direct, agree = check_both_routes(fc, A, arity, labels)
         run.add(generic)
@@ -314,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--parts", default=None,
                    help="ordered partition for rmodule, e.g. 'o1;o2,o3'")
     f.add_argument("--unreduced", action="store_true",
-                   help="include empty-input generators (curved variant)")
+                   help="include empty-input generators (curved variant); "
+                   "built-in presets only")
     f.add_argument("--debug-sign-fault", action="store_true",
                    help="drop the Leibniz sign to demonstrate failure")
     _bound_flags(f)

@@ -115,7 +115,9 @@ class GraphReport:
 
 
 def validate_graph(g: DirectedGraph) -> GraphReport:
-    """Report duplicate ids and dangling endpoints; valid graphs pass."""
+    """Report duplicate ids, dangling endpoints and edge ids that a
+    printed profile-loop ("e1,e2;out") would not keep apart: empty ones
+    and ones holding "," or ";".  Valid graphs pass."""
     problems = []
     seen_v: set[str] = set()
     for v in g.vertices:
@@ -127,6 +129,9 @@ def validate_graph(g: DirectedGraph) -> GraphReport:
         if e.id in seen_e:
             problems.append(f"duplicate edge id {e.id!r}")
         seen_e.add(e.id)
+        if not e.id or "," in e.id or ";" in e.id:
+            problems.append(f"ambiguous edge id {e.id!r} (empty, or holds "
+                            f"',' or ';')")
         if e.src not in seen_v:
             problems.append(f"dangling endpoint: edge {e.id!r} src {e.src!r}")
         if e.tgt not in seen_v:

@@ -33,9 +33,8 @@ from fcmc.chain import EndX, check_end_dg, make_complex, multimap
 from fcmc.algebra import (
     AlgebraData,
     check_algebra,
-    check_bimodule_direct,
     check_both_routes,
-    check_category_direct,
+    check_direct,
     lift_dga,
     random_assignment,
     random_endx,
@@ -44,6 +43,8 @@ from fcmc.freedg import (
     build_Ainf_bimodule,
     build_Ainf_category,
     build_Ainf_operad,
+    build_module_preset,
+    build_rmodule_preset,
 )
 
 from test_algebra import (
@@ -112,6 +113,11 @@ def test_acceptance_3_route_equivalence_on_random_assignments():
         ("ainf", build_Ainf_operad(TRIVIAL_MONOID)),
         ("category", build_Ainf_category(["x", "y"], TRIVIAL_MONOID)),
         ("bimodule", build_Ainf_bimodule(TRIVIAL_MONOID)),
+        ("left-module", build_module_preset(["x"], "left", TRIVIAL_MONOID)),
+        ("right-module", build_module_preset(["x"], "right",
+                                             TRIVIAL_MONOID)),
+        ("rmodule", build_rmodule_preset(["x", "y"], [["x"], ["y"]],
+                                         TRIVIAL_MONOID)),
     ]
     summary = []
     for name, fc in presets:
@@ -129,7 +135,8 @@ def test_acceptance_3_route_equivalence_on_random_assignments():
         # the sample must exercise both verdicts for agreement to mean much
         assert 0 < fails < 50, f"{name}: degenerate sample ({fails}/50)"
         summary.append(f"{name} {fails}/50 failing")
-    _line(3, "generic and direct routes agree on 150 seeded assignments "
+    _line(3, "generic and direct routes agree on "
+          f"{50 * len(presets)} seeded assignments "
           f"({'; '.join(summary)})")
 
 
@@ -207,15 +214,9 @@ def test_acceptance_4_classical_fixtures_and_perturbations():
         "strict 2-object category": strict_two_object_category(),
         "ground-field bimodule": ground_field_bimodule(),
     }
-    direct_for = {"ainf": None, "category": check_category_direct,
-                  "bimodule": check_bimodule_direct}
     for name, (fc, A) in fixtures.items():
-        if fc.preset == "ainf":
-            generic, direct, agree = check_both_routes(fc, A, 5)
-            assert generic.ok and direct.ok and agree, name
-        else:
-            assert check_algebra(fc, A, 5).ok, name
-            assert direct_for[fc.preset](fc, A, 5).ok, name
+        generic, direct, agree = check_both_routes(fc, A, 5)
+        assert generic.ok and direct.ok and agree, name
 
     # seeded non-associative perturbations fail at arity 3 with a witness
     perturbed = {
@@ -243,11 +244,7 @@ def test_acceptance_4_classical_fixtures_and_perturbations():
         witness = next(f.witness for f in generic.failures if f.arity == 3)
         assert witness
         print(f"  perturbed {name}: arity-3 witness {witness}")
-        checker = direct_for[fc.preset]
-        if checker is None:
-            from fcmc.algebra import check_ainfty_direct
-            checker = check_ainfty_direct
-        d = checker(fc, A, 5)
+        d = check_direct(fc, A, 5)
         assert not d.ok and d.lowest_failing_arity() == 3, name
     _line(4, "four classical fixtures pass at arity <= 5; their seeded "
           "non-associative perturbations fail at arity 3 with witnesses")

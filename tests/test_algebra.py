@@ -33,19 +33,17 @@ from fcmc.algebra import (
     _direct_residues,
     _direct_tables,
     _residue_witness,
-    _run_direct,
     algebra_residue,
     check_algebra,
-    check_ainfty_direct,
-    check_bimodule_direct,
     check_both_routes,
-    check_category_direct,
+    check_direct,
     evaluate_alpha,
     lift_dga,
     random_assignment,
     random_endx,
     route_disagreement,
 )
+from fcmc.serde import algebra_job_from_doc, algebra_job_to_doc
 from oracles import ref_ainf_residue, ref_direct_residues
 
 
@@ -236,13 +234,13 @@ def test_zero_assignment_on_zero_differential_passes():
 def test_dual_numbers_pass_arity6():
     fc, A = dual_numbers()
     assert check_algebra(fc, A, 6).ok
-    assert check_ainfty_direct(fc, A, 6).ok
+    assert check_direct(fc, A, 6).ok
 
 
 def test_upper_triangular_passes_arity5():
     fc, A = upper_triangular()
     assert check_algebra(fc, A, 5).ok
-    assert check_ainfty_direct(fc, A, 5).ok
+    assert check_direct(fc, A, 5).ok
 
 
 def test_perturbed_fails_at_arity_3_with_witness():
@@ -273,22 +271,30 @@ def test_direct_arity1_relation_is_d_squared():
     fc = build_Ainf_operad(TRIVIAL_MONOID)
     cx = make_complex([("x", 0), ("y", 1)], {"x": {"y": 1}})
     A = AlgebraData(EndX(fc.graph, {"e": cx}), {})
-    rep = check_ainfty_direct(fc, A, 1)
+    rep = check_direct(fc, A, 1)
     assert rep.ok
 
 
-def test_direct_checkers_validate_graph_shape():
-    fc, A = dual_numbers()
-    with pytest.raises(AlgebraError):
-        check_category_direct(fc, A, 3)
-    with pytest.raises(AlgebraError):
-        check_bimodule_direct(fc, A, 3)
+def test_ainf_labelled_document_on_pair_graph_runs_direct_route():
+    # the preset name only names the report's route: the direct route reads
+    # the relation sums off whatever graph the document carries
+    cat = build_Ainf_category(["u", "w"], TRIVIAL_MONOID)
+    X = random_endx(cat.graph, 5, max_dim=2, degree_range=(-1, 2))
+    doc = algebra_job_to_doc(
+        cat, random_assignment(cat, X, 1005, 3, density=0.6))
+    doc["preset"] = "ainf"
+    fc, A = algebra_job_from_doc(doc)
+    assert fc.preset == "ainf" and fc.graph == cat.graph
+    generic, direct, agree = check_both_routes(fc, A, 3)
+    assert direct.route == "ainf-direct"
+    assert agree and not generic.ok and direct.failures
+    assert direct.checked == check_direct(cat, A, 3).checked
 
 
 def test_strict_category_passes_both_routes():
     fc, A = strict_two_object_category()
     g = check_algebra(fc, A, 5)
-    d = check_category_direct(fc, A, 5)
+    d = check_direct(fc, A, 5)
     assert g.ok and d.ok
 
 
@@ -306,8 +312,8 @@ def test_one_object_category_matches_operad_checker():
         assignment[cat_gen] = multimap(X, ("v->v",) * gen.arity(), "v->v",
                                        1, xi.table)
     B = AlgebraData(X, assignment)
-    assert check_category_direct(cat, B, 5).ok == \
-        check_ainfty_direct(fc, A, 5).ok
+    assert check_direct(cat, B, 5).ok == \
+        check_direct(fc, A, 5).ok
 
 
 def test_broken_category_composition_fails():
@@ -320,7 +326,7 @@ def test_broken_category_composition_fails():
         {("b_u->u", "b_u->u"): {"b_u->u": 2}})
     B = AlgebraData(A.X, tweaked)
     g_rep = check_algebra(fc, B, 4)
-    d_rep = check_category_direct(fc, B, 4)
+    d_rep = check_direct(fc, B, 4)
     assert not g_rep.ok and not d_rep.ok
     assert g_rep.lowest_failing_arity() == d_rep.lowest_failing_arity() == 3
 
@@ -328,14 +334,14 @@ def test_broken_category_composition_fails():
 def test_ground_field_bimodule_passes():
     fc, A = ground_field_bimodule()
     g = check_algebra(fc, A, 5)
-    d = check_bimodule_direct(fc, A, 5)
+    d = check_direct(fc, A, 5)
     assert g.ok and d.ok
 
 
 def test_zero_bimodule_passes():
     fc = build_Ainf_bimodule(TRIVIAL_MONOID)
     X = random_endx(fc.graph, 3, degree_range=(-1, 2))
-    rep = check_bimodule_direct(fc, AlgebraData(X, {}), 4)
+    rep = check_direct(fc, AlgebraData(X, {}), 4)
     gen = check_algebra(fc, AlgebraData(X, {}), 4)
     assert rep.ok and gen.ok
 
@@ -453,7 +459,7 @@ DIRECT_PRESETS = {
 @pytest.mark.parametrize("preset", sorted(DIRECT_PRESETS))
 def test_direct_residues_match_dense_reference(preset, reduced):
     # the sparse walk must return the dense scan's full ordered residue
-    # list on every (profile-loop, label), and _run_direct must report the
+    # list on every (profile-loop, label), and check_direct must report the
     # first residue of each failing pair as its witness
     monoids = [LabelMonoid(1, 1)]
     if preset == "ainf":
@@ -474,7 +480,7 @@ def test_direct_residues_match_dense_reference(preset, reduced):
                     if ref:
                         expected.append((loop.arity(), str(beta),
                                          _residue_witness(*ref[0])))
-            rep = _run_direct(fc, A, "direct", 3, None)
+            rep = check_direct(fc, A, 3)
             assert [(f.arity, f.label, f.witness)
                     for f in rep.failures] == expected
             nonzero += len(expected)
@@ -495,7 +501,7 @@ def test_direct_route_shares_no_code_with_generic_route():
     generic = {"hat_d", "compose_end", "delta_generator", "evaluate_alpha",
                "algebra_residue", "_evaluate_tree"}
     for fn in (_direct_residues, _direct_entries, _direct_tables,
-               _run_direct):
+               check_direct):
         assert not _names(fn.__code__) & generic, fn.__name__
 
 

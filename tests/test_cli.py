@@ -19,8 +19,7 @@ from fcmc.serde import (
     loads_doc,
     parse_report_set,
 )
-from fcmc.algebra import AlgebraData, AlgebraError, direct_checker_for, \
-    lift_dga
+from fcmc.algebra import AlgebraData, AlgebraError, check_direct, lift_dga
 from fcmc.chain import EndX, make_complex
 from fcmc.freedg import FreeDgFc, build_Ainf_bimodule, build_Ainf_operad, \
     build_module_preset
@@ -134,6 +133,20 @@ def test_free_d2_unknown_preset(capsys):
     assert code == 2 and "preset" in err
 
 
+def test_free_d2_curved_note_follows_the_document(capsys, tmp_path):
+    # a document's "reduced" field decides; --unreduced cannot override it
+    for reduced in (True, False):
+        fc = build_Ainf_operad(TRIVIAL_MONOID, reduced)
+        path = write(tmp_path, f"ainf-{reduced}.json", freedg_to_doc(fc))
+        code, out, _ = run(capsys, ["free-d2", f"generalized:{path}",
+                                    "--arity", "3"])
+        assert code in (0, 1) and ("curved variant" in out) is not reduced
+        code, out, err = run(capsys, ["free-d2", f"generalized:{path}",
+                                      "--unreduced"])
+        assert code == 2 and not out
+        assert err.startswith("error: --unreduced") and "reduced" in err
+
+
 def test_free_d2_generalized_file(capsys, tmp_path):
     fc = build_Ainf_bimodule(TRIVIAL_MONOID)
     path = write(tmp_path, "bimod.json",
@@ -176,6 +189,52 @@ def test_free_d2_rmodule_parts(capsys):
 
 
 # -------------------------------------------------------------- graph-check
+
+
+def _one_vertex_docs(ids):
+    """A graph-check, fc-audit, free-d2 and algebra-check document on one
+    vertex with a loop per id."""
+    graph = {"vertices": ["v"],
+             "edges": [{"id": i, "src": "v", "tgt": "v"} for i in ids]}
+    point = {"basis": [{"id": "x", "degree": 0}], "differential": []}
+    return {
+        "graph-check": {"format_version": 1, "kind": "graph",
+                        "graph": graph},
+        "fc-audit": {"format_version": 1, "kind": "fc-instance",
+                     "instance": "profile-loop", "graph": graph},
+        "free-d2": {"format_version": 1, "kind": "free-dg", "graph": graph,
+                    "differential": "generalized"},
+        "algebra-check": {"format_version": 1, "kind": "algebra-check",
+                          "graph": graph, "preset": "generalized",
+                          "complexes": {i: point for i in ids}},
+    }
+
+
+@pytest.mark.parametrize("ids, clean", [
+    (["a", "b", "a,b"], ["a", "b", "c"]),
+    (["a", "b;a", "a;b", "b"], ["a", "c", "d", "b"]),
+    (["", "b"], ["c", "b"]),
+], ids=["comma", "semicolon", "empty"])
+def test_ambiguous_edge_ids_are_invalid_input(capsys, tmp_path, ids, clean):
+    # printed profile-loops join edge ids with "," and ";": such ids once
+    # made a free loop instance fail its own axioms
+    flags = ["--arity", "2", "--path-len", "2"]
+    for command, doc in _one_vertex_docs(clean).items():
+        path = write(tmp_path, "clean.json", doc)
+        target = f"generalized:{path}" if command == "free-d2" else path
+        code, out, _ = run(capsys, [command, target, *flags])
+        # a free loop instance satisfies its axioms; free-d2 may fail,
+        # since parallel loops give arity-1 generators between them
+        assert code == 0 or (code, command) == (1, "free-d2"), command
+    for command, doc in _one_vertex_docs(ids).items():
+        path = write(tmp_path, "bad.json", doc)
+        target = f"generalized:{path}" if command == "free-d2" else path
+        code, out, err = run(capsys, [command, target, *flags])
+        if command == "graph-check":
+            assert code == 1 and "graph: ambiguous edge id" in out
+        else:
+            assert (code, out) == (2, ""), command
+            assert err.startswith("error: ambiguous edge id"), command
 
 
 def test_graph_check_valid_with_sub_and_partition(capsys, tmp_path):
@@ -320,30 +379,41 @@ def test_algebra_check_single_routes(capsys, tmp_path):
 
 
 def test_algebra_check_direct_unavailable(capsys, tmp_path):
+    # a custom rule table is the one presentation without a direct route:
+    # one message, whichever route asks for it
+    base = build_Ainf_operad(TRIVIAL_MONOID)
+    custom = FreeDgFc(base.graph, base.labeling, preset="custom",
+                      custom_rules={g: base.delta_generator(g)
+                                    for g in base.generators(2)})
+    _, A = lift_dga([("1", 0), ("eps", 0)], {}, {
+        ("1", "1"): {"1": 1}, ("1", "eps"): {"eps": 1},
+        ("eps", "1"): {"eps": 1}, ("eps", "eps"): {}})
+    path = write(tmp_path, "c.json", algebra_job_to_doc(custom, A))
+    for route in ("direct", "both"):
+        code, out, err = run(capsys, ["algebra-check", path, "--route",
+                                      route])
+        assert (code, out, err) == (
+            2, "", "error: no direct checker for preset 'custom'\n")
+    with pytest.raises(AlgebraError,
+                       match="no direct checker for preset 'custom'"):
+        check_direct(custom, A, 3)
+    # every preset with the standard splitting has the direct route
     doc = dual_doc()
     doc["preset"] = "generalized"
-    path = write(tmp_path, "g.json", doc)
-    code, _, err = run(capsys, ["algebra-check", path, "--route", "direct"])
-    assert code == 2
-    assert "direct" in err
-    # one message for a missing direct route, whichever route asks for it
     fc = build_module_preset(["o1"], "left", TRIVIAL_MONOID)
     cx = make_complex([("x", 0)], {})
-    doc = algebra_job_to_doc(fc, AlgebraData(
+    mod_doc = algebra_job_to_doc(fc, AlgebraData(
         EndX(fc.graph, {e.id: cx for e in fc.graph.edges}), {}))
-    assert doc["preset"] == "left-module"
-    path = write(tmp_path, "m.json", doc)
-    for route in ("direct", "both"):
-        code, _, err = run(capsys, ["algebra-check", path, "--route", route])
-        assert (code, err) == (
-            2, "error: no direct checker for preset 'left-module'\n")
-    base = build_Ainf_operad(TRIVIAL_MONOID)
-    for preset in ("left-module", "right-module", "rmodule", "generalized",
-                   "custom"):
-        with pytest.raises(AlgebraError,
-                           match=f"no direct checker for preset '{preset}'"):
-            direct_checker_for(FreeDgFc(base.graph, base.labeling,
-                                        preset=preset))
+    assert mod_doc["preset"] == "left-module"
+    for name, preset_doc in (("g.json", doc), ("m.json", mod_doc)):
+        path = write(tmp_path, name, preset_doc)
+        code, out, _ = run(capsys, ["algebra-check", path])
+        assert code in (0, 1) and "routes-agree: yes" in out
+        assert f"[{preset_doc['preset']}-direct]" in out
+    for preset in ("left-module", "right-module", "rmodule", "generalized"):
+        rep = check_direct(FreeDgFc(base.graph, base.labeling,
+                                    preset=preset), A, 3)
+        assert rep.ok and rep.route == f"{preset}-direct"
 
 
 def test_algebra_check_bad_assignment_profile(capsys, tmp_path):

@@ -85,6 +85,19 @@ def test_validate_reports_duplicates():
     assert any("duplicate edge" in p for p in validate_graph(g).problems)
 
 
+@pytest.mark.parametrize("ids", [["a", "b", "a,b"], ["a", "b;a", "a;b", "b"],
+                                 ["", "b"]], ids=["comma", "semicolon", "empty"])
+def test_validate_reports_ambiguous_edge_ids(ids):
+    # "a;a" with output "a,b" and "a,b;a" print alike, so ids that are empty
+    # or hold a separator of the printed profile-loop are rejected
+    g = DirectedGraph([Vertex("v")], [Edge(i, "v", "v") for i in ids])
+    bad = [i for i in ids if not i or "," in i or ";" in i]
+    assert validate_graph(g).problems == tuple(
+        f"ambiguous edge id {i!r} (empty, or holds ',' or ';')" for i in bad)
+    with pytest.raises(GraphError, match="ambiguous edge id"):
+        make_graph(["v"], [(i, "v", "v") for i in ids])
+
+
 def test_validate_bimodule_graph():
     assert validate_graph(build_bimodule_graph()).ok
 
