@@ -544,6 +544,7 @@ class FreeDgFc:
         """
         if cell.label.total() > self.monoid.truncation:
             return OutOfBound(
+                "label",
                 f"label {cell.label} exceeds truncation "
                 f"{self.monoid.truncation}")
         acc: dict[CompTree, Scalar] = {}
@@ -597,6 +598,7 @@ def compose_cells(fc: FreeDgFc, c1: FreeCell, i: int,
     beta = add(c1.label, c2.label)
     if beta.total() > fc.monoid.truncation:
         return OutOfBound(
+            "label",
             f"label {beta} exceeds truncation {fc.monoid.truncation}")
     profile = substituted_profile(c1.profile, i, c2.profile)
     acc: dict[CompTree, Scalar] = {}

@@ -48,10 +48,29 @@ class TwoCell:
         return self.profile.arity()
 
 
+OUT_OF_BOUND_KINDS = ("length", "label", "missing-entry")
+
+
 @dataclass(frozen=True)
 class OutOfBound:
-    """A composition result that exists but lies beyond the enumeration bounds."""
+    """A composition result that exists but lies beyond the enumeration bounds.
+
+    ``kind`` says which bound: ``"length"`` when the composite's input
+    length exceeds the instance's length bound, ``"label"`` when its label
+    total exceeds the truncation, ``"missing-entry"`` when a table has no
+    row for the pair.  ``reason`` is the printable detail.
+
+    A custom :class:`FcInstance` must return ``"length"`` only when the
+    composite's input length (outer arity - 1 + inner arity) exceeds a
+    bound fixed for the instance: the composition table then skips every
+    later candidate of the same slot whose arity is at least as large.
+    """
+    kind: str
     reason: str
+
+    def __post_init__(self):
+        if self.kind not in OUT_OF_BOUND_KINDS:
+            raise ValueError(f"unknown out-of-bound kind {self.kind!r}")
 
 
 ComposeResult = Union[TwoCell, OutOfBound]
@@ -209,12 +228,14 @@ class LoopInstance(FcInstance):
             beta = add(u.label, v.label)
             if beta.total() > self.labeling.monoid.truncation:
                 return OutOfBound(
+                    "label",
                     f"label {beta} exceeds truncation "
                     f"{self.labeling.monoid.truncation}")
         outer = u.profile.inputs
         edges = outer.edges[:i - 1] + v.profile.inputs.edges + outer.edges[i:]
         if len(edges) > self.max_len:
             return OutOfBound(
+                "length",
                 f"input length {len(edges)} exceeds bound {self.max_len}")
         output = u.profile.output
         return self._lookup(edges, output, beta) or self._cell(
@@ -287,7 +308,8 @@ class TableInstance(FcInstance):
         check_slot(u.profile, i, v.profile)
         key = (u.id, i, v.id)
         if key not in self._table:
-            return OutOfBound(f"no table entry for {key!r}")
+            return OutOfBound("missing-entry",
+                              f"no table entry for {key!r}")
         return self._by_id[self._table[key]]
 
 
@@ -368,12 +390,20 @@ class _Indexed:
     (always so on loop instances, not necessarily on tables); the gamma
     audit prunes by label only when it is.  ``totals[k]`` is cell k's
     label total (0 when unlabeled).
+
+    A slot's candidates are the cells whose output is the slot's edge, in
+    population order.  Once ``fc.compose`` returns an :class:`OutOfBound`
+    of kind ``"length"`` for a candidate of arity a, the slot's later
+    candidates of arity >= a are not composed: their composites are at
+    least as long, so out of bound too (on loop instances the candidates
+    come in ascending arity, and the rest of the slot is skipped).  Kinds
+    ``"label"`` and ``"missing-entry"`` skip nothing.
     """
 
     def __init__(self, fc: FcInstance, arity_bound: int):
         self.cells = [c for c in fc.cells() if c.arity() <= arity_bound]
         idx = {c.id: k for k, c in enumerate(self.cells)}
-        self.arity = [c.arity() for c in self.cells]
+        self.arity = arity = [c.arity() for c in self.cells]
         ins = [c.profile.inputs.edges for c in self.cells]
         outs = [c.profile.output for c in self.cells]
         self.by_out: dict[str, list[int]] = {}
@@ -389,9 +419,15 @@ class _Indexed:
             rows = []
             for i, eid in enumerate(ins[x], start=1):
                 row = {}
+                # candidates of arity >= too_long overflow the length bound
+                too_long = arity_bound + 1
                 for k in self.by_out.get(eid, []):
+                    if arity[k] >= too_long:
+                        continue
                     uv = fc.compose(u, i, self.cells[k])
                     if isinstance(uv, OutOfBound):
+                        if uv.kind == "length":
+                            too_long = arity[k]
                         continue
                     r = idx.get(uv.id, -1)
                     if r < 0:
@@ -475,13 +511,17 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
     arity = ix.arity
     comp = ix.comp
     for u in range(len(cells)):
+        rows_u = comp[u]
         for i in range(1, arity[u] + 1):
-            for v, uv in comp[u][i - 1].items():
+            row_ui = rows_u[i - 1]
+            for v, uv in row_ui.items():
+                rows_uv = comp[uv]
                 # nested: w lands inside v
                 for j in range(1, arity[v] + 1):
+                    row_uvj = rows_uv[i - 2 + j]
                     for w, vw in comp[v][j - 1].items():
-                        a = comp[uv][i - 2 + j].get(w, -1)
-                        b = comp[u][i - 1].get(vw, -1)
+                        a = row_uvj.get(w, -1)
+                        b = row_ui.get(vw, -1)
                         if a < 0 or b < 0:
                             skipped += 1
                             continue
@@ -493,8 +533,9 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
                 # parallel: w lands in a later slot of u
                 m = arity[v]
                 for k in range(i + 1, arity[u] + 1):
-                    for w, uw in comp[u][k - 1].items():
-                        a = comp[uv][k - 2 + m].get(w, -1)
+                    row_uvk = rows_uv[k - 2 + m]
+                    for w, uw in rows_u[k - 1].items():
+                        a = row_uvk.get(w, -1)
                         b = comp[uw][i - 1].get(v, -1)
                         if a < 0 or b < 0:
                             skipped += 1
@@ -584,7 +625,9 @@ def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
         # shift[mask]: how far the inserted slots of mask move later slots
         shift = [0] * (1 << n)
 
-        def grow(t: int, sum_a: int, sum_l: int) -> Optional[AxiomReport]:
+        def grow(t: int, sum_a: int, sum_l: int, comp=comp, states=states,
+                 shift=shift, inners=inners) -> Optional[AxiomReport]:
+            # the tables are bound as locals: grow is the innermost loop
             masks = plan[t]
             for a, l, ks in slot_buckets[t]:
                 if sum_a + a > budget_a or sum_l + l > budget_l:

@@ -319,9 +319,8 @@ def test_delta_out_of_bound_label():
     over = free_cell(m_loop(2), label(2), 1,
                      {leaf_of(build_Ainf_operad(LabelMonoid(1, 2)).generator(
                          m_loop(2), label(2))): 1}, validate=False)
-    out = fc.delta(over)
-    assert isinstance(out, OutOfBound)
-    assert "truncation" in out.reason
+    assert fc.delta(over) == OutOfBound(
+        "label", "label (2) exceeds truncation 1")
 
 
 # --------------------------------------------------------- curved (unreduced)
@@ -536,8 +535,8 @@ def test_bad_module_side_rejected():
 def test_compose_cells_label_overflow():
     fc = build_Ainf_operad(LabelMonoid(rank=1, truncation=1))
     c = generator_cell(fc.generator(m_loop(2), label(1)))
-    out = compose_cells(fc, c, 1, c)
-    assert isinstance(out, OutOfBound)
+    assert compose_cells(fc, c, 1, c) == OutOfBound(
+        "label", "label (2) exceeds truncation 1")
 
 
 def test_compose_cells_slot_checks():

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import ast
+import contextlib
+import io
 import itertools
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +22,11 @@ from fcmc.graphs import (
     endpoint_violation,
     is_loop_of,
     make_graph,
+    partition_subgraph,
     profile_loop,
     subgraph,
 )
+from fcmc.cli import main
 from fcmc.labels import LabelError, LabelMonoid, LabelingFc, label
 from fcmc.multicat import (
     AxiomReport,
@@ -38,6 +45,7 @@ from fcmc.multicat import (
     loop_token,
     substituted_profile,
 )
+from fcmc.serde import dumps_doc, graph_to_doc
 from oracles import ref_factor_closed, ref_gamma_orders
 from test_acceptance import all_subgraphs, graph_family
 
@@ -140,7 +148,8 @@ def test_compose_slot_mismatch():
 def test_compose_out_of_bound_length():
     fc = LoopInstance(single_loop(), 2)
     u = cell_of(fc, ["e", "e"], "e")
-    assert fc.compose(u, 1, u) == OutOfBound("input length 3 exceeds bound 2")
+    assert fc.compose(u, 1, u) == OutOfBound(
+        "length", "input length 3 exceeds bound 2")
 
 
 def test_labeled_composition_adds_labels():
@@ -150,11 +159,27 @@ def test_labeled_composition_adds_labels():
     uv = fc.compose(u, 1, u)
     assert uv.label == label(2)
     # one more unit of label leaves the truncation
-    assert fc.compose(uv, 1, u) == OutOfBound("label (3) exceeds truncation 2")
+    assert fc.compose(uv, 1, u) == OutOfBound(
+        "label", "label (3) exceeds truncation 2")
     # the label is checked before the length
     long = cell_of(fc, ["e", "e", "e"], "e", label(2))
     assert fc.compose(long, 1, long) == OutOfBound(
-        "label (4) exceeds truncation 2")
+        "label", "label (4) exceeds truncation 2")
+
+
+def test_table_instance_missing_entry_is_out_of_bound():
+    fc = _loop_table({"1": 1, "m": 2}, [("m", 1, "1", "m")])
+    m, one = cell_of(fc, ["e", "e"], "e"), fc.unit("e")
+    assert fc.compose(m, 1, one) == m
+    assert fc.compose(m, 2, one) == OutOfBound(
+        "missing-entry", "no table entry for ('m', 2, '1')")
+
+
+def test_out_of_bound_kind_is_required_and_known():
+    with pytest.raises(TypeError):
+        OutOfBound("input length 3 exceeds bound 2")
+    with pytest.raises(ValueError, match="unknown out-of-bound kind"):
+        OutOfBound("arity", "input length 3 exceeds bound 2")
 
 
 def test_labeled_fiber_example():
@@ -644,11 +669,12 @@ def test_compose_and_unit_return_the_population_cells(make_fc):
                 if total is not None and total > lab.monoid.truncation:
                     kinds.add("label")
                     assert uv == OutOfBound(
-                        f"label ({total}) exceeds truncation "
+                        "label", f"label ({total}) exceeds truncation "
                         f"{lab.monoid.truncation}")
                 elif length > fc.max_len:
                     kinds.add("length")
                     assert uv == OutOfBound(
+                        "length",
                         f"input length {length} exceeds bound {fc.max_len}")
                 else:
                     assert id(uv) in own
@@ -731,6 +757,99 @@ def random_tables(draw):
 def test_gamma_audit_matches_oracle_on_random_tables(case):
     fc, bound = case
     assert _gamma_audit(fc, bound) == _gamma_oracle(fc, bound)
+
+
+# ------------------------------------------ composition table vs a full sweep
+
+
+def _swept_table(fc, bound):
+    """``_Indexed``'s comp (rows as item lists), beyond, bad_profile and
+    labels_add, rebuilt by composing every (cell, slot, candidate)."""
+    cells = [c for c in fc.cells() if c.arity() <= bound]
+    idx = {c.id: k for k, c in enumerate(cells)}
+    total = [0 if c.label is None else c.label.total() for c in cells]
+    comp, beyond, bad, adds = [], {}, None, True
+    for x, u in enumerate(cells):
+        rows = []
+        for i, eid in enumerate(u.profile.inputs.edges, start=1):
+            row = []
+            for k, v in enumerate(cells):
+                if v.profile.output != eid:
+                    continue
+                uv = fc.compose(u, i, v)
+                if isinstance(uv, OutOfBound):
+                    continue
+                if uv.id not in idx:
+                    beyond.setdefault((x, i), {})[k] = uv
+                    continue
+                row.append((k, idx[uv.id]))
+                want = substituted_profile(u.profile, i, v.profile)
+                if bad is None and (
+                        uv.profile.inputs.edges != want.inputs.edges
+                        or uv.profile.output != want.output):
+                    bad = (u.id, i, v.id)
+                adds = adds and total[idx[uv.id]] == total[x] + total[k]
+            rows.append(row)
+        comp.append(rows)
+    return comp, beyond, bad, adds
+
+
+def _table_fields(fc, bound):
+    ix = _Indexed(fc, bound)
+    return ([[list(row.items()) for row in rows] for rows in ix.comp],
+            ix.beyond, ix.bad_profile, ix.labels_add)
+
+
+def _four_loops():
+    return make_graph(["v"], [(e, "v", "v") for e in "abcd"])
+
+
+@LOOP_INSTANCES
+def test_table_matches_full_sweep_on_instances(make_fc):
+    fc = make_fc()
+    assert _table_fields(fc, 3) == _swept_table(fc, 3)
+
+
+def test_table_matches_full_sweep_on_a_full_sub_and_beyond_the_cap():
+    g = build_pair_graph(["a", "b"])
+    sub = FullSub(LoopInstance(g, 3), build_partition_subgraph(
+        ["a", "b"], [["a"], ["b"]]))
+    assert _table_fields(sub, 3) == _swept_table(sub, 3)
+    # input length 4 is in bound, arity 4 is beyond the cap
+    fc = LoopInstance(_four_loops(), 4)
+    got = _table_fields(fc, 3)
+    assert got == _swept_table(fc, 3)
+    assert got[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=random_tables())
+def test_table_matches_full_sweep_on_random_tables(case):
+    fc, bound = case
+    assert _table_fields(fc, bound) == _swept_table(fc, bound)
+
+
+class _LengthCounting(LoopInstance):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.length_rows = {}
+
+    def compose(self, u, i, v):
+        uv = super().compose(u, i, v)
+        if isinstance(uv, OutOfBound) and uv.kind == "length":
+            key = (u.id, i)
+            self.length_rows[key] = self.length_rows.get(key, 0) + 1
+        return uv
+
+
+@pytest.mark.parametrize("max_len", [3, 4])
+def test_table_composes_one_length_overflow_per_row(max_len):
+    # a slot's candidates come in ascending arity, and the first length
+    # overflow ends the row
+    fc = _LengthCounting(_four_loops(), max_len)
+    _Indexed(fc, 3)
+    assert fc.length_rows
+    assert max(fc.length_rows.values()) == 1
 
 
 # Hand-built tables over the one-loop graph with unary cells and cells of
@@ -829,17 +948,18 @@ def test_gamma_prunes_by_label_only_where_labels_add():
 RENAMED_GRAPHS = sorted(random.Random(20261019).sample(range(177), 12))
 
 
-def _renamed(g, rng):
+def _renamed(g, rng, reverse=True):
     """``g`` under a seeded bijection of vertex and edge ids, declared in
-    reverse order, with the two id maps."""
+    reverse order unless ``reverse`` is false, with the two id maps."""
     vids, eids = list(g.vertex_ids()), list(g.edge_ids())
     vmap = dict(zip(vids, rng.sample([f"x{k}" for k in range(len(vids))],
                                      len(vids))))
     emap = dict(zip(eids, rng.sample([f"f{k}" for k in range(len(eids))],
                                      len(eids))))
-    h = make_graph([vmap[v] for v in reversed(vids)],
+    order = reversed if reverse else list
+    h = make_graph([vmap[v] for v in order(vids)],
                    [(emap[e.id], vmap[e.src], vmap[e.tgt])
-                    for e in reversed(g.edges)])
+                    for e in order(g.edges)])
     return h, vmap, emap
 
 
@@ -876,3 +996,142 @@ def test_renaming_preserves_audits():
             f_h = is_factor_closed(inst_h, FullSub(inst_h, sub_h), 3)
             assert f.ok == f_h.ok, (index, sub.edges)
             assert not f.ok or f.checked == f_h.checked, (index, sub.edges)
+
+
+# ------------------------------------------- graph-check and isolated vertices
+
+
+def _seeded_partition(rng, vids):
+    """An ordered partition of ``vids`` into seeded consecutive parts."""
+    order = rng.sample(list(vids), len(vids))
+    cuts = sorted(rng.sample(range(1, len(order)),
+                             rng.randint(0, len(order) - 1)))
+    return [order[a:b] for a, b in zip([0] + cuts, cuts + [len(order)])]
+
+
+def _closure_checks(tmp_path, g, sub, parts):
+    """graph-check's two endpoint-closed reports, name -> (ok, detail)."""
+    path = tmp_path / "graph.json"
+    path.write_text(dumps_doc({
+        "format_version": 1, "kind": "graph", "graph": graph_to_doc(g),
+        "sub": graph_to_doc(sub), "partition": parts}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["graph-check", str(path), "--format", "json"])
+    checks = {r["name"]: (r["ok"], r["detail"])
+              for r in json.loads(out.getvalue())["reports"]
+              if r["name"] != "graph"}
+    assert sorted(checks) == ["endpoint-closed(partition)",
+                              "endpoint-closed(sub)"]
+    assert code == (0 if all(ok for ok, _ in checks.values()) else 1)
+    return checks
+
+
+SUB_WITNESS = re.compile(
+    r"NO: inputs (\[.*\]) from (\S+) admit the outside output (\S+)$")
+PARTITION_WITNESS = re.compile(r"NO: outside output (\S+)$")
+
+
+def _witness(name, detail):
+    """A failing closure check's witness: (input edges, source, output) for
+    the sub, (output,) for the partition."""
+    if name == "endpoint-closed(sub)":
+        m = SUB_WITNESS.fullmatch(detail)
+        return tuple(ast.literal_eval(m.group(1))), m.group(2), m.group(3)
+    return (PARTITION_WITNESS.fullmatch(detail).group(1),)
+
+
+def _map_witness(w, vmap, emap):
+    if len(w) == 3:
+        return tuple(emap[e] for e in w[0]), vmap[w[1]], emap[w[2]]
+    return (emap[w[0]],)
+
+
+def _violates(g, sub, witness):
+    """Is ``witness`` a violation of endpoint-closedness of ``sub`` in g?
+    Its output edge must lie outside the sub, and its target must be
+    reachable inside the sub from its source (along the given inputs, when
+    they are printed)."""
+    out = g.edge(witness[-1])
+    if sub.has_edge(out.id) or not sub.has_vertex(out.src):
+        return False
+    if len(witness) == 3:
+        inputs, source, _ = witness
+        return (source == out.src and all(sub.has_edge(e) for e in inputs)
+                and is_loop_of(g, ProfileLoop(
+                    EdgePath(inputs, source, out.tgt), out.id)))
+    seen, todo = {out.src}, [out.src]
+    while todo:
+        for e in sub.out_edges(todo.pop()):
+            if e.tgt not in seen:
+                seen.add(e.tgt)
+                todo.append(e.tgt)
+    return out.tgt in seen
+
+
+def test_renaming_preserves_graph_check(tmp_path):
+    # the verdicts never change; with declaration order kept the witness
+    # is the renamed one, and in reverse order it is still a violation
+    family = graph_family()
+    rng = random.Random(19)
+    for index in RENAMED_GRAPHS:
+        g = family[index]
+        for reverse in (False, True):
+            h, vmap, emap = _renamed(g, rng, reverse)
+            back_v = {new: old for old, new in vmap.items()}
+            back_e = {new: old for old, new in emap.items()}
+            for sub in all_subgraphs(g):
+                sub_h = subgraph(h, [vmap[v] for v in sub.vertex_ids()],
+                                 [emap[e] for e in sub.edge_ids()])
+                parts = _seeded_partition(rng, g.vertex_ids())
+                psub = partition_subgraph(g, parts)
+                got = _closure_checks(tmp_path, g, sub, parts)
+                got_h = _closure_checks(
+                    tmp_path, h, sub_h, [[vmap[v] for v in p] for p in parts])
+                for name, (ok, detail) in got.items():
+                    ok_h, detail_h = got_h[name]
+                    assert ok == ok_h, (index, name, sub.edges)
+                    if ok:
+                        assert detail == detail_h
+                        continue
+                    w, w_h = _witness(name, detail), _witness(name, detail_h)
+                    if not reverse:
+                        assert w_h == _map_witness(w, vmap, emap)
+                    assert _violates(
+                        g, sub if name == "endpoint-closed(sub)" else psub,
+                        _map_witness(w_h, back_v, back_e)), (index, name)
+
+
+# a seeded subset of the acceptance family, fixed here before any run
+ISOLATED_GRAPHS = sorted(random.Random(20261020).sample(range(177), 8))
+
+
+def test_isolated_vertex_changes_no_verdict(tmp_path):
+    family = graph_family()
+    rng = random.Random(23)
+    for index in ISOLATED_GRAPHS:
+        g = family[index]
+        vids = list(g.vertex_ids())
+        h = make_graph(vids + ["iso"], [(e.id, e.src, e.tgt) for e in g.edges])
+        for make in (lambda x: LoopInstance(x, 3),
+                     lambda x: LoopInstance(x, 3, LabelingFc(
+                         x, LabelMonoid(1, 1), False))):
+            a, b = check_axioms(make(g), 3), check_axioms(make(h), 3)
+            assert ((a.ok, a.failure, a.checked, a.skipped)
+                    == (b.ok, b.failure, b.checked, b.skipped)), index
+        inst, inst_h = LoopInstance(g, 3), LoopInstance(h, 3)
+        for sub in all_subgraphs(g):
+            f = is_factor_closed(inst, FullSub(inst, sub), 3)
+            parts = _seeded_partition(rng, vids)
+            got = _closure_checks(tmp_path, g, sub, parts)
+            # the isolated vertex joins a seeded part or gets its own
+            k = rng.randrange(len(parts) + 1)
+            parts_h = ([p + ["iso"] if j == k else p
+                        for j, p in enumerate(parts)] if k < len(parts)
+                       else parts + [["iso"]])
+            for extra in ([], ["iso"]):
+                sub_h = subgraph(h, list(sub.vertex_ids()) + extra,
+                                 sub.edge_ids())
+                f_h = is_factor_closed(inst_h, FullSub(inst_h, sub_h), 3)
+                assert (f.ok, f.checked) == (f_h.ok, f_h.checked), index
+                assert got == _closure_checks(tmp_path, h, sub_h, parts_h)
