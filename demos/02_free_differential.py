@@ -4,6 +4,9 @@ Each preset freely generates one degree-1 symbol per (profile-loop,
 label) pair, excluding the unit case.  The differential replaces a
 generator by minus the sum of its two-node splittings; squaring to zero
 is exactly the quadratic relation system the presets are named after.
+Each named preset is one entry of ``PRESETS``, mapping the name to the
+graph it is built on; ``build_preset`` builds any of them, and
+``FreeDgFc(labeling, ...)`` the same structure on any labeled graph.
 """
 
 from fcmc import (
@@ -15,7 +18,9 @@ from fcmc import (
     delta_squared_report,
     generator_cell,
 )
-from fcmc.freedg import FreeDgFc
+from fcmc.freedg import PRESETS, FreeDgFc, build_preset
+from fcmc.graphs import make_graph
+from fcmc.labels import LabelingFc
 
 fc = build_Ainf_operad(TRIVIAL_MONOID)
 m2, m3, m4 = fc.generators(4)
@@ -37,6 +42,21 @@ for name, f, arity in [("one-loop", fc, 8),
                         build_Ainf_operad(LabelMonoid(1, 2)), 6)]:
     print(f"  {name}: {delta_squared_report(f, arity).summary()}")
 
+print("\nevery preset in the table, two objects, arity 4:")
+for name in PRESETS:
+    f = build_preset(name, TRIVIAL_MONOID, True, ["a", "b"], [["a"], ["b"]])
+    print(f"  {name} ({len(f.graph.edges)} edges): "
+          f"{delta_squared_report(f, 4).summary()}")
+
+# The same differential on any labeled graph is the "generalized" preset.
+# Parallel edges break it: two loops b, c on one vertex give label-0
+# arity-1 generators whose composites lie on the unit profiles, where no
+# generator's differential can cancel them.
+two_loops = make_graph(["v"], [("b", "v", "v"), ("c", "v", "v")])
+parallel = FreeDgFc(LabelingFc(two_loops, TRIVIAL_MONOID, reduced=True))
+print(f"\ngeneralized on two parallel loops ({parallel.preset}):",
+      delta_squared_report(parallel, 2).summary().splitlines()[0])
+
 # Composition of cells carries the same signs the differential uses, so
 # delta is a derivation for it: delta(c1 o_i c2) equals
 # delta(c1) o_i c2 + (-1)^(degree of c1) c1 o_i delta(c2).
@@ -49,7 +69,7 @@ print("\nLeibniz on m3 o_2 m2:", "holds" if lhs == rhs else "BROKEN")
 
 # Dropping the Leibniz sign breaks squaring: the would-be cancelling
 # pairs now add up.
-faulty = FreeDgFc(fc.graph, fc.labeling, preset="ainf", sign_fault=True)
+faulty = FreeDgFc(fc.labeling, preset="ainf", sign_fault=True)
 print("\nwith the sign dropped:",
       delta_squared_report(faulty, 5).summary().splitlines()[0])
 

@@ -17,8 +17,11 @@ of ``algebra-check`` serves every preset with the standard splitting, the
 module presets and ``generalized`` included; a ``custom`` rule table has
 none, so ``--route direct`` and ``--route both`` exit 2 on it.  An edge id
 must be non-empty and free of "," and ";", the separators of printed
-profile-loops, or the graph is invalid.  ``free-d2 generalized:FILE``
+profile-loops, or the graph is invalid.  ``free-d2`` builds a named
+preset through ``freedg.build_preset``; ``free-d2 generalized:FILE``
 takes ``reduced`` from the document, so ``--unreduced`` exits 2 there.
+The square is promised to vanish on reduced structures over graphs
+without parallel edges, every named preset's among them.
 """
 
 from __future__ import annotations
@@ -37,16 +40,7 @@ from .graphs import (
 )
 from .labels import LabelError, LabelMonoid
 from .multicat import CompositionError, check_axioms, is_factor_closed
-from .freedg import (
-    PRESETS,
-    FreeDgFc,
-    build_Ainf_bimodule,
-    build_Ainf_category,
-    build_Ainf_operad,
-    build_module_preset,
-    build_rmodule_preset,
-    delta_squared_report,
-)
+from .freedg import PRESETS, FreeDgFc, build_preset, delta_squared_report
 from .algebra import AlgebraError, check_algebra, check_both_routes, \
     check_direct, route_disagreement
 from .chain import ChainError
@@ -204,29 +198,18 @@ def build_free_preset(preset: str, rank: int, truncation: int,
                       objects: int, parts: Optional[str],
                       reduced: bool) -> tuple[FreeDgFc, Optional[list]]:
     monoid = LabelMonoid(rank, truncation)
-    if preset == "ainf":
-        return build_Ainf_operad(monoid, reduced), None
-    if preset == "category":
-        return build_Ainf_category(_object_names(objects), monoid,
-                                   reduced), None
-    if preset == "bimodule":
-        return build_Ainf_bimodule(monoid, reduced), None
-    if preset in ("left-module", "right-module"):
-        return build_module_preset(_object_names(objects),
-                                   preset.split("-")[0], monoid,
-                                   reduced), None
-    if preset == "rmodule":
-        names = _object_names(objects)
-        part_list = _parse_parts(parts) if parts else [[n] for n in names]
-        return build_rmodule_preset(names, part_list, monoid, reduced), None
     if preset.startswith("generalized:"):
         if not reduced:
             raise CliError("--unreduced does not apply to generalized:FILE; "
                            "the document's \"reduced\" field decides")
         return serde.freedg_from_doc(_read_doc(preset.split(":", 1)[1]))
-    raise CliError(
-        f"preset must be one of {PRESETS} or generalized:FILE, "
-        f"got {preset!r}")
+    if preset not in PRESETS:
+        raise CliError(
+            f"preset must be one of {tuple(PRESETS)} or generalized:FILE, "
+            f"got {preset!r}")
+    names = _object_names(objects)
+    part_list = _parse_parts(parts) if parts else [[n] for n in names]
+    return build_preset(preset, monoid, reduced, names, part_list), None
 
 
 def cmd_free_d2(args, bounds) -> Run:
@@ -236,7 +219,7 @@ def cmd_free_d2(args, bounds) -> Run:
                                  args.objects, args.parts,
                                  not args.unreduced)
     if args.debug_sign_fault:
-        fc = FreeDgFc(fc.graph, fc.labeling, preset=fc.preset,
+        fc = FreeDgFc(fc.labeling, preset=fc.preset,
                       custom_rules=fc.custom_rules, sign_fault=True)
         run.note("debug: Leibniz sign deliberately dropped")
     if not fc.labeling.reduced:

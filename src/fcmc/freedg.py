@@ -34,7 +34,6 @@ from .graphs import (
     CompositionError,
     DirectedGraph,
     EdgePath,
-    GraphError,
     ProfileLoop,
     build_bimodule_graph,
     build_module_graph,
@@ -54,15 +53,24 @@ from .labels import (
     fiber,
     in_fiber,
 )
-from .multicat import (OutOfBound, check_slot, loop_token,
+from .multicat import (OutOfBound, check_slot, label_overflow, loop_token,
                        substituted_profile)
 from .chain import _check_exact
 
 Scalar = Union[int, Fraction]
 
-# the named presets with the standard splitting differential
-PRESETS = ("ainf", "category", "bimodule", "left-module", "right-module",
-           "rmodule")
+# The named presets, each mapped to the builder of its graph from the object
+# ids and the ordered partition.  All have the standard splitting, and so
+# has "generalized", on whatever graph its labeling has.
+PRESETS = {
+    "ainf": lambda objects, parts: make_graph(["v"], [("e", "v", "v")]),
+    "category": lambda objects, parts: build_pair_graph(objects),
+    "bimodule": lambda objects, parts: build_bimodule_graph(),
+    "left-module": lambda objects, parts: build_module_graph(objects, "left"),
+    "right-module": lambda objects, parts: build_module_graph(objects,
+                                                               "right"),
+    "rmodule": build_partition_subgraph,
+}
 
 
 @dataclass(frozen=True)
@@ -369,8 +377,11 @@ class FreeDgFc:
     coefficient -1; summands whose factors are not generators are dropped,
     since the free object has no such symbols.
 
-    A ``custom_rules`` table replaces that differential altogether: it is
-    the whole presentation, and generators without a rule are delta-closed.
+    ``preset`` names the structure: one of :data:`PRESETS`, or
+    ``"generalized"`` for the standard splitting on any graph.  A
+    ``custom_rules`` table replaces that differential altogether: it is
+    the whole presentation, generators without a rule are delta-closed,
+    and the preset is ``"custom"`` exactly when such a table is given.
 
     Each generator is stored once, as its one-node tree, under the plain
     key (source, target, input edges, output, label coords); ``generator``
@@ -381,13 +392,17 @@ class FreeDgFc:
     ``delta`` outputs are far more numerous, and each is only summed.
     """
 
-    def __init__(self, graph: DirectedGraph, labeling: LabelingFc,
-                 preset: str = "generalized",
+    def __init__(self, labeling: LabelingFc, preset: str = "generalized",
                  custom_rules: Optional[dict[GeneratorSpec, FreeCell]] = None,
                  sign_fault: bool = False):
-        if labeling.graph != graph:
-            raise GraphError("labeling is over a different graph")
-        self.graph = graph
+        if custom_rules is not None and preset in ("generalized", "custom"):
+            preset = "custom"
+        elif custom_rules is not None or preset not in (*PRESETS,
+                                                        "generalized"):
+            raise CompositionError(
+                f"preset must be one of {(*PRESETS, 'generalized')} without "
+                f"a rule table, or 'custom' with one; got {preset!r}")
+        self.graph = labeling.graph
         self.labeling = labeling
         self.monoid = labeling.monoid
         self.preset = preset
@@ -543,10 +558,7 @@ class FreeDgFc:
         slot (see the module docstring).
         """
         if cell.label.total() > self.monoid.truncation:
-            return OutOfBound(
-                "label",
-                f"label {cell.label} exceeds truncation "
-                f"{self.monoid.truncation}")
+            return label_overflow(cell.label, self.monoid.truncation)
         acc: dict[CompTree, Scalar] = {}
         for t, coeff in cell.terms:
             for t2, c2 in self._delta_tree(t):
@@ -597,9 +609,7 @@ def compose_cells(fc: FreeDgFc, c1: FreeCell, i: int,
     check_slot(c1.profile, i, c2.profile)
     beta = add(c1.label, c2.label)
     if beta.total() > fc.monoid.truncation:
-        return OutOfBound(
-            "label",
-            f"label {beta} exceeds truncation {fc.monoid.truncation}")
+        return label_overflow(beta, fc.monoid.truncation)
     profile = substituted_profile(c1.profile, i, c2.profile)
     acc: dict[CompTree, Scalar] = {}
     for t1, x1 in c1.terms:
@@ -659,36 +669,40 @@ def delta_squared_report(fc: FreeDgFc, arity_bound: int,
 
 # ------------------------------------------------------------------ presets
 
-def one_loop_graph() -> DirectedGraph:
-    return make_graph(["v"], [("e", "v", "v")])
+def build_preset(name: str, monoid: LabelMonoid, reduced: bool = True,
+                 objects: Sequence[str] = (),
+                 parts: Sequence[Sequence[str]] = ()) -> FreeDgFc:
+    """The named preset over the graph :data:`PRESETS` builds it on; the
+    object ids and the ordered partition go to the graph builder, which
+    ignores what its graph does not need."""
+    if name not in PRESETS:
+        raise CompositionError(
+            f"preset must be one of {tuple(PRESETS)}, got {name!r}")
+    graph = PRESETS[name](objects, parts)
+    return FreeDgFc(LabelingFc(graph, monoid, reduced), preset=name)
 
 
 def build_Ainf_operad(monoid: LabelMonoid, reduced: bool = True) -> FreeDgFc:
     """Generators m_(n, beta) over a single loop, (n, beta) never the unit
     or empty-zero case; the differential sums the two-factor splittings."""
-    g = one_loop_graph()
-    return FreeDgFc(g, LabelingFc(g, monoid, reduced), preset="ainf")
+    return build_preset("ainf", monoid, reduced)
 
 
 def build_Ainf_category(object_ids: Sequence[str], monoid: LabelMonoid,
                         reduced: bool = True) -> FreeDgFc:
-    g = build_pair_graph(object_ids)
-    return FreeDgFc(g, LabelingFc(g, monoid, reduced), preset="category")
+    return build_preset("category", monoid, reduced, object_ids)
 
 
 def build_Ainf_bimodule(monoid: LabelMonoid, reduced: bool = True) -> FreeDgFc:
-    g = build_bimodule_graph()
-    return FreeDgFc(g, LabelingFc(g, monoid, reduced), preset="bimodule")
+    return build_preset("bimodule", monoid, reduced)
 
 
 def build_module_preset(object_ids: Sequence[str], side: str,
                         monoid: LabelMonoid, reduced: bool = True) -> FreeDgFc:
-    g = build_module_graph(object_ids, side)
-    return FreeDgFc(g, LabelingFc(g, monoid, reduced), preset=f"{side}-module")
+    return build_preset(f"{side}-module", monoid, reduced, object_ids)
 
 
 def build_rmodule_preset(object_ids: Sequence[str],
                          parts: Sequence[Sequence[str]], monoid: LabelMonoid,
                          reduced: bool = True) -> FreeDgFc:
-    g = build_partition_subgraph(object_ids, parts)
-    return FreeDgFc(g, LabelingFc(g, monoid, reduced), preset="rmodule")
+    return build_preset("rmodule", monoid, reduced, object_ids, parts)

@@ -97,11 +97,12 @@ class LabelMonoid:
 
     def elements(self) -> list[MonoidElem]:
         """All elements with coordinate sum <= truncation, by total then lex."""
-        out = [MonoidElem(t)
-               for t in product(range(self.truncation + 1), repeat=self.rank)
-               if sum(t) <= self.truncation]
-        out.sort(key=lambda b: (b.total(), b.coords))
-        return out
+        # level[s]: the vectors of the current length with sum s, in lex order
+        level = [[(s,)] for s in range(self.truncation + 1)]
+        for _ in range(self.rank - 1):
+            level = [[(h,) + v for h in range(s + 1) for v in level[s - h]]
+                     for s in range(len(level))]
+        return [MonoidElem(v) for vs in level for v in vs]
 
 
 TRIVIAL_MONOID = LabelMonoid(rank=1, truncation=0)

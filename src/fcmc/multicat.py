@@ -76,6 +76,13 @@ class OutOfBound:
 ComposeResult = Union[TwoCell, OutOfBound]
 
 
+def label_overflow(beta: MonoidElem, truncation: int) -> OutOfBound:
+    """The result of a composite whose label ``beta`` exceeds the
+    truncation; every labeled composition returns this one."""
+    return OutOfBound("label",
+                      f"label {beta} exceeds truncation {truncation}")
+
+
 def loop_token(loop: ProfileLoop) -> str:
     """Canonical printable id for a profile-loop: "e1,e2;out"."""
     return ",".join(loop.inputs.edges) + ";" + loop.output
@@ -227,10 +234,7 @@ class LoopInstance(FcInstance):
         if self.labeling is not None:
             beta = add(u.label, v.label)
             if beta.total() > self.labeling.monoid.truncation:
-                return OutOfBound(
-                    "label",
-                    f"label {beta} exceeds truncation "
-                    f"{self.labeling.monoid.truncation}")
+                return label_overflow(beta, self.labeling.monoid.truncation)
         outer = u.profile.inputs
         edges = outer.edges[:i - 1] + v.profile.inputs.edges + outer.edges[i:]
         if len(edges) > self.max_len:

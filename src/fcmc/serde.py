@@ -33,7 +33,6 @@ from .multicat import (
     TwoCell,
 )
 from .freedg import (
-    PRESETS,
     CompTree,
     Delta2Report,
     FreeCell,
@@ -304,8 +303,7 @@ def freedg_to_doc(fc: FreeDgFc,
         "graph": graph_to_doc(fc.graph),
         "monoid": monoid_to_doc(fc.monoid),
         "reduced": fc.labeling.reduced,
-        "differential": "custom" if fc.custom_rules is not None
-        else fc.preset,
+        "differential": fc.preset,
     }
     if gens is not None:
         doc["generators"] = [generator_to_doc(g) for g in gens]
@@ -327,9 +325,10 @@ def freedg_from_doc(doc: dict) -> tuple[FreeDgFc,
                                    {"rank": 1, "truncation": 0}))
     labeling = LabelingFc(g, monoid, field(doc, "reduced", "boolean", True))
     differential = field(doc, "differential", "string")
+    rules = None
     if differential == "custom":
         # rules name generators, which exist whatever the differential
-        fc = FreeDgFc(g, labeling)
+        fc = FreeDgFc(labeling)
         rules = {}
         for rule in field(doc, "rules", "array", []):
             gen = generator_from_doc(fc, field(rule, "generator", "object"))
@@ -337,13 +336,7 @@ def freedg_from_doc(doc: dict) -> tuple[FreeDgFc,
                 raise SerdeError(f"duplicate rule for {gen.name}")
             rules[gen] = _rule_from_doc(fc, gen,
                                         field(rule, "terms", "array"))
-        fc = FreeDgFc(g, labeling, preset="custom", custom_rules=rules)
-    elif differential in PRESETS + ("generalized",):
-        fc = FreeDgFc(g, labeling, preset=differential)
-    else:
-        raise SerdeError(
-            f"differential must be one of "
-            f"{PRESETS + ('generalized', 'custom')}, got {differential!r}")
+    fc = FreeDgFc(labeling, preset=differential, custom_rules=rules)
     gens = field(doc, "generators", "array", None)
     if gens is not None:
         gens = [generator_from_doc(fc, gd) for gd in gens]

@@ -159,7 +159,7 @@ def test_free_d2_generalized_file(capsys, tmp_path):
 def _custom_rules_doc():
     base = build_Ainf_operad(LabelMonoid(1, 1))
     gens = base.generators(2)
-    fc = FreeDgFc(base.graph, base.labeling, preset="custom",
+    fc = FreeDgFc(base.labeling, preset="custom",
                   custom_rules={g: base.delta_generator(g) for g in gens})
     return freedg_to_doc(fc, gens=gens)
 
@@ -186,6 +186,19 @@ def test_free_d2_rmodule_parts(capsys):
     code, out, _ = run(capsys, ["free-d2", "rmodule", "--objects", "3",
                                 "--parts", "o1;o2,o3", "--arity", "3"])
     assert code == 0
+
+
+def test_free_d2_parallel_loops_square_not_zero(capsys, tmp_path):
+    # two loops b, c on one vertex: the arity-1 generators m[b;c] and
+    # m[c;b] compose onto the unit profiles b;b and c;c, where the reduced
+    # structure has no generator whose differential could cancel the
+    # composite, so delta^2 = 0 is promised only without parallel edges
+    path = write(tmp_path, "bc.json", _one_vertex_docs(["b", "c"])["free-d2"])
+    code, out, _ = run(capsys, ["free-d2", f"generalized:{path}",
+                                "--arity", "2", "--path-len", "2"])
+    assert code == 1
+    assert "delta^2 NONZERO on 8 of 10 generators:" in out
+    assert "m[c;b](m[b;c](b))" in out
 
 
 # -------------------------------------------------------------- graph-check
@@ -382,7 +395,7 @@ def test_algebra_check_direct_unavailable(capsys, tmp_path):
     # a custom rule table is the one presentation without a direct route:
     # one message, whichever route asks for it
     base = build_Ainf_operad(TRIVIAL_MONOID)
-    custom = FreeDgFc(base.graph, base.labeling, preset="custom",
+    custom = FreeDgFc(base.labeling, preset="custom",
                       custom_rules={g: base.delta_generator(g)
                                     for g in base.generators(2)})
     _, A = lift_dga([("1", 0), ("eps", 0)], {}, {
@@ -397,6 +410,11 @@ def test_algebra_check_direct_unavailable(capsys, tmp_path):
     with pytest.raises(AlgebraError,
                        match="no direct checker for preset 'custom'"):
         check_direct(custom, A, 3)
+    # any rule table, the empty one included, is the custom preset
+    for rules in ({}, dict(custom.custom_rules)):
+        with pytest.raises(AlgebraError,
+                           match="no direct checker for preset 'custom'"):
+            check_direct(FreeDgFc(base.labeling, custom_rules=rules), A, 3)
     # every preset with the standard splitting has the direct route
     doc = dual_doc()
     doc["preset"] = "generalized"
@@ -411,8 +429,8 @@ def test_algebra_check_direct_unavailable(capsys, tmp_path):
         assert code in (0, 1) and "routes-agree: yes" in out
         assert f"[{preset_doc['preset']}-direct]" in out
     for preset in ("left-module", "right-module", "rmodule", "generalized"):
-        rep = check_direct(FreeDgFc(base.graph, base.labeling,
-                                    preset=preset), A, 3)
+        rep = check_direct(FreeDgFc(base.labeling, preset=preset), A,
+                           3)
         assert rep.ok and rep.route == f"{preset}-direct"
 
 
@@ -476,7 +494,7 @@ def test_algebra_check_custom_rules_survive_the_document(capsys, tmp_path):
     # which only the arity-3 rule sees
     base = build_Ainf_operad(TRIVIAL_MONOID)
     fc, _ = freedg_from_doc(freedg_to_doc(FreeDgFc(
-        base.graph, base.labeling,
+        base.labeling,
         custom_rules={g: base.delta_generator(g)
                       for g in base.generators(3)})))
     _, A = lift_dga([("1", 0), ("eps", 0)], {}, {

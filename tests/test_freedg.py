@@ -18,6 +18,7 @@ from fcmc.freedg import (
     build_Ainf_category,
     build_Ainf_operad,
     build_module_preset,
+    build_preset,
     build_rmodule_preset,
     compose_cells,
     delta_squared_report,
@@ -470,8 +471,7 @@ def test_labeled_bimodule_curvature_exchange():
 
 def test_bimodule_equals_generalized_on_same_graph():
     bim = build_Ainf_bimodule(TRIVIAL_MONOID)
-    gen = FreeDgFc(bim.graph,
-                   LabelingFc(bim.graph, TRIVIAL_MONOID, reduced=True))
+    gen = FreeDgFc(LabelingFc(bim.graph, TRIVIAL_MONOID, reduced=True))
     assert gen.generators(4) == bim.generators(4)
     for g in bim.generators(4):
         assert gen.delta_generator(g) == bim.delta_generator(g)
@@ -569,7 +569,7 @@ def test_free_cell_rejects_inexact_coefficients(coeff):
     rule = free_cell(g3.profile, g3.label, 2, {graft(m2, 1, m2): coeff},
                      validate=False)
     with pytest.raises(ChainError, match="not an int or Fraction"):
-        FreeDgFc(fc.graph, fc.labeling, custom_rules={g3: rule})
+        FreeDgFc(fc.labeling, custom_rules={g3: rule})
 
 
 def test_generator_needs_a_path():
@@ -723,7 +723,7 @@ def test_delta_on_rules_matches_reference():
     # compiled records at the root and the base case below it
     fc0 = ainf()
     g3, g4 = m_gen(fc0, 3), m_gen(fc0, 4)
-    custom = FreeDgFc(fc0.graph, fc0.labeling,
+    custom = FreeDgFc(fc0.labeling,
                       custom_rules={g3: fc0.delta_generator(g3)})
     cases = [
         (fc0, 6, None),
@@ -734,7 +734,7 @@ def test_delta_on_rules_matches_reference():
         (build_rmodule_preset(["a", "b"], [["a"], ["b"]], TRIVIAL_MONOID),
          4, None),
         (build_Ainf_operad(LabelMonoid(rank=2, truncation=2)), 3, None),
-        (FreeDgFc(fc0.graph, fc0.labeling, sign_fault=True), 5, None),
+        (FreeDgFc(fc0.labeling, sign_fault=True), 5, None),
         (custom, 4, [g3, g4]),
     ]
     for fc, arity, gens in cases:
@@ -751,25 +751,42 @@ def test_delta_on_rules_matches_reference():
 def test_custom_only_presentation():
     fc0 = ainf()
     g3, g4 = m_gen(fc0, 3), m_gen(fc0, 4)
-    fc = FreeDgFc(fc0.graph, fc0.labeling,
+    fc = FreeDgFc(fc0.labeling,
                   custom_rules={g3: fc0.delta_generator(g3)})
     assert fc.delta_generator(g3) == fc0.delta_generator(g3)
     assert fc.delta_generator(g4).is_zero()
     rep = delta_squared_report(fc, 4, gens=[g3, g4])
     assert rep.ok and rep.generators == 2
     # an empty table is a presentation too: every generator is closed
-    empty = FreeDgFc(fc0.graph, fc0.labeling, custom_rules={})
+    empty = FreeDgFc(fc0.labeling, custom_rules={})
     assert empty.delta_generator(g3).is_zero()
+
+
+def test_preset_is_custom_exactly_with_a_rule_table():
+    lab = ainf().labeling
+    assert FreeDgFc(lab).preset == "generalized"
+    assert FreeDgFc(lab).graph is lab.graph
+    assert FreeDgFc(lab, custom_rules={}).preset == "custom"
+    assert FreeDgFc(lab, preset="custom", custom_rules={}).preset == "custom"
+    # "custom" names a rule table, and a named preset has the standard
+    # splitting, so neither comes without the other
+    for preset, rules in (("custom", None), ("mystery", None),
+                          ("ainf", {}), ("mystery", {})):
+        with pytest.raises(CompositionError, match=f"got '{preset}'"):
+            FreeDgFc(lab, preset=preset, custom_rules=rules)
+    # the table builds named presets only: "generalized" has no graph
+    with pytest.raises(CompositionError, match="got 'generalized'"):
+        build_preset("generalized", TRIVIAL_MONOID)
 
 
 def test_custom_rule_validation():
     fc0 = ainf()
     g3, g4 = m_gen(fc0, 3), m_gen(fc0, 4)
     with pytest.raises(CompositionError):
-        FreeDgFc(fc0.graph, fc0.labeling,
+        FreeDgFc(fc0.labeling,
                  custom_rules={g3: fc0.delta_generator(g4)})
     with pytest.raises(CompositionError):
-        FreeDgFc(fc0.graph, fc0.labeling,
+        FreeDgFc(fc0.labeling,
                  custom_rules={g4: fc0.delta(fc0.delta_generator(g4))})
     # degree 2 over the generator's boundary, but not a two-node tree: the
     # shape check itself must reject the rule
@@ -778,7 +795,7 @@ def test_custom_rule_validation():
                       (g3, leaf_of(g3))):
         rule = free_cell(gen.profile, gen.label, 2, {tree: 1}, validate=False)
         with pytest.raises(CompositionError, match="two-node degree-2"):
-            FreeDgFc(fc0.graph, fc0.labeling, custom_rules={gen: rule})
+            FreeDgFc(fc0.labeling, custom_rules={gen: rule})
     with pytest.raises(CompositionError, match="no inner node"):
         inner_position(leaf_of(g3))
 
@@ -793,7 +810,7 @@ def test_custom_rule_terms_must_be_valid_trees():
     for tree in (short_root, with_bad_leaf):
         rule = free_cell(g3.profile, g3.label, 2, {tree: 1}, validate=False)
         with pytest.raises(CompositionError):
-            FreeDgFc(fc0.graph, fc0.labeling, custom_rules={g3: rule})
+            FreeDgFc(fc0.labeling, custom_rules={g3: rule})
 
 
 def test_label_bound_is_capped_by_truncation():
@@ -804,7 +821,7 @@ def test_label_bound_is_capped_by_truncation():
 
 
 def test_sign_fault_breaks_square_zero():
-    fc = FreeDgFc(ainf().graph, ainf().labeling, sign_fault=True)
+    fc = FreeDgFc(ainf().labeling, sign_fault=True)
     rep = delta_squared_report(fc, 4)
     assert not rep.ok
     assert any("m[e,e,e,e;e]" == name for name, _ in rep.residues)
@@ -856,7 +873,7 @@ def test_equal_trees_and_specs_hash_equal_and_keep_repr():
 
 def test_sign_fault_residue_strings_unchanged():
     fc0 = ainf()
-    fc = FreeDgFc(fc0.graph, fc0.labeling, sign_fault=True)
+    fc = FreeDgFc(fc0.labeling, sign_fault=True)
     rep = delta_squared_report(fc, 4)
     assert rep.residues == (("m[e,e,e,e;e]",
         "2*m[e,e;e](e,m[e,e;e](e,m[e,e;e](e,e))) "
@@ -865,7 +882,7 @@ def test_sign_fault_residue_strings_unchanged():
         "+ 2*m[e,e;e](m[e,e;e](m[e,e;e](e,e),e),e)"),)
     b = build_Ainf_bimodule(LabelMonoid(rank=1, truncation=1))
     rep = delta_squared_report(
-        FreeDgFc(b.graph, b.labeling, sign_fault=True), 4)
+        FreeDgFc(b.labeling, sign_fault=True), 4)
     assert (rep.generators, len(rep.residues)) == (35, 21)
     assert hashlib.sha256(repr(rep.residues).encode()).hexdigest() == (
         "746032c166987095e571ccdd3bb589ea9558eb74b217b278d6db253d3267ff7a")

@@ -125,6 +125,23 @@ def test_monoid_elements_enumeration():
     assert got == ref_labels_upto(2, 2)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("truncation", [0, 1, 2, 3])
+def test_monoid_elements_match_the_brute_force_filter(rank, truncation):
+    # the order is by total, then lexicographic
+    brute = sorted(ref_labels_upto(rank, truncation),
+                   key=lambda t: (sum(t), t))
+    got = [e.coords for e in LabelMonoid(rank, truncation).elements()]
+    assert got == brute
+
+
+def test_monoid_elements_at_high_rank():
+    # 1 + 30 + C(31, 2): built without the 3^30 candidate vectors
+    elems = LabelMonoid(rank=30, truncation=2).elements()
+    assert len(elems) == 496
+    assert len(set(elems)) == 496 and all(e.total() <= 2 for e in elems)
+
+
 def test_monoid_contains():
     m = LabelMonoid(rank=1, truncation=2)
     assert m.contains(label(2))

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fcmc.graphs import GraphError, make_graph, profile_loop
+from fcmc.graphs import CompositionError, GraphError, make_graph, profile_loop
 from fcmc.labels import TRIVIAL_MONOID, LabelMonoid, label
 from fcmc.multicat import TableInstance, TwoCell, check_axioms
-from fcmc.freedg import FreeDgFc, build_Ainf_bimodule, build_Ainf_operad
+from fcmc.freedg import (PRESETS, FreeDgFc, build_Ainf_bimodule,
+                         build_Ainf_operad, build_preset)
 from fcmc.chain import ChainError, EndX, make_complex, multimap
 from fcmc.algebra import AlgebraData, check_algebra, lift_dga
 from fcmc import serde
@@ -159,7 +160,7 @@ def test_freedg_round_trip_named():
 def test_freedg_round_trip_custom_rules():
     base = build_Ainf_operad(TRIVIAL_MONOID)
     gen = base.generators(3)[-1]
-    fc = FreeDgFc(base.graph, base.labeling, preset="custom",
+    fc = FreeDgFc(base.labeling, preset="custom",
                   custom_rules={gen: base.delta_generator(gen)})
     doc = freedg_to_doc(fc)
     fc2, _ = freedg_from_doc(doc)
@@ -167,14 +168,41 @@ def test_freedg_round_trip_custom_rules():
     assert fc2.delta_generator(gen) == base.delta_generator(gen)
     other = base.generators(2)[0]
     assert fc2.delta_generator(other).is_zero()
-    empty = FreeDgFc(base.graph, base.labeling, custom_rules={})
+    empty = FreeDgFc(base.labeling, custom_rules={})
     assert freedg_to_doc(empty)["differential"] == "custom"
+
+
+def _round_trip_cases():
+    objects, parts = ["o1", "o2"], [["o1"], ["o2"]]
+    monoid = LabelMonoid(1, 1)
+    cases = {name: build_preset(name, monoid, True, objects, parts)
+             for name in PRESETS}
+    base = cases["ainf"]
+    cases["generalized"] = FreeDgFc(base.labeling)
+    cases["custom"] = FreeDgFc(base.labeling, custom_rules={
+        g: base.delta_generator(g) for g in base.generators(3)})
+    cases["empty table"] = FreeDgFc(base.labeling, custom_rules={})
+    return cases
+
+
+@pytest.mark.parametrize("case", [*PRESETS, "generalized", "custom",
+                                  "empty table"])
+def test_freedg_round_trip_keeps_the_differential(case):
+    fc = _round_trip_cases()[case]
+    fc2, _ = freedg_from_doc(freedg_to_doc(fc))
+    assert fc2.preset == fc.preset == (
+        "custom" if case == "empty table" else case)
+    assert fc2.custom_rules == fc.custom_rules
+    gens = fc.generators(4)
+    assert fc2.generators(4) == gens
+    for g in gens:
+        assert fc2.delta_generator(g) == fc.delta_generator(g), g.name
 
 
 def test_freedg_rejects_unknown_differential():
     fc = build_Ainf_operad(TRIVIAL_MONOID)
     doc = dict(freedg_to_doc(fc), differential="mystery")
-    with pytest.raises(SerdeError, match="mystery"):
+    with pytest.raises(CompositionError, match="mystery"):
         freedg_from_doc(doc)
 
 
