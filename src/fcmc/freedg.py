@@ -7,22 +7,28 @@ differential splits one node at a time into a two-node composite and
 extends by a Leibniz rule; its square vanishing is the defining
 cancellation and is what the sweeps here verify.
 
-Sign discipline.  Every generator has degree 1, so trees only represent
-cells faithfully together with an orientation of their node set; we fix
-planar *pre-order* (root first, then subtrees left to right), matching the
-left-normal written form of iterated composites.  Any operation that
-produces a tree in a different multiplication order must pay the parity of
-the permutation returning its nodes to pre-order:
+Sign discipline.  Every generator has degree 1 (a unit has degree 0), so
+trees only represent cells faithfully together with an orientation of
+their node set; we fix planar *pre-order* (root first, then subtrees left
+to right), matching the left-normal written form of iterated composites.
+A planar tree is exactly its pre-order (Polish) word, one letter per node
+and per leaf, since a leaf's edge is fixed by its parent's input word.
+One rule gives every sign: a node that moves to another place in the word
+pays the degree parity of the nodes it passes.
 
-* grafting a tree t' onto leaf i of t appends t' to t's node list, while
-  pre-order wants it just after the node above leaf i — the sign is
-  (-1)^(deg t' * number of nodes of t after leaf i in pre-order);
-* replacing the node at pre-order position j during the differential
-  carries the Leibniz sign (-1)^(degree sum before j), and the inserted
-  inner node must move past the replaced node's first q-1 subtrees to
-  reach its slot — the sign is (-1)^(degree sum of those subtrees).
+* Grafting a tree t' onto leaf i of t appends t' to t's node list, while
+  pre-order wants it at leaf i's place: the sign is
+  (-1)^(deg t' * degree sum of the nodes of t after leaf i).
+* The differential replaces the node at position j by a two-node rule term
+  whose inner node takes the outer node's children from child q on: the
+  word becomes ``w[:j] + (outer,) + w[j+1:cs[q]] + (inner,) + w[cs[q]:]``,
+  ``cs[q]`` being where child q started.  The degree-1 differential
+  travels from the front of the word to the inner node's place, past every
+  node of ``w[:cs[q]]`` but the replaced one: the sign is (-1)^(degree
+  sum of those nodes).
 
-Dropping either parity breaks the square-zero property already at arity 4.
+Dropping the nodes of ``w[:j]`` from that parity (the debug sign fault)
+breaks the square-zero property already at arity 4.
 """
 from __future__ import annotations
 
@@ -180,7 +186,7 @@ def tree_profile(t: CompTree) -> ProfileLoop:
 def inner_position(rule_tree: CompTree) -> int:
     """The child position q (0-based) of the inner node of a two-node rule
     term; the children before it are leaves, so its input slot is q + 1.
-    ``FreeDgFc._rule`` calls it once per rule term of each generator."""
+    ``FreeDgFc._word_rule`` calls it once per rule term of each node."""
     for q, c in enumerate(rule_tree.children):
         if isinstance(c, CompTree):
             return q
@@ -388,8 +394,11 @@ class FreeDgFc:
     returns that tree's node, so dictionaries keyed by generators and trees
     mostly hit by identity.  The splitting rule of a generator is built
     once, and every rule term with a generator as its inner node holds that
-    generator's stored tree.  No other tree is interned: the trees
-    ``delta`` outputs are far more numerous, and each is only summed.
+    generator's stored tree.  ``delta`` numbers the generator and unit
+    specs it meets and keeps each one's rule as records over those
+    numbers; that table holds specs only.  No other tree or word is kept:
+    the terms ``delta`` outputs are far more numerous, and each lives for
+    one call.
     """
 
     def __init__(self, labeling: LabelingFc, preset: str = "generalized",
@@ -418,11 +427,16 @@ class FreeDgFc:
                 raise CompositionError(
                     f"rule for {gen.name} must keep its profile and label")
             # each term must be a valid tree over the generator's boundary:
-            # ``_delta_tree`` returns a one-node tree's rule terms as stored
+            # ``_word_rule`` reads a term as its outer node, its inner node
+            # and the inner node's child position alone
             free_cell(gen.profile, gen.label, 2, cell.terms)
         self._delta_cache: dict[GeneratorSpec, FreeCell] = {}
-        # generator -> its rule compiled by ``_rule``
-        self._rules: dict[GeneratorSpec, tuple] = {}
+        # the generator and unit specs ``delta`` has met, by node id, and
+        # their rules compiled by ``_word_rule`` (None until a word holds
+        # the node); id 0 is the leaf
+        self._node_ids: dict[GeneratorSpec, int] = {}
+        self._nodes: list[Optional[GeneratorSpec]] = [None]
+        self._word_rules: list[Optional[tuple]] = [None]
         # (source, target, input edges, output, label coords) -> the
         # generator's one-node tree, or None where there is no generator
         self._generators: dict[tuple, Optional[CompTree]] = {}
@@ -532,75 +546,105 @@ class FreeDgFc:
         self._delta_cache[gen] = cell
         return cell
 
-    def _rule(self, gen: GeneratorSpec) -> tuple[
-            tuple[GeneratorSpec, GeneratorSpec, int, int, Scalar], ...]:
-        """The rule of a generator compiled to (outer generator, inner
-        generator, child position q of the inner node, its width s,
-        coefficient) records, one per term, built once per generator."""
-        try:
-            return self._rules[gen]
-        except KeyError:
-            pass
+    def _node_id(self, gen: GeneratorSpec) -> int:
+        """The id ``delta`` writes for a generator or unit spec in a word,
+        given the first time ``delta`` meets the spec; ids start at 1."""
+        node = self._node_ids.get(gen)
+        if node is None:
+            node = self._node_ids[gen] = len(self._nodes)
+            self._nodes.append(gen)
+            self._word_rules.append(None)
+        return node
+
+    def _word_rule(self, node: int) -> tuple[tuple[int, int, int, Scalar],
+                                             ...]:
+        """The rule of a node id as (outer id, inner id, child position q
+        of the inner node, coefficient) records, one per term, built the
+        first time a word holds the node."""
         records = []
-        for rt, rc in self.delta_generator(gen).terms:
+        for rt, rc in self.delta_generator(self._nodes[node]).terms:
             q = inner_position(rt)
-            inner = rt.children[q]
-            records.append((rt.gen, inner.gen, q, len(inner.children), rc))
-        self._rules[gen] = records = tuple(records)
+            records.append((self._node_id(rt.gen),
+                            self._node_id(rt.children[q].gen), q, rc))
+        self._word_rules[node] = records = tuple(records)
         return records
 
-    def delta(self, cell: FreeCell) -> FreeCell | OutOfBound:
-        """Leibniz extension of the generator rule to arbitrary cells.
+    def _walk(self, t: CompTree, w: list[int], par: list[int],
+              nodes: list[tuple[int, int, list[int]]]) -> None:
+        """Append the pre-order word of a tree to ``w`` (node ids, 0 for a
+        leaf) and the degree parity of the word so far to ``par``; append
+        each node's position, id and child starts (then its end) to
+        ``nodes``."""
+        node = self._node_id(t.gen)
+        j = len(w)
+        w.append(node)
+        par.append(par[-1] ^ t.gen.degree % 2)
+        cs = []
+        for c in t.children:
+            cs.append(len(w))
+            if c.__class__ is str:
+                w.append(0)
+                par.append(par[-1])
+            else:
+                self._walk(c, w, par, nodes)
+        cs.append(len(w))
+        nodes.append((j, node, cs))
 
-        Walking the nodes in pre-order, the node at position j is replaced
-        by each term of its rule with sign (-1)^(degree sum before j); the
-        inserted inner node additionally passes the subtrees left of its
-        slot (see the module docstring).
+    def _tree(self, w: tuple[int, ...]) -> CompTree:
+        """The tree of a pre-order word; a leaf takes its edge from its
+        parent's input word."""
+        built: list[Optional[CompTree]] = []   # leftmost subtree last
+        for node in reversed(w):
+            if not node:
+                built.append(None)
+                continue
+            gen = self._nodes[node]
+            ins = gen.profile.inputs.edges
+            cut = len(built) - len(ins)
+            kids = reversed(built[cut:])
+            del built[cut:]
+            built.append(CompTree(gen, tuple(
+                e if c is None else c for e, c in zip(ins, kids))))
+        return built[0]
+
+    def delta(self, cell: FreeCell) -> FreeCell | OutOfBound:
+        """Leibniz extension of the generator rule to arbitrary cells,
+        computed on pre-order words.
+
+        In a word ``w``, the node at position j with child starts ``cs``
+        (then the end of its subtree) is replaced by each record (outer,
+        inner, q, c) of its rule as ``w[:j] + (outer,) + w[j+1:cs[q]] +
+        (inner,) + w[cs[q]:]``, with coefficient c and the sign of the
+        degree parity of the nodes in ``w[:cs[q]]`` other than node j (see
+        the module docstring); ``sign_fault`` drops the ``w[:j]`` part.
+        Terms are summed by word, and only the words left with a nonzero
+        coefficient become trees.
         """
         if cell.label.total() > self.monoid.truncation:
             return label_overflow(cell.label, self.monoid.truncation)
-        acc: dict[CompTree, Scalar] = {}
+        rules, fault = self._word_rules, self.sign_fault
+        acc: dict[tuple[int, ...], Scalar] = {}
         for t, coeff in cell.terms:
-            for t2, c2 in self._delta_tree(t):
-                acc[t2] = acc.get(t2, 0) + coeff * c2
-        return free_cell(cell.profile, cell.label, cell.degree + 1, acc,
+            w: list[int] = []
+            par = [0]
+            nodes: list[tuple[int, int, list[int]]] = []
+            self._walk(t, w, par, nodes)
+            w = tuple(w)
+            for j, node, cs in nodes:
+                records = rules[node]
+                if records is None:
+                    records = self._word_rule(node)
+                drop = par[j + 1] if fault else par[j + 1] ^ par[j]
+                head, after = w[:j], j + 1
+                for outer, inner, q, rc in records:
+                    c = cs[q]
+                    word = head + (outer,) + w[after:c] + (inner,) + w[c:]
+                    x = coeff * rc
+                    acc[word] = acc.get(word, 0) + (
+                        -x if par[c] ^ drop else x)
+        return free_cell(cell.profile, cell.label, cell.degree + 1,
+                         {self._tree(w): c for w, c in acc.items() if c},
                          validate=False)
-
-    def _delta_tree(self, t: CompTree) -> Sequence[tuple[CompTree, Scalar]]:
-        """The signed terms of delta on one tree, nodes in pre-order.
-
-        A generator's one-node tree (children exactly its input word) is
-        the base case: its terms are the rule's, returned as stored.
-        Otherwise ``left[p]`` is the parity of the degrees of the subtrees
-        among the first p children, walked once.  First the root's rule
-        records (see ``_rule``): the outer node keeps the children, the
-        inner node at child position q takes the next s of them and moves
-        past the first q, with sign (-1)^left[q].  Then the terms of each
-        subtree, rebuilt under the root with the sign (-1)^(degree of the
-        root + left[pos]).  The signs multiply out to (-1)^(degree sum
-        before the replaced node).
-        """
-        kids = t.children
-        if kids == t.gen.profile.inputs.edges:
-            return self.delta_generator(t.gen).terms
-        left = [0]
-        for c in kids:
-            left.append((left[-1] + tree_degree(c)) % 2
-                        if isinstance(c, CompTree) else left[-1])
-        out = []
-        for outer, inner, q, s, rc in self._rule(t.gen):
-            outer_kids = (kids[:q] + (CompTree(inner, kids[q:q + s]),)
-                          + kids[q + s:])
-            out.append((CompTree(outer, outer_kids), -rc if left[q] else rc))
-        for pos, c in enumerate(kids):
-            if not isinstance(c, CompTree):
-                continue
-            odd = (t.gen.degree + left[pos]) % 2 and not self.sign_fault
-            sign = -1 if odd else 1
-            for sub, x in self._delta_tree(c):
-                out.append((CompTree(t.gen, kids[:pos] + (sub,)
-                                     + kids[pos + 1:]), sign * x))
-        return out
 
 
 def compose_cells(fc: FreeDgFc, c1: FreeCell, i: int,

@@ -1,4 +1,7 @@
 import itertools
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,6 +35,7 @@ from fcmc.algebra import (
     _direct_entries,
     _direct_residues,
     _direct_tables,
+    _failing_pairs,
     _residue_witness,
     algebra_residue,
     check_algebra,
@@ -410,6 +414,97 @@ def test_route_disagreement_names_the_failing_pairs():
     assert route_disagreement(generic, other) == (
         "only generic fails on e,e;e@(1); "
         "only ainf-direct fails on e,e;e@(0)")
+
+
+# ---------------------------------------------------------- change of basis
+
+# acceptance 3's presets and jobs; this subset of its seeds was fixed
+# before the test first ran
+BASIS_CHANGE_PRESETS = {
+    "ainf": lambda: build_Ainf_operad(TRIVIAL_MONOID),
+    "category": lambda: build_Ainf_category(["x", "y"], TRIVIAL_MONOID),
+    "bimodule": lambda: build_Ainf_bimodule(TRIVIAL_MONOID),
+    "left-module": lambda: build_module_preset(["x"], "left",
+                                               TRIVIAL_MONOID),
+    "right-module": lambda: build_module_preset(["x"], "right",
+                                                TRIVIAL_MONOID),
+    "rmodule": lambda: build_rmodule_preset(["x", "y"], [["x"], ["y"]],
+                                            TRIVIAL_MONOID),
+}
+BASIS_CHANGE_SEEDS = (0, 7, 19, 33, 46)
+
+
+def _rebuilt(A, complexes, table_of):
+    X = EndX(A.X.graph, complexes)
+    return AlgebraData(X, {
+        gen: multimap(X, xi.inputs, xi.output, xi.degree, table_of(xi))
+        for gen, xi in A.assignment.items()})
+
+
+def _scaled(A, seed):
+    """A in the basis lam_x * x of every complex, with seeded lam_x in
+    Q^x: the coefficient c of y in f(x_1, ..., x_k) becomes
+    c * lam_x1 * ... * lam_xk / lam_y, on d as on every map."""
+    rng = random.Random(seed)
+    lam = {(e, x): rng.choice((2, -3, Fraction(1, 2), Fraction(-2, 3), -1))
+           for e, cx in sorted(A.X.complexes.items())
+           for x in cx.basis.ids()}
+
+    def scale(ins, out, table):
+        return {args: {y: Fraction(c) * math.prod(
+                    lam[e, x] for e, x in zip(ins, args)) / lam[out, y]
+                       for y, c in vec.items()}
+                for args, vec in table.items()}
+    complexes = {
+        e: make_complex(cx.basis.elements, {
+            x: vec for (x,), vec in scale(
+                (e,), e, {(x,): v for x, v in cx.d.items()}).items()})
+        for e, cx in A.X.complexes.items()}
+    return _rebuilt(A, complexes,
+                    lambda xi: scale(xi.inputs, xi.output, xi.table))
+
+
+def _reordered(A):
+    """A with the order of every complex's basis reversed."""
+    complexes = {e: make_complex(cx.basis.elements[::-1], cx.d)
+                 for e, cx in A.X.complexes.items()}
+    return _rebuilt(A, complexes, lambda xi: xi.table)
+
+
+def _route_outcome(fc, A):
+    generic, direct, agree = check_both_routes(fc, A, 4)
+    assert agree
+    return [(rep.checked, _failing_pairs(rep)) for rep in (generic, direct)]
+
+
+def test_routes_are_invariant_under_change_of_basis():
+    # a diagonal change of basis and a reordered basis give an isomorphic
+    # algebra, so both routes fail on the same pairs with the same counts
+    fails = jobs = 0
+    for name, build in BASIS_CHANGE_PRESETS.items():
+        fc = build()
+        for seed in BASIS_CHANGE_SEEDS:
+            X = random_endx(fc.graph, seed, max_dim=3, degree_range=(-1, 2))
+            A = random_assignment(fc, X, seed + 1000, 4, density=0.6)
+            want = _route_outcome(fc, A)
+            assert _route_outcome(fc, _scaled(A, seed)) == want, (name, seed)
+            assert _route_outcome(fc, _reordered(A)) == want, (name, seed)
+            fails += bool(want[0][1])
+            jobs += 1
+    # the subset must exercise both verdicts for the invariance to mean much
+    assert 0 < fails < jobs
+    # a random assignment fails wherever its maps meet, whatever the
+    # coefficients; the passing fixtures cancel exactly, so they also catch
+    # a change of basis applied wrongly (dividing by lam_y is not optional)
+    for fixture in (upper_triangular, strict_two_object_category,
+                    ground_field_bimodule, perturbed_dual_numbers):
+        fc, A = fixture()
+        want = _route_outcome(fc, A)
+        assert bool(want[0][1]) == (fixture is perturbed_dual_numbers)
+        for seed in BASIS_CHANGE_SEEDS:
+            assert _route_outcome(fc, _scaled(A, seed)) == want, (
+                fixture.__name__, seed)
+        assert _route_outcome(fc, _reordered(A)) == want, fixture.__name__
 
 
 def test_generic_residue_matches_external_reference():

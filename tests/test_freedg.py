@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from fcmc.freedg import (
     tree_degree,
     tree_label,
     tree_leaves,
+    tree_nodes,
     tree_profile,
     unit_tree,
     validate_tree,
@@ -719,8 +721,7 @@ def test_delta_on_arbitrary_trees_matches_reference(t):
 
 
 def test_delta_on_rules_matches_reference():
-    # generator cells take the one-node base case; rule cells take the
-    # compiled records at the root and the base case below it
+    # generator cells are one-node words, rule cells two-node words
     fc0 = ainf()
     g3, g4 = m_gen(fc0, 3), m_gen(fc0, 4)
     custom = FreeDgFc(fc0.labeling,
@@ -743,6 +744,76 @@ def test_delta_on_rules_matches_reference():
         for gen in gens:
             for cell in (generator_cell(gen), fc.delta_generator(gen)):
                 assert fc.delta(cell) == _ref_delta(fc, cell), gen.name
+
+
+# every shape of structure, with labels, and the sign-fault mode
+DEEP_TREE_SHAPES = {
+    "bimodule": lambda: build_Ainf_bimodule(LabelMonoid(rank=1,
+                                                        truncation=1)),
+    "category": lambda: build_Ainf_category(["x", "y", "z"],
+                                            TRIVIAL_MONOID),
+    "rmodule": lambda: build_rmodule_preset(["a", "b"], [["a"], ["b"]],
+                                            TRIVIAL_MONOID),
+    "left-module": lambda: build_module_preset(["x", "y"], "left",
+                                               TRIVIAL_MONOID),
+    "ainf rank 2": lambda: build_Ainf_operad(LabelMonoid(rank=2,
+                                                         truncation=2)),
+    "sign fault": lambda: FreeDgFc(
+        build_Ainf_bimodule(LabelMonoid(rank=1, truncation=1)).labeling,
+        sign_fault=True),
+}
+
+
+def random_deep_tree(fc, rng, nodes):
+    """A tree of ``nodes`` generators of arity <= 3, grown from a random
+    generator by grafting a random generator onto a random leaf, each
+    within what is left of the truncation; only the last graft may take
+    the tree's last leaf (labeled structures have empty-input
+    generators)."""
+    pool = fc.generators(3)
+    t = leaf_of(rng.choice([g for g in pool if g.arity()]))
+    while len(tree_nodes(t)) < nodes:
+        budget = fc.monoid.truncation - tree_label(t).total()
+        leaves = tree_leaves(t)
+        last = len(tree_nodes(t)) == nodes - 1
+        fits = [(i, g) for i, e in enumerate(leaves, 1) for g in pool
+                if g.profile.output == e and g.label.total() <= budget
+                and (last or len(leaves) - 1 + g.arity())]
+        i, g = rng.choice(fits)
+        t = graft(t, i, leaf_of(g))
+    return t
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_TREE_SHAPES))
+def test_delta_on_deep_trees_matches_reference(shape):
+    fc = DEEP_TREE_SHAPES[shape]()
+    for seed in range(8):
+        rng = random.Random(f"{shape}:{seed}")
+        t = random_deep_tree(fc, rng, rng.randint(3, 5))
+        cell = free_cell(tree_profile(t), tree_label(t), tree_degree(t),
+                         {t: 1})
+        image = fc.delta(cell)
+        assert image == _ref_delta(fc, cell), (seed, format_tree(t))
+        assert fc.delta(image) == _ref_delta(fc, image), (seed,
+                                                          format_tree(t))
+
+
+def test_delta_on_trees_with_a_unit_node_matches_reference():
+    # a unit node has degree 0: it shifts no sign and has no rule
+    fc = ainf()
+    m2, m3 = m_gen(fc, 2), m_gen(fc, 3)
+    unit = unit_tree(fc.graph, "e", fc.monoid.zero())
+    for t in (unit,
+              CompTree(m3, (unit, CompTree(m2, ("e", "e")), "e")),
+              CompTree(m3, ("e", CompTree(m2, ("e", unit)),
+                            CompTree(m2, (unit, "e"))))):
+        cell = free_cell(tree_profile(t), tree_label(t), tree_degree(t),
+                         {t: 1})
+        image = fc.delta(cell)
+        assert image == _ref_delta(fc, cell), format_tree(t)
+        square = fc.delta(image)
+        assert square == _ref_delta(fc, image), format_tree(t)
+        assert square.is_zero()
 
 
 # ------------------------------------------------- custom rules & diagnostics
@@ -801,8 +872,9 @@ def test_custom_rule_validation():
 
 
 def test_custom_rule_terms_must_be_valid_trees():
-    # a one-node tree's delta is its rule's terms as stored, so a rule term
-    # must be a valid tree over its generator's boundary
+    # delta reads a rule term as its outer node, inner node and the inner
+    # node's position alone, so a rule term must be a valid tree over its
+    # generator's boundary
     fc0 = ainf()
     g3, m2 = m_gen(fc0, 3), m_gen(fc0, 2)
     short_root = CompTree(g3, ("e", CompTree(m2, ("e", "e"))))
@@ -925,5 +997,26 @@ def test_rule_trees_are_interned_and_lookup_is_keyed():
         assert answers == {True, False}
         # warmed up, the d^2 sweep stores nothing: output trees stay out
         keys = len(fc._generators)
+        assert fc.delta(fc.unit_cell(fc.graph.edges[0].id)).is_zero()
         assert delta_squared_report(fc, 4).ok
         assert len(fc._generators) == keys
+        # and a second sweep grows no table on the structure
+        sizes = {k: len(v) for k, v in vars(fc).items()
+                 if isinstance(v, (dict, list))}
+        ids = dict(fc._node_ids)
+        assert delta_squared_report(fc, 4).ok
+        assert fc._node_ids == ids
+        assert sizes == {k: len(v) for k, v in vars(fc).items()
+                         if isinstance(v, (dict, list))}
+        # the id table holds generator and unit specs only, and the rules
+        # it compiled hold ids and coefficients, no word or tree
+        assert fc._nodes == [None, *ids]
+        assert any(spec.is_unit() for spec in ids)
+        for spec, node in ids.items():
+            assert fc._nodes[node] is spec
+            assert spec.is_unit() or fc.generator(spec.profile,
+                                                  spec.label) is spec
+        for records in fc._word_rules[1:]:
+            assert records is None or all(
+                type(outer) is int and type(inner) is int and type(q) is int
+                for outer, inner, q, _ in records)
