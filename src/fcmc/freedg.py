@@ -85,6 +85,10 @@ class GeneratorSpec:
 
     Unit cells are represented uniformly as degree-0 specs over the
     identity profile; they are not generators and carry no differential.
+
+    The hash is computed once, at construction.  It depends on the
+    process's string hashing, so specs, and the trees that hold them, must
+    not be pickled into another process.
     """
     name: str
     profile: ProfileLoop
@@ -113,19 +117,11 @@ Child = Union[str, "CompTree"]
 class CompTree:
     """A planar tree of generators; leaves carry the composite's inputs.
 
-    The hash is computed once, at construction, like the generator's.  It
-    depends on the process's string hashing, so trees must not be pickled
-    into another process.
+    A plain frozen value: equal trees compare and hash equal, whichever
+    objects hold them.
     """
     gen: GeneratorSpec
     children: tuple[Child, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.gen, self.children)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def unit_tree(g: DirectedGraph, eid: str, zero: MonoidElem) -> CompTree:
@@ -389,16 +385,14 @@ class FreeDgFc:
     the whole presentation, generators without a rule are delta-closed,
     and the preset is ``"custom"`` exactly when such a table is given.
 
-    Each generator is stored once, as its one-node tree, under the plain
-    key (source, target, input edges, output, label coords); ``generator``
-    returns that tree's node, so dictionaries keyed by generators and trees
-    mostly hit by identity.  The splitting rule of a generator is built
-    once, and every rule term with a generator as its inner node holds that
-    generator's stored tree.  ``delta`` numbers the generator and unit
-    specs it meets and keeps each one's rule as records over those
-    numbers; that table holds specs only.  No other tree or word is kept:
-    the terms ``delta`` outputs are far more numerous, and each lives for
-    one call.
+    Each generator spec is made once, under the plain key (source, target,
+    input edges, output, label coords), and ``generator`` returns that
+    spec, so dictionaries keyed by generators mostly hit by identity.  The
+    splitting rule of a generator is built once.  ``delta`` numbers the
+    generator and unit specs it meets and keeps each one's rule as records
+    over those numbers.  Both tables hold specs only; no tree or word is
+    kept: the terms ``delta`` outputs are far more numerous, and each lives
+    for one call.
     """
 
     def __init__(self, labeling: LabelingFc, preset: str = "generalized",
@@ -438,8 +432,8 @@ class FreeDgFc:
         self._nodes: list[Optional[GeneratorSpec]] = [None]
         self._word_rules: list[Optional[tuple]] = [None]
         # (source, target, input edges, output, label coords) -> the
-        # generator's one-node tree, or None where there is no generator
-        self._generators: dict[tuple, Optional[CompTree]] = {}
+        # generator, or None where there is no generator
+        self._generators: dict[tuple, Optional[GeneratorSpec]] = {}
 
     # ------------------------------------------------------------ generators
 
@@ -449,35 +443,26 @@ class FreeDgFc:
         return f"m[{loop_token(loop)}]@{beta}"
 
     def _find(self, src: str, tgt: str, edges: tuple[str, ...], out: str,
-              beta: MonoidElem) -> Optional[CompTree]:
-        """The one-node tree of the generator over the loop (src, tgt,
-        edges; out) with label beta, or None if there is none.  The answer
-        is computed once per key; the profile-loop is only built on a
-        miss."""
+              beta: MonoidElem) -> Optional[GeneratorSpec]:
+        """The generator over the loop (src, tgt, edges; out) with label
+        beta, or None if there is none.  The answer is computed once per
+        key; the profile-loop is only built on a miss."""
         key = (src, tgt, edges, out, beta.coords)
         try:
             return self._generators[key]
         except KeyError:
             pass
         loop = ProfileLoop(EdgePath(edges, src, tgt), out)
-        tree = None
+        gen = None
         if in_fiber(self.labeling, loop, beta) and not (
                 edges == (out,) and beta.is_zero()):
-            tree = leaf_of(GeneratorSpec(self.generator_name(loop, beta),
-                                         loop, beta))
-        self._generators[key] = tree
-        return tree
-
-    def _lookup(self, loop: ProfileLoop,
-                beta: MonoidElem) -> Optional[GeneratorSpec]:
-        """The generator ``_find`` stores for a profile-loop, or None."""
-        ins = loop.inputs
-        tree = self._find(ins.source, ins.target, ins.edges, loop.output,
-                          beta)
-        return None if tree is None else tree.gen
+            gen = GeneratorSpec(self.generator_name(loop, beta), loop, beta)
+        self._generators[key] = gen
+        return gen
 
     def generator(self, loop: ProfileLoop, beta: MonoidElem) -> GeneratorSpec:
-        gen = self._lookup(loop, beta)
+        ins = loop.inputs
+        gen = self._find(ins.source, ins.target, ins.edges, loop.output, beta)
         if gen is None:
             raise CompositionError(
                 f"no generator over {loop_token(loop)} with label {beta}")
@@ -489,10 +474,12 @@ class FreeDgFc:
         cap = self.monoid.cap(max_label)
         out = []
         for loop in enumerate_profile_loops(self.graph, max_arity):
+            ins = loop.inputs
             for beta in fiber(self.labeling, loop):
                 if beta.total() > cap:
                     continue
-                gen = self._lookup(loop, beta)
+                gen = self._find(ins.source, ins.target, ins.edges,
+                                 loop.output, beta)
                 if gen is not None:
                     out.append(gen)
         return out
@@ -539,9 +526,10 @@ class FreeDgFc:
                                            bridge.id, b2)
                         if inner is None:
                             continue
-                        t = CompTree(outer.gen,
-                                     ins[:r] + (inner,) + ins[r + s:])
-                        terms[t] = terms.get(t, 0) - 1
+                        # distinct by construction: r, s, the bridge and
+                        # the label split all show in the tree
+                        terms[CompTree(outer, ins[:r] + (leaf_of(inner),)
+                                       + ins[r + s:])] = -1
         cell = free_cell(loop, beta, 2, terms, validate=False)
         self._delta_cache[gen] = cell
         return cell

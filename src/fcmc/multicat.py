@@ -739,6 +739,11 @@ def is_factor_closed(fc: FcInstance, sub: FcInstance,
     table that :func:`check_axioms` builds (once per instance and bound)
     and calls no ``compose``; ``checked`` counts the pairs read, and the
     witness is the first failing pair in the order (u, slot, v).
+
+    That order follows the declaration order of vertices and edges, so a
+    failing report's ``checked`` (the pairs read up to its witness) can
+    change when an isomorphic instance is declared in another order; ``ok``
+    and a passing report's ``checked`` do not.
     """
     if not is_subgraph(fc.graph, sub.graph):
         raise GraphError("candidate is not over a subgraph")

@@ -292,6 +292,101 @@ def test_check_end_dg_sign_fault_first_failures_pinned():
         1449)
 
 
+class _Wrong:
+    """A faulted result: equal to no map, and not zero."""
+
+    def is_zero(self):
+        return False
+
+
+def _is_identity(X, xi):
+    return xi.arity() == 1 and xi == identity_map(X, xi.output)
+
+
+def _checks_before_first_nested(pop):
+    """The population checks ``check_end_dg`` makes before its first
+    nested-identity check, in its loop order, and that check's witness."""
+    n = len(pop) + sum(xi.arity() + 1 for xi in pop)   # hat_d^2, unit laws
+    pairs = [(xi1, i, xi2) for xi1 in pop for xi2 in pop
+             for i in range(1, xi1.arity() + 1)
+             if xi1.inputs[i - 1] == xi2.output]
+    n += len(pairs)                                    # Leibniz
+    for xi1, i, xi2 in pairs:
+        for xi3 in pop:
+            for j in range(1, xi2.arity() + 1):
+                if xi2.inputs[j - 1] == xi3.output:
+                    return n, f"{xi1!r} {xi2!r} {xi3!r} i={i} j={j}"
+            n += sum(xi1.inputs[k - 1] == xi3.output  # parallel
+                     for k in range(i + 1, xi1.arity() + 1))
+    raise AssertionError("no nested check")
+
+
+@pytest.mark.parametrize("failure", [
+    "hat_d(identity) != 0", "hat_d^2 != 0", "xi o_i id != xi",
+    "id o_1 xi != xi", "nested composition identity fails"])
+def test_check_end_dg_failure_branches(monkeypatch, failure):
+    # one injected fault per branch; the report stops at the first check
+    # the fault breaks
+    import fcmc.chain as chain
+    X = end_two_term()
+    pop = chain._population(X, enumerate_profile_loops(X.graph, 2))
+    # two basis elements: no single-entry map of the population is an
+    # identity, so the faults below only meet the audit's own units
+    assert not any(_is_identity(X, xi) for xi in pop)
+    edges = len(X.graph.edges)
+    hat, compose = chain.hat_d, chain.compose_end
+    made = []   # results handed out, kept alive so ``is`` stays meaningful
+
+    def hat_d_of_identity(X, xi):
+        return _Wrong() if _is_identity(X, xi) else hat(X, xi)
+
+    def hat_d_of_a_differential(X, xi):
+        if any(xi is d for d in made):
+            return _Wrong()
+        made.append(hat(X, xi))
+        return made[-1]
+
+    def onto_identity(X, xi1, i, xi2, sign_fault=False):
+        if _is_identity(X, xi2):
+            return _Wrong()
+        return compose(X, xi1, i, xi2, sign_fault=sign_fault)
+
+    def identity_first(X, xi1, i, xi2, sign_fault=False):
+        if _is_identity(X, xi1):
+            return _Wrong()
+        return compose(X, xi1, i, xi2, sign_fault=sign_fault)
+
+    def into_a_composite(X, xi1, i, xi2, sign_fault=False):
+        if any(xi2 is c for c in made):
+            return _Wrong()
+        made.append(compose(X, xi1, i, xi2, sign_fault=sign_fault))
+        return made[-1]
+
+    first = next(k for k, xi in enumerate(pop) if xi.arity())
+    nested_checked, nested_witness = _checks_before_first_nested(pop)
+    name, fault, checked, witness = {
+        "hat_d(identity) != 0": ("hat_d", hat_d_of_identity, 0, "edge e"),
+        "hat_d^2 != 0": ("hat_d", hat_d_of_a_differential, edges,
+                         repr(pop[0])),
+        "xi o_i id != xi": (
+            "compose_end", onto_identity,
+            edges + len(pop) + sum(xi.arity() + 1 for xi in pop[:first]),
+            f"{pop[first]!r} slot 1"),
+        "id o_1 xi != xi": ("compose_end", identity_first,
+                            edges + len(pop) + pop[0].arity(),
+                            repr(pop[0])),
+        "nested composition identity fails": (
+            "compose_end", into_a_composite, edges + nested_checked,
+            nested_witness),
+    }[failure]
+    monkeypatch.setattr(chain, name, fault)
+    rep = check_end_dg(X, 2)
+    assert not rep.ok
+    assert (rep.failure, rep.witness, rep.checked) == (
+        failure, witness, checked)
+    assert rep.witness
+
+
 # ---------------------------------------------------------------- properties
 
 

@@ -16,6 +16,7 @@ from fcmc.serde import (
     dumps_doc,
     freedg_from_doc,
     freedg_to_doc,
+    graph_to_doc,
     loads_doc,
     parse_report_set,
 )
@@ -23,6 +24,8 @@ from fcmc.algebra import AlgebraData, AlgebraError, check_direct, lift_dga
 from fcmc.chain import EndX, make_complex
 from fcmc.freedg import FreeDgFc, build_Ainf_bimodule, build_Ainf_operad, \
     build_module_preset
+from fcmc.graphs import build_pair_graph, subgraph
+from fcmc.multicat import FullSub, LoopInstance, is_factor_closed
 from fcmc.labels import TRIVIAL_MONOID, LabelMonoid
 
 BIMOD_GRAPH = {"vertices": ["v0", "v1"],
@@ -312,6 +315,39 @@ def test_fc_audit_profile_loop_with_sub(capsys, tmp_path):
                                 "--path-len", "3"])
     assert code == 0
     assert "factor-closed" in out
+
+
+def test_fc_audit_not_factor_closed(capsys, tmp_path):
+    # the pair graph on a, b with a sub keeping only a->b: a composite
+    # inside the sub factors through the unit-like cell ;a->a outside it
+    g = build_pair_graph(["a", "b"])
+    path = write(tmp_path, "p.json", {
+        "format_version": 1, "kind": "fc-instance",
+        "instance": "profile-loop", "graph": graph_to_doc(g),
+        "sub": {"vertices": ["a", "b"],
+                "edges": [{"id": "a->b", "src": "a", "tgt": "b"}]}})
+    fc = LoopInstance(g, 3)
+    expected = is_factor_closed(fc, FullSub(fc, subgraph(g, ["a", "b"],
+                                                         ["a->b"])), 3)
+    u, i, v = expected.witness
+    flags = ["--arity", "3", "--path-len", "3"]
+    code, out, _ = run(capsys, ["fc-audit", path, *flags])
+    assert code == 1
+    line = ("NOT factor-closed: a->a,a->b;a->b o_1 ;a->a lands inside "
+            "with a factor outside")
+    assert line == expected.summary()
+    assert line in out.splitlines()
+    code, out, _ = run(capsys, ["fc-audit", path, *flags,
+                                "--format", "json"])
+    assert code == 1
+    doc = loads_doc(out)
+    assert dumps_doc(parse_report_set(doc)) == out
+    assert doc["ok"] is False
+    report = doc["reports"][-1]
+    assert report["report"] == "factor-closed" and not report["ok"]
+    assert report["witness"] == [u.id, i, v.id] == [
+        "a->a,a->b;a->b", 1, ";a->a"]
+    assert report["checked"] == expected.checked
 
 
 def test_fc_audit_labeled(capsys, tmp_path):

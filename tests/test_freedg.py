@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -558,6 +559,34 @@ def test_free_cell_homogeneity_enforced():
         free_cell(m_loop(3), TRIVIAL_MONOID.zero(), 1, {big: 1})
 
 
+def test_free_cell_error_paths():
+    fc = ainf()
+    m2, m3 = m_gen(fc, 2), m_gen(fc, 3)
+    with pytest.raises(CompositionError,
+                       match=re.escape("node m[e,e;e] has 1 children for 2 "
+                                       "inputs")):
+        validate_tree(CompTree(m2, ("e",)))
+    with pytest.raises(CompositionError,
+                       match="cannot add inhomogeneous cells"):
+        generator_cell(m2) + generator_cell(m3)
+    bim = build_Ainf_bimodule(TRIVIAL_MONOID)
+    zero = bim.monoid.zero()
+    n11 = leaf_of(bim.generator(bim_loop(1, 1), zero))
+    # a unit's one leaf is its edge; n11 produces e01
+    with pytest.raises(CompositionError,
+                       match="cannot graft 'e01' onto unit leaf 'e0'"):
+        signed_graft(unit_tree(bim.graph, "e0", zero), 1, n11)
+    # n11's first leaf is e0
+    with pytest.raises(CompositionError,
+                       match="unit over 'e1' does not match leaf 'e0'"):
+        signed_graft(n11, 1, unit_tree(bim.graph, "e1", zero))
+    lab = build_Ainf_operad(LabelMonoid(rank=1, truncation=1))
+    t = leaf_of(m_gen(lab, 2, label(1)))
+    with pytest.raises(CompositionError,
+                       match=re.escape("has label (1), cell declares (0)")):
+        free_cell(m_loop(2), label(0), 1, {t: 1})
+
+
 @pytest.mark.parametrize("coeff", [1.0, 0.5, True])
 def test_free_cell_rejects_inexact_coefficients(coeff):
     fc = ainf()
@@ -961,39 +990,41 @@ def test_sign_fault_residue_strings_unchanged():
 
 
 
-def test_rule_trees_are_interned_and_lookup_is_keyed():
+def test_generators_are_interned_specs_and_lookup_is_keyed():
     for fc in (build_Ainf_category(["x", "y"], TRIVIAL_MONOID),
                build_Ainf_bimodule(LabelMonoid(rank=1, truncation=1)),
                build_Ainf_operad(LabelMonoid(rank=2, truncation=2))):
         # a curvature insert (s = 0) puts an arity-5 outer node into the
         # rules of arity 4, so the sweep at 4 reads rules up to arity 5
-        rule_trees = []
         for gen in fc.generators(5):
             for rt, _ in fc.delta_generator(gen).terms:
                 inner = next(c for c in rt.children if isinstance(c, CompTree))
+                # both nodes of a rule term are the specs stored for their
+                # generators; the trees around them are plain values
                 assert rt.gen is fc.generator(rt.gen.profile, rt.gen.label)
-                # the inner node is the very tree stored for its generator
-                ins = inner.gen.profile.inputs
-                assert inner is fc._find(ins.source, ins.target, ins.edges,
-                                         inner.gen.profile.output,
-                                         inner.gen.label)
-                rule_trees.append(rt)
-        # only one-node generator trees are stored, no whole rule tree
-        stored = [t for t in fc._generators.values() if t is not None]
-        assert all(t.children == t.gen.profile.inputs.edges for t in stored)
-        assert not {id(t) for t in stored} & {id(rt) for rt in rule_trees}
-        # the keyed lookup answers for _lookup, no-generator keys included
+                assert inner.gen is fc.generator(inner.gen.profile,
+                                                 inner.gen.label)
+                assert inner == leaf_of(inner.gen)
+        # the generator table holds specs, or None where there is none
+        assert all(v is None or isinstance(v, GeneratorSpec)
+                   for v in fc._generators.values())
+        # generator answers by the keyed lookup, no-generator keys included
         rank, cap = fc.monoid.rank, fc.monoid.truncation
         answers = set()
         for loop in enumerate_profile_loops(fc.graph, 3):
             ins = loop.inputs
             for coords in itertools.product(range(cap + 2), repeat=rank):
                 beta = MonoidElem(coords)
-                gen = fc._lookup(loop, beta)
-                tree = fc._find(ins.source, ins.target, ins.edges,
-                                loop.output, beta)
-                assert gen is (None if tree is None else tree.gen)
-                answers.add(gen is None)
+                found = fc._find(ins.source, ins.target, ins.edges,
+                                 loop.output, beta)
+                if found is None:
+                    with pytest.raises(CompositionError,
+                                       match="no generator over"):
+                        fc.generator(loop, beta)
+                else:
+                    assert fc.generator(loop, beta) is found
+                    assert (found.profile, found.label) == (loop, beta)
+                answers.add(found is None)
         assert answers == {True, False}
         # warmed up, the d^2 sweep stores nothing: output trees stay out
         keys = len(fc._generators)
