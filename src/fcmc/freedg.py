@@ -56,7 +56,6 @@ from .labels import (
     MonoidElem,
     add,
     decompose,
-    fiber,
     in_fiber,
 )
 from .multicat import (OutOfBound, check_slot, label_overflow, loop_token,
@@ -182,7 +181,9 @@ def tree_profile(t: CompTree) -> ProfileLoop:
 def inner_position(rule_tree: CompTree) -> int:
     """The child position q (0-based) of the inner node of a two-node rule
     term; the children before it are leaves, so its input slot is q + 1.
-    ``FreeDgFc._word_rule`` calls it once per rule term of each node."""
+    Only rule cells need it: a custom rule's terms, read by
+    ``FreeDgFc._word_rule``, and serde's rule documents.  Standard rules
+    get q from the splitting loop."""
     for q, c in enumerate(rule_tree.children):
         if isinstance(c, CompTree):
             return q
@@ -387,12 +388,16 @@ class FreeDgFc:
 
     Each generator spec is made once, under the plain key (source, target,
     input edges, output, label coords), and ``generator`` returns that
-    spec, so dictionaries keyed by generators mostly hit by identity.  The
-    splitting rule of a generator is built once.  ``delta`` numbers the
-    generator and unit specs it meets and keeps each one's rule as records
-    over those numbers.  Both tables hold specs only; no tree or word is
-    kept: the terms ``delta`` outputs are far more numerous, and each lives
-    for one call.
+    spec, so dictionaries keyed by generators mostly hit by identity.  One
+    loop, ``_splittings``, enumerates the standard splitting of a
+    generator.  ``delta_generator`` builds its tree cell from that loop,
+    once per generator.  ``delta`` numbers the generator and unit specs it
+    meets and keeps each one's rule as records over those numbers,
+    compiled from the same loop (or read off a custom rule's cell).  Both
+    tables hold specs only; no tree or word is kept: the terms ``delta``
+    outputs are far more numerous, and each lives for one call.  The d^2
+    sweep squares a generator on the two-node words of its records, so it
+    builds no rule cell.
     """
 
     def __init__(self, labeling: LabelingFc, preset: str = "generalized",
@@ -431,6 +436,9 @@ class FreeDgFc:
         self._node_ids: dict[GeneratorSpec, int] = {}
         self._nodes: list[Optional[GeneratorSpec]] = [None]
         self._word_rules: list[Optional[tuple]] = [None]
+        # (leaves, q, inner arity, degree parities) -> the leaves, parities
+        # and places of a two-node word, for ``_square``
+        self._two_node_shapes: dict[tuple, tuple] = {}
         # (source, target, input edges, output, label coords) -> the
         # generator, or None where there is no generator
         self._generators: dict[tuple, Optional[GeneratorSpec]] = {}
@@ -470,14 +478,14 @@ class FreeDgFc:
 
     def generators(self, max_arity: int,
                    max_label: Optional[int] = None) -> list[GeneratorSpec]:
-        """All generators with input length <= max_arity, stable order."""
+        """All generators with input length <= max_arity, stable order:
+        by profile-loop, then by label as ``fiber`` lists them."""
         cap = self.monoid.cap(max_label)
+        betas = [b for b in self.monoid.elements() if b.total() <= cap]
         out = []
         for loop in enumerate_profile_loops(self.graph, max_arity):
             ins = loop.inputs
-            for beta in fiber(self.labeling, loop):
-                if beta.total() > cap:
-                    continue
+            for beta in betas:
                 gen = self._find(ins.source, ins.target, ins.edges,
                                  loop.output, beta)
                 if gen is not None:
@@ -490,6 +498,32 @@ class FreeDgFc:
                          validate=False)
 
     # ---------------------------------------------------------- differential
+
+    def _splittings(self, gen: GeneratorSpec):
+        """The standard splitting of a generator: each (outer, inner, r)
+        whose two-node composite, inner at child r of outer, has gen's
+        boundary and label."""
+        loop, beta = gen.profile, gen.label
+        n = loop.arity()
+        src, tgt = loop.inputs.source, loop.inputs.target
+        walk = path_vertices(self.graph, loop.inputs)
+        ins = loop.inputs.edges
+        splits = decompose(beta)
+        for r in range(n + 1):
+            for bridge in self.graph.out_edges(walk[r]):
+                for s in range(n - r + 1):
+                    if bridge.tgt != walk[r + s]:
+                        continue
+                    outer_edges = ins[:r] + (bridge.id,) + ins[r + s:]
+                    for b1, b2 in splits:
+                        outer = self._find(src, tgt, outer_edges, loop.output,
+                                           b1)
+                        if outer is None:
+                            continue
+                        inner = self._find(walk[r], walk[r + s], ins[r:r + s],
+                                           bridge.id, b2)
+                        if inner is not None:
+                            yield outer, inner, r
 
     def delta_generator(self, gen: GeneratorSpec) -> FreeCell:
         """The splitting rule: minus the sum of matching 2-node composites,
@@ -504,33 +538,14 @@ class FreeDgFc:
         cached = self._delta_cache.get(gen)
         if cached is not None:
             return cached
-        loop, beta = gen.profile, gen.label
-        n = loop.arity()
-        src, tgt = loop.inputs.source, loop.inputs.target
-        walk = path_vertices(self.graph, loop.inputs)
-        ins = loop.inputs.edges
-        splits = decompose(beta)
         terms: dict[CompTree, Scalar] = {}
-        for r in range(n + 1):
-            for bridge in self.graph.out_edges(walk[r]):
-                for s in range(n - r + 1):
-                    if bridge.tgt != walk[r + s]:
-                        continue
-                    outer_edges = ins[:r] + (bridge.id,) + ins[r + s:]
-                    for b1, b2 in splits:
-                        outer = self._find(src, tgt, outer_edges, loop.output,
-                                           b1)
-                        if outer is None:
-                            continue
-                        inner = self._find(walk[r], walk[r + s], ins[r:r + s],
-                                           bridge.id, b2)
-                        if inner is None:
-                            continue
-                        # distinct by construction: r, s, the bridge and
-                        # the label split all show in the tree
-                        terms[CompTree(outer, ins[:r] + (leaf_of(inner),)
-                                       + ins[r + s:])] = -1
-        cell = free_cell(loop, beta, 2, terms, validate=False)
+        for outer, inner, r in self._splittings(gen):
+            edges = outer.profile.inputs.edges
+            # distinct by construction: r, the bridge, the inner inputs and
+            # the label split all show in the tree
+            terms[CompTree(outer, edges[:r] + (leaf_of(inner),)
+                           + edges[r + 1:])] = -1
+        cell = free_cell(gen.profile, gen.label, 2, terms, validate=False)
         self._delta_cache[gen] = cell
         return cell
 
@@ -548,24 +563,30 @@ class FreeDgFc:
                                              ...]:
         """The rule of a node id as (outer id, inner id, child position q
         of the inner node, coefficient) records, one per term, built the
-        first time a word holds the node."""
-        records = []
-        for rt, rc in self.delta_generator(self._nodes[node]).terms:
-            q = inner_position(rt)
-            records.append((self._node_id(rt.gen),
-                            self._node_id(rt.children[q].gen), q, rc))
-        self._word_rules[node] = records = tuple(records)
+        first time a word holds the node.  A standard rule is compiled
+        from ``_splittings`` directly; a custom rule is read off its cell.
+        """
+        gen, ids = self._nodes[node], self._node_id
+        if self.custom_rules is None and not gen.is_unit():
+            records = tuple((ids(outer), ids(inner), r, -1)
+                            for outer, inner, r in self._splittings(gen))
+        else:
+            records = []
+            for rt, rc in self.delta_generator(gen).terms:
+                q = inner_position(rt)
+                records.append((ids(rt.gen), ids(rt.children[q].gen), q, rc))
+            records = tuple(records)
+        self._word_rules[node] = records
         return records
 
     def _walk(self, t: CompTree, w: list[int], par: list[int],
-              nodes: list[tuple[int, int, list[int]]]) -> None:
+              places: list[tuple[int, list[int]]]) -> None:
         """Append the pre-order word of a tree to ``w`` (node ids, 0 for a
         leaf) and the degree parity of the word so far to ``par``; append
-        each node's position, id and child starts (then its end) to
-        ``nodes``."""
-        node = self._node_id(t.gen)
+        each node's position and child starts (then its end) to
+        ``places``."""
         j = len(w)
-        w.append(node)
+        w.append(self._node_id(t.gen))
         par.append(par[-1] ^ t.gen.degree % 2)
         cs = []
         for c in t.children:
@@ -574,9 +595,27 @@ class FreeDgFc:
                 w.append(0)
                 par.append(par[-1])
             else:
-                self._walk(c, w, par, nodes)
+                self._walk(c, w, par, places)
         cs.append(len(w))
-        nodes.append((j, node, cs))
+        places.append((j, cs))
+
+    def _two_node_shape(self, n: int, q: int, n_in: int, d_out: int,
+                        d_in: int) -> tuple[tuple, tuple, tuple, tuple]:
+        """The pre-order word of a two-node tree with n leaves, whose inner
+        node (of arity ``n_in``) is child q of its outer node, given as its
+        leaves before and after the inner node, with the ``par`` and
+        ``places`` that ``_walk`` would give it; ``d_out`` and ``d_in`` are
+        the nodes' degree parities.  Made once per shape."""
+        key = (n, q, n_in, d_out, d_in)
+        shape = self._two_node_shapes.get(key)
+        if shape is None:
+            k = q + 2 + n_in                    # where the inner subtree ends
+            par = (0,) + (d_out,) * (q + 1) + (d_out ^ d_in,) * (n - q + 1)
+            places = ((q + 1, tuple(range(q + 2, k + 1))),
+                      (0, (*range(1, q + 2), *range(k, n + 3))))
+            shape = self._two_node_shapes[key] = ((0,) * q, (0,) * (n - q),
+                                                  par, places)
+        return shape
 
     def _tree(self, w: tuple[int, ...]) -> CompTree:
         """The tree of a pre-order word; a leaf takes its edge from its
@@ -595,44 +634,74 @@ class FreeDgFc:
                 e if c is None else c for e, c in zip(ins, kids))))
         return built[0]
 
+    def _splice(self, w: tuple[int, ...], par: Sequence[int],
+                places: Sequence[tuple[int, Sequence[int]]], coeff: Scalar,
+                acc: dict[tuple[int, ...], Scalar]) -> None:
+        """Add coeff times the differential of the word ``w`` to ``acc``.
+
+        The node at position j with child starts ``cs`` (then the end of
+        its subtree) is replaced by each record (outer, inner, q, c) of its
+        rule as ``w[:j] + (outer,) + w[j+1:cs[q]] + (inner,) + w[cs[q]:]``,
+        with coefficient c and the sign of the degree parity of the nodes
+        in ``w[:cs[q]]`` other than node j (see the module docstring);
+        ``sign_fault`` drops the ``w[:j]`` part.
+        """
+        rules, fault = self._word_rules, self.sign_fault
+        for j, cs in places:
+            node = w[j]
+            records = rules[node]
+            if records is None:
+                records = self._word_rule(node)
+            drop = par[j + 1] if fault else par[j + 1] ^ par[j]
+            head, after = w[:j], j + 1
+            for outer, inner, q, rc in records:
+                c = cs[q]
+                word = head + (outer,) + w[after:c] + (inner,) + w[c:]
+                x = coeff * rc
+                acc[word] = acc.get(word, 0) + (-x if par[c] ^ drop else x)
+
+    def _cell(self, profile: ProfileLoop, label_: MonoidElem, degree: int,
+              acc: dict[tuple[int, ...], Scalar]) -> FreeCell:
+        """The cell of the words left with a nonzero coefficient."""
+        return free_cell(profile, label_, degree,
+                         {self._tree(w): c for w, c in acc.items() if c},
+                         validate=False)
+
     def delta(self, cell: FreeCell) -> FreeCell | OutOfBound:
         """Leibniz extension of the generator rule to arbitrary cells,
-        computed on pre-order words.
-
-        In a word ``w``, the node at position j with child starts ``cs``
-        (then the end of its subtree) is replaced by each record (outer,
-        inner, q, c) of its rule as ``w[:j] + (outer,) + w[j+1:cs[q]] +
-        (inner,) + w[cs[q]:]``, with coefficient c and the sign of the
-        degree parity of the nodes in ``w[:cs[q]]`` other than node j (see
-        the module docstring); ``sign_fault`` drops the ``w[:j]`` part.
-        Terms are summed by word, and only the words left with a nonzero
-        coefficient become trees.
+        computed on pre-order words (see ``_splice``).  Terms are summed
+        by word, and only the words left with a nonzero coefficient become
+        trees.
         """
         if cell.label.total() > self.monoid.truncation:
             return label_overflow(cell.label, self.monoid.truncation)
-        rules, fault = self._word_rules, self.sign_fault
         acc: dict[tuple[int, ...], Scalar] = {}
         for t, coeff in cell.terms:
             w: list[int] = []
             par = [0]
-            nodes: list[tuple[int, int, list[int]]] = []
-            self._walk(t, w, par, nodes)
-            w = tuple(w)
-            for j, node, cs in nodes:
-                records = rules[node]
-                if records is None:
-                    records = self._word_rule(node)
-                drop = par[j + 1] if fault else par[j + 1] ^ par[j]
-                head, after = w[:j], j + 1
-                for outer, inner, q, rc in records:
-                    c = cs[q]
-                    word = head + (outer,) + w[after:c] + (inner,) + w[c:]
-                    x = coeff * rc
-                    acc[word] = acc.get(word, 0) + (
-                        -x if par[c] ^ drop else x)
-        return free_cell(cell.profile, cell.label, cell.degree + 1,
-                         {self._tree(w): c for w, c in acc.items() if c},
-                         validate=False)
+            places: list[tuple[int, list[int]]] = []
+            self._walk(t, w, par, places)
+            self._splice(tuple(w), par, places, coeff, acc)
+        return self._cell(cell.profile, cell.label, cell.degree + 1, acc)
+
+    def _square(self, gen: GeneratorSpec) -> FreeCell:
+        """delta(delta(gen)), computed on words from gen's rule records:
+        each record is the two-node word of one term of delta(gen), spliced
+        without building its tree."""
+        node = self._node_id(gen)
+        records = self._word_rules[node]
+        if records is None:
+            records = self._word_rule(node)
+        nodes, n = self._nodes, gen.arity()
+        acc: dict[tuple[int, ...], Scalar] = {}
+        for outer, inner, q, rc in records:
+            i = nodes[inner]
+            before, after, par, places = self._two_node_shape(
+                n, q, len(i.profile.inputs.edges), nodes[outer].degree % 2,
+                i.degree % 2)
+            self._splice((outer,) + before + (inner,) + after, par, places,
+                         rc, acc)
+        return self._cell(gen.profile, gen.label, gen.degree + 2, acc)
 
 
 def compose_cells(fc: FreeDgFc, c1: FreeCell, i: int,
@@ -680,6 +749,12 @@ def delta_squared_report(fc: FreeDgFc, arity_bound: int,
                          ) -> Delta2Report:
     """Expand delta twice on every generator within bounds.
 
+    The square is taken on pre-order words: each rule record of a
+    generator is the two-node word of one term of its differential, and
+    that word is spliced as ``delta`` splices the words of a tree, so no
+    tree of delta(gen) is built.  Only the words of delta^2 left with a
+    nonzero coefficient become trees, for the residue strings.
+
     An explicit generator list (for custom presentations) overrides the
     enumerated family; bounds still filter it.
     """
@@ -691,9 +766,7 @@ def delta_squared_report(fc: FreeDgFc, arity_bound: int,
                 if g.arity() <= arity_bound and g.label.total() <= cap]
     bad = []
     for gen in gens:
-        d1 = fc.delta_generator(gen)
-        d2 = fc.delta(d1)
-        assert not isinstance(d2, OutOfBound)
+        d2 = fc._square(gen)
         if not d2.is_zero():
             bad.append((gen.name, str(d2)))
     return Delta2Report(not bad, len(gens), arity_bound, cap, tuple(bad))

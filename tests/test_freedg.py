@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from fcmc.chain import ChainError
 from fcmc.graphs import (CompositionError, EdgePath, ProfileLoop,
                          enumerate_profile_loops)
 from fcmc.labels import (LabelMonoid, LabelingFc, MonoidElem, TRIVIAL_MONOID,
-                         label)
+                         fiber, label)
 from fcmc.multicat import OutOfBound
 from fcmc.freedg import (
     CompTree,
@@ -1051,3 +1052,94 @@ def test_generators_are_interned_specs_and_lookup_is_keyed():
             assert records is None or all(
                 type(outer) is int and type(inner) is int and type(q) is int
                 for outer, inner, q, _ in records)
+
+
+# ------------------------------------------------- the d^2 sweep on rule words
+
+PRESET_ARGS = {
+    "ainf": ((), ()),
+    "category": (("x", "y"), ()),
+    "bimodule": ((), ()),
+    "left-module": (("x", "y"), ()),
+    "right-module": (("x", "y"), ()),
+    "rmodule": (("a", "b", "c"), (("a",), ("b", "c"))),
+}
+MONOIDS = {"trivial": TRIVIAL_MONOID, "rank 1": LabelMonoid(1, 2),
+           "rank 2": LabelMonoid(2, 1)}
+# sweep bounds sized to keep the delta(delta_generator) reference quick
+SWEEP_ARITY = {"trivial": 5, "rank 1": 4, "rank 2": 3}
+
+
+def _custom_structure():
+    """A rule table with non-unit coefficients and rules missing past
+    arity 3, so the square has residues."""
+    fc0 = build_Ainf_operad(LabelMonoid(1, 1))
+    return FreeDgFc(fc0.labeling, custom_rules={
+        g: fc0.delta_generator(g).scale(Fraction(k % 3 + 1, 2))
+        for k, g in enumerate(fc0.generators(3))})
+
+
+SWEEP_CASES = {
+    **{f"{name} {mon}": (lambda name=name, mon=mon: build_preset(
+        name, MONOIDS[mon], True, *PRESET_ARGS[name]), SWEEP_ARITY[mon])
+       for name in PRESET_ARGS for mon in MONOIDS},
+    "unreduced ainf rank 1": (lambda: build_preset(
+        "ainf", LabelMonoid(1, 1), False), 3),
+    "custom": (_custom_structure, 4),
+}
+
+
+def _with_fault(fc, fault):
+    return FreeDgFc(fc.labeling, preset=fc.preset,
+                    custom_rules=fc.custom_rules, sign_fault=fault)
+
+
+@pytest.mark.parametrize("fault", [False, True])
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_on_rule_words_matches_delta_of_the_rule_cell(case, fault):
+    make, arity = SWEEP_CASES[case]
+    fc = _with_fault(make(), fault)
+    rep = delta_squared_report(fc, arity)
+    ref = _with_fault(make(), fault)
+    gens = ref.generators(arity)
+    residues = tuple((g.name, str(d2)) for g in gens
+                     if not (d2 := ref.delta(ref.delta_generator(g))).is_zero())
+    assert (rep.ok, rep.generators, rep.residues) == (not residues, len(gens),
+                                                      residues)
+    # the sweep read the rule records alone, never a rule cell
+    assert fc._delta_cache == {}
+    if fault or case.startswith(("unreduced", "custom")):
+        assert residues, case
+
+
+@pytest.mark.parametrize("mon", ["trivial", "rank 1"])
+@pytest.mark.parametrize("name", sorted(PRESET_ARGS))
+def test_rule_records_from_the_splitting_loop_match_the_rule_cell(name, mon):
+    monoid = LabelMonoid(1, 1) if mon == "rank 1" else TRIVIAL_MONOID
+    fc = build_preset(name, monoid, True, *PRESET_ARGS[name])
+    gens = fc.generators(5)
+    assert gens
+    for gen in gens:
+        compiled = fc._word_rule(fc._node_id(gen))
+        read = []
+        for rt, c in fc.delta_generator(gen).terms:
+            q = inner_position(rt)
+            read.append((fc._node_id(rt.gen),
+                         fc._node_id(rt.children[q].gen), q, c))
+        assert sorted(compiled) == sorted(read), gen.name
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("mon", sorted(MONOIDS))
+@pytest.mark.parametrize("name", sorted(PRESET_ARGS))
+def test_generators_follow_the_fibers(name, mon, reduced):
+    fc = build_preset(name, MONOIDS[mon], reduced, *PRESET_ARGS[name])
+    for arity, max_label in ((3, None), (2, 1), (3, 0)):
+        cap = fc.monoid.cap(max_label)
+        want = [fc.generator(loop, b)
+                for loop in enumerate_profile_loops(fc.graph, arity)
+                for b in fiber(fc.labeling, loop)
+                if b.total() <= cap
+                and not (loop.inputs.edges == (loop.output,)
+                         and b.is_zero())]
+        assert fc.generators(arity, max_label) == want
