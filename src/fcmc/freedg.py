@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graphs import (
     CompositionError,
@@ -436,8 +436,8 @@ class FreeDgFc:
         self._node_ids: dict[GeneratorSpec, int] = {}
         self._nodes: list[Optional[GeneratorSpec]] = [None]
         self._word_rules: list[Optional[tuple]] = [None]
-        # (leaves, q, inner arity, degree parities) -> the leaves, parities
-        # and places of a two-node word, for ``_square``
+        # (leaf count, q, inner arity, degree parities) -> the leaves,
+        # parities and places of a two-node word, for ``_square``
         self._two_node_shapes: dict[tuple, tuple] = {}
         # (source, target, input edges, output, label coords) -> the
         # generator, or None where there is no generator
@@ -499,7 +499,8 @@ class FreeDgFc:
 
     # ---------------------------------------------------------- differential
 
-    def _splittings(self, gen: GeneratorSpec):
+    def _splittings(self, gen: GeneratorSpec
+                    ) -> Iterator[tuple[GeneratorSpec, GeneratorSpec, int]]:
         """The standard splitting of a generator: each (outer, inner, r)
         whose two-node composite, inner at child r of outer, has gen's
         boundary and label."""
@@ -541,8 +542,8 @@ class FreeDgFc:
         terms: dict[CompTree, Scalar] = {}
         for outer, inner, r in self._splittings(gen):
             edges = outer.profile.inputs.edges
-            # distinct by construction: r, the bridge, the inner inputs and
-            # the label split all show in the tree
+            # distinct by construction: r, s, the bridge and the label split
+            # all show in the tree
             terms[CompTree(outer, edges[:r] + (leaf_of(inner),)
                            + edges[r + 1:])] = -1
         cell = free_cell(gen.profile, gen.label, 2, terms, validate=False)
