@@ -42,7 +42,7 @@ from .freedg import (
 )
 from .graphs import (EdgePath, ProfileLoop, enumerate_profile_loops,
                      path_vertices)
-from .labels import MonoidElem, TRIVIAL_MONOID, decompose
+from .labels import LabelMonoid, MonoidElem, TRIVIAL_MONOID, decompose
 from .multicat import loop_token
 
 
@@ -295,13 +295,12 @@ def check_direct(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
     """
     _require_standard_splitting(fc)
     cap = fc.monoid.cap(label_bound)
+    betas = LabelMonoid(fc.monoid.rank, cap).elements()
     tables = _direct_tables(A)
     failures = []
     checked = 0
     for loop in enumerate_profile_loops(fc.graph, arity_bound):
-        for beta in fc.monoid.elements():
-            if beta.total() > cap:
-                continue
+        for beta in betas:
             checked += 1
             bad = _direct_residues(fc, A, tables, loop, beta)
             if bad:

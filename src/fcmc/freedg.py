@@ -63,6 +63,7 @@ from .multicat import (OutOfBound, check_slot, label_overflow, loop_token,
 from .chain import _check_exact
 
 Scalar = Union[int, Fraction]
+Record = tuple[int, int, int, Scalar]  # a rule term: see FreeDgFc._word_rule
 
 # The named presets, each mapped to the builder of its graph from the object
 # ids and the ordered partition.  All have the standard splitting, and so
@@ -181,9 +182,10 @@ def tree_profile(t: CompTree) -> ProfileLoop:
 def inner_position(rule_tree: CompTree) -> int:
     """The child position q (0-based) of the inner node of a two-node rule
     term; the children before it are leaves, so its input slot is q + 1.
-    Only rule cells need it: a custom rule's terms, read by
-    ``FreeDgFc._word_rule``, and serde's rule documents.  Standard rules
-    get q from the splitting loop."""
+    Only rule cells need it: ``FreeDgFc._word_rule`` compiles a custom
+    rule's records from its table's cell with it, and serde writes rule
+    documents with it.  A standard rule's records get q from the splitting
+    loop, and ``delta_generator`` reads q off the records."""
     for q, c in enumerate(rule_tree.children):
         if isinstance(c, CompTree):
             return q
@@ -366,10 +368,6 @@ def generator_cell(gen: GeneratorSpec) -> FreeCell:
                      {leaf_of(gen): 1}, validate=False)
 
 
-def zero_cell(profile: ProfileLoop, label_: MonoidElem, degree: int) -> FreeCell:
-    return FreeCell(profile, label_, degree, ())
-
-
 class FreeDgFc:
     """A free dg structure over a graph with a labeling and a splitting rule.
 
@@ -385,19 +383,18 @@ class FreeDgFc:
     ``custom_rules`` table replaces that differential altogether: it is
     the whole presentation, generators without a rule are delta-closed,
     and the preset is ``"custom"`` exactly when such a table is given.
+    The structure keeps each rule as its normalized cell.
 
     Each generator spec is made once, under the plain key (source, target,
     input edges, output, label coords), and ``generator`` returns that
-    spec, so dictionaries keyed by generators mostly hit by identity.  One
-    loop, ``_splittings``, enumerates the standard splitting of a
-    generator.  ``delta_generator`` builds its tree cell from that loop,
-    once per generator.  ``delta`` numbers the generator and unit specs it
-    meets and keeps each one's rule as records over those numbers,
-    compiled from the same loop (or read off a custom rule's cell).  Both
-    tables hold specs only; no tree or word is kept: the terms ``delta``
-    outputs are far more numerous, and each lives for one call.  The d^2
-    sweep squares a generator on the two-node words of its records, so it
-    builds no rule cell.
+    spec, so dictionaries keyed by generators mostly hit by identity.  The
+    generator and unit specs met are numbered, and each one's rule is kept
+    in one form only: records over those numbers, compiled once, from the
+    standard splitting loop ``_splittings`` or off a custom rule's cell.
+    ``delta`` splices them into words, the d^2 sweep squares a generator
+    on their two-node words, and ``delta_generator`` reads its cell off
+    them.  Both tables hold specs only; no tree or word is kept: the terms
+    ``delta`` outputs are far more numerous, and each lives for one call.
     """
 
     def __init__(self, labeling: LabelingFc, preset: str = "generalized",
@@ -427,12 +424,13 @@ class FreeDgFc:
                     f"rule for {gen.name} must keep its profile and label")
             # each term must be a valid tree over the generator's boundary:
             # ``_word_rule`` reads a term as its outer node, its inner node
-            # and the inner node's child position alone
-            free_cell(gen.profile, gen.label, 2, cell.terms)
-        self._delta_cache: dict[GeneratorSpec, FreeCell] = {}
-        # the generator and unit specs ``delta`` has met, by node id, and
-        # their rules compiled by ``_word_rule`` (None until a word holds
-        # the node); id 0 is the leaf
+            # and the inner node's child position alone.  The table keeps
+            # the normalized cell, so each of its terms is one record.
+            self.custom_rules[gen] = free_cell(gen.profile, gen.label, 2,
+                                               cell.terms)
+        # the generator and unit specs met, by node id, and their rules
+        # compiled by ``_word_rule`` (None until the rule is first asked
+        # for); id 0 is the leaf
         self._node_ids: dict[GeneratorSpec, int] = {}
         self._nodes: list[Optional[GeneratorSpec]] = [None]
         self._word_rules: list[Optional[tuple]] = [None]
@@ -479,9 +477,11 @@ class FreeDgFc:
     def generators(self, max_arity: int,
                    max_label: Optional[int] = None) -> list[GeneratorSpec]:
         """All generators with input length <= max_arity, stable order:
-        by profile-loop, then by label as ``fiber`` lists them."""
-        cap = self.monoid.cap(max_label)
-        betas = [b for b in self.monoid.elements() if b.total() <= cap]
+        by profile-loop, then by label as ``fiber`` lists them.  Only the
+        labels within the clipped bound are built (a prefix of the
+        monoid's elements)."""
+        betas = LabelMonoid(self.monoid.rank,
+                            self.monoid.cap(max_label)).elements()
         out = []
         for loop in enumerate_profile_loops(self.graph, max_arity):
             ins = loop.inputs
@@ -527,32 +527,25 @@ class FreeDgFc:
                             yield outer, inner, r
 
     def delta_generator(self, gen: GeneratorSpec) -> FreeCell:
-        """The splitting rule: minus the sum of matching 2-node composites,
-        or the custom rule table's entry (zero when it has none)."""
-        if gen.is_unit():
-            return zero_cell(gen.profile, gen.label, 1)
-        if self.custom_rules is not None:
-            rule = self.custom_rules.get(gen)
-            if rule is None:
-                return zero_cell(gen.profile, gen.label, gen.degree + 1)
-            return rule
-        cached = self._delta_cache.get(gen)
-        if cached is not None:
-            return cached
-        terms: dict[CompTree, Scalar] = {}
-        for outer, inner, r in self._splittings(gen):
-            edges = outer.profile.inputs.edges
-            # distinct by construction: r, s, the bridge and the label split
-            # all show in the tree
-            terms[CompTree(outer, edges[:r] + (leaf_of(inner),)
-                           + edges[r + 1:])] = -1
-        cell = free_cell(gen.profile, gen.label, 2, terms, validate=False)
-        self._delta_cache[gen] = cell
-        return cell
+        """The generator's rule as a cell, read off its records: minus the
+        sum of matching 2-node composites, or the custom rule table's entry
+        (zero when it has none, and for a unit)."""
+        nodes, terms = self._nodes, {}
+        for outer, inner, q, c in self._records(gen):
+            o = nodes[outer]
+            edges = o.profile.inputs.edges
+            # a standard rule's terms are distinct by construction (r, s,
+            # the bridge and the label split all show in the tree), a custom
+            # rule's are the terms of its normalized cell
+            terms[CompTree(o, edges[:q] + (leaf_of(nodes[inner]),)
+                           + edges[q + 1:])] = c
+        return free_cell(gen.profile, gen.label, gen.degree + 1, terms,
+                         validate=False)
 
     def _node_id(self, gen: GeneratorSpec) -> int:
-        """The id ``delta`` writes for a generator or unit spec in a word,
-        given the first time ``delta`` meets the spec; ids start at 1."""
+        """The id written for a generator or unit spec in a word and in
+        rule records, given the first time the spec is met; ids start at
+        1."""
         node = self._node_ids.get(gen)
         if node is None:
             node = self._node_ids[gen] = len(self._nodes)
@@ -560,24 +553,33 @@ class FreeDgFc:
             self._word_rules.append(None)
         return node
 
-    def _word_rule(self, node: int) -> tuple[tuple[int, int, int, Scalar],
-                                             ...]:
+    def _word_rule(self, node: int) -> tuple[Record, ...]:
         """The rule of a node id as (outer id, inner id, child position q
         of the inner node, coefficient) records, one per term, built the
-        first time a word holds the node.  A standard rule is compiled
-        from ``_splittings`` directly; a custom rule is read off its cell.
-        """
+        first time the node is asked for.  A unit has none; a standard
+        rule is compiled from ``_splittings``, a custom rule read off its
+        table's cell (none when the table has no rule for it)."""
         gen, ids = self._nodes[node], self._node_id
-        if self.custom_rules is None and not gen.is_unit():
+        if gen.is_unit():
+            records = ()
+        elif self.custom_rules is None:
             records = tuple((ids(outer), ids(inner), r, -1)
                             for outer, inner, r in self._splittings(gen))
         else:
-            records = []
-            for rt, rc in self.delta_generator(gen).terms:
-                q = inner_position(rt)
-                records.append((ids(rt.gen), ids(rt.children[q].gen), q, rc))
-            records = tuple(records)
+            rule = self.custom_rules.get(gen)
+            records = tuple((ids(rt.gen), ids(rt.children[q].gen), q, rc)
+                            for rt, rc in (() if rule is None else rule.terms)
+                            for q in (inner_position(rt),))
         self._word_rules[node] = records
+        return records
+
+    def _records(self, gen: GeneratorSpec) -> tuple[Record, ...]:
+        """The rule records of a generator or unit spec (see
+        ``_word_rule``), compiled once."""
+        node = self._node_id(gen)
+        records = self._word_rules[node]
+        if records is None:
+            records = self._word_rule(node)
         return records
 
     def _walk(self, t: CompTree, w: list[int], par: list[int],
@@ -689,13 +691,9 @@ class FreeDgFc:
         """delta(delta(gen)), computed on words from gen's rule records:
         each record is the two-node word of one term of delta(gen), spliced
         without building its tree."""
-        node = self._node_id(gen)
-        records = self._word_rules[node]
-        if records is None:
-            records = self._word_rule(node)
         nodes, n = self._nodes, gen.arity()
         acc: dict[tuple[int, ...], Scalar] = {}
-        for outer, inner, q, rc in records:
+        for outer, inner, q, rc in self._records(gen):
             i = nodes[inner]
             before, after, par, places = self._two_node_shape(
                 n, q, len(i.profile.inputs.edges), nodes[outer].degree % 2,

@@ -8,6 +8,7 @@ here imports from the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 
 
@@ -451,6 +452,55 @@ def ref_delta_tree(fc, t):
             out.append((tree(t.gen, kids[:pos] + (sub,) + kids[pos + 1:]),
                         sign * x))
     return out
+
+
+@lru_cache(maxsize=None)
+def _ref_generators(vertices, edges, reduced, max_len, rank, cap):
+    """(source, input edges, output edge, label coords) of every
+    generator: the profile-loops times the labels, minus the unit
+    profiles at label 0 and, when reduced, the empty-input loops at
+    label 0."""
+    return tuple((src, path, out, b)
+                 for src, path, out in sorted(ref_profile_loops(
+                     vertices, edges, max_len))
+                 for b in sorted(ref_labels_upto(rank, cap))
+                 if any(b) or not (path == (out,) or (reduced and not path)))
+
+
+def ref_rule_terms(fc, gen):
+    """The standard splitting of ``gen`` by brute force: every (outer,
+    slot q, inner) pair of generators whose substituted profile and label
+    sum are gen's, sorted, each generator written (source, input edges,
+    output edge, label coords) and q 0-based.
+
+    The generators are taken from the definitions (``_ref_generators``)
+    up to arity n + 1 and gen's label total.  For each outer generator
+    and slot, the inner generators tried are those whose output edge is
+    the slot's edge and whose input word is the part of gen's word the
+    slot must take; each pair is then checked against the definition.
+    """
+    ins = gen.profile.inputs
+    n, beta = len(ins.edges), gen.label.coords
+    gens = _ref_generators(tuple(v.id for v in fc.graph.vertices),
+                           tuple((e.id, e.src, e.tgt)
+                                 for e in fc.graph.edges),
+                           fc.labeling.reduced, n + 1, len(beta), sum(beta))
+    by_profile = {}
+    for g in gens:
+        by_profile.setdefault((g[1], g[2]), []).append(g)
+    terms = []
+    for outer in gens:
+        src, path, out, b1 = outer
+        if (src, out) != (ins.source, gen.profile.output):
+            continue
+        s = n + 1 - len(path)           # the inputs the inner node takes
+        for q in range(len(path)):
+            for inner in by_profile.get((ins.edges[q:q + s], path[q]), ()):
+                if (path[:q] + inner[1] + path[q + 1:] == ins.edges
+                        and tuple(x + y for x, y in zip(b1, inner[3]))
+                        == beta):
+                    terms.append((outer, q, inner))
+    return sorted(terms)
 
 
 def ref_planar_trees(n):

@@ -582,6 +582,36 @@ def test_direct_residues_match_dense_reference(preset, reduced):
     assert nonzero > 0  # the population must exercise nonzero residues
 
 
+def test_checks_build_only_the_labels_within_their_bound(monkeypatch):
+    # a check's label bound, not the structure's truncation, sets how many
+    # labels it builds: those within the clipped bound, a prefix of the
+    # monoid's elements, so the reports are the same
+    fc = build_Ainf_operad(LabelMonoid(3, 20))
+    X = random_endx(fc.graph, 1)
+    A = random_assignment(fc, X, 1, 2, 1)
+    full = fc.monoid.elements()
+    low = [b for b in full if b.total() <= 1]
+    assert low == full[:len(low)] == LabelMonoid(3, 1).elements()
+    built = []
+    elements = LabelMonoid.elements
+
+    def counted(self):
+        out = elements(self)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(LabelMonoid, "elements", counted)
+    gens = fc.generators(2, 1)
+    generic, direct, agree = check_both_routes(fc, A, 2, 1)
+    assert built and set(built) == {len(low)}
+    monkeypatch.undo()
+    assert gens == [g for g in fc.generators(2) if g.label.total() <= 1]
+    assert generic.checked == len(gens)
+    assert direct.checked == len(low) * len(
+        enumerate_profile_loops(fc.graph, 2))
+    assert (generic.label_bound, direct.label_bound) == (1, 1)
+
+
 def _names(code):
     """Every global or attribute name a code object and its nested code
     objects (comprehensions, lambdas) refer to."""

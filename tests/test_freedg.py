@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from fcmc.chain import ChainError
 from fcmc.graphs import (CompositionError, EdgePath, ProfileLoop,
-                         enumerate_profile_loops)
+                         enumerate_profile_loops, identity_loop)
 from fcmc.labels import (LabelMonoid, LabelingFc, MonoidElem, TRIVIAL_MONOID,
                          fiber, label)
 from fcmc.multicat import OutOfBound
 from fcmc.freedg import (
     CompTree,
+    FreeCell,
     FreeDgFc,
     GeneratorSpec,
     build_Ainf_bimodule,
@@ -47,6 +48,7 @@ from oracles import (
     ref_left_module_delta_terms,
     ref_planar_trees,
     ref_rank,
+    ref_rule_terms,
 )
 
 
@@ -1089,6 +1091,10 @@ SWEEP_CASES = {
 }
 
 
+def _no_rule_cell(self, gen):
+    raise AssertionError(f"delta_generator({gen.name}) called")
+
+
 def _with_fault(fc, fault):
     return FreeDgFc(fc.labeling, preset=fc.preset,
                     custom_rules=fc.custom_rules, sign_fault=fault)
@@ -1096,37 +1102,98 @@ def _with_fault(fc, fault):
 
 @pytest.mark.parametrize("fault", [False, True])
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-def test_sweep_on_rule_words_matches_delta_of_the_rule_cell(case, fault):
+def test_sweep_on_rule_words_matches_delta_of_the_rule_cell(case, fault,
+                                                           monkeypatch):
     make, arity = SWEEP_CASES[case]
     fc = _with_fault(make(), fault)
-    rep = delta_squared_report(fc, arity)
+    # the sweep reads the rule records alone, never a rule cell
+    with monkeypatch.context() as m:
+        m.setattr(FreeDgFc, "delta_generator", _no_rule_cell)
+        rep = delta_squared_report(fc, arity)
     ref = _with_fault(make(), fault)
     gens = ref.generators(arity)
     residues = tuple((g.name, str(d2)) for g in gens
                      if not (d2 := ref.delta(ref.delta_generator(g))).is_zero())
     assert (rep.ok, rep.generators, rep.residues) == (not residues, len(gens),
                                                       residues)
-    # the sweep read the rule records alone, never a rule cell
-    assert fc._delta_cache == {}
     if fault or case.startswith(("unreduced", "custom")):
         assert residues, case
+
+
+def _spec_key(gen):
+    ins = gen.profile.inputs
+    return (ins.source, ins.edges, gen.profile.output, gen.label.coords)
 
 
 @pytest.mark.parametrize("mon", ["trivial", "rank 1"])
 @pytest.mark.parametrize("name", sorted(PRESET_ARGS))
 def test_rule_records_from_the_splitting_loop_match_the_rule_cell(name, mon):
+    # both the compiled records and the cell read off them against the
+    # brute-force splitting, reduced and unreduced (curvature inserts)
     monoid = LabelMonoid(1, 1) if mon == "rank 1" else TRIVIAL_MONOID
-    fc = build_preset(name, monoid, True, *PRESET_ARGS[name])
-    gens = fc.generators(5)
-    assert gens
-    for gen in gens:
-        compiled = fc._word_rule(fc._node_id(gen))
-        read = []
-        for rt, c in fc.delta_generator(gen).terms:
-            q = inner_position(rt)
-            read.append((fc._node_id(rt.gen),
-                         fc._node_id(rt.children[q].gen), q, c))
-        assert sorted(compiled) == sorted(read), gen.name
+    for reduced in (True, False):
+        fc = build_preset(name, monoid, reduced, *PRESET_ARGS[name])
+        gens = fc.generators(5)
+        assert gens
+        for gen in gens:
+            want = ref_rule_terms(fc, gen)
+            records = fc._records(gen)
+            assert all(c == -1 for *_, c in records), gen.name
+            assert sorted((_spec_key(fc._nodes[outer]), q,
+                           _spec_key(fc._nodes[inner]))
+                          for outer, inner, q, _ in records) == want, gen.name
+            cell = fc.delta_generator(gen)
+            assert (cell.profile, cell.label, cell.degree) == (
+                gen.profile, gen.label, 2)
+            read = []
+            for rt, c in cell.terms:
+                q, inner = next((q, t) for q, t in enumerate(rt.children)
+                                if isinstance(t, CompTree))
+                edges = rt.gen.profile.inputs.edges
+                assert c == -1 and rt == CompTree(
+                    rt.gen, edges[:q] + (leaf_of(inner.gen),)
+                    + edges[q + 1:]), gen.name
+                read.append((_spec_key(rt.gen), q, _spec_key(inner.gen)))
+            assert sorted(read) == want, gen.name
+
+
+def test_delta_generator_of_units_and_custom_generators():
+    # the cases a rule's records cover besides the standard splitting: a
+    # unit has none, a custom generator has its table's terms or none
+    custom = _custom_structure()
+    fc0 = build_Ainf_operad(custom.monoid)
+    for fc in (fc0, custom):
+        unit = fc.unit_cell("e").terms[0][0].gen
+        assert fc.delta_generator(unit) == FreeCell(
+            identity_loop(fc.graph, "e"), fc.monoid.zero(), 1, ())
+    ruled = fc0.generators(3)
+    unruled = [g for g in fc0.generators(4) if g not in custom.custom_rules]
+    assert set(ruled) == set(custom.custom_rules) and unruled
+
+    def check_cells():
+        for g in unruled:
+            assert custom.delta_generator(g) == FreeCell(g.profile, g.label,
+                                                         2, ())
+        for g in ruled:
+            rule = custom.custom_rules[g]
+            assert custom.delta_generator(g) == rule, g.name
+            assert str(custom.delta_generator(g)) == str(rule)
+        # the table's coefficients are fractions, not all -1
+        assert {c for g in ruled for _, c in custom.delta_generator(g).terms
+                } >= {Fraction(-1, 2), Fraction(-3, 2)}
+
+    check_cells()
+    assert not delta_squared_report(custom, 4).ok
+    check_cells()                       # the sweep leaves them as they were
+    # a table entry built unsorted and with a repeated term is kept
+    # normalized, so its cell sums the repeat as delta's splice does
+    g3 = m_gen(fc0, 3)
+    t = fc0.delta_generator(g3).terms
+    raw = FreeCell(g3.profile, g3.label, 2, (t[1], t[0], t[0]))
+    fc = FreeDgFc(fc0.labeling, custom_rules={g3: raw})
+    assert fc.delta_generator(g3) == fc.custom_rules[g3] == free_cell(
+        g3.profile, g3.label, 2, {t[0][0]: -2, t[1][0]: -1})
+    assert fc.delta(generator_cell(g3)) == fc.delta_generator(g3)
 
 
 @pytest.mark.parametrize("reduced", [True, False])
