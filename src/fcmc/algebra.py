@@ -72,10 +72,9 @@ class AlgebraData:
                     f"generators are degree 1")
 
     def alpha_of(self, gen: GeneratorSpec) -> MultiMap:
-        if gen in self.assignment:
-            return self.assignment[gen]
-        return zero_map(self.X, gen.profile.inputs.edges,
-                        gen.profile.output, 1)
+        xi = self.assignment.get(gen)
+        return xi if xi is not None else zero_map(
+            self.X, gen.profile.inputs.edges, gen.profile.output, 1)
 
 
 def evaluate_alpha(A: AlgebraData, cell: FreeCell) -> MultiMap:

@@ -32,7 +32,7 @@ breaks the square-zero property already at arity 4.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -86,22 +86,13 @@ class GeneratorSpec:
     Unit cells are represented uniformly as degree-0 specs over the
     identity profile; they are not generators and carry no differential.
 
-    The hash is computed once, at construction.  It depends on the
-    process's string hashing, so specs, and the trees that hold them, must
-    not be pickled into another process.
+    A plain frozen value: equal specs compare and hash equal, in any
+    process.
     """
     name: str
     profile: ProfileLoop
     label: MonoidElem
     degree: int = 1
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(
-            (self.name, self.profile, self.label, self.degree)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def arity(self) -> int:
         return self.profile.arity()
@@ -385,16 +376,17 @@ class FreeDgFc:
     and the preset is ``"custom"`` exactly when such a table is given.
     The structure keeps each rule as its normalized cell.
 
-    Each generator spec is made once, under the plain key (source, target,
-    input edges, output, label coords), and ``generator`` returns that
-    spec, so dictionaries keyed by generators mostly hit by identity.  The
-    generator and unit specs met are numbered, and each one's rule is kept
-    in one form only: records over those numbers, compiled once, from the
-    standard splitting loop ``_splittings`` or off a custom rule's cell.
-    ``delta`` splices them into words, the d^2 sweep squares a generator
-    on their two-node words, and ``delta_generator`` reads its cell off
-    them.  Both tables hold specs only; no tree or word is kept: the terms
-    ``delta`` outputs are far more numerous, and each lives for one call.
+    A generator is numbered when it is interned: ``_find`` makes its spec
+    once, under the plain key (source, target, input edges, output, label
+    coords), and gives it its node id, the letter written for it in words
+    and rule records; ``generator`` returns the spec kept under that id.
+    A unit spec is numbered when a walked tree first holds it.  Each
+    node's rule is kept as records over node ids only, compiled once from
+    ``_splittings`` or off a custom rule's cell: ``delta`` splices them
+    into words, the d^2 sweep squares a generator on their two-node words
+    and ``delta_generator`` reads its cell off them.  No tree or word is
+    kept: the terms ``delta`` outputs are far more numerous, and each
+    lives for one call.
     """
 
     def __init__(self, labeling: LabelingFc, preset: str = "generalized",
@@ -438,8 +430,8 @@ class FreeDgFc:
         # parities and places of a two-node word, for ``_square``
         self._two_node_shapes: dict[tuple, tuple] = {}
         # (source, target, input edges, output, label coords) -> the
-        # generator, or None where there is no generator
-        self._generators: dict[tuple, Optional[GeneratorSpec]] = {}
+        # generator's node id, or 0 where there is no generator
+        self._generators: dict[tuple, int] = {}
 
     # ------------------------------------------------------------ generators
 
@@ -449,30 +441,31 @@ class FreeDgFc:
         return f"m[{loop_token(loop)}]@{beta}"
 
     def _find(self, src: str, tgt: str, edges: tuple[str, ...], out: str,
-              beta: MonoidElem) -> Optional[GeneratorSpec]:
-        """The generator over the loop (src, tgt, edges; out) with label
-        beta, or None if there is none.  The answer is computed once per
-        key; the profile-loop is only built on a miss."""
+              beta: MonoidElem) -> int:
+        """The node id of the generator over the loop (src, tgt, edges;
+        out) with label beta, or 0 if there is none, computed once per
+        key: a miss builds the loop and the spec, numbered by ``_node_id``."""
         key = (src, tgt, edges, out, beta.coords)
         try:
             return self._generators[key]
         except KeyError:
             pass
         loop = ProfileLoop(EdgePath(edges, src, tgt), out)
-        gen = None
+        node = 0
         if in_fiber(self.labeling, loop, beta) and not (
                 edges == (out,) and beta.is_zero()):
-            gen = GeneratorSpec(self.generator_name(loop, beta), loop, beta)
-        self._generators[key] = gen
-        return gen
+            node = self._node_id(GeneratorSpec(self.generator_name(loop, beta),
+                                               loop, beta))
+        self._generators[key] = node
+        return node
 
     def generator(self, loop: ProfileLoop, beta: MonoidElem) -> GeneratorSpec:
         ins = loop.inputs
-        gen = self._find(ins.source, ins.target, ins.edges, loop.output, beta)
-        if gen is None:
+        node = self._find(ins.source, ins.target, ins.edges, loop.output, beta)
+        if not node:
             raise CompositionError(
                 f"no generator over {loop_token(loop)} with label {beta}")
-        return gen
+        return self._nodes[node]
 
     def generators(self, max_arity: int,
                    max_label: Optional[int] = None) -> list[GeneratorSpec]:
@@ -486,10 +479,10 @@ class FreeDgFc:
         for loop in enumerate_profile_loops(self.graph, max_arity):
             ins = loop.inputs
             for beta in betas:
-                gen = self._find(ins.source, ins.target, ins.edges,
-                                 loop.output, beta)
-                if gen is not None:
-                    out.append(gen)
+                node = self._find(ins.source, ins.target, ins.edges,
+                                  loop.output, beta)
+                if node:
+                    out.append(self._nodes[node])
         return out
 
     def unit_cell(self, eid: str) -> FreeCell:
@@ -500,10 +493,10 @@ class FreeDgFc:
     # ---------------------------------------------------------- differential
 
     def _splittings(self, gen: GeneratorSpec
-                    ) -> Iterator[tuple[GeneratorSpec, GeneratorSpec, int]]:
-        """The standard splitting of a generator: each (outer, inner, r)
-        whose two-node composite, inner at child r of outer, has gen's
-        boundary and label."""
+                    ) -> Iterator[tuple[int, int, int]]:
+        """The standard splitting of a generator: each (outer id, inner
+        id, r) whose two-node composite, inner at child r of outer, has
+        gen's boundary and label."""
         loop, beta = gen.profile, gen.label
         n = loop.arity()
         src, tgt = loop.inputs.source, loop.inputs.target
@@ -519,36 +512,36 @@ class FreeDgFc:
                     for b1, b2 in splits:
                         outer = self._find(src, tgt, outer_edges, loop.output,
                                            b1)
-                        if outer is None:
+                        if not outer:
                             continue
                         inner = self._find(walk[r], walk[r + s], ins[r:r + s],
                                            bridge.id, b2)
-                        if inner is not None:
+                        if inner:
                             yield outer, inner, r
 
     def delta_generator(self, gen: GeneratorSpec) -> FreeCell:
         """The generator's rule as a cell, read off its records: minus the
         sum of matching 2-node composites, or the custom rule table's entry
         (zero when it has none, and for a unit)."""
-        nodes, terms = self._nodes, {}
+        nodes, terms = self._nodes, []
         for outer, inner, q, c in self._records(gen):
             o = nodes[outer]
             edges = o.profile.inputs.edges
-            # a standard rule's terms are distinct by construction (r, s,
-            # the bridge and the label split all show in the tree), a custom
-            # rule's are the terms of its normalized cell
-            terms[CompTree(o, edges[:q] + (leaf_of(nodes[inner]),)
-                           + edges[q + 1:])] = c
-        return free_cell(gen.profile, gen.label, gen.degree + 1, terms,
-                         validate=False)
+            terms.append((CompTree(o, edges[:q] + (leaf_of(nodes[inner]),)
+                                   + edges[q + 1:]), c))
+        # a standard rule's terms are distinct by construction (r, s, the
+        # bridge and the label split all show in the tree) and a custom
+        # rule's are the terms of its normalized cell, none with coefficient
+        # 0: so the cell is its terms in free_cell's order, no tree hashed
+        terms.sort(key=lambda tc: tree_key(tc[0]))
+        return FreeCell(gen.profile, gen.label, gen.degree + 1, tuple(terms))
 
     def _node_id(self, gen: GeneratorSpec) -> int:
         """The id written for a generator or unit spec in a word and in
         rule records, given the first time the spec is met; ids start at
         1."""
-        node = self._node_ids.get(gen)
-        if node is None:
-            node = self._node_ids[gen] = len(self._nodes)
+        node = self._node_ids.setdefault(gen, len(self._nodes))
+        if node == len(self._nodes):
             self._nodes.append(gen)
             self._word_rules.append(None)
         return node
@@ -559,14 +552,14 @@ class FreeDgFc:
         first time the node is asked for.  A unit has none; a standard
         rule is compiled from ``_splittings``, a custom rule read off its
         table's cell (none when the table has no rule for it)."""
-        gen, ids = self._nodes[node], self._node_id
+        gen = self._nodes[node]
         if gen.is_unit():
             records = ()
         elif self.custom_rules is None:
-            records = tuple((ids(outer), ids(inner), r, -1)
+            records = tuple((outer, inner, r, -1)
                             for outer, inner, r in self._splittings(gen))
         else:
-            rule = self.custom_rules.get(gen)
+            rule, ids = self.custom_rules.get(gen), self._node_id
             records = tuple((ids(rt.gen), ids(rt.children[q].gen), q, rc)
                             for rt, rc in (() if rule is None else rule.terms)
                             for q in (inner_position(rt),))

@@ -116,22 +116,16 @@ class LabelingFc:
 
 
 def fiber(lfc: LabelingFc, loop: ProfileLoop) -> list[MonoidElem]:
-    """Labels available over one profile-loop, within the truncation.
-
-    Reduction removes the zero label from empty-input fibers only.
-    Boundary data that is not a profile-loop of the graph has an empty
-    fiber.
-    """
-    if not is_loop_of(lfc.graph, loop):
-        return []
-    out = lfc.monoid.elements()
-    if lfc.reduced and loop.inputs.is_empty():
-        out = [b for b in out if not b.is_zero()]
-    return out
+    """Labels available over one profile-loop, within the truncation:
+    those ``in_fiber`` admits, in the monoid's element order."""
+    return [b for b in lfc.monoid.elements() if in_fiber(lfc, loop, b)]
 
 
 def in_fiber(lfc: LabelingFc, loop: ProfileLoop, beta: MonoidElem) -> bool:
-    """``beta in fiber(lfc, loop)``, decided without building the fiber."""
+    """Whether beta labels the profile-loop, the one place the rule is
+    written.  Reduction removes the zero label from empty-input fibers
+    only; boundary data that is not a profile-loop of the graph has an
+    empty fiber."""
     if not is_loop_of(lfc.graph, loop):
         return False
     if not lfc.monoid.contains(beta):

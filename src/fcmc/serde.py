@@ -10,6 +10,7 @@ makes reports byte-identical across runs.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -61,12 +62,13 @@ def scalar_to_str(c) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def scalar_from_str(s) -> Fraction:
+def scalar_from_str(s) -> int | Fraction:
+    """An exact coefficient; an integral one is read as an ``int``."""
     try:
         f = Fraction(_typed(s, "string", "coefficient"))
     except (ValueError, ZeroDivisionError) as exc:
         raise SerdeError(f"bad coefficient {s!r}: {exc}") from None
-    return f
+    return f.numerator if f.denominator == 1 else f
 
 
 # ---------------------------------------------------------------- documents
@@ -77,16 +79,24 @@ def dumps_doc(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise SerdeError(f"duplicate key {key!r}")
+    return obj
+
+
 def loads_doc(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SerdeError(
             f"not valid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
     except (RecursionError, ValueError) as exc:
-        # nesting past the recursion limit, or an integer literal past
-        # Python's digit limit
+        # nesting past the recursion limit, an integer literal past
+        # Python's digit limit, or a repeated key
         raise SerdeError(f"unreadable JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SerdeError("top level must be an object")
@@ -340,6 +350,8 @@ def freedg_from_doc(doc: dict) -> tuple[FreeDgFc,
     gens = field(doc, "generators", "array", None)
     if gens is not None:
         gens = [generator_from_doc(fc, gd) for gd in gens]
+        if len(set(gens)) < len(gens):
+            raise SerdeError("duplicate generator in \"generators\"")
     return fc, gens
 
 

@@ -39,7 +39,7 @@ LOOP_GRAPH = {"vertices": ["v"],
 
 def write(tmp_path, name, doc):
     path = tmp_path / name
-    path.write_text(dumps_doc(doc))
+    path.write_text(doc if isinstance(doc, str) else dumps_doc(doc))
     return str(path)
 
 
@@ -603,6 +603,16 @@ def _labeled_doc():
             "graph": LOOP_GRAPH, "monoid": {"rank": 1, "truncation": 2}}
 
 
+def _text(make_doc, old, new):
+    """A document's text with its first ``old`` replaced by ``new``: for
+    texts no dict can hold, such as an object with a repeated key."""
+    def make():
+        text = dumps_doc(make_doc())
+        assert old in text
+        return text.replace(old, new, 1)
+    return make
+
+
 MALFORMED = [
     ("algebra-check", "basis-no-degree",
      _edit(dual_doc, lambda d: _basis(d)[0].pop("degree"))),
@@ -652,11 +662,29 @@ MALFORMED = [
     ("free-d2", "duplicate-rule",
      _edit(_custom_rules_doc, lambda d: d["rules"].append(
          dict(d["rules"][0], terms=[])))),
+    # a generator listed twice would be swept and counted twice
+    ("free-d2", "repeated-generator",
+     _edit(_bimodule_free_doc, lambda d: d["generators"].append(
+         d["generators"][0]))),
+    # a repeated key, whose last value JSON readers silently keep: at the
+    # top level, in a nested object and in an array's object
+    ("free-d2", "repeated-key-reduced",
+     _text(_bimodule_free_doc, '"reduced": true',
+           '"reduced": true,\n  "reduced": false')),
+    ("fc-audit", "repeated-key-units",
+     _text(_table_doc, '"e": "u"', '"e": "m",\n    "e": "u"')),
+    ("algebra-check", "repeated-key-coeff",
+     _text(dual_doc, '"coeff": "-1"',
+           '"coeff": "0",\n          "coeff": "-1"')),
 ]
 
 
 # the field an error message must name, where that is pinned
-NAMED_FIELD = {"preset-not-string": "field 'preset'"}
+NAMED_FIELD = {"preset-not-string": "field 'preset'",
+               "repeated-generator": "duplicate generator",
+               "repeated-key-reduced": "duplicate key 'reduced'",
+               "repeated-key-units": "duplicate key 'e'",
+               "repeated-key-coeff": "duplicate key 'coeff'"}
 
 
 @pytest.mark.parametrize("command, name, make_doc",

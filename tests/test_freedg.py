@@ -1,12 +1,16 @@
 import hashlib
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fcmc.freedg
 from fcmc.chain import ChainError
 from fcmc.graphs import (CompositionError, EdgePath, ProfileLoop,
                          enumerate_profile_loops, identity_loop)
@@ -954,6 +958,13 @@ def test_generator_is_interned():
     assert any(g is gen for g in fc.generators(3))
     with pytest.raises(CompositionError):
         fc.generator(m_loop(1), label(0))
+    # a spec built outside and met first in a walked tree keeps its one id
+    # when the structure interns its generator
+    fc = build_Ainf_operad(LabelMonoid(rank=1, truncation=1))
+    spec = GeneratorSpec("m[e,e;e]@(1)", m_loop(2), label(1))
+    fc.delta(generator_cell(spec))
+    assert fc.generator(m_loop(2), label(1)) is spec
+    assert fc._nodes == [None, *fc._node_ids]
 
 
 def test_equal_trees_and_specs_hash_equal_and_keep_repr():
@@ -973,6 +984,39 @@ def test_equal_trees_and_specs_hash_equal_and_keep_repr():
         f"CompTree(gen={m2!r}, children=('e', 'e')), 'e'))"
     assert {t: 5}[built] == 5
     assert CompTree(m2, ("e", "e")) != CompTree(m3, ("e", "e", "e"))
+
+
+# Run under two hash seeds: "dump PATH" pickles a spec and its one-node
+# tree; "load PATH" unpickles them next to a structure's own and prints
+# whether each is found as a dictionary key.
+_PICKLE_SCRIPT = """
+import pickle, sys
+from fcmc.freedg import build_Ainf_operad, leaf_of
+from fcmc.graphs import EdgePath, ProfileLoop
+from fcmc.labels import LabelMonoid, label
+fc = build_Ainf_operad(LabelMonoid(rank=1, truncation=1))
+gen = fc.generator(ProfileLoop(EdgePath(("e", "e"), "v", "v"), "e"), label(1))
+mode, path = sys.argv[1:]
+if mode == "dump":
+    with open(path, "wb") as f:
+        pickle.dump((gen, leaf_of(gen)), f)
+else:
+    with open(path, "rb") as f:
+        spec, tree = pickle.load(f)
+    print(spec == gen, spec in {gen: 1}, tree in {leaf_of(gen): 1},
+          fc._node_id(spec) == fc._node_id(gen))
+"""
+
+
+def test_specs_and_trees_pickled_under_another_hash_seed_are_found(tmp_path):
+    src = os.path.dirname(os.path.dirname(fcmc.freedg.__file__))
+    path = str(tmp_path / "spec.pickle")
+    for seed, mode in (("1", "dump"), ("2", "load")):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PICKLE_SCRIPT, mode, path],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+    assert proc.stdout.split() == ["True"] * 4
 
 
 def test_sign_fault_residue_strings_unchanged():
@@ -1008,9 +1052,13 @@ def test_generators_are_interned_specs_and_lookup_is_keyed():
                 assert inner.gen is fc.generator(inner.gen.profile,
                                                  inner.gen.label)
                 assert inner == leaf_of(inner.gen)
-        # the generator table holds specs, or None where there is none
-        assert all(v is None or isinstance(v, GeneratorSpec)
-                   for v in fc._generators.values())
+        # the generator table holds node ids, 0 where there is none; a
+        # generator's id is given when it is interned
+        assert all(type(v) is int for v in fc._generators.values())
+        for node in fc._generators.values():
+            if node:
+                spec = fc._nodes[node]
+                assert not spec.is_unit() and fc._node_ids[spec] == node
         # generator answers by the keyed lookup, no-generator keys included
         rank, cap = fc.monoid.rank, fc.monoid.truncation
         answers = set()
@@ -1020,14 +1068,15 @@ def test_generators_are_interned_specs_and_lookup_is_keyed():
                 beta = MonoidElem(coords)
                 found = fc._find(ins.source, ins.target, ins.edges,
                                  loop.output, beta)
-                if found is None:
+                if found == 0:
                     with pytest.raises(CompositionError,
                                        match="no generator over"):
                         fc.generator(loop, beta)
                 else:
-                    assert fc.generator(loop, beta) is found
-                    assert (found.profile, found.label) == (loop, beta)
-                answers.add(found is None)
+                    gen = fc.generator(loop, beta)
+                    assert gen is fc._nodes[found]
+                    assert (gen.profile, gen.label) == (loop, beta)
+                answers.add(found == 0)
         assert answers == {True, False}
         # warmed up, the d^2 sweep stores nothing: output trees stay out
         keys = len(fc._generators)

@@ -56,6 +56,14 @@ def test_scalar_strings():
     assert scalar_from_str("-9") == -9
 
 
+def test_integral_coefficients_read_as_int():
+    for text in ("2", "4/2"):
+        c = scalar_from_str(text)
+        assert type(c) is int and c == 2
+    c = scalar_from_str("3/2")
+    assert type(c) is Fraction and c == Fraction(3, 2)
+
+
 def test_scalar_rejects_numbers_and_junk():
     with pytest.raises(SerdeError):
         scalar_from_str(0.5)
@@ -71,6 +79,14 @@ def test_scalar_round_trip(q):
 
 
 # ---------------------------------------------------------------- documents
+
+
+def test_loads_doc_rejects_a_repeated_key_at_any_depth():
+    for text in ('{"a": 1, "a": 1}', '{"a": [{"b": 1, "c": 2, "b": 3}]}'):
+        with pytest.raises(SerdeError, match="duplicate key"):
+            loads_doc(text)
+    assert loads_doc('{"a": {"a": 1}, "b": [{"a": 2}]}') == {
+        "a": {"a": 1}, "b": [{"a": 2}]}
 
 
 def test_loads_doc_errors_carry_location():
