@@ -19,6 +19,7 @@ leaves the bounds returns a typed :class:`OutOfBound` instead of raising.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import permutations
 from types import MappingProxyType
@@ -35,7 +36,7 @@ from .graphs import (
     is_loop_of,
     is_subgraph,
 )
-from .labels import LabelingFc, MonoidElem, add, fiber
+from .labels import LabelError, LabelingFc, MonoidElem, fiber
 
 
 @dataclass(frozen=True)
@@ -198,12 +199,12 @@ class LoopInstance(FcInstance):
         return TwoCell(cell_token(loop, beta), loop, beta)
 
     def _lookup(self, edges: tuple[str, ...], output: str,
-                beta: Optional[MonoidElem]) -> Optional[TwoCell]:
-        """The population's cell under this key, or None."""
+                coords: Optional[tuple[int, ...]]) -> Optional[TwoCell]:
+        """The population's cell under this key (label coordinates, or None
+        unlabeled), or None."""
         if self._cells is None:
             self.cells()
-        return self._interned.get(
-            (edges, output, None if beta is None else beta.coords))
+        return self._interned.get((edges, output, coords))
 
     def cells(self) -> list[TwoCell]:
         if self._cells is None:
@@ -220,21 +221,29 @@ class LoopInstance(FcInstance):
         return self._cells
 
     def contains(self, cell: TwoCell) -> bool:
+        coords = None if cell.label is None else cell.label.coords
         return self._lookup(cell.profile.inputs.edges, cell.profile.output,
-                            cell.label) == cell
+                            coords) == cell
 
     def unit(self, eid: str) -> TwoCell:
         zero = None if self.labeling is None else self.labeling.monoid.zero()
         loop = identity_loop(self.graph, eid)
-        return self._lookup((eid,), eid, zero) or self._cell(loop, zero)
+        coords = None if zero is None else zero.coords
+        return self._lookup((eid,), eid, coords) or self._cell(loop, zero)
 
     def compose(self, u: TwoCell, i: int, v: TwoCell) -> ComposeResult:
         check_slot(u.profile, i, v.profile)
-        beta = None
+        coords = None
         if self.labeling is not None:
-            beta = add(u.label, v.label)
-            if beta.total() > self.labeling.monoid.truncation:
-                return label_overflow(beta, self.labeling.monoid.truncation)
+            # the label sum stays on coordinates: a MonoidElem is built only
+            # for an overflow's reason or a composite outside the population
+            a, b = u.label.coords, v.label.coords
+            if len(a) != len(b):
+                raise LabelError(f"rank mismatch: {len(a)} vs {len(b)}")
+            coords = tuple(map(operator.add, a, b))
+            truncation = self.labeling.monoid.truncation
+            if sum(coords) > truncation:
+                return label_overflow(MonoidElem(coords), truncation)
         outer = u.profile.inputs
         edges = outer.edges[:i - 1] + v.profile.inputs.edges + outer.edges[i:]
         if len(edges) > self.max_len:
@@ -242,9 +251,9 @@ class LoopInstance(FcInstance):
                 "length",
                 f"input length {len(edges)} exceeds bound {self.max_len}")
         output = u.profile.output
-        return self._lookup(edges, output, beta) or self._cell(
+        return self._lookup(edges, output, coords) or self._cell(
             ProfileLoop(EdgePath(edges, outer.source, outer.target), output),
-            beta)
+            None if coords is None else MonoidElem(coords))
 
 
 class TableInstance(FcInstance):
@@ -402,6 +411,17 @@ class _Indexed:
     least as long, so out of bound too (on loop instances the candidates
     come in ascending arity, and the rest of the slot is skipped).  Kinds
     ``"label"`` and ``"missing-entry"`` skip nothing.
+
+    ``arity_cap`` and ``label_cap`` are the population's largest arity and
+    label total.  An entry u o_i v *fits* when arity(u) + arity(v) - 1 <=
+    ``arity_cap`` and total(u) + total(v) <= ``label_cap``.  ``closed``
+    certifies that the table holds an entry exactly for the pairs that fit,
+    that labels add and that no composite has a bad profile.  It is decided
+    on every (cell, slot, candidate) triple as the table is built: a
+    candidate skipped by the length rule, an :class:`OutOfBound` result and
+    a composite beyond the cap must all not fit.  On a closed table the
+    gamma identities follow from the parallel ones
+    (:func:`_count_gamma_fillings`).
     """
 
     def __init__(self, fc: FcInstance, arity_bound: int):
@@ -419,33 +439,43 @@ class _Indexed:
         self.totals = totals = [0 if c.label is None else c.label.total()
                                 for c in self.cells]
         self.labels_add = True
+        self.arity_cap = arity_cap = max(arity, default=0)
+        self.label_cap = label_cap = max(totals, default=0)
+        closed = True
         for x, u in enumerate(self.cells):
+            # u o_i v fits the caps when v is within both rooms
+            room_a = arity_cap + 1 - arity[x]
+            room_l = label_cap - totals[x]
             rows = []
             for i, eid in enumerate(ins[x], start=1):
                 row = {}
                 # candidates of arity >= too_long overflow the length bound
                 too_long = arity_bound + 1
                 for k in self.by_out.get(eid, []):
-                    if arity[k] >= too_long:
-                        continue
-                    uv = fc.compose(u, i, self.cells[k])
-                    if isinstance(uv, OutOfBound):
-                        if uv.kind == "length":
-                            too_long = arity[k]
-                        continue
-                    r = idx.get(uv.id, -1)
-                    if r < 0:
-                        self.beyond.setdefault((x, i), {})[k] = uv
-                        continue
-                    row[k] = r
-                    if self.bad_profile is None and (
-                            outs[r] != outs[x] or ins[r] !=
-                            ins[x][:i - 1] + ins[k] + ins[x][i:]):
-                        self.bad_profile = (u.id, i, self.cells[k].id)
-                    if totals[r] != totals[x] + totals[k]:
-                        self.labels_add = False
+                    made = False
+                    if arity[k] < too_long:
+                        uv = fc.compose(u, i, self.cells[k])
+                        if isinstance(uv, OutOfBound):
+                            if uv.kind == "length":
+                                too_long = arity[k]
+                        elif (r := idx.get(uv.id, -1)) < 0:
+                            self.beyond.setdefault((x, i), {})[k] = uv
+                        else:
+                            made = True
+                            row[k] = r
+                            if self.bad_profile is None and (
+                                    outs[r] != outs[x] or ins[r] !=
+                                    ins[x][:i - 1] + ins[k] + ins[x][i:]):
+                                self.bad_profile = (u.id, i,
+                                                    self.cells[k].id)
+                            if totals[r] != totals[x] + totals[k]:
+                                self.labels_add = False
+                    if made != (arity[k] <= room_a and totals[k] <= room_l):
+                        closed = False
                 rows.append(row)
             self.comp.append(rows)
+        self.closed = (closed and self.labels_add
+                       and self.bad_profile is None)
 
 
 def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
@@ -458,12 +488,15 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
     * parallel: (u o_i v) o_{k-1+m} w = (u o_k w) o_i v for i < k, m the
       arity of v;
     * order-independence of gamma over all full slot assignments and all
-      insertion orders, decided by a recursion over the sets of inserted
-      slots rather than by replaying every order (exact, because a slot's
-      shift depends only on which slots are already filled; see
-      ``_check_gamma_orders``).  Only a failing filling replays the orders
-      lexicographically, to name its first completing order and the first
-      later one that disagrees.
+      insertion orders.  On a table certified closed (``_Indexed.closed``)
+      these identities follow from the parallel ones just checked, and
+      their fillings are counted in closed form
+      (``_count_gamma_fillings``).  Any other table is swept, by a
+      recursion over the sets of inserted slots rather than by replaying
+      every order (exact, because a slot's shift depends only on which
+      slots are already filled; see ``_check_gamma_orders``).  Only a
+      failing filling replays the orders lexicographically, to name its
+      first completing order and the first later one that disagrees.
 
     A composite that does not sit over the substituted profile fails as
     "composite profile" (checked after the unit laws, not counted).
@@ -550,7 +583,76 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
                                 "parallel associativity",
                                 (cells[u].id, i, cells[v].id, k, cells[w].id))
 
+    if ix.closed:
+        return _count_gamma_fillings(ix, checked, skipped)
     return _check_gamma_orders(ix, checked, skipped)
+
+
+def _buckets(ix) -> dict[str, list[tuple[int, int, list[int]]]]:
+    """The candidates of each edge, grouped by (arity, label total) in
+    ascending order: the units of the gamma budgets."""
+    out = {}
+    for e, ks in ix.by_out.items():
+        grouped: dict[tuple[int, int], list[int]] = {}
+        for k in ks:
+            grouped.setdefault((ix.arity[k], ix.totals[k]), []).append(k)
+        out[e] = [(a, l, group) for (a, l), group in sorted(grouped.items())]
+    return out
+
+
+def _count_gamma_fillings(ix, checked, skipped) -> AxiomReport:
+    """Decide order-independence of gamma on a closed table by coherence,
+    and report it with the counts carried on from ``checked``/``skipped``.
+
+    Valid only on a table certified closed (``ix.closed``) whose parallel
+    identities have all been compared and passed, as :func:`check_axioms`
+    does just before.  Then every filling that :func:`_check_gamma_orders`
+    would visit is checked and passes, so only the fillings are counted:
+
+    * Weight each inner by its arity - 1.  Inserting the inners in
+      ascending weight order, the intermediate arity never exceeds the
+      larger of the outer's and the final one, and label totals only grow.
+      On a closed table an insertion is in the population exactly when it
+      fits the caps, so a filling completes exactly when the inner arities
+      sum to at most ``ix.arity_cap`` and the label totals of the outer
+      and the inners to at most ``ix.label_cap``: the very budgets the
+      sweep prunes by.
+    * Any completing order reaches an ascending order by swapping adjacent
+      inners, the lighter one first.  The new intermediate is no heavier,
+      so both routes of the swap stay in the population, and the swap is
+      one parallel identity, already compared.  So every completing order
+      gives the same composite.
+
+    This is the bounded form of the coherence of partial composition under
+    parallel associativity (Markl-Shnider-Stasheff, *Operads in Algebra,
+    Topology and Physics*, 2002).  The count for a cell is the number of
+    bucket tuples within the budgets, summed by a walk over (arity sum,
+    label sum) weighted by the bucket sizes; cells with the same input
+    edges and label total share it.
+    """
+    sizes = {e: [(a, l, len(ks)) for a, l, ks in groups]
+             for e, groups in _buckets(ix).items()}
+    memo: dict[tuple, int] = {}
+    for u, cell in enumerate(ix.cells):
+        if ix.arity[u] < 2:
+            continue
+        key = (cell.profile.inputs.edges, ix.totals[u])
+        if key not in memo:
+            budget_l = ix.label_cap - ix.totals[u]
+            # ways[(arity sum, label sum)]: inner tuples of the slots so far
+            ways = {(0, 0): 1}
+            for e in key[0]:
+                step: dict[tuple[int, int], int] = {}
+                for (sum_a, sum_l), w in ways.items():
+                    for a, l, size in sizes.get(e, ()):
+                        if (sum_a + a <= ix.arity_cap
+                                and sum_l + l <= budget_l):
+                            at = (sum_a + a, sum_l + l)
+                            step[at] = step.get(at, 0) + w * size
+                ways = step
+            memo[key] = sum(ways.values())
+        checked += memo[key]
+    return AxiomReport(True, None, None, checked, skipped)
 
 
 def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
@@ -593,15 +695,9 @@ def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
     arity = ix.arity
     comp = ix.comp
     totals = ix.totals
-    arity_cap = max(arity, default=0)
-    label_cap = max(totals, default=0)
-    # bucket candidates per edge by (arity, label total) for the pruning
-    buckets: dict[str, list[tuple[int, int, list[int]]]] = {}
-    for e, ks in ix.by_out.items():
-        grouped: dict[tuple[int, int], list[int]] = {}
-        for k in ks:
-            grouped.setdefault((arity[k], totals[k]), []).append(k)
-        buckets[e] = [(a, l, ks2) for (a, l), ks2 in sorted(grouped.items())]
+    arity_cap = ix.arity_cap
+    label_cap = ix.label_cap
+    buckets = _buckets(ix)
     # plan[t] lists each mask m whose highest slot is t, with s = m - {t}
     # and, for every slot j of m, (m - {j}, j, the slots of m below j)
     plan = [[(m, m ^ 1 << t,

@@ -11,8 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from fcmc.cli import main
 from fcmc.graphs import (
     EdgePath,
@@ -349,20 +347,24 @@ def test_acceptance_5_endpoint_closed_implies_factor_closed():
 # --------------------------------------------------------------- criterion 6
 
 
-@pytest.mark.slow
 def test_acceptance_6_axiom_audit_exhaustive():
     family = graph_family()
     monoid = LabelMonoid(1, 2)
-    plain = labeled = 0
+    plain = longer = labeled = 0
     for g in family:
         rep = check_axioms(LoopInstance(g, 3), 3)
         assert rep.ok, (g.edges, rep.summary())
         plain += rep.checked
+    for g in family:
+        rep = check_axioms(LoopInstance(g, 4), 4)
+        assert rep.ok, (g.edges, rep.summary())
+        longer += rep.checked
     for g in family:
         rep = check_axioms(
             LoopInstance(g, 3, LabelingFc(g, monoid, False)), 3)
         assert rep.ok, (g.edges, rep.summary())
         labeled += rep.checked
     _line(6, "unit/associativity/order-independence identities hold: "
-          f"{plain} on profile-loop and {labeled} on labeled instances "
-          f"({len(family)} graphs, length <= 3, truncation <= 2)")
+          f"{plain} on profile-loop instances at length <= 3 and {longer} "
+          f"at length <= 4, {labeled} on labeled instances at length <= 3 "
+          f"and truncation <= 2 ({len(family)} graphs)")

@@ -20,17 +20,20 @@ from fcmc.graphs import (
     build_pair_graph,
     build_partition_subgraph,
     endpoint_violation,
+    identity_loop,
     is_loop_of,
     make_graph,
     partition_subgraph,
     profile_loop,
     subgraph,
 )
+from fcmc import multicat
 from fcmc.cli import main
 from fcmc.labels import LabelError, LabelMonoid, LabelingFc, label
 from fcmc.multicat import (
     AxiomReport,
     FactorReport,
+    FcInstance,
     _check_gamma_orders,
     _Indexed,
     OutOfBound,
@@ -940,6 +943,218 @@ def test_gamma_prunes_by_label_only_where_labels_add():
         report = check_axioms(fc, 3)
         assert (report.ok, report.checked, report.skipped) == (True, 40, 13)
         assert _gamma_audit(fc, 3) == _gamma_oracle(fc, 3)
+
+
+# ---------------------------------------------- gamma by coherence, if closed
+#
+# On a table certified closed, check_axioms counts the gamma fillings in
+# closed form instead of sweeping them.  The reference is the same audit
+# with the certificate withdrawn, which sweeps.
+
+def _swept_axioms(fc, bound):
+    """check_axioms on ``fc`` with the gamma identities swept; ``fc`` must
+    be a fresh instance, as its cached table loses its certificate."""
+    fc._indexed(bound).closed = False
+    return check_axioms(fc, bound)
+
+
+@pytest.fixture
+def no_closed_form(monkeypatch):
+    """Make the closed form fail the test wherever it is reached."""
+    def closed_form(ix, checked, skipped):
+        raise AssertionError("an uncertified table reached the closed form")
+    monkeypatch.setattr(multicat, "_count_gamma_fillings", closed_form)
+
+
+class _UnitFree(FcInstance):
+    """A table instance without units: its unit cells compose with
+    nothing, so check_axioms skips the unit laws and audits the rest."""
+
+    def __init__(self, table):
+        self.graph = table.graph
+        self.table = table
+
+    def cells(self):
+        return self.table.cells()
+
+    def unit(self, eid):
+        return TwoCell("unit", identity_loop(self.graph, eid))
+
+    def compose(self, u, i, v):
+        if "unit" in (u.id, v.id):
+            return OutOfBound("missing-entry", "no unit")
+        return self.table.compose(u, i, v)
+
+
+# a seeded subset of the acceptance family, fixed here before any run
+COHERENCE_GRAPHS = sorted(random.Random(20261020).sample(range(177), 10))
+
+
+@pytest.mark.parametrize("k", COHERENCE_GRAPHS)
+def test_closed_form_matches_the_sweep_on_the_family(k):
+    g = graph_family()[k]
+    for make_fc in (lambda: LoopInstance(g, 3),
+                    lambda: _labeled(g, 2, reduced=False),
+                    lambda: _labeled(g, 2, reduced=True)):
+        fc = make_fc()
+        assert fc._indexed(3).closed
+        report = check_axioms(fc, 3)
+        assert report.ok
+        assert report == _swept_axioms(make_fc(), 3)
+
+
+@st.composite
+def closed_tables(draw):
+    """A table over the one-loop graph with one or two cells per (arity,
+    label total) class up to drawn caps, and an entry, naming a cell of
+    its class, for exactly the pairs that fit the caps: closed by
+    construction.  Entries name the first cell of their class (the free
+    loop instance, with the other cells as extra inputs) or are drawn."""
+    g = single_loop()
+    labeled = draw(st.booleans())
+    cap_a = draw(st.integers(1, 3))
+    cap_l = draw(st.integers(0, 2)) if labeled else 0
+    cells, by_class = [], {}
+    for n in range(cap_a + 1):
+        for t in range(cap_l + 1):
+            for c in range(draw(st.integers(1, 2))):
+                cell = TwoCell(f"c{n}.{t}.{c}",
+                               profile_loop(g, ["e"] * n, "e"),
+                               label(t) if labeled else None)
+                cells.append(cell)
+                by_class.setdefault((n, t), []).append(cell.id)
+    free = draw(st.booleans())
+    table = {}
+    for u, v in itertools.product(cells, cells):
+        n = u.arity() + v.arity() - 1
+        t = 0 if not labeled else u.label.total() + v.label.total()
+        if u.arity() == 0 or n > cap_a or t > cap_l:
+            continue
+        ids = by_class[(n, t)]
+        for i in range(1, u.arity() + 1):
+            table[(u.id, i, v.id)] = (ids[0] if free
+                                      else draw(st.sampled_from(ids)))
+    return TableInstance(g, cells, {}, table), cap_a
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(closed_tables(), random_tables()))
+def test_closed_form_matches_the_sweep_on_random_tables(case):
+    table, bound = case
+    fc = _UnitFree(table)
+    report = check_axioms(fc, bound)
+    assert report == _swept_axioms(_UnitFree(table), bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=closed_tables())
+def test_closed_tables_are_certified(case):
+    table, bound = case
+    assert _UnitFree(table)._indexed(bound).closed
+
+
+def test_a_table_with_an_entry_removed_is_swept(no_closed_form):
+    # the materialized loop instances are closed; without any one row a
+    # pair that fits has no entry
+    for make_fc in (lambda: LoopInstance(single_loop(), 3),
+                    lambda: _labeled(single_loop(), 1, reduced=True)):
+        full = table_from_instance(make_fc(), 3)
+        assert full._indexed(3).closed
+        for key in sorted(full.table):
+            rows = {k: r for k, r in full.table.items() if k != key}
+            fc = TableInstance(full.graph, full.cells(), {
+                e: full.unit(e).id for e in full.graph.edge_ids()}, rows)
+            assert not fc._indexed(3).closed, key
+            check_axioms(fc, 3)
+
+
+class _Dropping(LoopInstance):
+    """A loop instance whose population lacks one cell, which compose
+    still returns: within the caps, but beyond the table."""
+
+    def __init__(self, graph, max_len, dropped):
+        super().__init__(graph, max_len)
+        self.dropped = dropped
+
+    def cells(self):
+        return [c for c in super().cells() if c.id != self.dropped]
+
+
+def test_a_composite_beyond_the_table_withdraws_the_certificate(
+        no_closed_form):
+    # e,e;e is within the length bound but not in the population, so
+    # (e,e,e;e; ;e, ;e, ;e) completes in no order: a skipped filling,
+    # which a closed table never has
+    fc = _Dropping(single_loop(), 3, "e,e;e")
+    ix = fc._indexed(3)
+    assert ix.beyond and not ix.closed
+    assert check_axioms(fc, 3).ok
+    got = _gamma_audit(fc, 3)
+    assert got == _gamma_oracle(fc, 3) and got[1] > 0
+
+
+class _TightLength(TableInstance):
+    """A table whose length bound, 2, is below its population's arity."""
+
+    def compose(self, u, i, v):
+        if u.arity() - 1 + v.arity() > 2:
+            return OutOfBound("length", "input length exceeds bound 2")
+        return super().compose(u, i, v)
+
+
+def test_a_fitting_pair_skipped_by_length_withdraws_the_certificate():
+    # every length overflow the table meets is a pair whose labels do not
+    # fit, and every entry present fits; but the candidates the length
+    # rule skips after it include pairs that fit (p o_1 c1, b1 o_1 b1,
+    # c1 o_1 p)
+    g = single_loop()
+    cells = [TwoCell(c, profile_loop(g, ["e"] * n, "e"), label(t))
+             for c, n, t in [("q", 1, 2), ("p", 1, 1), ("b2", 2, 2),
+                             ("b1", 2, 1), ("c2", 3, 2), ("c1", 3, 1)]]
+    rows = {("p", 1, "p"): "q", ("p", 1, "b1"): "b2",
+            ("b1", 1, "p"): "b2", ("b1", 2, "p"): "b2"}
+    ix = _Indexed(_TightLength(g, cells, {}, rows), 3)
+    assert ix.labels_add and ix.bad_profile is None
+    assert not ix.closed
+
+
+def test_a_table_whose_labels_do_not_add_is_swept(no_closed_form):
+    # every pair that fits has an entry and no other pair has one, but
+    # m o_i p = m and m o_i m = t do not add labels; then the label budget
+    # does not bound the composites, and counting within it would report
+    # 78 checked and 41 skipped
+    rows = [("1", 1, c, c) for c in ("1", "z", "p", "m", "t")]
+    rows += [(c, i, "1", c) for c, n in (("p", 1), ("m", 2), ("t", 3))
+             for i in range(1, n + 1)]
+    rows += [("p", 1, "m", "m")]
+    rows += [("m", i, v, r) for i in (1, 2)
+             for v, r in (("z", "p"), ("p", "m"), ("m", "t"))]
+    fc = _loop_table({"1": 1, "z": 0, "p": 1, "m": 2, "t": 3}, rows,
+                     {"1": 0, "z": 1, "p": 1, "m": 0, "t": 1})
+    ix = fc._indexed(3)
+    assert not ix.labels_add and not ix.closed
+    assert check_axioms(fc, 3) == AxiomReport(True, None, None, 81, 88)
+    assert _gamma_audit(fc, 3) == _gamma_oracle(fc, 3)
+
+
+PARTIAL_TABLES = [pytest.param(arities, entries, id=p.id)
+                  for p in AXIOM_FAILURES
+                  for arities, entries, _ in [p.values]] + [
+    pytest.param({"1": 1, "a": 1, "b": 1, "u": 2, "p": 2, "q": 2},
+                 [("u", 1, "a", "p"), ("p", 2, "b", "q")], id="some-orders"),
+    pytest.param(TERNARY, CONVERGING + [("q2", 3, "c", "r")],
+                 id="converging"),
+    pytest.param({"1": 1, "a": 1, "b": 1, "c": 1}
+                 | {c: 3 for c in THREE_CELLS}, THREE_ORDERS + THREE_LAST,
+                 id="three-orders"),
+]
+
+
+@pytest.mark.parametrize("arities, entries", PARTIAL_TABLES)
+def test_partial_tables_are_swept(arities, entries, no_closed_form):
+    fc = _loop_table(arities, entries)
+    assert not fc._indexed(3).closed
+    check_axioms(fc, 3)
 
 
 # ------------------------------------------------------- renaming invariance
