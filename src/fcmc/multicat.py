@@ -627,31 +627,25 @@ def _count_gamma_fillings(ix, checked, skipped) -> AxiomReport:
     parallel associativity (Markl-Shnider-Stasheff, *Operads in Algebra,
     Topology and Physics*, 2002).  The count for a cell is the number of
     bucket tuples within the budgets, summed by a walk over (arity sum,
-    label sum) weighted by the bucket sizes; cells with the same input
-    edges and label total share it.
+    label sum) weighted by the bucket sizes.
     """
     sizes = {e: [(a, l, len(ks)) for a, l, ks in groups]
              for e, groups in _buckets(ix).items()}
-    memo: dict[tuple, int] = {}
     for u, cell in enumerate(ix.cells):
         if ix.arity[u] < 2:
             continue
-        key = (cell.profile.inputs.edges, ix.totals[u])
-        if key not in memo:
-            budget_l = ix.label_cap - ix.totals[u]
-            # ways[(arity sum, label sum)]: inner tuples of the slots so far
-            ways = {(0, 0): 1}
-            for e in key[0]:
-                step: dict[tuple[int, int], int] = {}
-                for (sum_a, sum_l), w in ways.items():
-                    for a, l, size in sizes.get(e, ()):
-                        if (sum_a + a <= ix.arity_cap
-                                and sum_l + l <= budget_l):
-                            at = (sum_a + a, sum_l + l)
-                            step[at] = step.get(at, 0) + w * size
-                ways = step
-            memo[key] = sum(ways.values())
-        checked += memo[key]
+        budget_l = ix.label_cap - ix.totals[u]
+        # ways[(arity sum, label sum)]: inner tuples of the slots so far
+        ways = {(0, 0): 1}
+        for e in cell.profile.inputs.edges:
+            step: dict[tuple[int, int], int] = {}
+            for (sum_a, sum_l), w in ways.items():
+                for a, l, size in sizes.get(e, ()):
+                    if sum_a + a <= ix.arity_cap and sum_l + l <= budget_l:
+                        at = (sum_a + a, sum_l + l)
+                        step[at] = step.get(at, 0) + w * size
+            ways = step
+        checked += sum(ways.values())
     return AxiomReport(True, None, None, checked, skipped)
 
 
