@@ -372,6 +372,10 @@ def lift_dga(elements: Sequence[tuple[str, int]],
     """
     orig_deg = dict(elements)
     for (x, y), vec in table.items():
+        for w in (x, y, *vec):
+            if w not in orig_deg:
+                raise AlgebraError(
+                    f"product {x}*{y} names unknown element {w!r}")
         for z, c in vec.items():
             _check_exact(c, f"product {x}*{y} -> {z}")
             if c != 0 and orig_deg[z] != orig_deg[x] + orig_deg[y]:

@@ -491,12 +491,10 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
       insertion orders.  On a table certified closed (``_Indexed.closed``)
       these identities follow from the parallel ones just checked, and
       their fillings are counted in closed form
-      (``_count_gamma_fillings``).  Any other table is swept, by a
-      recursion over the sets of inserted slots rather than by replaying
-      every order (exact, because a slot's shift depends only on which
-      slots are already filled; see ``_check_gamma_orders``).  Only a
-      failing filling replays the orders lexicographically, to name its
-      first completing order and the first later one that disagrees.
+      (``_count_gamma_fillings``).  Any other table is swept: every
+      insertion order of every filling is replayed in lexicographic order,
+      and a failure names the first completing order and the first later
+      one that disagrees (``_check_gamma_orders``).
 
     A composite that does not sit over the substituted profile fails as
     "composite profile" (checked after the unit laws, not counted).
@@ -650,8 +648,9 @@ def _count_gamma_fillings(ix, checked, skipped) -> AxiomReport:
 
 
 def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
-    """Decide order-independence of gamma over all full slot fillings, and
-    report it with the counts carried on from ``checked``/``skipped``.
+    """Decide order-independence of gamma over all full slot fillings, by
+    replaying every insertion order, and report it with the counts carried
+    on from ``checked``/``skipped``.
 
     Inner tuples are enumerated depth-first with budget pruning: once the
     partial arity sum (the composite's final input length) or the partial
@@ -661,148 +660,79 @@ def _check_gamma_orders(ix, checked, skipped) -> AxiomReport:
     the largest label total, which no tuple exceeds.  This visits every
     tuple for which any order completes.
 
-    The insertion orders are not replayed one by one.  gamma inserts slot
-    j at its original position shifted by the arities already inserted
-    before it, and that shift depends only on *which* slots are filled,
-    not on the order they were filled in.  So ``states[mask]``, the
-    composites reached by inserting exactly the slots in ``mask`` in some
-    order, is the union over the slots j in ``mask`` of inserting j into
-    each composite of ``states[mask - {j}]``.  Orders stop at their first
-    composite outside the population and so drop out; the full mask holds
-    exactly the results of the orders that complete.  A state is -1 when
-    no order reaches a composite, the one composite's index when all
-    orders that reach one agree, and the set of two or more only once two
-    disagree (:func:`_join`), so the common case allocates nothing.  At the
-    full mask, none means skipped, one means checked, and a set means that
-    two completing orders disagree, which is the failure.  (That the results
-    should coincide is parallel associativity; see Markl-Shnider-Stasheff,
-    *Operads in Algebra, Topology and Physics*, 2002.)
-
-    The recursion runs inside the enumeration: filling slot t computes the
-    masks whose highest slot is t, in increasing order, so every mask it
-    reads is already known, and all tuples below share the masks of the
-    slots before t.  Only a failing tuple replays the orders, in
-    lexicographic order, to name the first completing order and the first
-    later one that disagrees with it (:func:`_gamma_witness`).
+    Each tuple replays its n! insertion orders in lexicographic order.
+    gamma inserts slot j at its original position shifted by the arities
+    already inserted before it, and ``grown[mask]`` holds that shift for
+    the filled slots ``mask``.  An order stops at its first composite
+    outside the population.  A tuple where no order completes is skipped,
+    one where the completing orders agree is checked, and the first later
+    order whose composite differs from the first completing one is the
+    failure, named by (u id, inner ids, the two orders).  (That the
+    results should coincide is parallel associativity; see
+    Markl-Shnider-Stasheff, *Operads in Algebra, Topology and Physics*,
+    2002.)
     """
     cells = ix.cells
     arity = ix.arity
     comp = ix.comp
-    totals = ix.totals
-    arity_cap = ix.arity_cap
-    label_cap = ix.label_cap
     buckets = _buckets(ix)
-    # plan[t] lists each mask m whose highest slot is t, with s = m - {t}
-    # and, for every slot j of m, (m - {j}, j, the slots of m below j)
-    plan = [[(m, m ^ 1 << t,
-              [(m ^ 1 << j, j, m & (1 << j) - 1)
-               for j in range(t + 1) if m >> j & 1])
-             for m in range(1 << t, 2 << t)]
-            for t in range(arity_cap)]
-    counts = [checked, skipped]  # a full state of -1 counts as skipped
 
     for u in range(len(cells)):
         n = arity[u]
         if n < 2:
             continue
-        ins = cells[u].profile.inputs.edges
-        slot_buckets = [buckets.get(e, []) for e in ins]
-        if any(not b for b in slot_buckets):
-            continue
-        budget_a = arity_cap
-        budget_l = (label_cap - totals[u] if ix.labels_add
-                    else n * label_cap)
-        full = (1 << n) - 1
-        inners = [0] * n
-        states: list = [-1] * (1 << n)
-        states[0] = u
-        # shift[mask]: how far the inserted slots of mask move later slots
-        shift = [0] * (1 << n)
-
-        def grow(t: int, sum_a: int, sum_l: int, comp=comp, states=states,
-                 shift=shift, inners=inners) -> Optional[AxiomReport]:
-            # the tables are bound as locals: grow is the innermost loop
-            masks = plan[t]
-            for a, l, ks in slot_buckets[t]:
-                if sum_a + a > budget_a or sum_l + l > budget_l:
-                    continue
-                for m, s, _ in masks:
-                    shift[m] = shift[s] + a - 1
-                for k in ks:
-                    inners[t] = k
-                    for m, _, others in masks:
-                        got = -1
-                        for prev, j, below in others:
-                            state = states[prev]
-                            if state.__class__ is not int:
-                                for r in state:
-                                    got = _join(got, comp[r][
-                                        j + shift[below]].get(inners[j], -1))
-                            elif state >= 0:
-                                c = comp[state][j + shift[below]].get(
-                                    inners[j], -1)
-                                if c >= 0 and c != got:
-                                    got = c if got == -1 else _join(got, c)
-                        states[m] = got
-                    if t + 1 < n:
-                        report = grow(t + 1, sum_a + a, sum_l + l)
-                        if report is not None:
-                            return report
-                    elif states[full].__class__ is not int:
+        slot_buckets = [buckets.get(e, [])
+                        for e in cells[u].profile.inputs.edges]
+        budget_l = (ix.label_cap - ix.totals[u] if ix.labels_add
+                    else n * ix.label_cap)
+        orders = list(permutations(range(n)))
+        for inners in _fillings(slot_buckets, ix.arity_cap, budget_l):
+            grown = [0] * (1 << n)
+            for mask in range(1, 1 << n):
+                low = mask & -mask
+                grown[mask] = (grown[mask ^ low]
+                               + arity[inners[low.bit_length() - 1]] - 1)
+            first = -1
+            for order in orders:
+                r = u
+                done = 0
+                for j in order:
+                    r = comp[r][j + grown[done & (1 << j) - 1]].get(
+                        inners[j], -1)
+                    if r < 0:
+                        break
+                    done |= 1 << j
+                else:
+                    if first < 0:
+                        first, first_order = r, order
+                    elif r != first:
                         # the failing filling is a decided comparison
                         return AxiomReport(
                             False, "gamma order-dependence",
-                            _gamma_witness(ix, u, inners),
-                            counts[0] + 1, counts[1])
-                    else:
-                        counts[states[full] < 0] += 1
-            return None
-
-        report = grow(0, 0, 0)
-        if report is not None:
-            return report
-    return AxiomReport(True, None, None, *counts)
-
-
-def _join(state, c: int):
-    """Add composite ``c`` (-1 for none) to a gamma state: -1 for none,
-    one index, or the set of two or more."""
-    if c < 0 or c == state:
-        return state
-    if state.__class__ is int:
-        return c if state < 0 else {state, c}
-    state.add(c)
-    return state
+                            (cells[u].id,
+                             tuple(cells[k].id for k in inners),
+                             tuple(j + 1 for j in first_order),
+                             tuple(j + 1 for j in order)),
+                            checked + 1, skipped)
+            if first < 0:
+                skipped += 1
+            else:
+                checked += 1
+    return AxiomReport(True, None, None, checked, skipped)
 
 
-def _gamma_witness(ix, u: int, inners: list[int]) -> tuple:
-    """Name a disagreement of gamma on cell u filled with ``inners``.
-
-    Replays every insertion order in lexicographic order on the table and
-    returns (u id, inner ids, first completing order, first later order
-    with a different composite); the caller knows that one exists.
-    """
-    arity = ix.arity
-    comp = ix.comp
-    first = -1
-    first_order = None
-    for order in permutations(range(1, len(inners) + 1)):
-        r = u
-        done: list[int] = []
-        for slot in order:
-            shift = sum(arity[inners[j - 1]] - 1 for j in done if j < slot)
-            r = comp[r][slot + shift - 1].get(inners[slot - 1], -1)
-            if r < 0:
-                break
-            done.append(slot)
-        if r < 0:
-            continue
-        if first < 0:
-            first, first_order = r, order
-        elif r != first:
-            return (ix.cells[u].id, tuple(ix.cells[k].id for k in inners),
-                    first_order, order)
-    raise AssertionError("no two completing orders disagree")
+def _fillings(slot_buckets, budget_a: int, budget_l: int):
+    """The inner tuples, slot by slot and each slot in bucket order, whose
+    arity and label sums stay within the budgets."""
+    if not slot_buckets:
+        yield ()
+        return
+    for a, l, ks in slot_buckets[0]:
+        if a <= budget_a and l <= budget_l:
+            for k in ks:
+                for rest in _fillings(slot_buckets[1:], budget_a - a,
+                                      budget_l - l):
+                    yield (k,) + rest
 
 
 @dataclass(frozen=True)

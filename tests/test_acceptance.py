@@ -351,18 +351,25 @@ def test_acceptance_6_axiom_audit_exhaustive():
     family = graph_family()
     monoid = LabelMonoid(1, 2)
     plain = longer = labeled = 0
+    # every instance is certified closed, so gamma is decided by coherence
+    # and never swept
     for g in family:
-        rep = check_axioms(LoopInstance(g, 3), 3)
+        inst = LoopInstance(g, 3)
+        rep = check_axioms(inst, 3)
         assert rep.ok, (g.edges, rep.summary())
+        assert inst._indexed(3).closed, g.edges
         plain += rep.checked
     for g in family:
-        rep = check_axioms(LoopInstance(g, 4), 4)
+        inst = LoopInstance(g, 4)
+        rep = check_axioms(inst, 4)
         assert rep.ok, (g.edges, rep.summary())
+        assert inst._indexed(4).closed, g.edges
         longer += rep.checked
     for g in family:
-        rep = check_axioms(
-            LoopInstance(g, 3, LabelingFc(g, monoid, False)), 3)
+        inst = LoopInstance(g, 3, LabelingFc(g, monoid, False))
+        rep = check_axioms(inst, 3)
         assert rep.ok, (g.edges, rep.summary())
+        assert inst._indexed(3).closed, g.edges
         labeled += rep.checked
     _line(6, "unit/associativity/order-independence identities hold: "
           f"{plain} on profile-loop instances at length <= 3 and {longer} "

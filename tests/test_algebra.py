@@ -151,6 +151,18 @@ def test_lift_dga_rejects_degree_breaking_table():
         lift_dga([("a", 0), ("b", 1)], {}, {("a", "a"): {"b": 1}})
 
 
+@pytest.mark.parametrize("table, unknown", [
+    ({("1", "u"): {"w": 1}}, "w"),
+    ({("1", "u"): {"w": 0}}, "w"),
+    ({("q", "u"): {"u": 1}}, "q"),
+    ({("1", "q"): {"u": 1}}, "q"),
+])
+def test_lift_dga_rejects_unknown_elements(table, unknown):
+    # an undeclared factor or product is unusable input, not a KeyError
+    with pytest.raises(AlgebraError, match=f"unknown element '{unknown}'"):
+        lift_dga([("1", 0), ("u", 1)], {}, table)
+
+
 @pytest.mark.parametrize("bad", [1.0, True])
 def test_lift_dga_rejects_inexact_coefficients(bad):
     with pytest.raises(ChainError):

@@ -76,6 +76,17 @@ def test_multimap_fraction_coefficients():
     assert xi.sub(xi).is_zero()
 
 
+def test_multimap_add_rejects_a_shape_mismatch():
+    X = end_two_term()
+    xi = multimap(X, ("e",), "e", 0, {("x",): {"x": 1}})
+    for other in (multimap(X, ("e",), "e", 1, {("x",): {"y": 1}}),
+                  multimap(X, (), "e", 0, {(): {"x": 1}})):
+        with pytest.raises(ChainError, match="shape mismatch"):
+            xi.add(other)
+        with pytest.raises(ChainError, match="shape mismatch"):
+            xi.sub(other)
+
+
 @pytest.mark.parametrize("bad", [-3.0, 0.5, True, "1"])
 def test_make_complex_rejects_inexact_coefficients(bad):
     with pytest.raises(ChainError):

@@ -652,6 +652,9 @@ MALFORMED = [
      _edit(_table_doc, lambda d: d["table"][0].update(outer="nowhere"))),
     ("fc-audit", "inner-names-unknown-cell",
      _edit(_table_doc, lambda d: d["table"][0].update(inner="nowhere"))),
+    # the audit asks every used edge for its unit
+    ("fc-audit", "no-unit-for-used-edge",
+     _edit(_table_doc, lambda d: d.update(units={}))),
     ("graph-check", "partition-not-list",
      _edit(_graph_with_partition_doc, lambda d: d.update(partition=5))),
     ("graph-check", "null-ids", lambda: _graph_doc_with_ids(None, None)),
@@ -681,6 +684,7 @@ MALFORMED = [
 
 # the field an error message must name, where that is pinned
 NAMED_FIELD = {"preset-not-string": "field 'preset'",
+               "no-unit-for-used-edge": "error: no unit declared for edge 'e'",
                "repeated-generator": "duplicate generator",
                "repeated-key-reduced": "duplicate key 'reduced'",
                "repeated-key-units": "duplicate key 'e'",

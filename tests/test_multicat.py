@@ -378,6 +378,15 @@ def test_full_sub_restricts_words():
     assert check_axioms(sub, 3).ok
 
 
+def test_full_sub_unit_rejects_an_edge_outside():
+    g = build_pair_graph(["a", "b"])
+    fc = LoopInstance(g, 3)
+    sub = FullSub(fc, build_partition_subgraph(["a", "b"], [["a"], ["b"]]))
+    assert sub.unit("a->a") == fc.unit("a->a")
+    with pytest.raises(GraphError, match="not in the subgraph"):
+        sub.unit("b->a")
+
+
 def test_factor_closed_on_endpoint_closed_sub():
     g = build_pair_graph(["a", "b"])
     fc = LoopInstance(g, 3)
@@ -413,6 +422,14 @@ def test_factor_closed_rejects_foreign_sub():
     other = LoopInstance(h, 2)
     with pytest.raises(GraphError):
         is_factor_closed(fc, other, 2)
+
+
+def test_factor_closed_rejects_a_cell_the_ambient_lacks():
+    # same graph, but the candidate's population reaches length 3 and the
+    # ambient's only length 2
+    g = build_pair_graph(["a", "b"])
+    with pytest.raises(GraphError, match="not a cell of the ambient"):
+        is_factor_closed(LoopInstance(g, 2), LoopInstance(g, 3), 2)
 
 
 def _factor_ids(report):
@@ -898,8 +915,8 @@ THREE_LAST = [("q12", 3, "c", "t3"), ("q13", 2, "b", "t2"),
 
 
 def test_gamma_audit_three_distinct_composites():
-    # the three completing orders reach t3, t2 and t1: the full state is
-    # a set of three, and the witness is the first two orders
+    # the three completing orders reach t3, t2 and t1, and the witness is
+    # the first two orders
     unary = {"1": 1, "a": 1, "b": 1, "c": 1}
     fc = _loop_table(unary | {c: 3 for c in THREE_CELLS},
                      THREE_ORDERS + THREE_LAST)
@@ -1061,11 +1078,42 @@ def test_a_table_with_an_entry_removed_is_swept(no_closed_form):
         full = table_from_instance(make_fc(), 3)
         assert full._indexed(3).closed
         for key in sorted(full.table):
-            rows = {k: r for k, r in full.table.items() if k != key}
-            fc = TableInstance(full.graph, full.cells(), {
-                e: full.unit(e).id for e in full.graph.edge_ids()}, rows)
+            fc = _without_row(full, key)
             assert not fc._indexed(3).closed, key
             check_axioms(fc, 3)
+
+
+def _without_row(full, key):
+    """The table instance ``full`` with row ``key`` dropped."""
+    rows = {k: r for k, r in full.table.items() if k != key}
+    return TableInstance(full.graph, full.cells(), {
+        e: full.unit(e).id for e in full.graph.edge_ids()}, rows)
+
+
+# rows of the one-loop table at arity 5 (fc-audit's default), drawn with a
+# seed fixed here before any run
+ARITY_5_FULL = table_from_instance(LoopInstance(single_loop(), 5), 5)
+ARITY_5_DROPPED = random.Random(20261021).sample(sorted(ARITY_5_FULL.table), 4)
+
+
+@pytest.mark.parametrize("key", ARITY_5_DROPPED, ids=str)
+def test_sweep_matches_the_oracle_at_arity_5(key, no_closed_form,
+                                             monkeypatch):
+    fc = _without_row(ARITY_5_FULL, key)
+    assert not fc._indexed(5).closed
+    got = _gamma_audit(fc, 5)
+    assert got == _gamma_oracle(fc, 5) and got[0] > 0
+    # check_axioms sweeps the same fillings on top of its other counts
+    counts = []
+
+    def sweep(ix, checked, skipped):
+        counts.append((checked, skipped))
+        return _check_gamma_orders(ix, checked, skipped)
+    monkeypatch.setattr(multicat, "_check_gamma_orders", sweep)
+    report = check_axioms(fc, 5)
+    [(checked, skipped)] = counts
+    assert report == AxiomReport(True, None, None, checked + got[0],
+                                 skipped + got[1])
 
 
 class _Dropping(LoopInstance):

@@ -276,6 +276,23 @@ def test_table_instance_round_trip():
     assert check_axioms(inst2, 3).ok
 
 
+def test_labeled_table_instance_round_trip():
+    g = make_graph(["v"], [("e", "v", "v")])
+    loop1 = profile_loop(g, ["e"], "e")
+    cells = [TwoCell("u", loop1, label(0)), TwoCell("p", loop1, label(1)),
+             TwoCell("m", profile_loop(g, ["e", "e"], "e"), label(0))]
+    inst = TableInstance(
+        g, cells, {"e": "u"},
+        {("u", 1, "u"): "u", ("u", 1, "p"): "p", ("p", 1, "u"): "p",
+         ("u", 1, "m"): "m", ("m", 1, "u"): "m", ("m", 2, "u"): "m"})
+    doc = table_instance_to_doc(inst)
+    assert [c.get("label") for c in doc["cells"]] == [[0], [1], [0]]
+    inst2, _ = instance_from_doc(doc, 4)
+    assert inst2.cells() == cells
+    assert table_instance_to_doc(inst2) == doc
+    assert check_axioms(inst2, 3) == check_axioms(inst, 3)
+
+
 def test_instance_from_doc_unknown_kind():
     g = make_graph(["v"], [("e", "v", "v")])
     doc = {"format_version": 1, "kind": "fc-instance", "instance": "weird",
