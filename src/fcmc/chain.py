@@ -9,6 +9,14 @@ multilinear map X(e_1) x .. x X(e_n) -> X(e') stored sparsely by input
 basis tuples.  Arity-0 maps are identified with elements of the output
 complex (their single table key is the empty tuple).
 
+A ``MultiMap``'s table is clean: no key maps to an empty vector and no
+coefficient is zero, so a map is zero exactly when its table is empty and
+two maps of one shape are equal exactly when their tables are.  The
+constructor stores the table it is given; whoever builds a table keeps
+it clean: ``multimap()`` cleans the caller's entries, and ``hat_d``,
+``compose_end``, ``add`` and ``scale`` drop the entries that cancelled
+while they summed.
+
 ``hat_d`` and ``compose_end`` iterate over the stored table entries, so
 their cost scales with the entries a map stores, not with the product of
 the dimensions of its input complexes.
@@ -32,6 +40,17 @@ class ChainError(Exception):
 
 def _clean(vec: Vector) -> Vector:
     return {k: v for k, v in vec.items() if v != 0}
+
+
+def _settle(table: dict[tuple[str, ...], Vector],
+            key: tuple[str, ...]) -> None:
+    """Drop the zero coefficients of ``table[key]``, and the key itself
+    if nothing is left: the clean-up after a sum at that key."""
+    vec = _clean(table[key])
+    if vec:
+        table[key] = vec
+    else:
+        del table[key]
 
 
 def _check_exact(c, where: str) -> None:
@@ -122,10 +141,10 @@ def make_complex(elements: Iterable[tuple[str, int]],
         dx = basis.degree(x)
         for y, c in vec.items():
             _check_exact(c, f"d({x}) -> {y}")
-            if c != 0 and basis.degree(y) != dx + 1:
+            dy = basis.degree(y)
+            if c != 0 and dy != dx + 1:
                 raise ChainError(
-                    f"d({x}) hits {y} of degree {basis.degree(y)}, "
-                    f"expected {dx + 1}")
+                    f"d({x}) hits {y} of degree {dy}, expected {dx + 1}")
     cx = CochainComplex(basis, d)
     for x in basis.ids():
         dd = cx.apply_d(cx.d_of(x))
@@ -142,14 +161,21 @@ class MultiMap:
     Every table key must be a tuple of basis ids of the input complexes
     (multimap() enforces it): hat_d and compose_end read only the stored
     entries and rely on that.
+
+    The table is clean, with no empty vector and no zero coefficient, and
+    the constructor stores it as given: multimap() cleans the caller's
+    entries, and every operation below that sums drops what cancelled.
+    So ``is_zero()`` holds exactly when the table is empty.
     """
+
+    __slots__ = ("inputs", "output", "degree", "table")
 
     def __init__(self, inputs: tuple[str, ...], output: str, degree: int,
                  table: dict[tuple[str, ...], Vector]):
         self.inputs = tuple(inputs)
         self.output = output
         self.degree = degree
-        self.table = {k: cv for k, v in table.items() if (cv := _clean(v))}
+        self.table = table
 
     def arity(self) -> int:
         return len(self.inputs)
@@ -164,10 +190,16 @@ class MultiMap:
         self._check_shape(other)
         acc = {k: dict(v) for k, v in self.table.items()}
         for k, v in other.table.items():
-            _add_into(acc.setdefault(k, {}), v)
+            if k in acc:
+                _add_into(acc[k], v)
+                _settle(acc, k)
+            else:
+                acc[k] = dict(v)
         return MultiMap(self.inputs, self.output, self.degree, acc)
 
     def scale(self, c: Scalar) -> "MultiMap":
+        if c == 0:
+            return MultiMap(self.inputs, self.output, self.degree, {})
         return MultiMap(self.inputs, self.output, self.degree,
                         {k: {y: c * x for y, x in v.items()}
                          for k, v in self.table.items()})
@@ -221,11 +253,13 @@ class EndX:
 
 def multimap(X: EndX, inputs: Sequence[str], output: str, degree: int,
              entries: dict[tuple[str, ...], Vector]) -> MultiMap:
-    """Validated constructor: every entry must be degree-consistent and
-    every coefficient exact."""
+    """Validated constructor: every basis id must be declared, every
+    nonzero entry degree-consistent and every coefficient exact.  Zero
+    coefficients and entries left empty are dropped."""
     inputs = tuple(inputs)
     cxs = [X.complex(e) for e in inputs]
     out_cx = X.complex(output)
+    table: dict[tuple[str, ...], Vector] = {}
     for key, vec in entries.items():
         key = tuple(key)
         if len(key) != len(inputs):
@@ -233,12 +267,14 @@ def multimap(X: EndX, inputs: Sequence[str], output: str, degree: int,
         in_deg = sum(cx.degree(x) for cx, x in zip(cxs, key))
         for y, c in vec.items():
             _check_exact(c, f"entry {key} -> {y}")
-            if c != 0 and out_cx.degree(y) != in_deg + degree:
+            dy = out_cx.degree(y)
+            if c != 0 and dy != in_deg + degree:
                 raise ChainError(
                     f"entry {key} -> {y}: degree "
-                    f"{out_cx.degree(y)} != {in_deg} + {degree}")
-    return MultiMap(inputs, output, degree, {tuple(k): dict(v)
-                                             for k, v in entries.items()})
+                    f"{dy} != {in_deg} + {degree}")
+        if cv := _clean(vec):
+            table[key] = cv
+    return MultiMap(inputs, output, degree, table)
 
 
 def zero_map(X: EndX, inputs: Sequence[str], output: str,
@@ -279,7 +315,8 @@ def hat_d(X: EndX, xi: MultiMap) -> MultiMap:
                           vec, -sign * c)
             if cx.degree(y) % 2:
                 sign = -sign
-    return MultiMap(xi.inputs, xi.output, xi.degree + 1, table)
+    return MultiMap(xi.inputs, xi.output, xi.degree + 1,
+                    {k: cv for k, v in table.items() if (cv := _clean(v))})
 
 
 def compose_end(X: EndX, xi1: MultiMap, i: int, xi2: MultiMap,
@@ -289,36 +326,51 @@ def compose_end(X: EndX, xi1: MultiMap, i: int, xi2: MultiMap,
 
     xi1's entries are grouped by their slot-i basis id, so each entry of
     xi2 meets only the entries of xi1 it feeds.  A zero factor gives the
-    zero map at once, after the slot and output checks.
+    zero map at once, after the slot and output checks.  Only the keys
+    that more than one product reaches can cancel, so only those are
+    cleaned.
 
     sign_fault drops that sign; it exists to demonstrate that the dg laws
     detect it.
     """
-    if not 1 <= i <= xi1.arity():
-        raise CompositionError(
-            f"slot {i} out of range 1..{xi1.arity()}")
+    n = len(xi1.inputs)
+    if not 1 <= i <= n:
+        raise CompositionError(f"slot {i} out of range 1..{n}")
     if xi1.inputs[i - 1] != xi2.output:
         raise CompositionError(
             f"slot {i} expects {xi1.inputs[i - 1]!r}, inner map produces "
             f"{xi2.output!r}")
     new_inputs = xi1.inputs[:i - 1] + xi2.inputs + xi1.inputs[i:]
+    degree = xi1.degree + xi2.degree
     if not xi1.table or not xi2.table:
-        return MultiMap(new_inputs, xi1.output, xi1.degree + xi2.degree, {})
-    signed = xi2.degree % 2 and not sign_fault
-    pre_cxs = [X.complex(e) for e in xi1.inputs[:i - 1]]
+        return MultiMap(new_inputs, xi1.output, degree, {})
+    # the degrees of the arguments xi2 moves past, read only when the sign
+    # can be -1
+    pre_degs = None
+    if xi2.degree % 2 and i > 1 and not sign_fault:
+        pre_degs = [X.complex(e).basis._deg for e in xi1.inputs[:i - 1]]
     by_slot: dict[str, list[tuple[tuple, tuple, int, Vector]]] = {}
     for key, vec in xi1.table.items():
-        pre = key[:i - 1]
-        sign = -1 if signed and sum(
-            cx.degree(x) for cx, x in zip(pre_cxs, pre)) % 2 else 1
-        by_slot.setdefault(key[i - 1], []).append((pre, key[i:], sign, vec))
+        sign = -1 if pre_degs and sum(
+            deg[x] for deg, x in zip(pre_degs, key)) % 2 else 1
+        by_slot.setdefault(key[i - 1], []).append(
+            (key[:i - 1], key[i:], sign, vec))
     table: dict[tuple[str, ...], Vector] = {}
+    summed: set[tuple[str, ...]] = set()
     for mid, inner in xi2.table.items():
         for m, cm in inner.items():
             for pre, post, sign, vec in by_slot.get(m, ()):
-                _add_into(table.setdefault(pre + mid + post, {}), vec,
-                          sign * cm)
-    return MultiMap(new_inputs, xi1.output, xi1.degree + xi2.degree, table)
+                key = pre + mid + post
+                c = sign * cm
+                acc = table.get(key)
+                if acc is None:
+                    table[key] = {y: c * v for y, v in vec.items()}
+                else:
+                    _add_into(acc, vec, c)
+                    summed.add(key)
+    for key in summed:
+        _settle(table, key)
+    return MultiMap(new_inputs, xi1.output, degree, table)
 
 
 @dataclass(frozen=True)
@@ -361,10 +413,20 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
     Each composite of two population maps is computed once, in the
     Leibniz check, and kept in ``comps[a, i, b]`` (population indices and
     slot); the partial-composition identities read it from there.
+    ``slots[a]`` maps an edge to the slots of pop[a] that take it, so the
+    loops visit only the slots an inner map fits, in ascending order.
     """
     from .graphs import enumerate_profile_loops
     loops = enumerate_profile_loops(X.graph, arity_bound)
     pop = _population(X, loops)
+    arity = [len(xi.inputs) for xi in pop]
+    odd = [xi.degree % 2 for xi in pop]
+    slots: list[dict[str, list[int]]] = []
+    for xi in pop:
+        by_edge: dict[str, list[int]] = {}
+        for i, e in enumerate(xi.inputs, 1):
+            by_edge.setdefault(e, []).append(i)
+        slots.append(by_edge)
     checked = 0
 
     def fail(what, wit):
@@ -383,8 +445,8 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
         d_pop.append(d_xi)
         checked += 1
     # unit laws
-    for xi in pop:
-        for i in range(1, xi.arity() + 1):
+    for a, xi in enumerate(pop):
+        for i in range(1, arity[a] + 1):
             if compose_end(X, xi, i, units[xi.inputs[i - 1]]) != xi:
                 return fail("xi o_i id != xi", f"{xi!r} slot {i}")
             checked += 1
@@ -394,14 +456,13 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
     # Leibniz
     comps: dict[tuple[int, int, int], MultiMap] = {}
     for a, (xi1, d_xi1) in enumerate(zip(pop, d_pop)):
+        into1 = slots[a]
+        s = -1 if odd[a] else 1
         for b, (xi2, d_xi2) in enumerate(zip(pop, d_pop)):
-            for i in range(1, xi1.arity() + 1):
-                if xi1.inputs[i - 1] != xi2.output:
-                    continue
+            for i in into1.get(xi2.output, ()):
                 comp = comps[a, i, b] = compose_end(X, xi1, i, xi2,
                                                     sign_fault=sign_fault)
                 lhs = hat_d(X, comp)
-                s = -1 if xi1.degree % 2 else 1
                 rhs = compose_end(X, d_xi1, i, xi2,
                                   sign_fault=sign_fault).add(
                     compose_end(X, xi1, i, d_xi2,
@@ -414,16 +475,15 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
                 checked += 1
     # partial-composition identities
     for a, xi1 in enumerate(pop):
+        into1 = slots[a]
         for b, xi2 in enumerate(pop):
-            for i in range(1, xi1.arity() + 1):
-                if xi1.inputs[i - 1] != xi2.output:
-                    continue
+            into2 = slots[b]
+            for i in into1.get(xi2.output, ()):
                 left = comps[a, i, b]
                 for c, xi3 in enumerate(pop):
+                    e3 = xi3.output
                     # nested
-                    for j in range(1, xi2.arity() + 1):
-                        if xi2.inputs[j - 1] != xi3.output:
-                            continue
+                    for j in into2.get(e3, ()):
                         lhs = compose_end(X, left, i - 1 + j, xi3,
                                           sign_fault=sign_fault)
                         rhs = compose_end(X, xi1, i, comps[b, j, c],
@@ -433,12 +493,12 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
                                         f"{xi1!r} {xi2!r} {xi3!r} i={i} j={j}")
                         checked += 1
                     # parallel, i < k
-                    for k in range(i + 1, xi1.arity() + 1):
-                        if xi1.inputs[k - 1] != xi3.output:
+                    for k in into1.get(e3, ()):
+                        if k <= i:
                             continue
-                        lhs = compose_end(X, left, k - 1 + xi2.arity(), xi3,
+                        lhs = compose_end(X, left, k - 1 + arity[b], xi3,
                                           sign_fault=sign_fault)
-                        s = -1 if (xi2.degree * xi3.degree) % 2 else 1
+                        s = -1 if odd[b] and odd[c] else 1
                         rhs = compose_end(X, comps[a, k, c], i, xi2,
                                           sign_fault=sign_fault).scale(s)
                         if lhs != rhs:

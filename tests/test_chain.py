@@ -1,5 +1,6 @@
 from fractions import Fraction
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +86,28 @@ def test_multimap_add_rejects_a_shape_mismatch():
             xi.add(other)
         with pytest.raises(ChainError, match="shape mismatch"):
             xi.sub(other)
+
+
+def test_an_unknown_basis_id_is_rejected_whatever_its_coefficient():
+    for c in (0, 1):
+        with pytest.raises(ChainError, match="unknown basis id 'w'"):
+            make_complex([("x", 0), ("y", 1)], {"x": {"w": c}})
+        with pytest.raises(ChainError, match="unknown basis id 'w'"):
+            make_complex([("x", 0), ("y", 1)], {"w": {"y": c}})
+        with pytest.raises(ChainError, match="unknown basis id 'w'"):
+            multimap(end_two_term(), ["e"], "e", 1, {("x",): {"w": c}})
+        with pytest.raises(ChainError, match="unknown basis id 'w'"):
+            multimap(end_two_term(), ["e"], "e", 1, {("w",): {"y": c}})
+
+
+def test_multimap_drops_zero_coefficients():
+    # a zero coefficient to a declared id is dropped, whatever its degree
+    X = end_two_term()
+    xi = multimap(X, ["e"], "e", 1, {("x",): {"y": 1, "x": 0},
+                                     ("y",): {"x": 0}})
+    assert xi.table == {("x",): {"y": 1}}
+    assert multimap(X, ["e"], "e", 1, {("y",): {"x": 0}}).is_zero()
+    assert make_complex([("x", 0), ("y", 1)], {"x": {"x": 0}}).d == {}
 
 
 @pytest.mark.parametrize("bad", [-3.0, 0.5, True, "1"])
@@ -303,6 +326,109 @@ def test_check_end_dg_sign_fault_first_failures_pinned():
         1449)
 
 
+END_GRAPHS = {
+    "loop": (["v"], [("e", "v", "v")]),
+    "two-loop": (["v"], [("e", "v", "v"), ("f", "v", "v")]),
+    "two-vertex": (["v0", "v1"], [("e0", "v0", "v0"), ("e01", "v0", "v1"),
+                                  ("e1", "v1", "v1")]),
+}
+
+
+def _seeded_end(graph, dims, seed):
+    """EndX over a named graph with a seeded complex of the given dim on
+    each edge: degrees in -1..1, d pairing elements one degree apart (each
+    element used at most once, so d^2 = 0)."""
+    rng = random.Random(seed)
+    verts, edges = END_GRAPHS[graph]
+    cxs = {}
+    for (e, _, _), dim in zip(edges, dims):
+        degs = {f"{e}{n}": rng.randint(-1, 1) for n in range(dim)}
+        d, used = {}, set()
+        for x, dx in degs.items():
+            for y, dy in degs.items():
+                if dy == dx + 1 and not used & {x, y} \
+                        and rng.random() < 0.7:
+                    d[x] = {y: rng.choice((1, -1, 2, -2))}
+                    used.update((x, y))
+        cxs[e] = make_complex(list(degs.items()), d)
+    return EndX(make_graph(verts, edges), cxs)
+
+
+# (graph, dims, arity bound, seed, sign_fault) -> (ok, checked, failure,
+# witness, compose_end calls): fixed values, so a change to the audit's
+# loops that drops, adds or reorders an identity fails here
+END_DG_PINS = {
+    ("loop", (1,), 2, 1, False): (True, 55, None, None, 105),
+    ("loop", (1,), 2, 1, True): (
+        False, 28, "parallel composition identity fails",
+        "MultiMap((e,e;e) deg 1, 1 entries) "
+        "MultiMap((;e) deg -1, 1 entries) "
+        "MultiMap((;e) deg -1, 1 entries) i=1 k=2",
+        53),
+    ("loop", (2,), 2, 1, False): (True, 7497, None, None, 15210),
+    ("loop", (2,), 2, 1, True): (
+        False, 1449, "parallel composition identity fails",
+        "MultiMap((e,e;e) deg 1, 1 entries) "
+        "MultiMap((;e) deg -1, 1 entries) "
+        "MultiMap((;e) deg -1, 1 entries) i=1 k=2",
+        3116),
+    ("loop", (2,), 2, 4, False): (True, 7497, None, None, 15210),
+    ("loop", (2,), 2, 4, True): (
+        False, 114, "Leibniz identity fails for hat_d against composition",
+        "MultiMap((e,e;e) deg 1, 1 entries) o_2 "
+        "MultiMap((e;e) deg -1, 1 entries)",
+        232),
+    ("two-loop", (1, 1), 2, 1, False): (True, 1982, None, None, 4038),
+    ("two-loop", (1, 1), 2, 1, True): (
+        False, 470, "parallel composition identity fails",
+        "MultiMap((e,e;e) deg 1, 1 entries) "
+        "MultiMap((;e) deg -1, 1 entries) "
+        "MultiMap((;e) deg -1, 1 entries) i=1 k=2",
+        1016),
+    ("two-loop", (2, 1), 1, 4, False): (True, 395, None, None, 801),
+    ("two-loop", (2, 1), 1, 4, True): (True, 395, None, None, 801),
+    ("two-loop", (2, 2), 1, 1, False): (True, 1498, None, None, 3076),
+    ("two-loop", (2, 2), 1, 1, True): (True, 1498, None, None, 3076),
+    ("two-vertex", (1, 1, 1), 2, 0, False): (True, 218, None, None, 425),
+    ("two-vertex", (1, 1, 1), 2, 0, True): (
+        False, 177, "parallel composition identity fails",
+        "MultiMap((e01,e1;e01) deg 1, 1 entries) "
+        "MultiMap((e01,e1;e01) deg 1, 1 entries) "
+        "MultiMap((;e1) deg -1, 1 entries) i=1 k=2",
+        345),
+    ("two-vertex", (1, 2, 1), 2, 0, False): (True, 2699, None, None, 5498),
+    ("two-vertex", (1, 2, 1), 2, 0, True): (True, 2699, None, None, 5498),
+    ("two-vertex", (2, 1, 1), 2, 4, False): (True, 8496, None, None, 17229),
+    ("two-vertex", (2, 1, 1), 2, 4, True): (
+        False, 147, "Leibniz identity fails for hat_d against composition",
+        "MultiMap((e0,e0;e0) deg 1, 1 entries) o_2 "
+        "MultiMap((e0;e0) deg -1, 1 entries)",
+        270),
+    ("two-vertex", (2, 2, 2), 1, 4, False): (True, 367, None, None, 732),
+    ("two-vertex", (2, 2, 2), 1, 4, True): (True, 367, None, None, 732),
+}
+
+
+@pytest.mark.parametrize("case", list(END_DG_PINS), ids=str)
+def test_check_end_dg_reports_and_call_counts_pinned(monkeypatch, case):
+    # every identity is computed: the compose_end calls are pinned with
+    # the report
+    import fcmc.chain as chain
+    graph, dims, arity, seed, sign_fault = case
+    compose = chain.compose_end
+    calls = []
+
+    def counting(X, xi1, i, xi2, sign_fault=False):
+        calls.append(i)
+        return compose(X, xi1, i, xi2, sign_fault=sign_fault)
+
+    monkeypatch.setattr(chain, "compose_end", counting)
+    rep = check_end_dg(_seeded_end(graph, dims, seed), arity,
+                       sign_fault=sign_fault)
+    assert (rep.ok, rep.checked, rep.failure, rep.witness, len(calls)) == \
+        END_DG_PINS[case]
+
+
 class _Wrong:
     """A faulted result: equal to no map, and not zero."""
 
@@ -314,27 +440,38 @@ def _is_identity(X, xi):
     return xi.arity() == 1 and xi == identity_map(X, xi.output)
 
 
-def _checks_before_first_nested(pop):
+def _checks_before_first(pop, kind):
     """The population checks ``check_end_dg`` makes before its first
-    nested-identity check, in its loop order, and that check's witness."""
+    ``kind`` check ("Leibniz", "nested" or "parallel"), in its loop order,
+    and that check's witness."""
     n = len(pop) + sum(xi.arity() + 1 for xi in pop)   # hat_d^2, unit laws
     pairs = [(xi1, i, xi2) for xi1 in pop for xi2 in pop
              for i in range(1, xi1.arity() + 1)
              if xi1.inputs[i - 1] == xi2.output]
+    if kind == "Leibniz":
+        xi1, i, xi2 = pairs[0]
+        return n, f"{xi1!r} o_{i} {xi2!r}"
     n += len(pairs)                                    # Leibniz
     for xi1, i, xi2 in pairs:
         for xi3 in pop:
             for j in range(1, xi2.arity() + 1):
                 if xi2.inputs[j - 1] == xi3.output:
-                    return n, f"{xi1!r} {xi2!r} {xi3!r} i={i} j={j}"
-            n += sum(xi1.inputs[k - 1] == xi3.output  # parallel
-                     for k in range(i + 1, xi1.arity() + 1))
-    raise AssertionError("no nested check")
+                    if kind == "nested":
+                        return n, f"{xi1!r} {xi2!r} {xi3!r} i={i} j={j}"
+                    n += 1
+            for k in range(i + 1, xi1.arity() + 1):
+                if xi1.inputs[k - 1] == xi3.output:
+                    if kind == "parallel":
+                        return n, f"{xi1!r} {xi2!r} {xi3!r} i={i} k={k}"
+                    n += 1
+    raise AssertionError(f"no {kind} check")
 
 
 @pytest.mark.parametrize("failure", [
     "hat_d(identity) != 0", "hat_d^2 != 0", "xi o_i id != xi",
-    "id o_1 xi != xi", "nested composition identity fails"])
+    "id o_1 xi != xi", "Leibniz identity fails for hat_d against composition",
+    "nested composition identity fails",
+    "parallel composition identity fails"])
 def test_check_end_dg_failure_branches(monkeypatch, failure):
     # one injected fault per branch; the report stops at the first check
     # the fault breaks
@@ -373,24 +510,55 @@ def test_check_end_dg_failure_branches(monkeypatch, failure):
         made.append(compose(X, xi1, i, xi2, sign_fault=sign_fault))
         return made[-1]
 
+    # composite id -> (composite, the slot and width of its inner block);
+    # holding the composite keeps its id unique
+    blocks = {}
+
+    def recording(X, xi1, i, xi2, sign_fault=False):
+        comp = compose(X, xi1, i, xi2, sign_fault=sign_fault)
+        blocks[id(comp)] = comp, i, xi2.arity()
+        return comp
+
+    def hat_d_of_a_composite(X, xi):
+        return _Wrong() if id(xi) in blocks else hat(X, xi)
+
+    def after_the_block(X, xi1, i, xi2, sign_fault=False):
+        # a composite fed at a slot after its inner block: only the
+        # parallel identity's left side composes so
+        if id(xi1) in blocks:
+            _, at, width = blocks[id(xi1)]
+            if i >= at + width:
+                return _Wrong()
+        return recording(X, xi1, i, xi2, sign_fault=sign_fault)
+
     first = next(k for k, xi in enumerate(pop) if xi.arity())
-    nested_checked, nested_witness = _checks_before_first_nested(pop)
-    name, fault, checked, witness = {
-        "hat_d(identity) != 0": ("hat_d", hat_d_of_identity, 0, "edge e"),
-        "hat_d^2 != 0": ("hat_d", hat_d_of_a_differential, edges,
+    nested_checked, nested_witness = _checks_before_first(pop, "nested")
+    leibniz_checked, leibniz_witness = _checks_before_first(pop, "Leibniz")
+    parallel_checked, parallel_witness = _checks_before_first(pop,
+                                                              "parallel")
+    faults, checked, witness = {
+        "hat_d(identity) != 0": ({"hat_d": hat_d_of_identity}, 0, "edge e"),
+        "hat_d^2 != 0": ({"hat_d": hat_d_of_a_differential}, edges,
                          repr(pop[0])),
         "xi o_i id != xi": (
-            "compose_end", onto_identity,
+            {"compose_end": onto_identity},
             edges + len(pop) + sum(xi.arity() + 1 for xi in pop[:first]),
             f"{pop[first]!r} slot 1"),
-        "id o_1 xi != xi": ("compose_end", identity_first,
+        "id o_1 xi != xi": ({"compose_end": identity_first},
                             edges + len(pop) + pop[0].arity(),
                             repr(pop[0])),
+        "Leibniz identity fails for hat_d against composition": (
+            {"compose_end": recording, "hat_d": hat_d_of_a_composite},
+            edges + leibniz_checked, leibniz_witness),
         "nested composition identity fails": (
-            "compose_end", into_a_composite, edges + nested_checked,
+            {"compose_end": into_a_composite}, edges + nested_checked,
             nested_witness),
+        "parallel composition identity fails": (
+            {"compose_end": after_the_block}, edges + parallel_checked,
+            parallel_witness),
     }[failure]
-    monkeypatch.setattr(chain, name, fault)
+    for name, fault in faults.items():
+        monkeypatch.setattr(chain, name, fault)
     rep = check_end_dg(X, 2)
     assert not rep.ok
     assert (rep.failure, rep.witness, rep.checked) == (
@@ -539,3 +707,93 @@ def test_hat_d_and_compose_end_match_dense_oracle(data):
             assert got.table == ref_compose(
                 [cxs[e] for e in w1], t1, i, [cxs[e] for e in w2], deg2, t2,
                 sign_fault)
+
+
+# ------------------------------------------------------ clean-table invariant
+
+
+def _assert_clean(xi):
+    """No stored vector is empty and no stored coefficient is zero, so the
+    map is zero exactly when its table is empty."""
+    for key, vec in xi.table.items():
+        assert vec, f"empty vector at {key}"
+        assert all(c != 0 for c in vec.values()), f"zero at {key}: {vec}"
+    assert xi.is_zero() == (xi.table == {})
+
+
+def _cancelling(degs, t1, i, c):
+    """A table t and an element m1 + c*m2 of the slot-i complex (degrees
+    ``degs``) whose composite at slot i cancels at one key, or None.
+
+    For an entry (pre, m1, post) of t1 and an id m2 != m1 of m1's degree,
+    t is t1 with (pre, m2, post) set to minus t1's value there over c, so
+    the two products reaching pre + post sum to zero; m2 has m1's degree,
+    so t stays homogeneous."""
+    for key, vec in t1.items():
+        m1 = key[i - 1]
+        for m2, deg in degs.items():
+            if m2 != m1 and deg == degs[m1]:
+                pre, post = key[:i - 1], key[i:]
+                t = dict(t1)
+                t[pre + (m2,) + post] = {y: -v / Fraction(c)
+                                         for y, v in vec.items()}
+                return t, {(): {m1: 1, m2: c}}, deg, pre + post
+    return None
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_results_keep_the_table_clean(data):
+    cxs = data.draw(plain_complexes())
+    g = make_graph(["v"], [(e, "v", "v") for e in ORACLE_EDGES])
+    X = EndX(g, {e: make_complex(list(degs.items()), d)
+                 for e, (degs, d) in cxs.items()})
+    w1 = data.draw(words())
+    out1 = data.draw(st.sampled_from(ORACLE_EDGES))
+    deg1, t1 = data.draw(plain_map(cxs, w1, out1))
+    xi1 = multimap(X, w1, out1, deg1, t1)
+    # xi1 reweighted: each coefficient kept, negated, zeroed or replaced,
+    # so that sums with xi1 cancel at some keys
+    other = multimap(X, w1, out1, deg1, {
+        k: {y: data.draw(st.sampled_from((v, -v, 0) + COEFFS))
+            for y, v in vec.items()} for k, vec in t1.items()})
+    c = data.draw(st.sampled_from(COEFFS))
+    zeros = [hat_d(X, hat_d(X, xi1)), xi1.add(xi1.scale(-1)), xi1.sub(xi1),
+             xi1.scale(0), hat_d(X, identity_map(X, out1))]
+    assert all(z.table == {} for z in zeros)
+    results = zeros + [xi1, hat_d(X, xi1), xi1.scale(c), xi1.add(other),
+                       xi1.sub(other), xi1.add(other.scale(c))]
+    for i in range(1, len(w1) + 1):
+        w2 = data.draw(words())
+        deg2, t2 = data.draw(plain_map(cxs, w2, w1[i - 1]))
+        xi2 = multimap(X, w2, w1[i - 1], deg2, t2)
+        for sign_fault in (False, True):
+            results.append(compose_end(X, xi1, i, xi2,
+                                       sign_fault=sign_fault))
+        forced = _cancelling(cxs[w1[i - 1]][0], t1, i, c)
+        if forced is not None:
+            t, element, deg, key = forced
+            for sign_fault in (False, True):
+                comp = compose_end(X, multimap(X, w1, out1, deg1, t), i,
+                                   multimap(X, (), w1[i - 1], deg, element),
+                                   sign_fault=sign_fault)
+                assert key not in comp.table
+                results.append(comp)
+    for r in results:
+        _assert_clean(r)
+
+
+def test_cancelling_sums_leave_no_entry():
+    # two products reach the key (); their sum cancels
+    g = make_graph(["v"], [("e", "v", "v")])
+    X = EndX(g, {"e": make_complex([("p", 0), ("q", 0)])})
+    xi1 = multimap(X, ["e"], "e", 0, {("p",): {"p": 1}, ("q",): {"p": -1}})
+    xi2 = multimap(X, [], "e", 0, {(): {"p": 1, "q": 1}})
+    assert compose_end(X, xi1, 1, xi2).table == {}
+    # hat_d of an identity cancels at every key d reaches
+    Y = EndX(g, {"e": make_complex([("a", 0), ("b", 1), ("b2", 1)],
+                                   {"a": {"b": 1, "b2": -2}})})
+    assert hat_d(Y, identity_map(Y, "e")).table == {}
+    xi = multimap(Y, ["e"], "e", 0, {("a",): {"a": 1}})
+    assert xi.add(xi.scale(-1)).table == {}
+    assert xi.scale(0).table == {}

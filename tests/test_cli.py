@@ -630,6 +630,14 @@ MALFORMED = [
      _edit(dual_doc, lambda d: d.update(complexes=[]))),
     ("algebra-check", "preset-not-string",
      _edit(dual_doc, lambda d: d.update(preset=5))),
+    # an id no basis declares is malformed whatever its coefficient
+    ("algebra-check", "zero-entry-to-unknown-id",
+     _edit(dual_doc, lambda d: d["assignment"][0]["entries"].append(
+         dict(d["assignment"][0]["entries"][0], output="nowhere",
+              coeff="0")))),
+    ("algebra-check", "zero-differential-to-unknown-id",
+     _edit(dual_doc, lambda d: d["complexes"]["e"]["differential"].append(
+         {"from": "1", "to": "nowhere", "coeff": "0"}))),
     ("fc-audit", "unit-names-unknown-cell",
      _edit(_table_doc, lambda d: d.update(units={"e": "nowhere"}))),
     ("fc-audit", "result-names-unknown-cell",
@@ -684,6 +692,9 @@ MALFORMED = [
 
 # the field an error message must name, where that is pinned
 NAMED_FIELD = {"preset-not-string": "field 'preset'",
+               "zero-entry-to-unknown-id": "unknown basis id 'nowhere'",
+               "zero-differential-to-unknown-id":
+                   "unknown basis id 'nowhere'",
                "no-unit-for-used-edge": "error: no unit declared for edge 'e'",
                "repeated-generator": "duplicate generator",
                "repeated-key-reduced": "duplicate key 'reduced'",
