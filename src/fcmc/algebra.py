@@ -3,12 +3,16 @@ relations, two independent ways.
 
 The generic route interprets a candidate assignment as a map out of a free
 dg structure: for every generator m it compares hat_d(alpha(m)) with
-alpha(delta(m)), where alpha evaluates decorated trees through the
-endomorphism composition.  The direct route re-derives the displayed
-relation sums (with the internal differential substituted for the
-identity-shaped index) from scratch, sharing no composition or
-differential code with the generic route.  Agreement of the two is itself
-a checked property.
+alpha(delta(m)).  The meaning of alpha on a cell is ``evaluate_alpha``,
+which evaluates decorated trees through the endomorphism composition, and
+``FreeDgFc.delta_generator`` gives delta(m) as a cell.  Since delta(m) is a
+sum of two-node trees, the generic route never builds that cell: it sums
+c * alpha(outer) o_(q+1) alpha(inner) over m's compiled rule records
+(outer, inner, q, c), looking alpha up by node id.  The direct route
+re-derives the displayed relation sums (with the internal differential
+substituted for the identity-shaped index) from scratch, sharing no
+composition or differential code with the generic route.  Agreement of
+the two is itself a checked property.
 """
 from __future__ import annotations
 
@@ -169,12 +173,14 @@ def check_algebra(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
                   label_bound: Optional[int] = None) -> RelationReport:
     """The defining condition, generator by generator: applying the
     differential to the assigned map must equal the assignment applied to
-    the generator's differential."""
+    the generator's differential.  One node-id index of alpha serves
+    every generator of the check."""
     cap = fc.monoid.cap(label_bound)
     failures = []
     gens = fc.generators(arity_bound, cap)
+    alpha = _AlphaByNode(fc, A)
     for gen in gens:
-        residue = algebra_residue(fc, A, gen)
+        residue = _residue(fc, A, alpha, gen)
         if not residue.is_zero():
             key = residue.support()[0]
             failures.append(RelationFailure(
@@ -186,9 +192,48 @@ def check_algebra(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
 
 def algebra_residue(fc: FreeDgFc, A: AlgebraData,
                     gen: GeneratorSpec) -> MultiMap:
-    """hat_d(alpha(m)) - alpha(delta(m)) for one generator m."""
-    return hat_d(A.X, A.alpha_of(gen)).sub(
-        evaluate_alpha(A, fc.delta_generator(gen)))
+    """hat_d(alpha(m)) - alpha(delta(m)) for one generator m, which is
+    ``hat_d(A.alpha_of(m)).sub(evaluate_alpha(A, fc.delta_generator(m)))``
+    computed over m's rule records (see :func:`_residue`)."""
+    return _residue(fc, A, _AlphaByNode(fc, A), gen)
+
+
+class _AlphaByNode(dict):
+    """alpha by node id, for one check: each id's spec is resolved through
+    the assignment the first time it is asked for.  A zero map is kept as
+    None, so its records can be skipped.  Rule records hold generators
+    only, never a unit (see ``FreeDgFc``)."""
+
+    def __init__(self, fc: FreeDgFc, A: AlgebraData):
+        super().__init__()
+        self.nodes, self.assignment = fc._nodes, A.assignment
+
+    def __missing__(self, node: int) -> Optional[MultiMap]:
+        xi = self.assignment.get(self.nodes[node])
+        xi = self[node] = xi if xi is not None and xi.table else None
+        return xi
+
+
+def _residue(fc: FreeDgFc, A: AlgebraData, alpha: _AlphaByNode,
+             gen: GeneratorSpec) -> MultiMap:
+    """hat_d(alpha(m)) minus c * alpha(outer) o_(q+1) alpha(inner) summed
+    over m's rule records (outer, inner, q, c): alpha(delta(m)) term by
+    term, with no cell or tree built.  A record with a zero factor is
+    skipped; the sum goes into one table, cleaned once at the end."""
+    X = A.X
+    xi = A.assignment.get(gen)
+    table = hat_d(X, xi).table if xi is not None else {}
+    for outer, inner, q, c in fc._records(gen):
+        xo = alpha[outer]
+        if xo is None:
+            continue
+        xn = alpha[inner]
+        if xn is None:
+            continue
+        for key, vec in compose_end(X, xo, q + 1, xn).table.items():
+            _add_into(table.setdefault(key, {}), vec, -c)
+    return MultiMap(gen.profile.inputs.edges, gen.profile.output, 2,
+                    {k: cv for k, v in table.items() if (cv := _clean(v))})
 
 
 # -------------------------------------------------------------- direct route

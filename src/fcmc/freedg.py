@@ -198,12 +198,19 @@ def format_tree(t: CompTree) -> str:
 
 
 def validate_tree(t: CompTree) -> None:
-    """Check output edges of children against the node's input word."""
+    """Check output edges of children against the node's input word.
+
+    A unit node takes no subtree: grafting onto a unit gives the subtree
+    itself (see ``signed_graft``), so a cell never holds one."""
     ins = t.gen.profile.inputs.edges
     if len(t.children) != len(ins):
         raise CompositionError(
             f"node {t.gen.name} has {len(t.children)} children for "
             f"{len(ins)} inputs")
+    if t.gen.is_unit() and not all(isinstance(c, str) for c in t.children):
+        raise CompositionError(
+            f"unit {t.gen.name} has a subtree child; a unit takes only "
+            f"its leaf")
     for c, eid in zip(t.children, ins):
         if isinstance(c, str):
             if c != eid:
@@ -383,8 +390,9 @@ class FreeDgFc:
     A unit spec is numbered when a walked tree first holds it.  Each
     node's rule is kept as records over node ids only, compiled once from
     ``_splittings`` or off a custom rule's cell: ``delta`` splices them
-    into words, the d^2 sweep squares a generator on their two-node words
-    and ``delta_generator`` reads its cell off them.  No tree or word is
+    into words, the d^2 sweep squares a generator on their two-node words,
+    the generic algebra route sums alpha over them and ``delta_generator``
+    reads its cell off them.  No tree or word is
     kept: the terms ``delta`` outputs are far more numerous, and each
     lives for one call.
     """
@@ -407,10 +415,13 @@ class FreeDgFc:
         self.custom_rules = None if custom_rules is None else dict(
             custom_rules)
         for gen, cell in (custom_rules or {}).items():
-            if cell.degree != 2 or any(len(tree_nodes(t)) != 2
-                                       for t, _ in cell.terms):
+            # a term composes two generators, so neither node is a unit
+            if cell.degree != 2 or any(
+                    [n.degree for n in tree_nodes(t)] != [1, 1]
+                    for t, _ in cell.terms):
                 raise CompositionError(
-                    f"rule for {gen.name} must be a two-node degree-2 cell")
+                    f"rule for {gen.name} must be a two-node degree-2 cell "
+                    f"of generators")
             if (cell.profile, cell.label) != (gen.profile, gen.label):
                 raise CompositionError(
                     f"rule for {gen.name} must keep its profile and label")
@@ -432,6 +443,13 @@ class FreeDgFc:
         # (source, target, input edges, output, label coords) -> the
         # generator's node id, or 0 where there is no generator
         self._generators: dict[tuple, int] = {}
+        # (source, target) -> the ids of the edges between them, in
+        # declaration order: the bridges of ``_splittings``
+        self._bridges: dict[tuple[str, str], list[str]] = {}
+        for e in self.graph.edges:
+            self._bridges.setdefault((e.src, e.tgt), []).append(e.id)
+        # label coords -> its splittings (b1, b1 coords, b2, b2 coords)
+        self._label_splits: dict[tuple[int, ...], list[tuple]] = {}
 
     # ------------------------------------------------------------ generators
 
@@ -496,26 +514,37 @@ class FreeDgFc:
                     ) -> Iterator[tuple[int, int, int]]:
         """The standard splitting of a generator: each (outer id, inner
         id, r) whose two-node composite, inner at child r of outer, has
-        gen's boundary and label."""
+        gen's boundary and label.
+
+        The block of s inputs from position r is bridged by each edge
+        from ``walk[r]`` to ``walk[r + s]``.  Each key is probed in the
+        generator table first; only a miss goes through ``_find``."""
         loop, beta = gen.profile, gen.label
         n = loop.arity()
-        src, tgt = loop.inputs.source, loop.inputs.target
+        src, tgt, out = loop.inputs.source, loop.inputs.target, loop.output
         walk = path_vertices(self.graph, loop.inputs)
         ins = loop.inputs.edges
-        splits = decompose(beta)
+        splits = self._label_splits.get(beta.coords)
+        if splits is None:
+            splits = self._label_splits[beta.coords] = [
+                (b1, b1.coords, b2, b2.coords) for b1, b2 in decompose(beta)]
+        gens, find, bridges = self._generators, self._find, self._bridges
         for r in range(n + 1):
-            for bridge in self.graph.out_edges(walk[r]):
-                for s in range(n - r + 1):
-                    if bridge.tgt != walk[r + s]:
-                        continue
-                    outer_edges = ins[:r] + (bridge.id,) + ins[r + s:]
-                    for b1, b2 in splits:
-                        outer = self._find(src, tgt, outer_edges, loop.output,
-                                           b1)
+            v = walk[r]
+            for s in range(n - r + 1):
+                w = walk[r + s]
+                inner_edges = ins[r:r + s]
+                for bridge in bridges.get((v, w), ()):
+                    outer_edges = ins[:r] + (bridge,) + ins[r + s:]
+                    for b1, k1, b2, k2 in splits:
+                        outer = gens.get((src, tgt, outer_edges, out, k1))
+                        if outer is None:
+                            outer = find(src, tgt, outer_edges, out, b1)
                         if not outer:
                             continue
-                        inner = self._find(walk[r], walk[r + s], ins[r:r + s],
-                                           bridge.id, b2)
+                        inner = gens.get((v, w, inner_edges, bridge, k2))
+                        if inner is None:
+                            inner = find(v, w, inner_edges, bridge, b2)
                         if inner:
                             yield outer, inner, r
 
@@ -568,7 +597,9 @@ class FreeDgFc:
 
     def _records(self, gen: GeneratorSpec) -> tuple[Record, ...]:
         """The rule records of a generator or unit spec (see
-        ``_word_rule``), compiled once."""
+        ``_word_rule``), compiled once: the terms of its differential
+        without a cell, for the d^2 sweep, ``delta_generator`` and the
+        generic algebra route."""
         node = self._node_id(gen)
         records = self._word_rules[node]
         if records is None:

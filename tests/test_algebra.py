@@ -8,7 +8,9 @@ import pytest
 from fcmc.graphs import (EdgePath, ProfileLoop, enumerate_profile_loops,
                          make_graph)
 from fcmc.labels import LabelMonoid, TRIVIAL_MONOID, label
+import fcmc.algebra
 from fcmc.freedg import (
+    FreeDgFc,
     build_Ainf_bimodule,
     build_Ainf_category,
     build_Ainf_operad,
@@ -23,6 +25,7 @@ from fcmc.chain import (
     ChainError,
     EndX,
     compose_end,
+    hat_d,
     make_complex,
     multimap,
     zero_map,
@@ -594,6 +597,106 @@ def test_direct_residues_match_dense_reference(preset, reduced):
     assert nonzero > 0  # the population must exercise nonzero residues
 
 
+def _reference_residue(fc, A, gen):
+    """The relation's meaning: hat_d(alpha(m)) minus alpha of m's rule
+    cell, evaluated tree by tree."""
+    return hat_d(A.X, A.alpha_of(gen)).sub(
+        evaluate_alpha(A, fc.delta_generator(gen)))
+
+
+def _custom_tables(fc0, arity):
+    """Custom rule tables over fc0's labeling: empty, copied from fc0 up to
+    the arity, and copied with coefficients -1/2, -1, -3/2 and 2 up to one
+    below it (the generators above are delta-closed there)."""
+    gens = fc0.generators(arity)
+    low = fc0.generators(arity - 1)
+    coeffs = [Fraction(1, 2), 1, Fraction(3, 2), -2]
+    return {
+        "empty": FreeDgFc(fc0.labeling, custom_rules={}),
+        "copied": FreeDgFc(fc0.labeling, custom_rules={
+            g: fc0.delta_generator(g) for g in gens}),
+        "scaled": FreeDgFc(fc0.labeling, custom_rules={
+            g: fc0.delta_generator(g).scale(coeffs[k % len(coeffs)])
+            for k, g in enumerate(low)}),
+    }
+
+
+def _assert_residues_match(fc, A, arity):
+    """algebra_residue against the reference on every generator in
+    bounds, and check_algebra's report against the reference residues;
+    returns the number of nonzero residues."""
+    gens = fc.generators(arity)
+    failures = []
+    for gen in gens:
+        ref = _reference_residue(fc, A, gen)
+        assert algebra_residue(fc, A, gen) == ref, (fc.preset, gen.name)
+        if not ref.is_zero():
+            key = ref.support()[0]
+            failures.append(RelationFailure(
+                gen.name, gen.arity(), str(gen.label),
+                _residue_witness(key, ref.apply(key))))
+    rep = check_algebra(fc, A, arity)
+    assert (rep.ok, rep.checked, rep.failures) == (
+        not failures, len(gens), tuple(failures))
+    return len(failures)
+
+
+RESIDUE_MONOIDS = {"rank 1": LabelMonoid(1, 1), "rank 2": LabelMonoid(2, 1)}
+
+
+@pytest.mark.parametrize("mon", sorted(RESIDUE_MONOIDS))
+@pytest.mark.parametrize("reduced", [True, False],
+                         ids=["reduced", "curved"])
+@pytest.mark.parametrize("preset", sorted(DIRECT_PRESETS))
+def test_residue_over_rule_records_matches_the_rule_cell(preset, reduced,
+                                                         mon):
+    # the generic route sums over rule records; the meaning it must keep
+    # is hat_d(alpha(m)) - evaluate_alpha(A, delta_generator(m)), on the
+    # preset and on custom tables over its labeling
+    fc0 = DIRECT_PRESETS[preset](RESIDUE_MONOIDS[mon], reduced)
+    for kind, fc in {"preset": fc0, **_custom_tables(fc0, 3)}.items():
+        nonzero = 0
+        for seed in range(8):
+            X = random_endx(fc.graph, seed, max_dim=3, degree_range=(-1, 2))
+            A = random_assignment(fc, X, seed + 100, 3, density=0.6)
+            nonzero += _assert_residues_match(fc, A, 3)
+        assert nonzero, kind  # the population must exercise nonzero residues
+
+
+FIXTURES = [dual_numbers, perturbed_dual_numbers, upper_triangular,
+            strict_two_object_category, ground_field_bimodule]
+
+
+@pytest.mark.parametrize("make", FIXTURES, ids=lambda f: f.__name__)
+def test_residue_over_rule_records_matches_the_rule_cell_on_fixtures(make):
+    fc0, A = make()
+    arity = 4 if fc0.preset == "ainf" else 3
+    for fc in (fc0, *_custom_tables(fc0, arity).values()):
+        _assert_residues_match(fc, A, arity)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the generic route evaluated a rule cell")
+
+
+def test_check_algebra_builds_no_rule_cell(monkeypatch):
+    cases = [make() for make in FIXTURES]
+    for preset in ("ainf", "bimodule", "rmodule"):
+        fc0 = DIRECT_PRESETS[preset](LabelMonoid(1, 1), True)
+        X = random_endx(fc0.graph, 5, max_dim=2, degree_range=(-1, 2))
+        for fc in (fc0, _custom_tables(fc0, 3)["scaled"]):
+            cases.append((fc, random_assignment(fc, X, 9, 3, density=0.6)))
+    want = [check_algebra(fc, A, 3) for fc, A in cases]
+    assert any(not rep.ok for rep in want) and any(rep.ok for rep in want)
+    # fresh structures, so no record is compiled before the patch
+    fresh = [(FreeDgFc(fc.labeling, preset=fc.preset,
+                       custom_rules=fc.custom_rules), A) for fc, A in cases]
+    monkeypatch.setattr(FreeDgFc, "delta_generator", _raise)
+    monkeypatch.setattr(fcmc.algebra, "evaluate_alpha", _raise)
+    monkeypatch.setattr(fcmc.algebra, "_evaluate_tree", _raise)
+    assert [check_algebra(fc, A, 3) for fc, A in fresh] == want
+
+
 def test_checks_build_only_the_labels_within_their_bound(monkeypatch):
     # a check's label bound, not the structure's truncation, sets how many
     # labels it builds: those within the clipped bound, a prefix of the
@@ -636,7 +739,8 @@ def _names(code):
 
 def test_direct_route_shares_no_code_with_generic_route():
     generic = {"hat_d", "compose_end", "delta_generator", "evaluate_alpha",
-               "algebra_residue", "_evaluate_tree"}
+               "algebra_residue", "_evaluate_tree", "_records", "_residue",
+               "_AlphaByNode"}
     for fn in (_direct_residues, _direct_entries, _direct_tables,
                check_direct):
         assert not _names(fn.__code__) & generic, fn.__name__

@@ -905,6 +905,14 @@ def test_custom_rule_validation():
             FreeDgFc(fc0.labeling, custom_rules={gen: rule})
     with pytest.raises(CompositionError, match="no inner node"):
         inner_position(leaf_of(g3))
+    # a two-node degree-2 term whose nodes are not two generators: a unit
+    # under a degree-2 node
+    h = GeneratorSpec("h", g3.profile, g3.label, degree=2)
+    unit = unit_tree(fc0.graph, "e", fc0.monoid.zero())
+    rule = free_cell(g3.profile, g3.label, 2,
+                     {CompTree(h, ("e", unit, "e")): 1})
+    with pytest.raises(CompositionError, match="cell of generators"):
+        FreeDgFc(fc0.labeling, custom_rules={g3: rule})
 
 
 def test_custom_rule_terms_must_be_valid_trees():
@@ -943,6 +951,24 @@ def test_unit_tree_composes_neutrally():
     assert graft(t, 1, u) == t
     assert graft(u, 1, t) == t
     assert tree_degree(u) == 0
+
+
+def test_unit_with_a_subtree_child_is_rejected():
+    # a unit takes only its leaf: 1[e](m2) would print as 1[e], dropping
+    # m2, and evaluate as the identity of the wrong shape
+    fc = ainf()
+    u, m2 = unit_tree(fc.graph, "e", fc.monoid.zero()), m_gen(fc, 2)
+    bad = CompTree(u.gen, (leaf_of(m2),))
+    with pytest.raises(CompositionError, match=r"unit 1\[e\] has a subtree"):
+        validate_tree(bad)
+    with pytest.raises(CompositionError, match="has a subtree"):
+        free_cell(m2.profile, m2.label, 1, {bad: 1})
+    # deeper in a tree too
+    with pytest.raises(CompositionError, match="has a subtree"):
+        validate_tree(CompTree(m2, ("e", bad)))
+    # grafting onto a unit gives the subtree itself, which validates
+    validate_tree(graft(u, 1, leaf_of(m2)))
+    validate_tree(u)
 
 
 # ------------------------------------------------------ interned generators
