@@ -5,10 +5,11 @@ The generic route interprets a candidate assignment as a map out of a free
 dg structure: for every generator m it compares hat_d(alpha(m)) with
 alpha(delta(m)).  The meaning of alpha on a cell is ``evaluate_alpha``,
 which evaluates decorated trees through the endomorphism composition, and
-``FreeDgFc.delta_generator`` gives delta(m) as a cell.  Since delta(m) is a
-sum of two-node trees, the generic route never builds that cell: it sums
-c * alpha(outer) o_(q+1) alpha(inner) over m's compiled rule records
-(outer, inner, q, c), looking alpha up by node id.  The direct route
+``FreeDgFc.delta_generator`` gives delta(m) as a cell, one two-node tree
+per compiled rule record (outer, inner, q, c) of m.  The generic route
+reads those records and builds no cell: it sums
+c * alpha(outer) o_(q+1) alpha(inner) over them, with alpha a dict from
+node id to nonzero assigned map built once per check.  The direct route
 re-derives the displayed relation sums (with the internal differential
 substituted for the identity-shaped index) from scratch, sharing no
 composition or differential code with the generic route.  Agreement of
@@ -178,7 +179,7 @@ def check_algebra(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
     cap = fc.monoid.cap(label_bound)
     failures = []
     gens = fc.generators(arity_bound, cap)
-    alpha = _AlphaByNode(fc, A)
+    alpha = _alpha_by_node(fc, A)
     for gen in gens:
         residue = _residue(fc, A, alpha, gen)
         if not residue.is_zero():
@@ -195,26 +196,17 @@ def algebra_residue(fc: FreeDgFc, A: AlgebraData,
     """hat_d(alpha(m)) - alpha(delta(m)) for one generator m, which is
     ``hat_d(A.alpha_of(m)).sub(evaluate_alpha(A, fc.delta_generator(m)))``
     computed over m's rule records (see :func:`_residue`)."""
-    return _residue(fc, A, _AlphaByNode(fc, A), gen)
+    return _residue(fc, A, _alpha_by_node(fc, A), gen)
 
 
-class _AlphaByNode(dict):
-    """alpha by node id, for one check: each id's spec is resolved through
-    the assignment the first time it is asked for.  A zero map is kept as
-    None, so its records can be skipped.  Rule records hold generators
-    only, never a unit (see ``FreeDgFc``)."""
-
-    def __init__(self, fc: FreeDgFc, A: AlgebraData):
-        super().__init__()
-        self.nodes, self.assignment = fc._nodes, A.assignment
-
-    def __missing__(self, node: int) -> Optional[MultiMap]:
-        xi = self.assignment.get(self.nodes[node])
-        xi = self[node] = xi if xi is not None and xi.table else None
-        return xi
+def _alpha_by_node(fc: FreeDgFc, A: AlgebraData) -> dict[int, MultiMap]:
+    """alpha by node id for one check, nonzero maps only: a record whose
+    node it lacks has a zero factor (no record holds a unit)."""
+    return {fc._node_id(gen): xi for gen, xi in A.assignment.items()
+            if xi.table}
 
 
-def _residue(fc: FreeDgFc, A: AlgebraData, alpha: _AlphaByNode,
+def _residue(fc: FreeDgFc, A: AlgebraData, alpha: dict[int, MultiMap],
              gen: GeneratorSpec) -> MultiMap:
     """hat_d(alpha(m)) minus c * alpha(outer) o_(q+1) alpha(inner) summed
     over m's rule records (outer, inner, q, c): alpha(delta(m)) term by
@@ -224,10 +216,10 @@ def _residue(fc: FreeDgFc, A: AlgebraData, alpha: _AlphaByNode,
     xi = A.assignment.get(gen)
     table = hat_d(X, xi).table if xi is not None else {}
     for outer, inner, q, c in fc._records(gen):
-        xo = alpha[outer]
+        xo = alpha.get(outer)
         if xo is None:
             continue
-        xn = alpha[inner]
+        xn = alpha.get(inner)
         if xn is None:
             continue
         for key, vec in compose_end(X, xo, q + 1, xn).table.items():

@@ -68,12 +68,16 @@ def _add_into(acc: Vector, vec: Vector, c: Scalar = 1) -> None:
 
 
 class GradedBasis:
-    """An ordered basis with integer degrees."""
+    """An ordered basis of ``str`` ids with ``int`` degrees, as given."""
 
     def __init__(self, elements: Iterable[tuple[str, int]]):
-        self.elements = tuple((str(x), int(d)) for x, d in elements)
+        self.elements = tuple((x, d) for x, d in elements)
         seen = set()
-        for x, _ in self.elements:
+        for x, d in self.elements:
+            if not isinstance(x, str):
+                raise ChainError(f"basis id {x!r} is not a str")
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise ChainError(f"degree {d!r} of {x!r} is not an int")
             if x in seen:
                 raise ChainError(f"duplicate basis id {x!r}")
             seen.add(x)

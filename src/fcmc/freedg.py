@@ -173,14 +173,18 @@ def tree_profile(t: CompTree) -> ProfileLoop:
 def inner_position(rule_tree: CompTree) -> int:
     """The child position q (0-based) of the inner node of a two-node rule
     term; the children before it are leaves, so its input slot is q + 1.
-    Only rule cells need it: ``FreeDgFc._word_rule`` compiles a custom
-    rule's records from its table's cell with it, and serde writes rule
-    documents with it.  A standard rule's records get q from the splitting
-    loop, and ``delta_generator`` reads q off the records."""
+    Only rule cells need it: ``FreeDgFc`` compiles a custom rule's records
+    from its table's cell with it, and serde writes rule documents with
+    it.  A standard rule's records get q from the splitting loop."""
     for q, c in enumerate(rule_tree.children):
         if isinstance(c, CompTree):
             return q
     raise CompositionError(f"{format_tree(rule_tree)} has no inner node")
+
+
+def _record_word(outer: int, inner: int, q: int, n: int) -> tuple[int, ...]:
+    """The pre-order word of a rule record's two-node tree over n leaves."""
+    return (outer,) + (0,) * q + (inner,) + (0,) * (n - q)
 
 
 def tree_key(t: CompTree):
@@ -381,19 +385,21 @@ class FreeDgFc:
     ``custom_rules`` table replaces that differential altogether: it is
     the whole presentation, generators without a rule are delta-closed,
     and the preset is ``"custom"`` exactly when such a table is given.
-    The structure keeps each rule as its normalized cell.
+    Its keys and the nodes of its terms must be generators of the
+    structure.  The structure keeps each rule as its normalized cell, for
+    documents, and compiles it to records when it is constructed.
 
     A generator is numbered when it is interned: ``_find`` makes its spec
     once, under the plain key (source, target, input edges, output, label
     coords), and gives it its node id, the letter written for it in words
     and rule records; ``generator`` returns the spec kept under that id.
     A unit spec is numbered when a walked tree first holds it.  Each
-    node's rule is kept as records over node ids only, compiled once from
-    ``_splittings`` or off a custom rule's cell: ``delta`` splices them
-    into words, the d^2 sweep squares a generator on their two-node words,
-    the generic algebra route sums alpha over them and ``delta_generator``
-    reads its cell off them.  No tree or word is
-    kept: the terms ``delta`` outputs are far more numerous, and each
+    node's rule is kept as records over node ids only, a standard one
+    compiled from ``_splittings`` the first time it is asked for: ``delta``
+    splices them into words, the d^2 sweep squares a generator on their
+    two-node words, ``delta_generator`` is the cell of those words and the
+    generic algebra route sums alpha over the records.  No tree or word
+    is kept: the terms ``delta`` outputs are far more numerous, and each
     lives for one call.
     """
 
@@ -412,33 +418,14 @@ class FreeDgFc:
         self.monoid = labeling.monoid
         self.preset = preset
         self.sign_fault = sign_fault
-        self.custom_rules = None if custom_rules is None else dict(
-            custom_rules)
-        for gen, cell in (custom_rules or {}).items():
-            # a term composes two generators, so neither node is a unit
-            if cell.degree != 2 or any(
-                    [n.degree for n in tree_nodes(t)] != [1, 1]
-                    for t, _ in cell.terms):
-                raise CompositionError(
-                    f"rule for {gen.name} must be a two-node degree-2 cell "
-                    f"of generators")
-            if (cell.profile, cell.label) != (gen.profile, gen.label):
-                raise CompositionError(
-                    f"rule for {gen.name} must keep its profile and label")
-            # each term must be a valid tree over the generator's boundary:
-            # ``_word_rule`` reads a term as its outer node, its inner node
-            # and the inner node's child position alone.  The table keeps
-            # the normalized cell, so each of its terms is one record.
-            self.custom_rules[gen] = free_cell(gen.profile, gen.label, 2,
-                                               cell.terms)
-        # the generator and unit specs met, by node id, and their rules
-        # compiled by ``_word_rule`` (None until the rule is first asked
-        # for); id 0 is the leaf
+        # the generator and unit specs met, by node id, and their rule
+        # records (None until ``_word_rule`` is first asked for a standard
+        # rule); id 0 is the leaf
         self._node_ids: dict[GeneratorSpec, int] = {}
         self._nodes: list[Optional[GeneratorSpec]] = [None]
         self._word_rules: list[Optional[tuple]] = [None]
-        # (leaf count, q, inner arity, degree parities) -> the leaves,
-        # parities and places of a two-node word, for ``_square``
+        # (leaf count, q, inner arity, degree parities) -> the parities
+        # and places of a two-node word, for ``_square``
         self._two_node_shapes: dict[tuple, tuple] = {}
         # (source, target, input edges, output, label coords) -> the
         # generator's node id, or 0 where there is no generator
@@ -450,6 +437,32 @@ class FreeDgFc:
             self._bridges.setdefault((e.src, e.tgt), []).append(e.id)
         # label coords -> its splittings (b1, b1 coords, b2, b2 coords)
         self._label_splits: dict[tuple[int, ...], list[tuple]] = {}
+        self.custom_rules = None if custom_rules is None else {}
+        for gen, cell in (custom_rules or {}).items():
+            # a term composes two generators, so neither node is a unit
+            if cell.degree != 2 or any(
+                    [n.degree for n in tree_nodes(t)] != [1, 1]
+                    for t, _ in cell.terms):
+                raise CompositionError(
+                    f"rule for {gen.name} must be a two-node degree-2 cell "
+                    f"of generators")
+            if (cell.profile, cell.label) != (gen.profile, gen.label):
+                raise CompositionError(
+                    f"rule for {gen.name} must keep its profile and label")
+            # each term must be a valid tree over the generator's boundary
+            # whose nodes are generators, since its record keeps only the
+            # two nodes and the inner one's child position
+            cell = self.custom_rules[gen] = free_cell(gen.profile, gen.label,
+                                                      2, cell.terms)
+            named = [gen, *(n for t, _ in cell.terms for n in tree_nodes(t))]
+            for spec in named:
+                if self.generator(spec.profile, spec.label) != spec:
+                    raise CompositionError(f"rule for {gen.name} names "
+                                           f"{spec.name}, not a generator")
+            ids = self._node_ids
+            self._word_rules[ids[gen]] = tuple(
+                (ids[t.gen], ids[t.children[q].gen], q, c)
+                for t, c in cell.terms for q in (inner_position(t),))
 
     # ------------------------------------------------------------ generators
 
@@ -549,21 +562,14 @@ class FreeDgFc:
                             yield outer, inner, r
 
     def delta_generator(self, gen: GeneratorSpec) -> FreeCell:
-        """The generator's rule as a cell, read off its records: minus the
-        sum of matching 2-node composites, or the custom rule table's entry
-        (zero when it has none, and for a unit)."""
-        nodes, terms = self._nodes, []
-        for outer, inner, q, c in self._records(gen):
-            o = nodes[outer]
-            edges = o.profile.inputs.edges
-            terms.append((CompTree(o, edges[:q] + (leaf_of(nodes[inner]),)
-                                   + edges[q + 1:]), c))
-        # a standard rule's terms are distinct by construction (r, s, the
-        # bridge and the label split all show in the tree) and a custom
-        # rule's are the terms of its normalized cell, none with coefficient
-        # 0: so the cell is its terms in free_cell's order, no tree hashed
-        terms.sort(key=lambda tc: tree_key(tc[0]))
-        return FreeCell(gen.profile, gen.label, gen.degree + 1, tuple(terms))
+        """The generator's rule as a cell: minus the sum of matching 2-node
+        composites, or the custom rule table's entry (zero when it has
+        none, and for a unit).  It is the cell of the two-node words of
+        its records, the words ``_square`` splices."""
+        n = gen.arity()
+        return self._cell(gen.profile, gen.label, gen.degree + 1,
+                          {_record_word(outer, inner, q, n): c
+                           for outer, inner, q, c in self._records(gen)})
 
     def _node_id(self, gen: GeneratorSpec) -> int:
         """The id written for a generator or unit spec in a word and in
@@ -578,20 +584,16 @@ class FreeDgFc:
     def _word_rule(self, node: int) -> tuple[Record, ...]:
         """The rule of a node id as (outer id, inner id, child position q
         of the inner node, coefficient) records, one per term, built the
-        first time the node is asked for.  A unit has none; a standard
-        rule is compiled from ``_splittings``, a custom rule read off its
-        table's cell (none when the table has no rule for it)."""
+        first time the node is asked for: the standard splitting, from
+        ``_splittings``.  A custom table's rules are compiled when the
+        structure is constructed, so a node asked for here under a custom
+        table has no rule; nor has a unit."""
         gen = self._nodes[node]
-        if gen.is_unit():
+        if gen.is_unit() or self.custom_rules is not None:
             records = ()
-        elif self.custom_rules is None:
+        else:
             records = tuple((outer, inner, r, -1)
                             for outer, inner, r in self._splittings(gen))
-        else:
-            rule, ids = self.custom_rules.get(gen), self._node_id
-            records = tuple((ids(rt.gen), ids(rt.children[q].gen), q, rc)
-                            for rt, rc in (() if rule is None else rule.terms)
-                            for q in (inner_position(rt),))
         self._word_rules[node] = records
         return records
 
@@ -627,12 +629,12 @@ class FreeDgFc:
         places.append((j, cs))
 
     def _two_node_shape(self, n: int, q: int, n_in: int, d_out: int,
-                        d_in: int) -> tuple[tuple, tuple, tuple, tuple]:
-        """The pre-order word of a two-node tree with n leaves, whose inner
-        node (of arity ``n_in``) is child q of its outer node, given as its
-        leaves before and after the inner node, with the ``par`` and
-        ``places`` that ``_walk`` would give it; ``d_out`` and ``d_in`` are
-        the nodes' degree parities.  Made once per shape."""
+                        d_in: int) -> tuple[tuple, tuple]:
+        """The ``par`` and ``places`` that ``_walk`` would give the word
+        of a two-node tree with n leaves (see ``_record_word``), whose
+        inner node, of arity ``n_in``, is child q of its outer node;
+        ``d_out`` and ``d_in`` are the nodes' degree parities.  Made once
+        per shape."""
         key = (n, q, n_in, d_out, d_in)
         shape = self._two_node_shapes.get(key)
         if shape is None:
@@ -640,8 +642,7 @@ class FreeDgFc:
             par = (0,) + (d_out,) * (q + 1) + (d_out ^ d_in,) * (n - q + 1)
             places = ((q + 1, tuple(range(q + 2, k + 1))),
                       (0, (*range(1, q + 2), *range(k, n + 3))))
-            shape = self._two_node_shapes[key] = ((0,) * q, (0,) * (n - q),
-                                                  par, places)
+            shape = self._two_node_shapes[key] = (par, places)
         return shape
 
     def _tree(self, w: tuple[int, ...]) -> CompTree:
@@ -719,11 +720,11 @@ class FreeDgFc:
         acc: dict[tuple[int, ...], Scalar] = {}
         for outer, inner, q, rc in self._records(gen):
             i = nodes[inner]
-            before, after, par, places = self._two_node_shape(
+            par, places = self._two_node_shape(
                 n, q, len(i.profile.inputs.edges), nodes[outer].degree % 2,
                 i.degree % 2)
-            self._splice((outer,) + before + (inner,) + after, par, places,
-                         rc, acc)
+            self._splice(_record_word(outer, inner, q, n), par, places, rc,
+                         acc)
         return self._cell(gen.profile, gen.label, gen.degree + 2, acc)
 
 

@@ -302,7 +302,8 @@ def _rule_from_doc(fc: FreeDgFc, gen: GeneratorSpec,
         t = graft(leaf_of(outer), slot, leaf_of(inner))
         c = scalar_from_str(field(term, "coeff", "string"))
         acc[t] = acc.get(t, 0) + c
-    return free_cell(gen.profile, gen.label, 2, acc)
+    # unvalidated: ``FreeDgFc`` validates every rule of its table
+    return free_cell(gen.profile, gen.label, 2, acc, validate=False)
 
 
 def freedg_to_doc(fc: FreeDgFc,

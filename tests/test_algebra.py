@@ -50,7 +50,8 @@ from fcmc.algebra import (
     random_endx,
     route_disagreement,
 )
-from fcmc.serde import algebra_job_from_doc, algebra_job_to_doc
+from fcmc.serde import (algebra_job_from_doc, algebra_job_to_doc,
+                        freedg_from_doc, freedg_to_doc)
 from oracles import ref_ainf_residue, ref_direct_residues
 
 
@@ -147,6 +148,12 @@ def test_unassigned_generator_acts_as_zero():
     g3 = fc.generators(3)[-1]
     assert g3 not in A.assignment
     assert A.alpha_of(g3).is_zero()
+
+
+def test_lift_dga_rejects_a_degree_that_is_no_int():
+    # a degree of 0.9 once shifted to 0 through int()
+    with pytest.raises(ChainError, match="is not an int"):
+        lift_dga([("a", 0.9)], {}, {})
 
 
 def test_lift_dga_rejects_degree_breaking_table():
@@ -663,6 +670,21 @@ def test_residue_over_rule_records_matches_the_rule_cell(preset, reduced,
         assert nonzero, kind  # the population must exercise nonzero residues
 
 
+@pytest.mark.parametrize("mon", sorted(RESIDUE_MONOIDS))
+@pytest.mark.parametrize("reduced", [True, False],
+                         ids=["reduced", "curved"])
+@pytest.mark.parametrize("preset", sorted(DIRECT_PRESETS))
+def test_custom_tables_survive_the_document(preset, reduced, mon):
+    # every table the structure accepts names generators only, so its
+    # document reads back as the same table with the same differential
+    fc0 = DIRECT_PRESETS[preset](RESIDUE_MONOIDS[mon], reduced)
+    for kind, fc in _custom_tables(fc0, 3).items():
+        fc2, _ = freedg_from_doc(freedg_to_doc(fc))
+        assert fc2.custom_rules == fc.custom_rules, kind
+        for g in fc.generators(3):
+            assert fc2.delta_generator(g) == fc.delta_generator(g), g.name
+
+
 FIXTURES = [dual_numbers, perturbed_dual_numbers, upper_triangular,
             strict_two_object_category, ground_field_bimodule]
 
@@ -740,7 +762,7 @@ def _names(code):
 def test_direct_route_shares_no_code_with_generic_route():
     generic = {"hat_d", "compose_end", "delta_generator", "evaluate_alpha",
                "algebra_residue", "_evaluate_tree", "_records", "_residue",
-               "_AlphaByNode"}
+               "_alpha_by_node"}
     for fn in (_direct_residues, _direct_entries, _direct_tables,
                check_direct):
         assert not _names(fn.__code__) & generic, fn.__name__

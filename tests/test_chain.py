@@ -1,6 +1,7 @@
 from fractions import Fraction
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +115,20 @@ def test_multimap_drops_zero_coefficients():
 def test_make_complex_rejects_inexact_coefficients(bad):
     with pytest.raises(ChainError):
         make_complex([("x", 0), ("y", 1)], {"x": {"y": bad}})
+
+
+@pytest.mark.parametrize("elements, bad", [
+    ([("x", 1.5)], "degree 1.5 of 'x' is not an int"),
+    ([("x", True)], "degree True of 'x' is not an int"),
+    ([("x", "1")], "degree '1' of 'x' is not an int"),
+    ([(2, 1)], "basis id 2 is not a str"),
+    ([("x", 1.5), (2, True)], "degree 1.5"),
+])
+def test_make_complex_takes_basis_ids_and_degrees_as_given(elements, bad):
+    # no id or degree is converted: make_complex([("x", 1.5), (2, True)])
+    # once gave the basis (("x", 1), ("2", 1))
+    with pytest.raises(ChainError, match=re.escape(bad)):
+        make_complex(elements)
 
 
 @pytest.mark.parametrize("bad", [-3.0, 0.5, True, "1"])

@@ -929,6 +929,32 @@ def test_custom_rule_terms_must_be_valid_trees():
             FreeDgFc(fc0.labeling, custom_rules={g3: rule})
 
 
+def test_rule_tables_hold_generators_only():
+    # a unit carries no differential, so a rule keyed by one is rejected,
+    # not kept and ignored: {1[e]: m[e,e;e](m[;e](),e)} on unreduced ainf
+    curved = build_Ainf_operad(TRIVIAL_MONOID, reduced=False)
+    unit = unit_tree(curved.graph, "e", curved.monoid.zero()).gen
+    term = graft(leaf_of(m_gen(curved, 2)), 1, leaf_of(m_gen(curved, 0)))
+    rule = free_cell(unit.profile, unit.label, 2, {term: 1})
+    assert format_tree(term) == "m[e,e;e](m[;e](),e)"
+    with pytest.raises(CompositionError,
+                       match=re.escape("no generator over e;e with label")):
+        FreeDgFc(curved.labeling, custom_rules={unit: rule})
+    # a term's node must be a generator too: m[;e] is none when reduced,
+    # and a renamed spec over a generator's boundary is none either
+    fc0 = ainf()
+    g3 = m_gen(fc0, 3)
+    with pytest.raises(CompositionError, match="no generator over ;e"):
+        FreeDgFc(fc0.labeling,
+                 custom_rules={g3: curved.delta_generator(m_gen(curved, 3))})
+    m2, x = leaf_of(m_gen(fc0, 2)), leaf_of(
+        GeneratorSpec("x", m_loop(2), fc0.monoid.zero()))
+    for tree in (graft(m2, 1, x), graft(x, 2, m2)):
+        rule = free_cell(g3.profile, g3.label, 2, {tree: 1})
+        with pytest.raises(CompositionError, match="names x, not a gen"):
+            FreeDgFc(fc0.labeling, custom_rules={g3: rule})
+
+
 def test_label_bound_is_capped_by_truncation():
     rep = delta_squared_report(build_Ainf_operad(LabelMonoid(1, 1)), 3,
                                label_bound=5)
