@@ -45,8 +45,8 @@ from .freedg import (
     build_Ainf_operad,
     leaf_count,
 )
-from .graphs import (EdgePath, ProfileLoop, enumerate_profile_loops,
-                     path_vertices)
+from .graphs import (CompositionError, EdgePath, ProfileLoop,
+                     enumerate_profile_loops, path_vertices)
 from .labels import LabelMonoid, MonoidElem, TRIVIAL_MONOID, decompose
 from .multicat import loop_token
 
@@ -201,9 +201,20 @@ def algebra_residue(fc: FreeDgFc, A: AlgebraData,
 
 def _alpha_by_node(fc: FreeDgFc, A: AlgebraData) -> dict[int, MultiMap]:
     """alpha by node id for one check, nonzero maps only: a record whose
-    node it lacks has a zero factor (no record holds a unit)."""
-    return {fc._node_id(gen): xi for gen, xi in A.assignment.items()
-            if xi.table}
+    node it lacks has a zero factor (no record holds a unit).  A key that
+    is not the structure's generator over its profile and label raises
+    :class:`AlgebraError`."""
+    alpha = {}
+    for gen, xi in A.assignment.items():
+        ins = gen.profile.inputs
+        node = fc._find(ins.source, ins.target, ins.edges, gen.profile.output,
+                        gen.label)
+        if not node or fc._nodes[node] != gen:
+            raise AlgebraError(f"assignment key {gen.name} is not a "
+                               f"generator of the structure")
+        if xi.table:
+            alpha[node] = xi
+    return alpha
 
 
 def _residue(fc: FreeDgFc, A: AlgebraData, alpha: dict[int, MultiMap],
@@ -237,10 +248,19 @@ def _residue(fc: FreeDgFc, A: AlgebraData, alpha: dict[int, MultiMap],
 # delta_generator so the two routes can serve as each other's oracle.
 
 
-def _direct_tables(A: AlgebraData):
-    """Index the assignment by (input word, output edge, label)."""
+def _direct_tables(fc: FreeDgFc, A: AlgebraData):
+    """Index the assignment by (input word, output edge, label).  A key
+    that is not ``fc.generator`` of its profile and label raises
+    :class:`AlgebraError`."""
     tables = {}
     for gen, xi in A.assignment.items():
+        try:
+            known = fc.generator(gen.profile, gen.label) == gen
+        except CompositionError:
+            known = False
+        if not known:
+            raise AlgebraError(f"assignment key {gen.name} is not a "
+                               f"generator of the structure")
         key = (gen.profile.inputs.edges, gen.profile.output, gen.label)
         tables[key] = xi.table
     return tables
@@ -332,7 +352,7 @@ def check_direct(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
     _require_standard_splitting(fc)
     cap = fc.monoid.cap(label_bound)
     betas = LabelMonoid(fc.monoid.rank, cap).elements()
-    tables = _direct_tables(A)
+    tables = _direct_tables(fc, A)
     failures = []
     checked = 0
     for loop in enumerate_profile_loops(fc.graph, arity_bound):

@@ -422,6 +422,17 @@ class _Indexed:
     a composite beyond the cap must all not fit.  On a closed table the
     gamma identities follow from the parallel ones
     (:func:`_count_gamma_fillings`).
+
+    ``thin`` certifies two more things: the population holds at most one
+    cell per (input edges, output edge, label coordinates), and every
+    entry's label coordinates are the coordinate sum of its factors' (in a
+    table with any labeled cell, an entry with an unlabeled cell or with
+    factors of two ranks is not).  ``labels_add`` compares only totals,
+    which decides the sum where every label has rank 1.  Loop instances
+    are thin by construction, since they intern their cells under that
+    key, but the certificate is decided here, entry by entry.  On a
+    closed, thin table both sides of a nested or parallel identity, where
+    both exist, are the same cell (:func:`_count_associativity`).
     """
 
     def __init__(self, fc: FcInstance, arity_bound: int):
@@ -430,6 +441,13 @@ class _Indexed:
         self.arity = arity = [c.arity() for c in self.cells]
         ins = [c.profile.inputs.edges for c in self.cells]
         outs = [c.profile.output for c in self.cells]
+        coords = [None if c.label is None else c.label.coords
+                  for c in self.cells]
+        thin = len(set(zip(ins, outs, coords))) == len(self.cells)
+        # unlabeled cells have no coordinates to add, and rank-1
+        # coordinates are their totals, which labels_add compares
+        kinds = {co if co is None else len(co) for co in coords}
+        add_coords = not kinds <= {None} and kinds != {1}
         self.by_out: dict[str, list[int]] = {}
         for k, out in enumerate(outs):
             self.by_out.setdefault(out, []).append(k)
@@ -470,12 +488,23 @@ class _Indexed:
                                                     self.cells[k].id)
                             if totals[r] != totals[x] + totals[k]:
                                 self.labels_add = False
+                            if thin and add_coords:
+                                thin = _coords_add(coords[x], coords[k],
+                                                   coords[r])
                     if made != (arity[k] <= room_a and totals[k] <= room_l):
                         closed = False
                 rows.append(row)
             self.comp.append(rows)
         self.closed = (closed and self.labels_add
                        and self.bad_profile is None)
+        self.thin = thin and self.labels_add
+
+
+def _coords_add(a, b, ab) -> bool:
+    """Whether the label coordinates ``ab`` are the sum of ``a`` and ``b``
+    (None where a cell is unlabeled, which no labeled table sums)."""
+    return (a is not None and b is not None and len(a) == len(b)
+            and ab == tuple(map(operator.add, a, b)))
 
 
 def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
@@ -486,11 +515,16 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
     * u o_i id = u and id o_1 u = u;
     * nested:   (u o_i v) o_{i-1+j} w = u o_i (v o_j w);
     * parallel: (u o_i v) o_{k-1+m} w = (u o_k w) o_i v for i < k, m the
-      arity of v;
+      arity of v.  On a table certified closed and thin (``_Indexed.closed``
+      and ``_Indexed.thin``) both sides of these identities, where both
+      exist, are one cell, and the identities are counted in closed form
+      (``_count_associativity``).  Any other table is looped over: each
+      identity's two routes are composed and compared
+      (``_check_associativity``);
     * order-independence of gamma over all full slot assignments and all
-      insertion orders.  On a table certified closed (``_Indexed.closed``)
-      these identities follow from the parallel ones just checked, and
-      their fillings are counted in closed form
+      insertion orders.  On a table certified closed these identities
+      follow from the parallel ones, which were compared or hold by
+      thinness, and their fillings are counted in closed form
       (``_count_gamma_fillings``).  Any other table is swept: every
       insertion order of every filling is replayed in lexicographic order,
       and a failure names the first completing order and the first later
@@ -503,7 +537,6 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
     the counts reached at it, the failing comparison counted as checked.
     """
     ix = fc._indexed(arity_bound)
-    cells = ix.cells
     checked = 0
     skipped = 0
 
@@ -519,7 +552,7 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
             units[eid] = fc.unit(eid)
         return units[eid]
 
-    for u in cells:
+    for u in ix.cells:
         left = fc.compose(unit(u.profile.output), 1, u)
         if isinstance(left, OutOfBound):
             skipped += 1
@@ -538,11 +571,30 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
     if ix.bad_profile is not None:
         return fail("composite profile", ix.bad_profile)
 
-    # Only triples where both comparison routes stay inside the population
-    # are decidable, and both routes share the pair composites u o_i v
-    # resp. v o_j w / u o_k w; iterating the table's entries therefore
-    # visits every comparable triple while skipping dead combinations
-    # wholesale.
+    if ix.closed and ix.thin:
+        report = _count_associativity(ix, checked, skipped)
+    else:
+        report = _check_associativity(ix, checked, skipped)
+    if not report.ok:
+        return report
+    if ix.closed:
+        return _count_gamma_fillings(ix, report.checked, report.skipped)
+    return _check_gamma_orders(ix, report.checked, report.skipped)
+
+
+def _check_associativity(ix, checked, skipped) -> AxiomReport:
+    """Decide the nested and parallel identities by composing both routes
+    of each and comparing them, and report it with the counts carried on
+    from ``checked``/``skipped``; valid once ``ix.bad_profile`` is None.
+
+    Only triples where both comparison routes stay inside the population
+    are decidable, and both routes share the pair composites u o_i v
+    resp. v o_j w / u o_k w; iterating the table's entries therefore
+    visits every comparable triple while skipping dead combinations
+    wholesale.  A failure is the first triple, in (u, i, v) order and
+    nested before parallel, whose routes differ.
+    """
+    cells = ix.cells
     arity = ix.arity
     comp = ix.comp
     for u in range(len(cells)):
@@ -562,9 +614,10 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
                             continue
                         checked += 1
                         if a != b:
-                            return fail(
-                                "nested associativity",
-                                (cells[u].id, i, cells[v].id, j, cells[w].id))
+                            return AxiomReport(
+                                False, "nested associativity",
+                                (cells[u].id, i, cells[v].id, j, cells[w].id),
+                                checked, skipped)
                 # parallel: w lands in a later slot of u
                 m = arity[v]
                 for k in range(i + 1, arity[u] + 1):
@@ -577,13 +630,61 @@ def check_axioms(fc: FcInstance, arity_bound: int) -> AxiomReport:
                             continue
                         checked += 1
                         if a != b:
-                            return fail(
-                                "parallel associativity",
-                                (cells[u].id, i, cells[v].id, k, cells[w].id))
+                            return AxiomReport(
+                                False, "parallel associativity",
+                                (cells[u].id, i, cells[v].id, k, cells[w].id),
+                                checked, skipped)
+    return AxiomReport(True, None, None, checked, skipped)
 
-    if ix.closed:
-        return _count_gamma_fillings(ix, checked, skipped)
-    return _check_gamma_orders(ix, checked, skipped)
+
+def _count_associativity(ix, checked, skipped) -> AxiomReport:
+    """Decide the nested and parallel identities on a table certified
+    closed and thin by coherence, and report them with the counts carried
+    on from ``checked``/``skipped``; the counts are those of
+    :func:`_check_associativity`.
+
+    Where both routes of an identity exist, they sit over one profile,
+    since substitution of words is associative and substitutions into
+    distinct slots commute (the table has no bad profile), and they carry
+    one label, since coordinates add.  A thin table has one cell there, so
+    the identity holds (Markl-Shnider-Stasheff, *Operads in Algebra,
+    Topology and Physics*, 2002; Leinster, *Higher Operads, Higher
+    Categories*, 2004).  Only the pairs the loops visit are counted, for
+    each entry u o_i v with composite uv:
+
+    * nested, entries v o_j w; both routes exist when w also fits uv at
+      slot i-1+j;
+    * parallel, entries u o_k w with k > i; both routes exist when w also
+      fits uv at slot k-1+arity(v) (then v fits u o_k w).
+
+    On a closed table a row holds exactly the candidates that fit, so these
+    are row sizes.  A w that fits uv fits v, and, unless v has arity 0,
+    fits u too, so the checked pairs of an entry are the entries of uv at
+    slots i and after; where v has arity 0 (uv is shorter than u) the
+    parallel rows of u and uv are intersected.  Every other visited pair
+    is skipped.
+    """
+    comp, arity = ix.comp, ix.arity
+    # after[x][s]: the entries of cell x at slots s+1 and after (1-based)
+    after = []
+    for rows in comp:
+        acc = [0] * (len(rows) + 1)
+        for s in range(len(rows) - 1, -1, -1):
+            acc[s] = acc[s + 1] + len(rows[s])
+        after.append(acc)
+    for u, rows_u in enumerate(comp):
+        for s, row in enumerate(rows_u):
+            for v, uv in row.items():
+                pairs = after[v][0] + after[u][s + 1]
+                if arity[v]:
+                    both = after[uv][s]
+                else:
+                    rows_uv = comp[uv]
+                    both = sum(len(rows_u[k].keys() & rows_uv[k - 1].keys())
+                               for k in range(s + 1, len(rows_u)))
+                checked += both
+                skipped += pairs - both
+    return AxiomReport(True, None, None, checked, skipped)
 
 
 def _buckets(ix) -> dict[str, list[tuple[int, int, list[int]]]]:
@@ -603,9 +704,12 @@ def _count_gamma_fillings(ix, checked, skipped) -> AxiomReport:
     and report it with the counts carried on from ``checked``/``skipped``.
 
     Valid only on a table certified closed (``ix.closed``) whose parallel
-    identities have all been compared and passed, as :func:`check_axioms`
-    does just before.  Then every filling that :func:`_check_gamma_orders`
-    would visit is checked and passes, so only the fillings are counted:
+    identities all hold: they were compared and passed
+    (:func:`_check_associativity`), or they hold by thinness
+    (``ix.thin``, :func:`_count_associativity`), as :func:`check_axioms`
+    decides just before.  Then every filling that
+    :func:`_check_gamma_orders` would visit is checked and passes, so only
+    the fillings are counted:
 
     * Weight each inner by its arity - 1.  Inserting the inners in
       ascending weight order, the intermediate arity never exceeds the
@@ -618,8 +722,8 @@ def _count_gamma_fillings(ix, checked, skipped) -> AxiomReport:
     * Any completing order reaches an ascending order by swapping adjacent
       inners, the lighter one first.  The new intermediate is no heavier,
       so both routes of the swap stay in the population, and the swap is
-      one parallel identity, already compared.  So every completing order
-      gives the same composite.
+      one parallel identity, which holds.  So every completing order gives
+      the same composite.
 
     This is the bounded form of the coherence of partial composition under
     parallel associativity (Markl-Shnider-Stasheff, *Operads in Algebra,

@@ -350,28 +350,27 @@ def test_acceptance_5_endpoint_closed_implies_factor_closed():
 def test_acceptance_6_axiom_audit_exhaustive():
     family = graph_family()
     monoid = LabelMonoid(1, 2)
-    plain = longer = labeled = 0
-    # every instance is certified closed, so gamma is decided by coherence
-    # and never swept
-    for g in family:
-        inst = LoopInstance(g, 3)
-        rep = check_axioms(inst, 3)
-        assert rep.ok, (g.edges, rep.summary())
-        assert inst._indexed(3).closed, g.edges
-        plain += rep.checked
-    for g in family:
-        inst = LoopInstance(g, 4)
-        rep = check_axioms(inst, 4)
-        assert rep.ok, (g.edges, rep.summary())
-        assert inst._indexed(4).closed, g.edges
-        longer += rep.checked
-    for g in family:
-        inst = LoopInstance(g, 3, LabelingFc(g, monoid, False))
-        rep = check_axioms(inst, 3)
-        assert rep.ok, (g.edges, rep.summary())
-        assert inst._indexed(3).closed, g.edges
-        labeled += rep.checked
+    # every instance is certified closed and thin, so the nested, parallel
+    # and gamma identities are decided by coherence and counted
+    totals = {}
+    for name, make_fc, bound in [
+            ("plain", lambda g: LoopInstance(g, 3), 3),
+            ("longer", lambda g: LoopInstance(g, 4), 4),
+            ("labeled", lambda g: LoopInstance(
+                g, 3, LabelingFc(g, monoid, False)), 3),
+            ("labeled_longer", lambda g: LoopInstance(
+                g, 4, LabelingFc(g, monoid, False)), 4)]:
+        totals[name] = 0
+        for g in family:
+            inst = make_fc(g)
+            rep = check_axioms(inst, bound)
+            assert rep.ok, (g.edges, rep.summary())
+            ix = inst._indexed(bound)
+            assert ix.closed and ix.thin, g.edges
+            totals[name] += rep.checked
     _line(6, "unit/associativity/order-independence identities hold: "
-          f"{plain} on profile-loop instances at length <= 3 and {longer} "
-          f"at length <= 4, {labeled} on labeled instances at length <= 3 "
-          f"and truncation <= 2 ({len(family)} graphs)")
+          f"{totals['plain']} on profile-loop instances at length <= 3 and "
+          f"{totals['longer']} at length <= 4, {totals['labeled']} on "
+          f"labeled instances at length <= 3 and "
+          f"{totals['labeled_longer']} at length <= 4, truncation <= 2 "
+          f"({len(family)} graphs)")

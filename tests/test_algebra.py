@@ -11,6 +11,7 @@ from fcmc.labels import LabelMonoid, TRIVIAL_MONOID, label
 import fcmc.algebra
 from fcmc.freedg import (
     FreeDgFc,
+    GeneratorSpec,
     build_Ainf_bimodule,
     build_Ainf_category,
     build_Ainf_operad,
@@ -587,7 +588,7 @@ def test_direct_residues_match_dense_reference(preset, reduced):
         for seed in range(6):
             X = random_endx(fc.graph, seed, max_dim=2, degree_range=(-1, 2))
             A = random_assignment(fc, X, seed + 100, 3, density=0.6)
-            tables = _direct_tables(A)
+            tables = _direct_tables(fc, A)
             expected = []
             for loop in enumerate_profile_loops(fc.graph, 3):
                 for beta in fc.monoid.elements():
@@ -766,6 +767,26 @@ def test_direct_route_shares_no_code_with_generic_route():
     for fn in (_direct_residues, _direct_entries, _direct_tables,
                check_direct):
         assert not _names(fn.__code__) & generic, fn.__name__
+
+
+def test_assignment_keys_must_be_generators():
+    # renamed keys sit over generator profiles and labels but are not the
+    # structure's generators; the generic route used to read them as zero
+    # and the direct route used them
+    fc = build_Ainf_operad(TRIVIAL_MONOID)
+    X = random_endx(fc.graph, 0, 3, (-1, 2))
+    A = random_assignment(fc, X, 100, 3, density=0.6)
+    assert A.assignment
+    renamed = AlgebraData(X, {
+        GeneratorSpec("x" + gen.name, gen.profile, gen.label): xi
+        for gen, xi in A.assignment.items()})
+    for check in (check_algebra, check_direct, check_both_routes):
+        with pytest.raises(AlgebraError, match="not a generator"):
+            check(fc, renamed, 3)
+    with pytest.raises(AlgebraError, match="not a generator"):
+        algebra_residue(fc, renamed, next(iter(renamed.assignment)))
+    # the renamed specs were not made nodes of the structure
+    assert not any(gen in fc._node_ids for gen in renamed.assignment)
 
 
 def test_curved_preset_notes():

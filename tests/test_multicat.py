@@ -34,7 +34,9 @@ from fcmc.multicat import (
     AxiomReport,
     FactorReport,
     FcInstance,
+    _check_associativity,
     _check_gamma_orders,
+    _count_associativity,
     _Indexed,
     OutOfBound,
     TableInstance,
@@ -1021,12 +1023,13 @@ def test_closed_form_matches_the_sweep_on_the_family(k):
 
 
 @st.composite
-def closed_tables(draw):
-    """A table over the one-loop graph with one or two cells per (arity,
-    label total) class up to drawn caps, and an entry, naming a cell of
-    its class, for exactly the pairs that fit the caps: closed by
-    construction.  Entries name the first cell of their class (the free
-    loop instance, with the other cells as extra inputs) or are drawn."""
+def closed_tables(draw, per_class=2):
+    """A table over the one-loop graph with one to ``per_class`` cells per
+    (arity, label total) class up to drawn caps, and an entry, naming a
+    cell of its class, for exactly the pairs that fit the caps: closed by
+    construction, and thin with one cell per class.  Entries name the
+    first cell of their class (the free loop instance, with the other
+    cells as extra inputs) or are drawn."""
     g = single_loop()
     labeled = draw(st.booleans())
     cap_a = draw(st.integers(1, 3))
@@ -1034,7 +1037,7 @@ def closed_tables(draw):
     cells, by_class = [], {}
     for n in range(cap_a + 1):
         for t in range(cap_l + 1):
-            for c in range(draw(st.integers(1, 2))):
+            for c in range(draw(st.integers(1, per_class))):
                 cell = TwoCell(f"c{n}.{t}.{c}",
                                profile_loop(g, ["e"] * n, "e"),
                                label(t) if labeled else None)
@@ -1203,6 +1206,137 @@ def test_partial_tables_are_swept(arities, entries, no_closed_form):
     fc = _loop_table(arities, entries)
     assert not fc._indexed(3).closed
     check_axioms(fc, 3)
+
+
+# ------------------------- nested and parallel identities, if closed and thin
+#
+# On a table certified closed and thin, check_axioms counts the nested and
+# parallel identities instead of comparing their routes.  The reference is
+# the loops, called on the same table.
+
+def _associativity_both_ways(ix):
+    """The count and the loops on one table, from zero counts."""
+    return _count_associativity(ix, 0, 0), _check_associativity(ix, 0, 0)
+
+
+@pytest.fixture
+def no_count(monkeypatch):
+    """Make the count fail the test wherever it is reached."""
+    def count(ix, checked, skipped):
+        raise AssertionError("a table that is not thin reached the count")
+    monkeypatch.setattr(multicat, "_count_associativity", count)
+
+
+@pytest.mark.parametrize("make_fc, bound", [
+    (lambda g: LoopInstance(g, 3), 3),
+    (lambda g: LoopInstance(g, 4), 4),
+    (lambda g: LoopInstance(g, 3, LabelingFc(g, LabelMonoid(1, 2), False)),
+     3),
+], ids=["plain-3", "plain-4", "labeled-3"])
+def test_count_matches_the_loops_on_the_family(make_fc, bound):
+    # the instances of acceptance 6 that it audits at these bounds
+    for g in graph_family():
+        ix = make_fc(g)._indexed(bound)
+        assert ix.closed and ix.thin, g.edges
+        count, loops = _associativity_both_ways(ix)
+        assert count == loops, g.edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(closed_tables(per_class=1), random_tables()))
+def test_count_matches_the_loops_on_random_tables(case):
+    table, bound = case
+    ix = _UnitFree(table)._indexed(bound)
+    if ix.closed and ix.thin:
+        count, loops = _associativity_both_ways(ix)
+        assert count == loops
+    # elsewhere check_axioms loops, as the sweep reference does
+    assert check_axioms(_UnitFree(table), bound) == _swept_axioms(
+        _UnitFree(table), bound)
+
+
+def test_count_matches_the_loops_on_the_corrupted_tables():
+    # the table of test_check_axioms_corrupted_table, before its unit row
+    # is redirected, and the same table over a rank-2 labeling
+    g = single_loop()
+    for fc in (LoopInstance(g, 3),
+               LoopInstance(g, 3, LabelingFc(g, LabelMonoid(2, 1), False))):
+        ix = table_from_instance(fc, 3)._indexed(3)
+        assert ix.closed and ix.thin
+        count, loops = _associativity_both_ways(ix)
+        assert count == loops and count.checked > 0
+    # redirected, the table is no longer closed, and is looped over
+    fc = LoopInstance(g, 3)
+    table = table_from_instance(fc, 3)
+    rows = dict(table.table)
+    rows[(cell_of(fc, ["e", "e"], "e").id, 1, fc.unit("e").id)] = cell_of(
+        fc, ["e", "e", "e"], "e").id
+    table = TableInstance(g, table.cells(), {"e": fc.unit("e").id}, rows)
+    assert not table._indexed(3).closed
+    assert check_axioms(table, 3) == _swept_axioms(
+        TableInstance(g, table.cells(), {"e": fc.unit("e").id}, rows), 3)
+
+
+def test_a_closed_table_with_two_cells_over_one_profile_is_looped_over(
+        no_count):
+    # a and b over e;e, and x o_1 a = b, x o_1 b = a: every pair fits and
+    # has an entry, but (a o a) o a = a while a o (a o a) = b
+    g = single_loop()
+    cells = [TwoCell(c, profile_loop(g, ["e"], "e")) for c in "ab"]
+    rows = {(x, 1, y): "b" if y == "a" else "a" for x in "ab" for y in "ab"}
+    fc = _UnitFree(TableInstance(g, cells, {}, rows))
+    ix = fc._indexed(1)
+    assert ix.closed and not ix.thin
+    # the count would pass it
+    assert _count_associativity(ix, 0, 0).ok
+    report = check_axioms(fc, 1)
+    assert (report.failure, report.witness) == (
+        "nested associativity", ("a", 1, "a", 1, "a"))
+
+
+def test_a_closed_table_whose_coordinates_do_not_add_is_looped_over(
+        no_count):
+    # rank-2 labels: z o_1 p = q and z o_1 q = p agree with the factors in
+    # total but not in coordinates, so (z o z) o p = q, z o (z o p) = p
+    g = single_loop()
+    cells = [TwoCell(c, profile_loop(g, ["e"], "e"), label(*co))
+             for c, co in (("z", (0, 0)), ("p", (1, 0)), ("q", (0, 1)))]
+    rows = {("z", 1, "z"): "z", ("z", 1, "p"): "q", ("z", 1, "q"): "p",
+            ("p", 1, "z"): "p", ("q", 1, "z"): "q"}
+    fc = _UnitFree(TableInstance(g, cells, {}, rows))
+    ix = fc._indexed(1)
+    assert ix.closed and ix.labels_add and not ix.thin
+    assert _count_associativity(ix, 0, 0).ok
+    report = check_axioms(fc, 1)
+    assert (report.failure, report.witness) == (
+        "nested associativity", ("z", 1, "z", 1, "p"))
+
+
+def test_coordinate_swaps_withdraw_thinness(no_count):
+    # every row of the rank-2 table whose composite has a twin of the same
+    # profile and total, redirected to the twin: still closed, not thin
+    g = single_loop()
+    full = table_from_instance(
+        LoopInstance(g, 3, LabelingFc(g, LabelMonoid(2, 1), False)), 3)
+    twins = {}
+    for c in full.cells():
+        twins.setdefault((c.profile, c.label.total()), []).append(c.id)
+    by_id = {c.id: c for c in full.cells()}
+    caught = 0
+    for key, r in sorted(full.table.items()):
+        c = by_id[r]
+        twin = [t for t in twins[(c.profile, c.label.total())] if t != r]
+        if not twin:
+            continue
+        rows = dict(full.table) | {key: twin[0]}
+        fc = TableInstance(g, full.cells(), {"e": full.unit("e").id}, rows)
+        ix = fc._indexed(3)
+        assert ix.closed and not ix.thin, key
+        report = check_axioms(fc, 3)
+        assert not report.ok, key
+        caught += report.failure in ("nested associativity",
+                                     "parallel associativity")
+    assert caught > 0
 
 
 # ------------------------------------------------------- renaming invariance
