@@ -393,7 +393,10 @@ class FreeDgFc:
     once, under the plain key (source, target, input edges, output, label
     coords), and gives it its node id, the letter written for it in words
     and rule records; ``generator`` returns the spec kept under that id.
-    A unit spec is numbered when a walked tree first holds it.  Each
+    A generator is interned only when ``generators`` enumerates it, a
+    lookup by its boundary data (``generator``) names it, or a compiled
+    rule record reads it.  A unit spec is numbered when a walked tree
+    first holds it.  Each
     node's rule is kept as records over node ids only, a standard one
     compiled from ``_splittings`` the first time it is asked for: ``delta``
     splices them into words, the d^2 sweep squares a generator on their
@@ -475,7 +478,10 @@ class FreeDgFc:
               beta: MonoidElem) -> int:
         """The node id of the generator over the loop (src, tgt, edges;
         out) with label beta, or 0 if there is none, computed once per
-        key: a miss builds the loop and the spec, numbered by ``_node_id``."""
+        key: a miss builds the loop and the spec, numbered by ``_node_id``.
+        Its callers ask only for a generator they name: one ``generators``
+        enumerates, one whose boundary data is given (``generator``), or
+        a factor of a splitting that ``_splittings`` is about to yield."""
         key = (src, tgt, edges, out, beta.coords)
         try:
             return self._generators[key]
@@ -530,8 +536,12 @@ class FreeDgFc:
         gen's boundary and label.
 
         The block of s inputs from position r is bridged by each edge
-        from ``walk[r]`` to ``walk[r + s]``.  Each key is probed in the
-        generator table first; only a miss goes through ``_find``."""
+        from ``walk[r]`` to ``walk[r + s]``.  The inner factor, that block
+        closed by the bridge, is looked up first, and the outer one only
+        when the inner is a generator, so no outer generator is interned
+        that no record names (on a reduced structure an empty block at
+        label 0 is none).  Each key is probed in the generator table
+        first; only a miss goes through ``_find``."""
         loop, beta = gen.profile, gen.label
         n = loop.arity()
         src, tgt, out = loop.inputs.source, loop.inputs.target, loop.output
@@ -550,15 +560,15 @@ class FreeDgFc:
                 for bridge in bridges.get((v, w), ()):
                     outer_edges = ins[:r] + (bridge,) + ins[r + s:]
                     for b1, k1, b2, k2 in splits:
-                        outer = gens.get((src, tgt, outer_edges, out, k1))
-                        if outer is None:
-                            outer = find(src, tgt, outer_edges, out, b1)
-                        if not outer:
-                            continue
                         inner = gens.get((v, w, inner_edges, bridge, k2))
                         if inner is None:
                             inner = find(v, w, inner_edges, bridge, b2)
-                        if inner:
+                        if not inner:
+                            continue
+                        outer = gens.get((src, tgt, outer_edges, out, k1))
+                        if outer is None:
+                            outer = find(src, tgt, outer_edges, out, b1)
+                        if outer:
                             yield outer, inner, r
 
     def delta_generator(self, gen: GeneratorSpec) -> FreeCell:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -129,6 +130,33 @@ def test_free_d2_unreduced_notes_curved(capsys):
                                 "--unreduced"])
     assert code == 1
     assert "curved" in out
+
+
+# sha256 of the --format json stdout and the exit code of free-d2 runs
+# covering labels, rank 2, a partition, curvature inserts with the curved
+# note, and sign-fault residues; a speed-up of the free-dg layer must
+# leave every byte as it is
+FREE_D2_PINS = [
+    (["ainf", "--labels", "1", "--arity", "5"], 0,
+     "8a84bd239a312f6fd88644184657cf1615a3f061db11bd5cf7c1ea4281dd562a"),
+    (["ainf", "--rank", "2", "--labels", "1", "--arity", "4"], 0,
+     "c97d203357afde6e4a32814d21975ccc2644fa309bcf8578f63e2b42e162a986"),
+    (["bimodule", "--labels", "1", "--arity", "4"], 0,
+     "ab25fc3cb9a32094a2ee168f7cdafa0db8c92ddcb2c1253b5e4ae5d8d2b86079"),
+    (["rmodule", "--objects", "3", "--parts", "o1;o2,o3", "--arity", "4"], 0,
+     "844e93263fb167bd3f1d27d41d2d5420467d47adc0fbc30cde856212a3d0034b"),
+    (["ainf", "--unreduced", "--arity", "3"], 1,
+     "af52a1b42075accd73d3e4bf7f7aeff8fca4e0591b8aa091719379b562bec0d4"),
+    (["category", "--arity", "4", "--debug-sign-fault"], 1,
+     "c857002a39e0fae6dfb2cf9f68195f17f7b33e6b1aeca010a696b24348d77262"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", FREE_D2_PINS,
+                         ids=[" ".join(a) for a, _, _ in FREE_D2_PINS])
+def test_free_d2_json_bytes_are_pinned(capsys, argv, code, digest):
+    got, out, _ = run(capsys, ["free-d2", *argv, "--format", "json"])
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 def test_free_d2_unknown_preset(capsys):

@@ -1258,6 +1258,27 @@ def test_rule_records_from_the_splitting_loop_match_the_rule_cell(name, mon):
             assert sorted(read) == want, gen.name
 
 
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("mon", ["trivial", "rank 1"])
+@pytest.mark.parametrize("name", sorted(PRESET_ARGS))
+def test_rule_compilation_interns_only_generators_it_reads(name, mon,
+                                                           reduced):
+    # a splitting whose inner factor is no generator must not intern its
+    # outer one: every interned generator is enumerated or named by a
+    # compiled record
+    monoid = LabelMonoid(1, 1) if mon == "rank 1" else TRIVIAL_MONOID
+    fc = build_preset(name, monoid, reduced, *PRESET_ARGS[name])
+    delta_squared_report(fc, 4)
+    read = {fc._node_ids[g] for g in fc.generators(4)}
+    read.update(node for records in fc._word_rules if records
+                for outer, inner, _, _ in records for node in (outer, inner))
+    interned = {node for node in fc._generators.values() if node}
+    assert interned - read == set()
+    if reduced and mon == "trivial":
+        # no empty-input generator, so nothing above the swept arity
+        assert max(fc._nodes[node].arity() for node in interned) == 4
+
+
 def test_delta_generator_of_units_and_custom_generators():
     # the cases a rule's records cover besides the standard splitting: a
     # unit has none, a custom generator has its table's terms or none
