@@ -20,6 +20,14 @@ while they summed.
 ``hat_d`` and ``compose_end`` iterate over the stored table entries, so
 their cost scales with the entries a map stores, not with the product of
 the dimensions of its input complexes.
+
+``check_end_dg`` decides the associativity identities on interned
+values.  Each map they meet gets an id by its value, and each distinct
+(outer id, slot, inner id) is composed once; an identity then compares
+two ids.  This is sound because ``compose_end`` and ``scale`` read only
+their arguments' shapes and tables, so equal arguments give equal
+results, and because two maps share an id exactly when ``==`` holds
+between them (``_value_key``).
 """
 from __future__ import annotations
 
@@ -405,6 +413,17 @@ def _population(X: EndX, loops) -> list[MultiMap]:
     return maps
 
 
+def _value_key(xi: MultiMap) -> tuple:
+    """A map's value as a hashable key: its shape, and its table as
+    sorted (table key, sorted vector items) pairs.  Two maps get one key
+    exactly when ``==`` holds between them: both compare the shape and
+    the stored entries, and equal coefficients compare and hash alike
+    (``1`` and ``Fraction(1)`` do)."""
+    return (xi.inputs, xi.output, xi.degree,
+            tuple(sorted((k, tuple(sorted(v.items())))
+                         for k, v in xi.table.items())))
+
+
 def check_end_dg(X: EndX, arity_bound: int = 2,
                  sign_fault: bool = False) -> EndDgReport:
     """Verify the dg laws on every single-entry map of bounded arity.
@@ -414,9 +433,18 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
     parallel one with the sign for exchanging the two inner maps); unit
     laws; and the Leibniz identity tying hat_d to composition.
 
-    Each composite of two population maps is computed once, in the
-    Leibniz check, and kept in ``comps[a, i, b]`` (population indices and
-    slot); the partial-composition identities read it from there.
+    The partial-composition identities are decided on interned values.
+    Every map they meet gets an id by its value (``_value_key``): the
+    population first, as ids ``0..len(pop)-1``, then each composite as it
+    is first made.  ``rows`` maps (outer id, slot), then the inner id, to
+    the id of the composite, so ``compose_end`` runs at most once per
+    distinct triple; the Leibniz check fills the entries of pairs of
+    population maps.  A parallel identity's sign is ``neg``, the id of the
+    map scaled by -1.  Each identity then compares two ids.  This is
+    sound: ``compose_end`` and ``scale`` are functions of their arguments'
+    values, so a composite of interned representatives equals the
+    composite of the maps they stand for, and two maps share an id
+    exactly when they are equal.
     ``slots[a]`` maps an edge to the slots of pop[a] that take it, so the
     loops visit only the slots an inner map fits, in ascending order.
     """
@@ -457,16 +485,51 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
         if compose_end(X, units[xi.output], 1, xi) != xi:
             return fail("id o_1 xi != xi", repr(xi))
         checked += 1
+    # maps[n] is the map of id n, ids[_value_key(map)] its id; the
+    # population maps are distinct, so pop[a] gets id a
+    ids: dict[tuple, int] = {}
+    maps: list[MultiMap] = []
+
+    def intern(xi: MultiMap) -> int:
+        n = ids.setdefault(_value_key(xi), len(maps))
+        if n == len(maps):
+            maps.append(xi)
+        return n
+
+    for xi in pop:
+        intern(xi)
+    # rows[p * width + i][q] is the id of maps[p] o_i maps[q]: a slot is
+    # below 2 * arity_bound, so p * width + i names one (outer id, slot)
+    width = 2 * arity_bound
+    rows: dict[int, dict[int, int]] = {}
+
+    def comp(p: int, i: int, q: int) -> int:
+        row = rows.get(p * width + i)
+        if row is None:
+            row = rows[p * width + i] = {}
+        n = row.get(q)
+        if n is None:
+            n = row[q] = intern(compose_end(X, maps[p], i, maps[q],
+                                            sign_fault=sign_fault))
+        return n
+
+    negs: dict[int, int] = {}
+
+    def neg(n: int) -> int:
+        m = negs.get(n)
+        if m is None:
+            m = negs[n] = intern(maps[n].scale(-1))
+        return m
+
     # Leibniz
-    comps: dict[tuple[int, int, int], MultiMap] = {}
     for a, (xi1, d_xi1) in enumerate(zip(pop, d_pop)):
         into1 = slots[a]
         s = -1 if odd[a] else 1
         for b, (xi2, d_xi2) in enumerate(zip(pop, d_pop)):
             for i in into1.get(xi2.output, ()):
-                comp = comps[a, i, b] = compose_end(X, xi1, i, xi2,
-                                                    sign_fault=sign_fault)
-                lhs = hat_d(X, comp)
+                composite = compose_end(X, xi1, i, xi2, sign_fault=sign_fault)
+                rows.setdefault(a * width + i, {})[b] = intern(composite)
+                lhs = hat_d(X, composite)
                 rhs = compose_end(X, d_xi1, i, xi2,
                                   sign_fault=sign_fault).add(
                     compose_end(X, xi1, i, d_xi2,
@@ -477,22 +540,21 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
                         "composition",
                         f"{xi1!r} o_{i} {xi2!r}")
                 checked += 1
-    # partial-composition identities
+    del d_pop
+    # partial-composition identities, on ids: the inner comp() calls read
+    # the rows the Leibniz check made
     for a, xi1 in enumerate(pop):
         into1 = slots[a]
         for b, xi2 in enumerate(pop):
             into2 = slots[b]
             for i in into1.get(xi2.output, ()):
-                left = comps[a, i, b]
+                left = comp(a, i, b)
                 for c, xi3 in enumerate(pop):
                     e3 = xi3.output
                     # nested
                     for j in into2.get(e3, ()):
-                        lhs = compose_end(X, left, i - 1 + j, xi3,
-                                          sign_fault=sign_fault)
-                        rhs = compose_end(X, xi1, i, comps[b, j, c],
-                                          sign_fault=sign_fault)
-                        if lhs != rhs:
+                        if comp(left, i - 1 + j, c) != \
+                                comp(a, i, comp(b, j, c)):
                             return fail("nested composition identity fails",
                                         f"{xi1!r} {xi2!r} {xi3!r} i={i} j={j}")
                         checked += 1
@@ -500,11 +562,10 @@ def check_end_dg(X: EndX, arity_bound: int = 2,
                     for k in into1.get(e3, ()):
                         if k <= i:
                             continue
-                        lhs = compose_end(X, left, k - 1 + arity[b], xi3,
-                                          sign_fault=sign_fault)
-                        s = -1 if odd[b] and odd[c] else 1
-                        rhs = compose_end(X, comps[a, k, c], i, xi2,
-                                          sign_fault=sign_fault).scale(s)
+                        lhs = comp(left, k - 1 + arity[b], c)
+                        rhs = comp(comp(a, k, c), i, b)
+                        if odd[b] and odd[c]:
+                            rhs = neg(rhs)
                         if lhs != rhs:
                             return fail(
                                 "parallel composition identity fails",

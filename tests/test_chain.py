@@ -14,6 +14,7 @@ from fcmc.chain import (
     CochainComplex,
     EndX,
     GradedBasis,
+    MultiMap,
     check_end_dg,
     compose_end,
     hat_d,
@@ -297,19 +298,37 @@ def two_vertex_end():
 
 @pytest.mark.parametrize("make_x", [end_two_term, two_vertex_end])
 def test_check_end_dg_computes_no_composite_twice(monkeypatch, make_x):
+    # keyed by value: the Leibniz check's composites of two population
+    # maps and every composite the associativity identities compute are
+    # made once each.  The unit laws and the Leibniz right sides compose
+    # with a unit or a differential; they are made once each by identity,
+    # and a unit over a one-element basis equals a population map.
     import fcmc.chain as chain
-    compose = chain.compose_end
-    alive, seen, repeats = [], set(), []
+    compose, hat, unit = chain.compose_end, chain.hat_d, chain.identity_map
+    aside, keep = set(), []     # ids of units and differentials, kept alive
+    seen, repeats = set(), []
+
+    def set_aside(f):
+        def made(*args):
+            keep.append(f(*args))
+            aside.add(id(keep[-1]))
+            return keep[-1]
+        return made
 
     def recording(X, xi1, i, xi2, sign_fault=False):
-        alive.append((xi1, xi2))   # keeps every id() unique for the run
-        key = (id(xi1), i, id(xi2), sign_fault)
+        if id(xi1) in aside or id(xi2) in aside:
+            key = (id(xi1), i, id(xi2), sign_fault)
+        else:
+            key = (chain._value_key(xi1), i, chain._value_key(xi2),
+                   sign_fault)
         if key in seen:
             repeats.append(key)
         seen.add(key)
         return compose(X, xi1, i, xi2, sign_fault=sign_fault)
 
     monkeypatch.setattr(chain, "compose_end", recording)
+    monkeypatch.setattr(chain, "hat_d", set_aside(hat))
+    monkeypatch.setattr(chain, "identity_map", set_aside(unit))
     rep = check_end_dg(make_x(), 2)
     assert rep.ok and len(seen) > 100
     assert repeats == []
@@ -373,61 +392,61 @@ def _seeded_end(graph, dims, seed):
 # witness, compose_end calls): fixed values, so a change to the audit's
 # loops that drops, adds or reorders an identity fails here
 END_DG_PINS = {
-    ("loop", (1,), 2, 1, False): (True, 55, None, None, 105),
+    ("loop", (1,), 2, 1, False): (True, 55, None, None, 63),
     ("loop", (1,), 2, 1, True): (
         False, 28, "parallel composition identity fails",
         "MultiMap((e,e;e) deg 1, 1 entries) "
         "MultiMap((;e) deg -1, 1 entries) "
         "MultiMap((;e) deg -1, 1 entries) i=1 k=2",
-        53),
-    ("loop", (2,), 2, 1, False): (True, 7497, None, None, 15210),
+        34),
+    ("loop", (2,), 2, 1, False): (True, 7497, None, None, 3966),
     ("loop", (2,), 2, 1, True): (
         False, 1449, "parallel composition identity fails",
         "MultiMap((e,e;e) deg 1, 1 entries) "
         "MultiMap((;e) deg -1, 1 entries) "
         "MultiMap((;e) deg -1, 1 entries) i=1 k=2",
-        3116),
-    ("loop", (2,), 2, 4, False): (True, 7497, None, None, 15210),
+        1264),
+    ("loop", (2,), 2, 4, False): (True, 7497, None, None, 3594),
     ("loop", (2,), 2, 4, True): (
         False, 114, "Leibniz identity fails for hat_d against composition",
         "MultiMap((e,e;e) deg 1, 1 entries) o_2 "
         "MultiMap((e;e) deg -1, 1 entries)",
         232),
-    ("two-loop", (1, 1), 2, 1, False): (True, 1982, None, None, 4038),
+    ("two-loop", (1, 1), 2, 1, False): (True, 1982, None, None, 1514),
     ("two-loop", (1, 1), 2, 1, True): (
         False, 470, "parallel composition identity fails",
         "MultiMap((e,e;e) deg 1, 1 entries) "
         "MultiMap((;e) deg -1, 1 entries) "
         "MultiMap((;e) deg -1, 1 entries) i=1 k=2",
-        1016),
-    ("two-loop", (2, 1), 1, 4, False): (True, 395, None, None, 801),
-    ("two-loop", (2, 1), 1, 4, True): (True, 395, None, None, 801),
-    ("two-loop", (2, 2), 1, 1, False): (True, 1498, None, None, 3076),
-    ("two-loop", (2, 2), 1, 1, True): (True, 1498, None, None, 3076),
-    ("two-vertex", (1, 1, 1), 2, 0, False): (True, 218, None, None, 425),
+        486),
+    ("two-loop", (2, 1), 1, 4, False): (True, 395, None, None, 399),
+    ("two-loop", (2, 1), 1, 4, True): (True, 395, None, None, 399),
+    ("two-loop", (2, 2), 1, 1, False): (True, 1498, None, None, 1196),
+    ("two-loop", (2, 2), 1, 1, True): (True, 1498, None, None, 1196),
+    ("two-vertex", (1, 1, 1), 2, 0, False): (True, 218, None, None, 201),
     ("two-vertex", (1, 1, 1), 2, 0, True): (
         False, 177, "parallel composition identity fails",
         "MultiMap((e01,e1;e01) deg 1, 1 entries) "
         "MultiMap((e01,e1;e01) deg 1, 1 entries) "
         "MultiMap((;e1) deg -1, 1 entries) i=1 k=2",
-        345),
-    ("two-vertex", (1, 2, 1), 2, 0, False): (True, 2699, None, None, 5498),
-    ("two-vertex", (1, 2, 1), 2, 0, True): (True, 2699, None, None, 5498),
-    ("two-vertex", (2, 1, 1), 2, 4, False): (True, 8496, None, None, 17229),
+        163),
+    ("two-vertex", (1, 2, 1), 2, 0, False): (True, 2699, None, None, 1834),
+    ("two-vertex", (1, 2, 1), 2, 0, True): (True, 2699, None, None, 1834),
+    ("two-vertex", (2, 1, 1), 2, 4, False): (True, 8496, None, None, 4469),
     ("two-vertex", (2, 1, 1), 2, 4, True): (
         False, 147, "Leibniz identity fails for hat_d against composition",
         "MultiMap((e0,e0;e0) deg 1, 1 entries) o_2 "
         "MultiMap((e0;e0) deg -1, 1 entries)",
         270),
-    ("two-vertex", (2, 2, 2), 1, 4, False): (True, 367, None, None, 732),
-    ("two-vertex", (2, 2, 2), 1, 4, True): (True, 367, None, None, 732),
+    ("two-vertex", (2, 2, 2), 1, 4, False): (True, 367, None, None, 392),
+    ("two-vertex", (2, 2, 2), 1, 4, True): (True, 367, None, None, 392),
 }
 
 
 @pytest.mark.parametrize("case", list(END_DG_PINS), ids=str)
 def test_check_end_dg_reports_and_call_counts_pinned(monkeypatch, case):
-    # every identity is computed: the compose_end calls are pinned with
-    # the report
+    # each distinct composite is computed once: the compose_end calls are
+    # pinned with the report
     import fcmc.chain as chain
     graph, dims, arity, seed, sign_fault = case
     compose = chain.compose_end
@@ -444,6 +463,165 @@ def test_check_end_dg_reports_and_call_counts_pinned(monkeypatch, case):
         END_DG_PINS[case]
 
 
+def test_value_key_agrees_with_map_equality():
+    # check_end_dg gives two maps one id exactly when their _value_keys
+    # are equal
+    import fcmc.chain as chain
+    table = {("x",): {"x": 1}}
+    one = MultiMap(("e",), "e", 0, table)
+    frac = MultiMap(("e",), "e", 0, {("x",): {"x": Fraction(1)}})
+    ab = MultiMap(("e",), "e", 0, {("x",): {"x": 1, "y": 2},
+                                   ("y",): {"y": -1}})
+    ba = MultiMap(("e",), "e", 0, {("y",): {"y": -1},
+                                   ("x",): {"y": 2, "x": 1}})
+    shapes = [((), "e", 0), (("e",), "e", 0), (("e",), "e", 1),
+              (("f",), "e", 0), (("e",), "f", 0), (("e", "e"), "e", 0)]
+    maps = [one, frac, ab, ba,
+            MultiMap(("e",), "e", 1, table), MultiMap(("f",), "e", 0, table),
+            MultiMap(("e",), "f", 0, table)] + \
+        [MultiMap(ins, out, deg, {}) for ins, out, deg in shapes]
+    key = chain._value_key
+    assert key(one) == key(frac) and hash(key(one)) == hash(key(frac))
+    assert key(ab) == key(ba)
+    for xi1 in maps:
+        for xi2 in maps:
+            assert (key(xi1) == key(xi2)) == (xi1 == xi2)
+    # equal tables of another degree, inputs or output, and zero maps of
+    # different shapes, get keys of their own
+    assert len({key(xi) for xi in maps}) == len(maps) - 2
+
+
+def _reference_end_dg(X, arity_bound, sign_fault=False):
+    """``check_end_dg`` without its composition table: the same loops,
+    checks and witnesses, with both sides of every associativity identity
+    composed afresh through ``compose_end`` and compared as maps."""
+    import fcmc.chain as chain
+    compose, hat = chain.compose_end, chain.hat_d
+    pop = chain._population(X, enumerate_profile_loops(X.graph, arity_bound))
+    checked = 0
+
+    def fail(what, wit):
+        return chain.EndDgReport(False, checked, what, wit)
+
+    units = {e: identity_map(X, e) for e in X.graph.edge_ids()}
+    for e, unit in units.items():
+        if not hat(X, unit).is_zero():
+            return fail("hat_d(identity) != 0", f"edge {e}")
+        checked += 1
+    for xi in pop:
+        if not hat(X, hat(X, xi)).is_zero():
+            return fail("hat_d^2 != 0", repr(xi))
+        checked += 1
+    for xi in pop:
+        for i in range(1, xi.arity() + 1):
+            if compose(X, xi, i, units[xi.inputs[i - 1]]) != xi:
+                return fail("xi o_i id != xi", f"{xi!r} slot {i}")
+            checked += 1
+        if compose(X, units[xi.output], 1, xi) != xi:
+            return fail("id o_1 xi != xi", repr(xi))
+        checked += 1
+
+    def fits(xi1, xi2):
+        return [i for i in range(1, xi1.arity() + 1)
+                if xi1.inputs[i - 1] == xi2.output]
+
+    for xi1 in pop:
+        s = -1 if xi1.degree % 2 else 1
+        for xi2 in pop:
+            for i in fits(xi1, xi2):
+                lhs = hat(X, compose(X, xi1, i, xi2, sign_fault=sign_fault))
+                rhs = compose(X, hat(X, xi1), i, xi2,
+                              sign_fault=sign_fault).add(
+                    compose(X, xi1, i, hat(X, xi2),
+                            sign_fault=sign_fault).scale(s))
+                if lhs != rhs:
+                    return fail("Leibniz identity fails for hat_d against "
+                                "composition", f"{xi1!r} o_{i} {xi2!r}")
+                checked += 1
+    for xi1 in pop:
+        for xi2 in pop:
+            for i in fits(xi1, xi2):
+                left = compose(X, xi1, i, xi2, sign_fault=sign_fault)
+                for xi3 in pop:
+                    for j in fits(xi2, xi3):
+                        lhs = compose(X, left, i - 1 + j, xi3,
+                                      sign_fault=sign_fault)
+                        rhs = compose(X, xi1, i,
+                                      compose(X, xi2, j, xi3,
+                                              sign_fault=sign_fault),
+                                      sign_fault=sign_fault)
+                        if lhs != rhs:
+                            return fail("nested composition identity fails",
+                                        f"{xi1!r} {xi2!r} {xi3!r} i={i} j={j}")
+                        checked += 1
+                    for k in fits(xi1, xi3):
+                        if k <= i:
+                            continue
+                        lhs = compose(X, left, k - 1 + xi2.arity(), xi3,
+                                      sign_fault=sign_fault)
+                        s = -1 if xi2.degree % 2 and xi3.degree % 2 else 1
+                        rhs = compose(X, compose(X, xi1, k, xi3,
+                                                 sign_fault=sign_fault),
+                                      i, xi2, sign_fault=sign_fault).scale(s)
+                        if lhs != rhs:
+                            return fail("parallel composition identity fails",
+                                        f"{xi1!r} {xi2!r} {xi3!r} i={i} k={k}")
+                        checked += 1
+    return chain.EndDgReport(True, checked, None, None)
+
+
+REFERENCE_DIMS = {"loop": [(1,), (2,)],
+                  "two-loop": [(1, 1), (2, 1), (1, 2), (2, 2)],
+                  "two-vertex": [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1)]}
+
+
+# two-loop (2, 2) at arity bound 2 is left out: the reference takes
+# seconds there
+REFERENCE_CASES = [(g, d, a) for g, ds in REFERENCE_DIMS.items() for d in ds
+                   for a in (1, 2) if (g, d, a) != ("two-loop", (2, 2), 2)]
+
+
+@pytest.mark.parametrize("sign_fault", [False, True])
+@pytest.mark.parametrize("graph,dims,arity", REFERENCE_CASES, ids=str)
+def test_check_end_dg_matches_the_fresh_compose_reference(graph, dims, arity,
+                                                          sign_fault):
+    for seed in (2, 5):
+        X = _seeded_end(graph, dims, seed)
+        assert check_end_dg(X, arity, sign_fault=sign_fault) == \
+            _reference_end_dg(X, arity, sign_fault=sign_fault)
+
+
+@pytest.mark.parametrize("graph,dims", [("loop", (2,)), ("two-loop", (2, 1)),
+                                        ("two-vertex", (2, 1, 1))], ids=str)
+def test_check_end_dg_matches_the_reference_under_a_value_chosen_fault(
+        monkeypatch, graph, dims):
+    # a seeded composite of two population maps, longer than the arity
+    # bound, so only the associativity identities use it as an outer map;
+    # every composite made with it as the outer map comes out one degree
+    # off, with its table right
+    import fcmc.chain as chain
+    X, compose = _seeded_end(graph, dims, 7), chain.compose_end
+    pop = chain._population(X, enumerate_profile_loops(X.graph, 2))
+    long = [comp for xi1 in pop for xi2 in pop
+            for i in range(1, xi1.arity() + 1)
+            if xi1.inputs[i - 1] == xi2.output
+            and (comp := compose(X, xi1, i, xi2)).table
+            and comp.arity() > 2]
+    target = random.Random(7).choice(long)
+
+    def faulted(X, xi1, i, xi2, sign_fault=False):
+        comp = compose(X, xi1, i, xi2, sign_fault=sign_fault)
+        if xi1 == target:
+            return MultiMap(comp.inputs, comp.output, comp.degree + 1,
+                            comp.table)
+        return comp
+
+    monkeypatch.setattr(chain, "compose_end", faulted)
+    rep = check_end_dg(X, 2)
+    assert not rep.ok
+    assert rep == _reference_end_dg(X, 2)
+
+
 class _Wrong:
     """A faulted result: equal to no map, and not zero."""
 
@@ -458,28 +636,47 @@ def _is_identity(X, xi):
 def _checks_before_first(pop, kind):
     """The population checks ``check_end_dg`` makes before its first
     ``kind`` check ("Leibniz", "nested" or "parallel"), in its loop order,
-    and that check's witness."""
+    that check's witness, and its operands: ``(xi1, i, xi2)`` for Leibniz,
+    ``(xi1, i, xi2, xi3, j)`` or ``(xi1, i, xi2, xi3, k)`` otherwise."""
     n = len(pop) + sum(xi.arity() + 1 for xi in pop)   # hat_d^2, unit laws
     pairs = [(xi1, i, xi2) for xi1 in pop for xi2 in pop
              for i in range(1, xi1.arity() + 1)
              if xi1.inputs[i - 1] == xi2.output]
     if kind == "Leibniz":
         xi1, i, xi2 = pairs[0]
-        return n, f"{xi1!r} o_{i} {xi2!r}"
+        return n, f"{xi1!r} o_{i} {xi2!r}", pairs[0]
     n += len(pairs)                                    # Leibniz
     for xi1, i, xi2 in pairs:
         for xi3 in pop:
             for j in range(1, xi2.arity() + 1):
                 if xi2.inputs[j - 1] == xi3.output:
                     if kind == "nested":
-                        return n, f"{xi1!r} {xi2!r} {xi3!r} i={i} j={j}"
+                        return (n, f"{xi1!r} {xi2!r} {xi3!r} i={i} j={j}",
+                                (xi1, i, xi2, xi3, j))
                     n += 1
             for k in range(i + 1, xi1.arity() + 1):
                 if xi1.inputs[k - 1] == xi3.output:
                     if kind == "parallel":
-                        return n, f"{xi1!r} {xi2!r} {xi3!r} i={i} k={k}"
+                        return (n, f"{xi1!r} {xi2!r} {xi3!r} i={i} k={k}",
+                                (xi1, i, xi2, xi3, k))
                     n += 1
     raise AssertionError(f"no {kind} check")
+
+
+def _negated_at(outer, slot, inner, compose):
+    """``compose``, except that outer o_slot inner, matched by value, comes
+    out negated."""
+    def faulted(X, xi1, i, xi2, sign_fault=False):
+        comp = compose(X, xi1, i, xi2, sign_fault=sign_fault)
+        return comp.scale(-1) if (xi1, i, xi2) == (outer, slot, inner) \
+            else comp
+    return faulted
+
+
+def end_zero_d():
+    # z in degree 1, w in degree 0, zero differential: hat_d of every map
+    # vanishes, so the Leibniz check cannot see a composite off by a sign
+    return EndX(loop_graph(), {"e": make_complex([("z", 1), ("w", 0)])})
 
 
 @pytest.mark.parametrize("failure", [
@@ -491,7 +688,13 @@ def test_check_end_dg_failure_branches(monkeypatch, failure):
     # one injected fault per branch; the report stops at the first check
     # the fault breaks
     import fcmc.chain as chain
-    X = end_two_term()
+    # the associativity checks read the composites the Leibniz check made;
+    # over end_two_term the first nested check reads only composites that
+    # Leibniz sees, and the first parallel check compares one composite
+    # with itself, so those two faults go to a complex with d = 0
+    X = end_zero_d() if failure in (
+        "nested composition identity fails",
+        "parallel composition identity fails") else end_two_term()
     pop = chain._population(X, enumerate_profile_loops(X.graph, 2))
     # two basis elements: no single-entry map of the population is an
     # identity, so the faults below only meet the audit's own units
@@ -519,38 +722,25 @@ def test_check_end_dg_failure_branches(monkeypatch, failure):
             return _Wrong()
         return compose(X, xi1, i, xi2, sign_fault=sign_fault)
 
-    def into_a_composite(X, xi1, i, xi2, sign_fault=False):
-        if any(xi2 is c for c in made):
-            return _Wrong()
+    def recording(X, xi1, i, xi2, sign_fault=False):
         made.append(compose(X, xi1, i, xi2, sign_fault=sign_fault))
         return made[-1]
 
-    # composite id -> (composite, the slot and width of its inner block);
-    # holding the composite keeps its id unique
-    blocks = {}
-
-    def recording(X, xi1, i, xi2, sign_fault=False):
-        comp = compose(X, xi1, i, xi2, sign_fault=sign_fault)
-        blocks[id(comp)] = comp, i, xi2.arity()
-        return comp
-
     def hat_d_of_a_composite(X, xi):
-        return _Wrong() if id(xi) in blocks else hat(X, xi)
-
-    def after_the_block(X, xi1, i, xi2, sign_fault=False):
-        # a composite fed at a slot after its inner block: only the
-        # parallel identity's left side composes so
-        if id(xi1) in blocks:
-            _, at, width = blocks[id(xi1)]
-            if i >= at + width:
-                return _Wrong()
-        return recording(X, xi1, i, xi2, sign_fault=sign_fault)
+        return _Wrong() if any(xi is c for c in made) else hat(X, xi)
 
     first = next(k for k, xi in enumerate(pop) if xi.arity())
-    nested_checked, nested_witness = _checks_before_first(pop, "nested")
-    leibniz_checked, leibniz_witness = _checks_before_first(pop, "Leibniz")
-    parallel_checked, parallel_witness = _checks_before_first(pop,
-                                                              "parallel")
+    leibniz_checked, leibniz_witness, _ = _checks_before_first(pop,
+                                                               "Leibniz")
+    # the nested check's left factor xi1 o_i xi2, and the parallel one's
+    # right side (xi1 o_k xi3) o_i xi2, each negated by the value of its
+    # factors
+    nested_checked, nested_witness, (xi1, i, xi2, _, _) = \
+        _checks_before_first(pop, "nested")
+    nested = _negated_at(xi1, i, xi2, compose)
+    parallel_checked, parallel_witness, (xi1, i, xi2, xi3, k) = \
+        _checks_before_first(pop, "parallel")
+    parallel = _negated_at(compose(X, xi1, k, xi3), i, xi2, compose)
     faults, checked, witness = {
         "hat_d(identity) != 0": ({"hat_d": hat_d_of_identity}, 0, "edge e"),
         "hat_d^2 != 0": ({"hat_d": hat_d_of_a_differential}, edges,
@@ -566,10 +756,10 @@ def test_check_end_dg_failure_branches(monkeypatch, failure):
             {"compose_end": recording, "hat_d": hat_d_of_a_composite},
             edges + leibniz_checked, leibniz_witness),
         "nested composition identity fails": (
-            {"compose_end": into_a_composite}, edges + nested_checked,
+            {"compose_end": nested}, edges + nested_checked,
             nested_witness),
         "parallel composition identity fails": (
-            {"compose_end": after_the_block}, edges + parallel_checked,
+            {"compose_end": parallel}, edges + parallel_checked,
             parallel_witness),
     }[failure]
     for name, fault in faults.items():
