@@ -29,6 +29,19 @@ pays the degree parity of the nodes it passes.
 
 Dropping the nodes of ``w[:j]`` from that parity (the debug sign fault)
 breaks the square-zero property already at arity 4.
+
+On the two-node word of a rule record (O, I, q), where I sits at
+j = q + 1 and its subtree ends at k = j + 1 + arity(I), the rule has
+three cases for a record (o2, i2, q2) of the node being split; the d^2
+sweep reads its signs from them:
+
+* I split: o2 stays at j, i2 lands at j + 1 + q2, and the differential
+  passes O: sign (-1)^|O|.  The sign fault drops O, so the sign is +1.
+* O split at a child q2 <= q: i2 lands at q2 + 1 and I moves to j + 1;
+  the differential passes nothing: sign +1.
+* O split at a child q2 > q: I stays at j and i2 lands at k + q2 - j,
+  past I: sign (-1)^|I|.  Nothing precedes O, so the fault changes
+  neither O case.
 """
 from __future__ import annotations
 
@@ -399,11 +412,11 @@ class FreeDgFc:
     first holds it.  Each
     node's rule is kept as records over node ids only, a standard one
     compiled from ``_splittings`` the first time it is asked for: ``delta``
-    splices them into words, the d^2 sweep squares a generator on their
-    two-node words, ``delta_generator`` is the cell of those words and the
-    generic algebra route sums alpha over the records.  No tree or word
-    is kept: the terms ``delta`` outputs are far more numerous, and each
-    lives for one call.
+    splices them into words, the d^2 sweep sums a generator's square
+    from them in closed form, ``delta_generator`` is the cell of their
+    two-node words and the generic algebra route sums alpha over the
+    records.  No tree or word is kept: the terms ``delta`` outputs are far
+    more numerous, and each lives for one call.
     """
 
     def __init__(self, labeling: LabelingFc, preset: str = "generalized",
@@ -427,9 +440,6 @@ class FreeDgFc:
         self._node_ids: dict[GeneratorSpec, int] = {}
         self._nodes: list[Optional[GeneratorSpec]] = [None]
         self._word_rules: list[Optional[tuple]] = [None]
-        # (leaf count, q, inner arity, degree parities) -> the parities
-        # and places of a two-node word, for ``_square``
-        self._two_node_shapes: dict[tuple, tuple] = {}
         # (source, target, input edges, output, label coords) -> the
         # generator's node id, or 0 where there is no generator
         self._generators: dict[tuple, int] = {}
@@ -575,7 +585,7 @@ class FreeDgFc:
         """The generator's rule as a cell: minus the sum of matching 2-node
         composites, or the custom rule table's entry (zero when it has
         none, and for a unit).  It is the cell of the two-node words of
-        its records, the words ``_square`` splices."""
+        its records."""
         n = gen.arity()
         return self._cell(gen.profile, gen.label, gen.degree + 1,
                           {_record_word(outer, inner, q, n): c
@@ -637,23 +647,6 @@ class FreeDgFc:
                 self._walk(c, w, par, places)
         cs.append(len(w))
         places.append((j, cs))
-
-    def _two_node_shape(self, n: int, q: int, n_in: int, d_out: int,
-                        d_in: int) -> tuple[tuple, tuple]:
-        """The ``par`` and ``places`` that ``_walk`` would give the word
-        of a two-node tree with n leaves (see ``_record_word``), whose
-        inner node, of arity ``n_in``, is child q of its outer node;
-        ``d_out`` and ``d_in`` are the nodes' degree parities.  Made once
-        per shape."""
-        key = (n, q, n_in, d_out, d_in)
-        shape = self._two_node_shapes.get(key)
-        if shape is None:
-            k = q + 2 + n_in                    # where the inner subtree ends
-            par = (0,) + (d_out,) * (q + 1) + (d_out ^ d_in,) * (n - q + 1)
-            places = ((q + 1, tuple(range(q + 2, k + 1))),
-                      (0, (*range(1, q + 2), *range(k, n + 3))))
-            shape = self._two_node_shapes[key] = (par, places)
-        return shape
 
     def _tree(self, w: tuple[int, ...]) -> CompTree:
         """The tree of a pre-order word; a leaf takes its edge from its
@@ -723,19 +716,56 @@ class FreeDgFc:
         return self._cell(cell.profile, cell.label, cell.degree + 1, acc)
 
     def _square(self, gen: GeneratorSpec) -> FreeCell:
-        """delta(delta(gen)), computed on words from gen's rule records:
-        each record is the two-node word of one term of delta(gen), spliced
-        without building its tree."""
-        nodes, n = self._nodes, gen.arity()
-        acc: dict[tuple[int, ...], Scalar] = {}
+        """delta(delta(gen)), summed from gen's rule records without
+        building a word per term.
+
+        Every term of delta^2(gen) is a three-node word over gen's n
+        leaves, fixed by its root and the (position, id) of its two other
+        nodes, so terms are summed under the key (root, p, a, p', b),
+        p < p'.  The term of delta(gen) of record (O, I, q, c) is the word
+        of ``_record_word``: I sits at j = q + 1 and its subtree ends at
+        k = j + 1 + arity(I).  Splicing a record (o2, i2, q2, c2) into it
+        gives, by the module docstring's three cases,
+
+        * I split: (O, j, o2, j+1+q2, i2), sign (-1)^|O| (+1 under
+          ``sign_fault``);
+        * O split at a child q2 <= q: (o2, q2+1, i2, j+1, I), sign +1;
+        * O split at a child q2 > q: (o2, j, I, k+q2-j, i2), sign (-1)^|I|.
+
+        Only the keys left with a nonzero coefficient become words, and
+        then trees, for the residue strings."""
+        nodes, rules = self._nodes, self._word_rules
+        acc: dict[tuple[int, int, int, int, int], Scalar] = {}
+        get = acc.get
         for outer, inner, q, rc in self._records(gen):
-            i = nodes[inner]
-            par, places = self._two_node_shape(
-                n, q, len(i.profile.inputs.edges), nodes[outer].degree % 2,
-                i.degree % 2)
-            self._splice(_record_word(outer, inner, q, n), par, places, rc,
-                         acc)
-        return self._cell(gen.profile, gen.label, gen.degree + 2, acc)
+            j = q + 1
+            i_spec = nodes[inner]
+            k = j + 1 + len(i_spec.profile.inputs.edges)
+            records = rules[inner]
+            if records is None:
+                records = self._word_rule(inner)
+            x = rc if self.sign_fault or not nodes[outer].degree % 2 else -rc
+            for o2, i2, q2, c2 in records:
+                key = (outer, j, o2, j + 1 + q2, i2)
+                acc[key] = get(key, 0) + x * c2
+            records = rules[outer]
+            if records is None:
+                records = self._word_rule(outer)
+            y = -rc if i_spec.degree % 2 else rc
+            for o2, i2, q2, c2 in records:
+                if q2 <= q:
+                    key = (o2, q2 + 1, i2, j + 1, inner)
+                    acc[key] = get(key, 0) + rc * c2
+                else:
+                    key = (o2, j, inner, k + q2 - j, i2)
+                    acc[key] = get(key, 0) + y * c2
+        words = {}
+        for (root, p, a, p2, b), c in acc.items():
+            if c:
+                w = [0] * (gen.arity() + 3)
+                w[0], w[p], w[p2] = root, a, b
+                words[tuple(w)] = c
+        return self._cell(gen.profile, gen.label, gen.degree + 2, words)
 
 
 def compose_cells(fc: FreeDgFc, c1: FreeCell, i: int,
@@ -783,11 +813,13 @@ def delta_squared_report(fc: FreeDgFc, arity_bound: int,
                          ) -> Delta2Report:
     """Expand delta twice on every generator within bounds.
 
-    The square is taken on pre-order words: each rule record of a
-    generator is the two-node word of one term of its differential, and
-    that word is spliced as ``delta`` splices the words of a tree, so no
-    tree of delta(gen) is built.  Only the words of delta^2 left with a
-    nonzero coefficient become trees, for the residue strings.
+    The square is summed from rule records (see ``FreeDgFc._square``):
+    each term of delta^2(gen) is a three-node word, kept under its root
+    and the (position, id) of its other two nodes, with the sign of the
+    module docstring's three cases; ``delta`` keeps the general splice
+    for arbitrary cells.  No tree or word of delta(gen) is built, and
+    only the terms of delta^2 left with a nonzero coefficient become
+    trees, for the residue strings.
 
     An explicit generator list (for custom presentations) overrides the
     enumerated family; bounds still filter it.

@@ -149,12 +149,24 @@ FREE_D2_PINS = [
      "af52a1b42075accd73d3e4bf7f7aeff8fca4e0591b8aa091719379b562bec0d4"),
     (["category", "--arity", "4", "--debug-sign-fault"], 1,
      "c857002a39e0fae6dfb2cf9f68195f17f7b33e6b1aeca010a696b24348d77262"),
+    (["ainf", "--labels", "1", "--arity", "5", "--debug-sign-fault"], 1,
+     "b71cfd5c31afdda0ec3fd7839d187421361496902d4f011400f9be6e9b6967fc"),
+    (["category", "--unreduced", "--arity", "3"], 1,
+     "4c123d7b437fa814b7faa8368621b691b253d903165db04b81418661e3daa114"),
+    # the two-loop document of test_free_d2_parallel_loops_square_not_zero,
+    # named relative to the working directory, since the report's
+    # "command" holds the path
+    (["generalized:bc.json", "--arity", "2", "--path-len", "2"], 1,
+     "898c4f9d3924f14ebadc64d3c5aa6fc15b57888fb9c46a7d30b013d638756d80"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, digest", FREE_D2_PINS,
                          ids=[" ".join(a) for a, _, _ in FREE_D2_PINS])
-def test_free_d2_json_bytes_are_pinned(capsys, argv, code, digest):
+def test_free_d2_json_bytes_are_pinned(capsys, monkeypatch, tmp_path, argv,
+                                       code, digest):
+    write(tmp_path, "bc.json", _one_vertex_docs(["b", "c"])["free-d2"])
+    monkeypatch.chdir(tmp_path)
     got, out, _ = run(capsys, ["free-d2", *argv, "--format", "json"])
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 

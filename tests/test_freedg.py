@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import fcmc.freedg
 from fcmc.chain import ChainError
-from fcmc.graphs import (CompositionError, EdgePath, ProfileLoop,
+from fcmc.graphs import (CompositionError, EdgePath, ProfileLoop, make_graph,
                          enumerate_profile_loops, identity_loop)
 from fcmc.labels import (LabelMonoid, LabelingFc, MonoidElem, TRIVIAL_MONOID,
                          fiber, label)
@@ -1332,3 +1332,42 @@ def test_generators_follow_the_fibers(name, mon, reduced):
                 and not (loop.inputs.edges == (loop.output,)
                          and b.is_zero())]
         assert fc.generators(arity, max_label) == want
+
+
+# the square of each generator against delta applied to its rule cell: the
+# sweep sums closed-form three-node terms, delta splices general words
+CROSS_CHECK_PRESETS = {
+    "ainf": ((), (), 6),
+    "category": (("x", "y"), (), 4),
+    "left-module": (("x", "y"), (), 4),
+    "bimodule": ((), (), 4),
+    "rmodule": (("a", "b", "c"), (("a",), ("b", "c")), 3),
+}
+
+
+def _two_loop_structure():
+    graph = make_graph(["v"], [("b", "v", "v"), ("c", "v", "v")])
+    return FreeDgFc(LabelingFc(graph, TRIVIAL_MONOID, True))
+
+
+CROSS_CHECK_CASES = {
+    **{f"{name} {mon} reduced={reduced}": (
+        lambda name=name, mon=mon, reduced=reduced: build_preset(
+            name, LabelMonoid(*mon), reduced, *CROSS_CHECK_PRESETS[name][:2]),
+        CROSS_CHECK_PRESETS[name][2] - (mon[1] > 0))
+       for name in CROSS_CHECK_PRESETS for mon in ((1, 0), (1, 1), (2, 1))
+       for reduced in (True, False)},
+    "custom": (_custom_structure, 4),
+    "two loops": (_two_loop_structure, 3),
+}
+
+
+@pytest.mark.parametrize("fault", [False, True])
+@pytest.mark.parametrize("case", sorted(CROSS_CHECK_CASES))
+def test_square_matches_delta_of_the_rule_cell(case, fault):
+    make, arity = CROSS_CHECK_CASES[case]
+    fc = _with_fault(make(), fault)
+    gens = fc.generators(arity)
+    assert gens
+    for g in gens:
+        assert fc._square(g) == fc.delta(fc.delta_generator(g)), g.name
