@@ -46,7 +46,7 @@ from .freedg import (
     leaf_count,
 )
 from .graphs import (CompositionError, EdgePath, ProfileLoop,
-                     enumerate_profile_loops, path_vertices)
+                     enumerate_profile_loops)
 from .labels import LabelMonoid, MonoidElem, TRIVIAL_MONOID, decompose
 from .multicat import loop_token
 
@@ -246,11 +246,18 @@ def _residue(fc: FreeDgFc, A: AlgebraData, alpha: dict[int, MultiMap],
 # identity-shaped indices, and the sign of the arguments left of the inner
 # block.  It deliberately shares no code with hat_d / compose_end /
 # delta_generator so the two routes can serve as each other's oracle.
+#
+# What depends only on the check is indexed once per check_direct call
+# (:func:`_direct_index`), from the graph's edges, ``decompose`` and the
+# complexes alone: the tables by (input word, output edge, label coords),
+# with each edge's internal differential stored under its identity-shaped
+# key; the bridging edges by (source, target) in declaration order; the
+# label splits by coords; and each edge's basis parities and order.
 
 
 def _direct_tables(fc: FreeDgFc, A: AlgebraData):
-    """Index the assignment by (input word, output edge, label).  A key
-    that is not ``fc.generator`` of its profile and label raises
+    """Index the assignment by (input word, output edge, label coords).
+    A key that is not ``fc.generator`` of its profile and label raises
     :class:`AlgebraError`."""
     tables = {}
     for gen, xi in A.assignment.items():
@@ -261,25 +268,51 @@ def _direct_tables(fc: FreeDgFc, A: AlgebraData):
         if not known:
             raise AlgebraError(f"assignment key {gen.name} is not a "
                                f"generator of the structure")
-        key = (gen.profile.inputs.edges, gen.profile.output, gen.label)
+        key = (gen.profile.inputs.edges, gen.profile.output,
+               gen.label.coords)
         tables[key] = xi.table
     return tables
 
 
-def _direct_entries(A: AlgebraData, tables, word, out_edge, beta):
-    """The stored entries of the indexed operation: input basis tuple to
-    raw output vector.
+@dataclass(frozen=True)
+class _DirectIndex:
+    """The lookups of one direct check (see :func:`_direct_index`)."""
+    tables: dict      # (word, out edge, coords) -> {input tuple: vector}
+    bridges: dict     # (src, tgt) -> edge ids in declaration order
+    splits: dict      # coords -> [(b1 coords, b2 coords)], decompose order
+    ends: dict        # edge id -> target vertex
+    parity: dict      # edge id -> {basis id: degree mod 2}
+    order: dict       # edge id -> {basis id: position in the basis}
 
-    The identity-shaped index (single input equal to the output, zero
-    label) is the internal differential of that edge's complex.
-    """
-    if word == (out_edge,) and beta.is_zero():
-        return {(x,): vec for x, vec in A.X.complex(out_edge).d.items()}
-    return tables.get((word, out_edge, beta), {})
+
+def _direct_index(fc: FreeDgFc, A: AlgebraData,
+                  betas: Sequence[MonoidElem]) -> _DirectIndex:
+    """Index one check: the assignment's tables (:func:`_direct_tables`)
+    plus, under each edge's identity-shaped key ``((e,), e, zero coords)``,
+    that edge's internal differential (no generator has that key: the unit
+    profile at label 0 has none); the edges bridging each (source, target)
+    pair; the splits of every label in ``betas``; and each edge's target,
+    basis parities and basis order."""
+    tables = _direct_tables(fc, A)
+    zero = (0,) * fc.monoid.rank
+    bridges: dict[tuple[str, str], list[str]] = {}
+    ends, parity, order = {}, {}, {}
+    for edge in fc.graph.edges:
+        cx = A.X.complex(edge.id)
+        tables[(edge.id,), edge.id, zero] = {
+            (x,): vec for x, vec in cx.d.items()}
+        bridges.setdefault((edge.src, edge.tgt), []).append(edge.id)
+        ends[edge.id] = edge.tgt
+        parity[edge.id] = {x: d % 2 for x, d in cx.basis.elements}
+        order[edge.id] = {x: i for i, x in enumerate(cx.basis.ids())}
+    splits = {beta.coords: [(b1.coords, b2.coords)
+                            for b1, b2 in decompose(beta)]
+              for beta in betas}
+    return _DirectIndex(tables, bridges, splits, ends, parity, order)
 
 
-def _direct_residues(fc: FreeDgFc, A: AlgebraData, tables,
-                     loop: ProfileLoop, beta: MonoidElem):
+def _direct_residues(index: _DirectIndex, loop: ProfileLoop,
+                     beta: MonoidElem):
     """All nonzero values of the relation sum over one boundary index,
     as (input basis tuple, vector) pairs in ``_basis_tuples`` order.
 
@@ -290,25 +323,24 @@ def _direct_residues(fc: FreeDgFc, A: AlgebraData, tables,
     the inner entries that land in its slot r; the term is signed by the
     degrees of the arguments left of the block.
     """
+    tables = index.tables
     word = loop.inputs.edges
     n = len(word)
-    walk = path_vertices(fc.graph, loop.inputs)
-    cxs = [A.X.complex(e) for e in word]
-    parity = [{x: d % 2 for x, d in cx.basis.elements} for cx in cxs]
-    splits = decompose(beta)
-    blocks = [(r, s, bridge.id)
+    walk = [loop.inputs.source] + [index.ends[e] for e in word]
+    parity = [index.parity[e] for e in word]
+    splits = index.splits[beta.coords]
+    blocks = [(r, s, bridge)
               for r in range(n + 1) for s in range(n - r + 1)
-              for bridge in fc.graph.edges
-              if bridge.src == walk[r] and bridge.tgt == walk[r + s]]
+              for bridge in index.bridges.get((walk[r], walk[r + s]), ())]
     totals: dict[tuple[str, ...], Vector] = {}
     for r, s, bridge in blocks:
         inner_word = word[r:r + s]
         outer_word = word[:r] + (bridge,) + word[r + s:]
         for b1, b2 in splits:
-            inner = _direct_entries(A, tables, inner_word, bridge, b2)
+            inner = tables.get((inner_word, bridge, b2))
             if not inner:
                 continue
-            outer = _direct_entries(A, tables, outer_word, loop.output, b1)
+            outer = tables.get((outer_word, loop.output, b1))
             if not outer:
                 continue
             feeds: dict[str, list[tuple[tuple[str, ...], Scalar]]] = {}
@@ -325,9 +357,9 @@ def _direct_residues(fc: FreeDgFc, A: AlgebraData, tables,
                 for mid_key, cm in fed:
                     _add_into(totals.setdefault(pre + mid_key + post, {}),
                               vec, sign * cm)
-    index = [{x: i for i, x in enumerate(cx.basis.ids())} for cx in cxs]
+    order = [index.order[e] for e in word]
     out: list[tuple[tuple[str, ...], Vector]] = []
-    for args in sorted(totals, key=lambda a: [k[x] for k, x in zip(index, a)]):
+    for args in sorted(totals, key=lambda a: [k[x] for k, x in zip(order, a)]):
         total = _clean(totals[args])
         if total:
             out.append((args, total))
@@ -352,13 +384,13 @@ def check_direct(fc: FreeDgFc, A: AlgebraData, arity_bound: int,
     _require_standard_splitting(fc)
     cap = fc.monoid.cap(label_bound)
     betas = LabelMonoid(fc.monoid.rank, cap).elements()
-    tables = _direct_tables(fc, A)
+    index = _direct_index(fc, A, betas)
     failures = []
     checked = 0
     for loop in enumerate_profile_loops(fc.graph, arity_bound):
         for beta in betas:
             checked += 1
-            bad = _direct_residues(fc, A, tables, loop, beta)
+            bad = _direct_residues(index, loop, beta)
             if bad:
                 failures.append(RelationFailure(
                     f"relation[{loop_token(loop)}]@{beta}", loop.arity(),

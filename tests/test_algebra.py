@@ -7,7 +7,7 @@ import pytest
 
 from fcmc.graphs import (EdgePath, ProfileLoop, enumerate_profile_loops,
                          make_graph)
-from fcmc.labels import LabelMonoid, TRIVIAL_MONOID, label
+from fcmc.labels import LabelMonoid, LabelingFc, TRIVIAL_MONOID, label
 import fcmc.algebra
 from fcmc.freedg import (
     FreeDgFc,
@@ -36,7 +36,7 @@ from fcmc.algebra import (
     AlgebraError,
     RelationFailure,
     RelationReport,
-    _direct_entries,
+    _direct_index,
     _direct_residues,
     _direct_tables,
     _failing_pairs,
@@ -572,9 +572,25 @@ DIRECT_PRESETS = {
 }
 
 
+def _generalized(vertices, edges):
+    graph = make_graph(vertices, edges)
+    return lambda m, red: FreeDgFc(LabelingFc(graph, m, red))
+
+
+# generalized structures with two bridges between one pair of endpoints,
+# so that the order in which bridges are met is exercised
+DENSE_CASES = {
+    **DIRECT_PRESETS,
+    "two-loops": _generalized(["v"], [("b", "v", "v"), ("c", "v", "v")]),
+    "parallel-edges": _generalized(
+        ["u", "v"], [("b", "u", "v"), ("c", "u", "v"), ("p", "u", "u"),
+                     ("q", "v", "v")]),
+}
+
+
 @pytest.mark.parametrize("reduced", [True, False],
                          ids=["reduced", "curved"])
-@pytest.mark.parametrize("preset", sorted(DIRECT_PRESETS))
+@pytest.mark.parametrize("preset", sorted(DENSE_CASES))
 def test_direct_residues_match_dense_reference(preset, reduced):
     # the sparse walk must return the dense scan's full ordered residue
     # list on every (profile-loop, label), and check_direct must report the
@@ -584,16 +600,16 @@ def test_direct_residues_match_dense_reference(preset, reduced):
         monoids.append(LabelMonoid(2, 1))
     nonzero = 0
     for monoid in monoids:
-        fc = DIRECT_PRESETS[preset](monoid, reduced)
+        fc = DENSE_CASES[preset](monoid, reduced)
         for seed in range(6):
             X = random_endx(fc.graph, seed, max_dim=2, degree_range=(-1, 2))
             A = random_assignment(fc, X, seed + 100, 3, density=0.6)
-            tables = _direct_tables(fc, A)
+            index = _direct_index(fc, A, fc.monoid.elements())
             expected = []
             for loop in enumerate_profile_loops(fc.graph, 3):
                 for beta in fc.monoid.elements():
                     ref = ref_direct_residues(fc, A, loop, beta)
-                    assert _direct_residues(fc, A, tables, loop, beta) == \
+                    assert _direct_residues(index, loop, beta) == \
                         ref, (preset, reduced, monoid, seed, loop, beta)
                     if ref:
                         expected.append((loop.arity(), str(beta),
@@ -763,8 +779,8 @@ def _names(code):
 def test_direct_route_shares_no_code_with_generic_route():
     generic = {"hat_d", "compose_end", "delta_generator", "evaluate_alpha",
                "algebra_residue", "_evaluate_tree", "_records", "_residue",
-               "_alpha_by_node"}
-    for fn in (_direct_residues, _direct_entries, _direct_tables,
+               "_alpha_by_node", "_bridges", "_label_splits", "_splittings"}
+    for fn in (_direct_residues, _direct_index, _direct_tables,
                check_direct):
         assert not _names(fn.__code__) & generic, fn.__name__
 
