@@ -42,6 +42,38 @@ sweep reads its signs from them:
 * O split at a child q2 > q: I stays at j and i2 lands at k + q2 - j,
   past I: sign (-1)^|I|.  Nothing precedes O, so the fault changes
   neither O case.
+
+Twin quotient.  The d^2 sweep runs on the graph that merges twin vertices
+(``graphs.twin_quotient``): a graph map phi onto the full subgraph Q on
+one vertex per twin class, a bijection from the edges u -> w onto those
+phi(u) -> phi(w) for every ordered pair (u, w).  Why that is sound:
+
+* phi carries generators bijectively.  It sends a profile-loop of the
+  graph to one of Q, and, once the loop's vertex walk is fixed, each edge
+  of a loop over Q lifts to exactly one edge between the walk's vertices
+  there.  The fiber reads only the loop, the label and whether the inputs
+  are empty, and the unit case (input word (out,), label 0) is kept,
+  since out and that one input join the same pair.  So with the label
+  kept, the generators over a walk go one to one onto those over its
+  image.
+* phi carries splittings bijectively.  A splitting of m is a block r..r+s
+  of its inputs, a bridge from walk[r] to walk[r+s] and a split of the
+  label; phi sends it to the splitting of phi(m) with the same block,
+  the image bridge and the same split, and each factor is a generator
+  exactly when its image is.  So m's rule records go one to one onto
+  phi(m)'s, and so do the records of each of their factors.
+* The renaming is injective on three-node words.  A term of delta^2(m) is
+  a word over m's leaves with three nodes at fixed positions, each node
+  fixed by its label and the edges of its loop.  The positions fix each
+  node's leaves and walk endpoints, and the bridges are lifted there by
+  phi inverse, so two words over m never rename to one word over phi(m).
+  A coefficient is a signed sum over pairs of records, and the signs
+  read only positions and degrees, which phi keeps.
+
+So delta^2(m) is delta^2(phi(m)) with its nodes renamed, and zero exactly
+when that is.  The sweep sums the square once per image and pulls a
+nonzero one back to each generator over it.  A custom rule table is not
+read off the graph, so it is swept on its own structure.
 """
 from __future__ import annotations
 
@@ -62,6 +94,7 @@ from .graphs import (
     identity_loop,
     make_graph,
     path_vertices,
+    twin_quotient,
 )
 from .labels import (
     LabelMonoid,
@@ -821,6 +854,13 @@ def delta_squared_report(fc: FreeDgFc, arity_bound: int,
     only the terms of delta^2 left with a nonzero coefficient become
     trees, for the residue strings.
 
+    The squares are taken on the structure over the twin quotient
+    (``_twin_structure``): each generator goes to its image under phi,
+    the square is summed once per image, and a nonzero one is pulled
+    back to every generator over it (``_pull_back``), by the module
+    docstring's argument.  The generators counted, their order and their
+    names are the structure's own.
+
     An explicit generator list (for custom presentations) overrides the
     enumerated family; bounds still filter it.
     """
@@ -830,12 +870,74 @@ def delta_squared_report(fc: FreeDgFc, arity_bound: int,
     else:
         gens = [g for g in gens
                 if g.arity() <= arity_bound and g.label.total() <= cap]
+    fq, vmap, emap = _twin_structure(fc)
+    up = {(e.src, e.tgt, emap[e.id]): e.id for e in fc.graph.edges}
+    squares: dict[int, FreeCell] = {}
     bad = []
     for gen in gens:
-        d2 = fc._square(gen)
+        ins = gen.profile.inputs
+        node = fq._find(vmap[ins.source], vmap[ins.target],
+                        tuple(map(emap.__getitem__, ins.edges)),
+                        emap[gen.profile.output], gen.label)
+        d2 = squares.get(node)
+        if d2 is None:
+            d2 = squares[node] = fq._square(fq._nodes[node])
         if not d2.is_zero():
+            if fq is not fc:   # over fc itself the pull-back is the identity
+                d2 = _pull_back(fc, gen, d2, up)
             bad.append((gen.name, str(d2)))
     return Delta2Report(not bad, len(gens), arity_bound, cap, tuple(bad))
+
+
+def _twin_structure(fc: FreeDgFc
+                    ) -> tuple[FreeDgFc, dict[str, str], dict[str, str]]:
+    """The structure the d^2 sweep runs on, with phi on vertex and edge
+    ids: the standard splitting over ``twin_quotient(fc.graph)``, with
+    fc's monoid, reduction and sign fault, built for this one call.  A
+    graph without twins and a custom rule table give fc itself and the
+    identity."""
+    q, vmap, emap = twin_quotient(fc.graph)
+    if q is fc.graph or fc.custom_rules is not None:
+        return fc, {v: v for v in vmap}, {e: e for e in emap}
+    labeling = LabelingFc(q, fc.monoid, fc.labeling.reduced)
+    return FreeDgFc(labeling, sign_fault=fc.sign_fault), vmap, emap
+
+
+def _pull_back(fc: FreeDgFc, gen: GeneratorSpec, cell: FreeCell,
+               up: dict[tuple[str, str, str], str]) -> FreeCell:
+    """The cell over gen whose image under phi is ``cell``, a cell over
+    phi(gen) in the quotient.  A node covering gen's leaves from a to b
+    runs from walk[a] to walk[b] of gen's walk; its leaves are gen's
+    input edges there, and each other edge, a bridge, is lifted through
+    ``up``, phi inverse at its endpoints.  The specs are built, not
+    interned, and ``free_cell`` sorts the terms under their own
+    ``tree_key``."""
+    walk = path_vertices(fc.graph, gen.profile.inputs)
+    leaves = gen.profile.inputs.edges
+
+    def lift(t: CompTree, a: int, out: str) -> CompTree:
+        kids, edges = [], []
+        at = a
+        for c in t.children:
+            if c.__class__ is str:
+                kid = e = leaves[at]
+                at += 1
+            else:
+                end = at + leaf_count(c)
+                e = up[walk[at], walk[end], c.gen.profile.output]
+                kid = lift(c, at, e)
+                at = end
+            kids.append(kid)
+            edges.append(e)
+        loop = ProfileLoop(EdgePath(tuple(edges), walk[a], walk[at]), out)
+        spec = GeneratorSpec(fc.generator_name(loop, t.gen.label), loop,
+                             t.gen.label)
+        return CompTree(spec, tuple(kids))
+
+    out = gen.profile.output
+    return free_cell(gen.profile, gen.label, cell.degree,
+                     {lift(t, 0, out): c for t, c in cell.terms},
+                     validate=False)
 
 
 # ------------------------------------------------------------------ presets

@@ -11,7 +11,8 @@ a 2-cell.  :func:`is_loop_of` is the one decision of that: every layer
 
 Also here: the graph constructions every preset is built on (pair graphs,
 one-sided module graphs, the two-vertex bimodule graph, partition
-subgraphs) and the reachability decision for endpoint-closedness.
+subgraphs), the reachability decision for endpoint-closedness, and the
+quotient that merges twin vertices, on which the d^2 sweep runs.
 """
 from __future__ import annotations
 
@@ -370,6 +371,49 @@ def endpoint_violation(g: DirectedGraph,
                     parent[e.tgt] = (e.id, at)
                     queue.append(e.tgt)
     return None
+
+
+def twin_quotient(g: DirectedGraph
+                  ) -> tuple[DirectedGraph, dict[str, str], dict[str, str]]:
+    """Merge twin vertices: (Q, phi on vertex ids, phi on edge ids).
+
+    Vertices u and v are twins when every other vertex w has as many
+    edges u->w as v->w and as many w->u as w->v, and the counts u->u,
+    u->v, v->u and v->v are all equal.  That holds exactly when u and v
+    have the same row and the same column of the edge-count matrix, so
+    twins are found by hashing each vertex's out- and in-counts, and the
+    relation is an equivalence.  Every twin class has one count c on and
+    between its members, so the edges between two vertices are as many as
+    between their classes' first-declared members.
+
+    Q is the full subgraph on those representatives, and phi sends a
+    vertex to its representative and the i-th edge u->w (in declaration
+    order) to the i-th edge phi(u)->phi(w): a graph map that is a
+    bijection on the edges of every ordered pair.  A graph without twins
+    is its own quotient: Q is ``g`` itself and phi the identity.
+    """
+    rows: dict[str, dict[str, int]] = {v.id: {} for v in g.vertices}
+    cols: dict[str, dict[str, int]] = {v.id: {} for v in g.vertices}
+    for e in g.edges:
+        rows[e.src][e.tgt] = rows[e.src].get(e.tgt, 0) + 1
+        cols[e.tgt][e.src] = cols[e.tgt].get(e.src, 0) + 1
+    reps: dict[tuple, str] = {}
+    vmap = {v.id: reps.setdefault((frozenset(rows[v.id].items()),
+                                   frozenset(cols[v.id].items())), v.id)
+            for v in g.vertices}
+    if len(reps) == len(g.vertices):
+        return g, {v: v for v in vmap}, {e.id: e.id for e in g.edges}
+    kept = [e for e in g.edges if vmap[e.src] == e.src and vmap[e.tgt] == e.tgt]
+    bridges: dict[tuple[str, str], list[str]] = {}
+    for e in kept:
+        bridges.setdefault((e.src, e.tgt), []).append(e.id)
+    seen: dict[tuple[str, str], int] = {}
+    emap = {}
+    for e in g.edges:
+        i = seen[e.src, e.tgt] = seen.get((e.src, e.tgt), -1) + 1
+        emap[e.id] = bridges[vmap[e.src], vmap[e.tgt]][i]
+    q = DirectedGraph([v for v in g.vertices if vmap[v.id] == v.id], kept)
+    return q, vmap, emap
 
 
 def pair_edge_id(u: str, w: str) -> str:

@@ -98,6 +98,34 @@ def ref_subgraphs(vertices, edges):
     return out
 
 
+def ref_twin_classes(vertices, edges):
+    """Twin classes straight from the definition, in declaration order of
+    their first members: u and v are twins when every other vertex w has
+    as many edges u->w as v->w and w->u as w->v, and the counts u->u,
+    u->v, v->u and v->v are equal.  Checked pairwise against each class's
+    first member, then the classes are checked to be pairwise twins."""
+    def count(a, b):
+        return sum(1 for _, s, t in edges if (s, t) == (a, b))
+
+    def twins(u, v):
+        others = all(count(u, w) == count(v, w) and count(w, u) == count(w, v)
+                     for w in vertices if w not in (u, v))
+        return others and len({count(u, u), count(u, v), count(v, u),
+                               count(v, v)}) == 1
+
+    classes = []
+    for v in vertices:
+        for cls in classes:
+            if twins(cls[0], v):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    for cls in classes:
+        assert all(twins(u, v) for u in cls for v in cls if u != v)
+    return classes
+
+
 def ref_decompose(coords):
     """All ordered pairs (a, b) of componentwise-nonnegative splittings."""
     pairs = set()

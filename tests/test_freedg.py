@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import fcmc.freedg
 from fcmc.chain import ChainError
 from fcmc.graphs import (CompositionError, EdgePath, ProfileLoop, make_graph,
-                         enumerate_profile_loops, identity_loop)
+                         enumerate_profile_loops, identity_loop,
+                         twin_quotient)
 from fcmc.labels import (LabelMonoid, LabelingFc, MonoidElem, TRIVIAL_MONOID,
                          fiber, label)
 from fcmc.multicat import OutOfBound
@@ -54,6 +55,7 @@ from oracles import (
     ref_rank,
     ref_rule_terms,
 )
+from test_acceptance import graph_family
 
 
 def ainf():
@@ -1371,3 +1373,151 @@ def test_square_matches_delta_of_the_rule_cell(case, fault):
     assert gens
     for g in gens:
         assert fc._square(g) == fc.delta(fc.delta_generator(g)), g.name
+
+
+# the d^2 sweep runs on the twin quotient and pulls residues back; the full
+# per-generator sweep on the structure itself is the definition it must
+# reproduce, generator by generator and byte for byte
+TWIN_SWEEP_PRESETS = {
+    "ainf": ((), (), 5),
+    "category 2": (("x", "y"), (), 4),
+    "category 3": (("x", "y", "z"), (), 4),
+    "bimodule": ((), (), 4),
+    "left-module": (("x", "y"), (), 4),
+    "right-module": (("x", "y"), (), 4),
+    "rmodule": (("a", "b", "c"), (("a",), ("b", "c")), 3),
+    "rmodule 2+2": (("a", "b", "c", "d"), (("a", "c"), ("b", "d")), 3),
+}
+
+
+def _full_sweep(fc, arity):
+    """(generators, residues) of the per-generator ``_square`` sweep on fc
+    itself, with no quotient."""
+    gens = fc.generators(arity)
+    return len(gens), tuple((g.name, str(d2)) for g in gens
+                            if not (d2 := fc._square(g)).is_zero())
+
+
+def _assert_quotient_sweep_is_the_full_sweep(make, arity):
+    # separate structures, so that the report and the reference share no
+    # interned generator or compiled rule
+    rep = delta_squared_report(make(), arity)
+    count, residues = _full_sweep(make(), arity)
+    assert (rep.ok, rep.generators, rep.residues) == (not residues, count,
+                                                      residues)
+    return residues
+
+
+@pytest.mark.parametrize("fault", [False, True])
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("mon", ["trivial", "rank 1"])
+@pytest.mark.parametrize("case", sorted(TWIN_SWEEP_PRESETS))
+def test_quotient_sweep_matches_the_full_sweep_on_presets(case, mon, reduced,
+                                                          fault):
+    objects, parts, arity = TWIN_SWEEP_PRESETS[case]
+    monoid = LabelMonoid(1, 1) if mon == "rank 1" else TRIVIAL_MONOID
+    arity -= mon == "rank 1"
+
+    def make():
+        return _with_fault(build_preset(case.split()[0], monoid, reduced,
+                                        objects, parts), fault)
+    residues = _assert_quotient_sweep_is_the_full_sweep(make, arity)
+    # a dropped sign shows from arity 4 on, and sooner through the
+    # empty-input generators at label 1
+    broken = not reduced or fault and (arity >= 4 or mon == "rank 1")
+    assert bool(residues) == broken, case
+
+
+def _generalized(g, monoid, reduced, fault):
+    return FreeDgFc(LabelingFc(g, monoid, reduced), sign_fault=fault)
+
+
+def test_quotient_sweep_matches_the_full_sweep_on_the_graph_family():
+    twinned = [g for g in graph_family() if twin_quotient(g)[0] is not g]
+    assert len(twinned) == 17
+    nonzero = 0
+    for g in twinned:
+        # one bound less at three or four loops on one vertex, whose
+        # sweeps would take seconds
+        loops = max(sum(e.src == e.tgt == v for e in g.edges)
+                    for v in g.vertex_ids())
+        for monoid, arity in ((TRIVIAL_MONOID, 3), (LabelMonoid(1, 1), 2)):
+            arity -= loops > 2
+            for reduced in (True, False):
+                for fault in (False, True):
+                    nonzero += bool(_assert_quotient_sweep_is_the_full_sweep(
+                        lambda: _generalized(g, monoid, reduced, fault),
+                        arity))
+    assert nonzero
+
+
+def _blown_up(rng):
+    """A graph of twins: two classes, the first of two or three members
+    with c = 2 edges on and between them (parallel edges between twins),
+    the second of one or two, 0 to 2 edges from each member of one class
+    to each of the other, declared in a shuffled order."""
+    sizes = [rng.choice((2, 3)), rng.choice((1, 2))]
+    names = [[f"c{i}m{j}" for j in range(n)] for i, n in enumerate(sizes)]
+    counts = {(0, 0): 2, (1, 1): rng.randrange(2),
+              (0, 1): rng.randrange(3), (1, 0): rng.randrange(3)}
+    pairs = [(u, w) for (i, k), n in counts.items()
+             for u in names[i] for w in names[k] for _ in range(n)]
+    rng.shuffle(pairs)
+    return make_graph([v for cls in names for v in cls],
+                      [(f"e{n}", u, w) for n, (u, w) in enumerate(pairs)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_quotient_sweep_matches_the_full_sweep_with_parallel_twin_edges(seed):
+    g = _blown_up(random.Random(f"twins:{seed}"))
+    assert len(twin_quotient(g)[0].vertices) == 2
+    for reduced in (True, False):
+        for fault in (False, True):
+            # parallel edges break the square even when reduced
+            assert _assert_quotient_sweep_is_the_full_sweep(
+                lambda: _generalized(g, TRIVIAL_MONOID, reduced, fault), 2)
+
+
+def test_square_is_summed_once_per_quotient_generator(monkeypatch):
+    # category over three objects sweeps ainf's generators, each once; a
+    # twin-free graph and a custom table are swept on the structure itself
+    seen = []
+    square = FreeDgFc._square
+
+    def counted(self, gen):
+        seen.append((self, gen))
+        return square(self, gen)
+    monkeypatch.setattr(FreeDgFc, "_square", counted)
+    fc = build_Ainf_category(["x", "y", "z"], TRIVIAL_MONOID)
+    rep = delta_squared_report(fc, 4)
+    assert rep.ok and rep.generators == len(fc.generators(4)) > 100
+    assert len({id(s) for s, _ in seen}) == 1 and seen[0][0] is not fc
+    assert sorted(g.arity() for _, g in seen) == [2, 3, 4]
+    assert seen[0][0].graph.vertex_ids() == ("x",)
+    for fc in (build_Ainf_bimodule(TRIVIAL_MONOID), _custom_structure()):
+        seen.clear()
+        rep = delta_squared_report(fc, 4)
+        assert [s for s, _ in seen] == [fc] * rep.generators
+
+
+@pytest.mark.parametrize("variant", ["sign_fault", "unreduced"])
+@pytest.mark.parametrize("name", ["ainf", "category", "left-module"])
+def test_bounded_sweeps_restrict_the_larger_sweep(name, variant):
+    # residues at arity <= a and label <= l are the arity-4, label-2
+    # run's residues on the generators within those bounds
+    def make():
+        fc = build_preset(name, LabelMonoid(1, 2), variant != "unreduced",
+                          *PRESET_ARGS[name])
+        return _with_fault(fc, variant == "sign_fault")
+    big = make()
+    rep = delta_squared_report(big, 4, 2)
+    spec = {g.name: g for g in big.generators(4, 2)}
+    assert rep.residues and len(spec) == rep.generators
+    for a in (2, 3):
+        for l in (0, 1):
+            small = delta_squared_report(make(), a, l)
+            inside = {n for n, g in spec.items()
+                      if g.arity() <= a and g.label.total() <= l}
+            assert small.generators == len(inside)
+            assert small.residues == tuple(r for r in rep.residues
+                                           if r[0] in inside), (a, l)

@@ -30,6 +30,7 @@ from fcmc.graphs import (
     path_vertices,
     profile_loop,
     subgraph,
+    twin_quotient,
     validate_graph,
 )
 
@@ -38,7 +39,9 @@ from oracles import (
     ref_paths,
     ref_profile_loops,
     ref_subgraphs,
+    ref_twin_classes,
 )
+from test_acceptance import graph_family
 
 
 def single_loop():
@@ -422,3 +425,148 @@ def test_graph_equality_ignores_declaration_order():
     g2 = make_graph(["b", "a"], [("y", "b", "a"), ("x", "a", "b")])
     assert g1 == g2
     assert hash(g1) == hash(g2)
+
+
+# ------------------------------------------------------------ twin quotient
+
+
+def _phi_is_bijective_per_pair(g, q, vmap, emap):
+    """phi is a graph map onto q, bijective on the edges of each ordered
+    pair, and sends the i-th edge of a pair to the i-th of its image."""
+    by_pair, q_pair = {}, {}
+    for e in g.edges:
+        by_pair.setdefault((e.src, e.tgt), []).append(e.id)
+    for e in q.edges:
+        q_pair.setdefault((e.src, e.tgt), []).append(e.id)
+    for u in g.vertex_ids():
+        for w in g.vertex_ids():
+            image = [emap[e] for e in by_pair.get((u, w), [])]
+            if image != q_pair.get((vmap[u], vmap[w]), []):
+                return False
+    return all(q.edge(emap[e.id]).src == vmap[e.src]
+               and q.edge(emap[e.id]).tgt == vmap[e.tgt] for e in g.edges)
+
+
+def _check_quotient(g):
+    """Check twin_quotient(g) against the definition; return it."""
+    q, vmap, emap = twin_quotient(g)
+    classes = ref_twin_classes(*as_raw(g))
+    assert sorted(q.vertex_ids()) == sorted(cls[0] for cls in classes)
+    assert vmap == {v: cls[0] for cls in classes for v in cls}
+    # the full subgraph on the representatives
+    assert q == subgraph(g, q.vertex_ids(),
+                         [e.id for e in g.edges
+                          if {e.src, e.tgt} <= set(q.vertex_ids())])
+    assert set(emap) == set(g.edge_ids())
+    assert _phi_is_bijective_per_pair(g, q, vmap, emap)
+    if len(classes) == len(g.vertices):
+        assert q is g
+        assert vmap == {v: v for v in g.vertex_ids()}
+        assert emap == {e: e for e in g.edge_ids()}
+    return q, vmap, emap
+
+
+@pytest.mark.parametrize("objects", [["a", "b"], ["a", "b", "c"]])
+def test_twin_quotient_of_a_pair_graph_is_one_loop(objects):
+    q, vmap, emap = _check_quotient(build_pair_graph(objects))
+    assert q.vertex_ids() == ("a",) and q.edge_ids() == ("a->a",)
+    assert set(vmap.values()) == {"a"} and set(emap.values()) == {"a->a"}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_twin_quotient_of_a_module_graph_is_one_object_and_star(side):
+    for objects in (["a", "b"], ["a", "b", "c"]):
+        q, vmap, _ = _check_quotient(build_module_graph(objects, side))
+        arm = "*->a" if side == "left" else "a->*"
+        assert q.vertex_ids() == ("a", "*")
+        assert set(q.edge_ids()) == {"a->a", arm}
+        assert vmap["*"] == "*"
+
+
+@pytest.mark.parametrize("parts", [
+    [["a"], ["b", "c"]],
+    [["a", "b"], ["c", "d"]],
+    [["c"], ["a", "d"], ["b"]],
+    [["a", "b", "c"]],
+])
+def test_twin_quotient_of_a_partition_subgraph_is_one_vertex_per_part(parts):
+    objects = sorted(v for part in parts for v in part)
+    q, vmap, _ = _check_quotient(build_partition_subgraph(objects, parts))
+    assert len(q.vertices) == len(parts)
+    assert {vmap[v] for part in parts for v in part} == set(q.vertex_ids())
+    for part in parts:
+        assert len({vmap[v] for v in part}) == 1
+
+
+def test_twin_free_graphs_are_their_own_quotient():
+    g = build_bimodule_graph()
+    assert twin_quotient(g) == (g, {"v0": "v0", "v1": "v1"},
+                                {e: e for e in g.edge_ids()})
+    assert twin_quotient(g)[0] is g
+    # one vertex: nothing to merge
+    g = single_loop()
+    assert twin_quotient(g)[0] is g
+
+
+def test_twins_need_equal_self_and_cross_counts():
+    # u and v agree on w, but u->u differs from u->v
+    g = make_graph(["u", "v", "w"], [("l", "u", "u"), ("m", "v", "v"),
+                                     ("a", "u", "w"), ("b", "v", "w")])
+    assert twin_quotient(g)[0] is g
+    # the bimodule shape: no other vertex, but u->v is not v->u
+    g = make_graph(["u", "v"], [("l", "u", "u"), ("m", "v", "v"),
+                                ("a", "u", "v")])
+    assert twin_quotient(g)[0] is g
+    # equal self counts, no cross edges: still not twins
+    g = make_graph(["u", "v"], [("l", "u", "u"), ("m", "v", "v")])
+    assert twin_quotient(g)[0] is g
+    # adding the cross edges makes them twins
+    g = make_graph(["u", "v"], [("l", "u", "u"), ("m", "v", "v"),
+                                ("a", "u", "v"), ("b", "v", "u")])
+    q, vmap, emap = _check_quotient(g)
+    assert q.edge_ids() == ("l",) and set(emap.values()) == {"l"}
+
+
+def test_isolated_vertices_merge():
+    q, vmap, emap = _check_quotient(make_graph(["a", "b", "c"], []))
+    assert q.vertex_ids() == ("a",) and vmap == dict.fromkeys("abc", "a")
+    g = make_graph(["x", "a", "b"], [("l", "x", "x")])
+    q, vmap, _ = _check_quotient(g)
+    assert q.vertex_ids() == ("x", "a") and vmap["b"] == "a"
+
+
+def test_phi_takes_parallel_edges_by_declaration_index():
+    # u and v twins with two edges on and between them, declared shuffled
+    g = make_graph(["u", "v"], [
+        ("vu1", "v", "u"), ("uu1", "u", "u"), ("vv1", "v", "v"),
+        ("uv1", "u", "v"), ("uu2", "u", "u"), ("vu2", "v", "u"),
+        ("uv2", "u", "v"), ("vv2", "v", "v")])
+    q, vmap, emap = _check_quotient(g)
+    assert q.edge_ids() == ("uu1", "uu2")
+    assert [emap[e] for e in ("uu1", "uu2", "uv1", "uv2", "vu1", "vu2",
+                              "vv1", "vv2")] == ["uu1", "uu2"] * 4
+
+
+def test_twin_quotient_on_the_graph_family():
+    family = graph_family()
+    twinned = [k for k, g in enumerate(family) if _check_quotient(g)[0] is not g]
+    assert len(family) == 177 and len(twinned) == 17
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_twin_quotient_on_blown_up_graphs(data):
+    # a random class graph, each class blown up into twins: c edges on and
+    # between a class's members, k edges between members of two classes
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    names = [[f"c{i}m{j}" for j in range(n)] for i, n in enumerate(sizes)]
+    edges = []
+    for i, ci in enumerate(names):
+        for k, ck in enumerate(names):
+            count = data.draw(st.integers(0, 2))
+            edges += [(u, w) for u in ci for w in ck for _ in range(count)]
+    order = data.draw(st.permutations(range(len(edges))))
+    g = make_graph([v for cls in names for v in cls],
+                   [(f"e{n}", *edges[n]) for n in order])
+    q, vmap, _ = _check_quotient(g)
+    assert len(q.vertices) <= len(names)
