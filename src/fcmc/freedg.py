@@ -440,16 +440,19 @@ class FreeDgFc:
     coords), and gives it its node id, the letter written for it in words
     and rule records; ``generator`` returns the spec kept under that id.
     A generator is interned only when ``generators`` enumerates it, a
-    lookup by its boundary data (``generator``) names it, or a compiled
-    rule record reads it.  A unit spec is numbered when a walked tree
-    first holds it.  Each
-    node's rule is kept as records over node ids only, a standard one
-    compiled from ``_splittings`` the first time it is asked for: ``delta``
-    splices them into words, the d^2 sweep sums a generator's square
-    from them in closed form, ``delta_generator`` is the cell of their
-    two-node words and the generic algebra route sums alpha over the
-    records.  No tree or word is kept: the terms ``delta`` outputs are far
-    more numerous, and each lives for one call.
+    lookup by its boundary data (``generator``) names it, the d^2 sweep
+    squares it, or a compiled rule record reads it.  The sweep squares
+    on the twin quotient's structure, so over a graph with twins it
+    interns that structure's generators and none of this one's (see
+    ``delta_squared_report``).  A unit spec is numbered when a walked
+    tree first holds it.  Each node's rule is kept as records over node
+    ids only, a standard one compiled from ``_splittings`` the first time
+    it is asked for: ``delta`` splices them into words, the d^2 sweep
+    sums a generator's square from them in closed form,
+    ``delta_generator`` is the cell of their two-node words and the
+    generic algebra route sums alpha over the records.  No tree or word
+    is kept: the terms ``delta`` outputs are far more numerous, and each
+    lives for one call.
     """
 
     def __init__(self, labeling: LabelingFc, preset: str = "generalized",
@@ -855,38 +858,53 @@ def delta_squared_report(fc: FreeDgFc, arity_bound: int,
     trees, for the residue strings.
 
     The squares are taken on the structure over the twin quotient
-    (``_twin_structure``): each generator goes to its image under phi,
-    the square is summed once per image, and a nonzero one is pulled
-    back to every generator over it (``_pull_back``), by the module
-    docstring's argument.  The generators counted, their order and their
-    names are the structure's own.
+    (``_twin_structure``), by the module docstring's argument.  The
+    sweep reads (profile-loop, label) pairs in ``generators``' order,
+    maps each loop through phi once and looks its image up there: since
+    phi carries generators bijectively, a pair is a generator of fc
+    exactly when its image is one of the quotient, so the image's node
+    counts it and the square is summed once per image.  Only a nonzero
+    square builds the generator's own spec, not interned, for its name
+    and to pull the square back (``_pull_back``).  So a sweep over a
+    quotient interns nothing in fc, and the generators counted, their
+    order and their names are fc's own.  Over a twin-free graph or a
+    custom rule table the quotient is fc, and the lookup interns the
+    spec that ``_square`` needs.
 
-    An explicit generator list (for custom presentations) overrides the
-    enumerated family; bounds still filter it.
+    An explicit list of fc's generators (for custom presentations)
+    replaces the enumerated pairs; bounds still filter it.
     """
     cap = fc.monoid.cap(label_bound)
     if gens is None:
-        gens = fc.generators(arity_bound, cap)
+        betas = LabelMonoid(fc.monoid.rank, cap).elements()
+        walks = ((loop, betas)
+                 for loop in enumerate_profile_loops(fc.graph, arity_bound))
     else:
-        gens = [g for g in gens
-                if g.arity() <= arity_bound and g.label.total() <= cap]
+        walks = ((g.profile, (g.label,)) for g in gens
+                 if g.arity() <= arity_bound and g.label.total() <= cap)
     fq, vmap, emap = _twin_structure(fc)
     up = {(e.src, e.tgt, emap[e.id]): e.id for e in fc.graph.edges}
     squares: dict[int, FreeCell] = {}
-    bad = []
-    for gen in gens:
-        ins = gen.profile.inputs
-        node = fq._find(vmap[ins.source], vmap[ins.target],
-                        tuple(map(emap.__getitem__, ins.edges)),
-                        emap[gen.profile.output], gen.label)
-        d2 = squares.get(node)
-        if d2 is None:
-            d2 = squares[node] = fq._square(fq._nodes[node])
-        if not d2.is_zero():
-            if fq is not fc:   # over fc itself the pull-back is the identity
-                d2 = _pull_back(fc, gen, d2, up)
-            bad.append((gen.name, str(d2)))
-    return Delta2Report(not bad, len(gens), arity_bound, cap, tuple(bad))
+    count, bad = 0, []
+    for loop, labels in walks:
+        ins = loop.inputs
+        src, tgt = vmap[ins.source], vmap[ins.target]
+        edges = tuple(map(emap.__getitem__, ins.edges))
+        out = emap[loop.output]
+        for beta in labels:
+            node = fq._find(src, tgt, edges, out, beta)
+            if not node:
+                continue
+            count += 1
+            d2 = squares.get(node)
+            if d2 is None:
+                d2 = squares[node] = fq._square(fq._nodes[node])
+            if not d2.is_zero():
+                gen = GeneratorSpec(fc.generator_name(loop, beta), loop, beta)
+                if fq is not fc:   # over fc the pull-back is the identity
+                    d2 = _pull_back(fc, gen, d2, up)
+                bad.append((gen.name, str(d2)))
+    return Delta2Report(not bad, count, arity_bound, cap, tuple(bad))
 
 
 def _twin_structure(fc: FreeDgFc

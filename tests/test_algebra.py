@@ -393,6 +393,39 @@ def test_routes_agree_on_random_assignments(maker, preset_name):
     assert fails > 0  # the population must exercise the failing branch
 
 
+
+def _label_total(failure):
+    return sum(map(int, failure.label.strip("()").split(",")))
+
+
+@pytest.mark.parametrize("maker", [
+    build_Ainf_operad,
+    lambda monoid: build_Ainf_category(["x", "y"], monoid),
+    build_Ainf_bimodule,
+], ids=["ainf", "category", "bimodule"])
+def test_bounded_routes_restrict_the_larger_run(maker):
+    # on both routes, the failures and witnesses at arity <= a and label
+    # <= l are the arity-4, label-2 run's, restricted to those bounds
+    fc = maker(LabelMonoid(rank=1, truncation=2))
+    inside = 0
+    for seed in range(4):
+        X = random_endx(fc.graph, seed, degree_range=(-1, 2))
+        A = random_assignment(fc, X, seed + 1000, 4, 2, density=0.6)
+        big = check_algebra(fc, A, 4, 2), check_direct(fc, A, 4, 2)
+        for a in (2, 3):
+            for l in (0, 1):
+                small = check_algebra(fc, A, a, l), check_direct(fc, A, a, l)
+                for s, b in zip(small, big):
+                    assert s.failures == tuple(
+                        f for f in b.failures
+                        if f.arity <= a and _label_total(f) <= l), (
+                            seed, a, l, s.route)
+                    inside += len(s.failures)
+                assert small[0].checked == len(fc.generators(a, l))
+                assert small[1].checked == (
+                    len(enumerate_profile_loops(fc.graph, a)) * (l + 1))
+    assert inside  # some failure must fall within the smaller bounds
+
 def test_routes_agree_on_labeled_preset():
     fc = build_Ainf_operad(LabelMonoid(rank=1, truncation=1))
     for seed in range(8):

@@ -153,6 +153,14 @@ FREE_D2_PINS = [
      "b71cfd5c31afdda0ec3fd7839d187421361496902d4f011400f9be6e9b6967fc"),
     (["category", "--unreduced", "--arity", "3"], 1,
      "4c123d7b437fa814b7faa8368621b691b253d903165db04b81418661e3daa114"),
+    # twin-bearing and labeled: swept through the quotient that merges the
+    # objects, residues pulled back to each of the full structure's
+    # generators
+    (["left-module", "--objects", "3", "--labels", "1", "--arity", "4",
+      "--debug-sign-fault"], 1,
+     "67adc3a19e88d7f6b3ae571883c739747b9e4362d5da3404fa5b503a35500120"),
+    (["category", "--objects", "3", "--labels", "1", "--arity", "4"], 0,
+     "0c986ceaa01c3f320d5e9ab02ccb00c9d2592efe7318a0732c0c4e4178fe0d44"),
     # the two-loop document of test_free_d2_parallel_loops_square_not_zero,
     # named relative to the working directory, since the report's
     # "command" holds the path
@@ -398,6 +406,37 @@ def test_fc_audit_labeled(capsys, tmp_path):
                                 "--path-len", "2", "--labels", "1"])
     assert code == 0
 
+
+
+@pytest.mark.parametrize("doc, labels", [
+    ({"instance": "profile-loop", "graph": BIMOD_GRAPH,
+      "sub": {"vertices": ["v0"],
+              "edges": [{"id": "e0", "src": "v0", "tgt": "v0"}]}}, []),
+    ({"instance": "profile-loop",
+      "graph": graph_to_doc(build_pair_graph(["a", "b"]))}, []),
+    ({"instance": "labeled", "graph": LOOP_GRAPH,
+      "monoid": {"rank": 1, "truncation": 2}}, ["--labels", "1"]),
+    ({"instance": "labeled", "graph": BIMOD_GRAPH,
+      "monoid": {"rank": 1, "truncation": 1}}, ["--labels", "1"]),
+], ids=["bimodule-sub", "pair", "labeled-loop", "labeled-bimodule"])
+def test_fc_audit_checked_does_not_fall_as_the_length_bound_rises(
+        capsys, tmp_path, doc, labels):
+    # a longer path bound adds cells, so every report checks at least
+    # the comparisons it checked before
+    path = write(tmp_path, "a.json", {"format_version": 1,
+                                      "kind": "fc-instance", **doc})
+    rows = []
+    for length in (1, 2, 3, 4):
+        code, out, _ = run(capsys, ["fc-audit", path, "--arity", "3",
+                                    "--path-len", str(length), *labels,
+                                    "--format", "json"])
+        reports = loads_doc(out)["reports"]
+        assert code == 0 and all(r["ok"] for r in reports)
+        rows.append([(r["report"], r["checked"]) for r in reports])
+    for low, high in zip(rows, rows[1:]):
+        assert [r for r, _ in low] == [r for r, _ in high]
+        assert all(a <= b for (_, a), (_, b) in zip(low, high)), rows
+    assert rows[0] != rows[-1]
 
 def _table_doc(result_for_left_unit="m"):
     return {"format_version": 1, "kind": "fc-instance", "instance": "table",

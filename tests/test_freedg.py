@@ -1521,3 +1521,75 @@ def test_bounded_sweeps_restrict_the_larger_sweep(name, variant):
             assert small.generators == len(inside)
             assert small.residues == tuple(r for r in rep.residues
                                            if r[0] in inside), (a, l)
+
+
+def _category_3(fault):
+    return _with_fault(build_Ainf_category(["x", "y", "z"], LabelMonoid(1, 1)),
+                       fault)
+
+
+def _interned_nothing(fc):
+    return (not fc._generators and not fc._node_ids and fc._nodes == [None]
+            and fc._word_rules == [None])
+
+
+def test_quotient_sweep_interns_nothing_in_the_structure():
+    # the sweep counts a twin-bearing structure's generators through the
+    # quotient: a vanishing sweep interns none of them, and a failing one
+    # builds its residues' specs without interning them either
+    fc = _category_3(False)
+    rep = delta_squared_report(fc, 4)
+    assert rep.ok and _interned_nothing(fc)
+    assert rep.generators == len(_category_3(False).generators(4)) > 100
+    fc = _category_3(True)
+    rep = delta_squared_report(fc, 4)
+    count, residues = _full_sweep(_category_3(True), 4)
+    assert (rep.ok, rep.generators, rep.residues) == (False, count, residues)
+    assert _interned_nothing(fc)
+    # over a twin-free graph the sweep squares fc itself, so it interns
+    # the generators it counts
+    fc = build_Ainf_bimodule(TRIVIAL_MONOID)
+    rep = delta_squared_report(fc, 3)
+    assert len(fc._nodes) - 1 >= rep.generators == len(fc.generators(3))
+
+
+def _assert_phi_carries_generators(g, monoid, arity):
+    q, vmap, emap = twin_quotient(g)
+    assert q is not g
+    hits = 0
+    for reduced in (True, False):
+        fc = FreeDgFc(LabelingFc(g, monoid, reduced))
+        fq = FreeDgFc(LabelingFc(q, monoid, reduced))
+        for loop in enumerate_profile_loops(g, arity):
+            ins = loop.inputs
+            image = (vmap[ins.source], vmap[ins.target],
+                     tuple(emap[e] for e in ins.edges), emap[loop.output])
+            for beta in monoid.elements():
+                is_gen = bool(fc._find(ins.source, ins.target, ins.edges,
+                                       loop.output, beta))
+                assert is_gen == bool(fq._find(*image, beta)), (
+                    loop, beta, reduced)
+                hits += is_gen
+    return hits
+
+
+def test_phi_carries_generators_on_the_graph_family():
+    # the count of the quotient sweep rests on this: a (profile-loop,
+    # label) pair is a generator exactly when its image under phi is one
+    twinned = [g for g in graph_family() if twin_quotient(g)[0] is not g]
+    assert len(twinned) == 17
+    hits = 0
+    for g in twinned:
+        loops = max(sum(e.src == e.tgt == v for e in g.edges)
+                    for v in g.vertex_ids())
+        for monoid, arity in ((TRIVIAL_MONOID, 3), (LabelMonoid(1, 1), 2)):
+            hits += _assert_phi_carries_generators(g, monoid,
+                                                   arity - (loops > 2))
+    assert hits
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_phi_carries_generators_with_parallel_twin_edges(seed):
+    g = _blown_up(random.Random(f"twins:{seed}"))
+    for monoid in (TRIVIAL_MONOID, LabelMonoid(1, 1)):
+        assert _assert_phi_carries_generators(g, monoid, 2)
