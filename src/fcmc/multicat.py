@@ -9,7 +9,9 @@ Two concrete instance families are provided:
 
 * loop instances — one cell per profile-loop, or, given a labeling, one
   per (profile-loop, monoid label) pair; composition is path substitution
-  itself and adds labels;
+  itself and adds labels, so a labeled instance is the plain one times
+  the truncated monoid, and its composition table is built as that
+  product (:class:`_Indexed`);
 * table instances — hand-built finite cell sets with explicit composition
   tables, used for audits and fault injection.
 
@@ -140,8 +142,11 @@ class FcInstance:
         if self._tables is None:
             self._tables = {}
         if bound not in self._tables:
-            self._tables[bound] = _Indexed(self, bound)
+            self._tables[bound] = self._build_table(bound)
         return self._tables[bound]
+
+    def _build_table(self, bound: int) -> "_Indexed":
+        return _Indexed(self, bound)
 
 
 def gamma(fc: FcInstance, u: TwoCell, inners: Sequence[TwoCell],
@@ -254,6 +259,19 @@ class LoopInstance(FcInstance):
         return self._lookup(edges, output, coords) or self._cell(
             ProfileLoop(EdgePath(edges, outer.source, outer.target), output),
             None if coords is None else MonoidElem(coords))
+
+    def _build_table(self, bound: int) -> "_Indexed":
+        """A labeled instance's table is expanded from its plain
+        instance's table where that one is certified closed and thin, and
+        where the class composes and enumerates as this one does (see
+        :class:`_Indexed`); any other table is composed entry by entry."""
+        if self.labeling is not None and all(
+                getattr(type(self), name) is getattr(LoopInstance, name)
+                for name in ("cells", "compose", "_cell", "_lookup")):
+            plain = _Indexed(LoopInstance(self.graph, self.max_len), bound)
+            if plain.closed and plain.thin:
+                return _Indexed(self, bound, plain)
+        return _Indexed(self, bound)
 
 
 class TableInstance(FcInstance):
@@ -433,12 +451,75 @@ class _Indexed:
     key, but the certificate is decided here, entry by entry.  On a
     closed, thin table both sides of a nested or parallel identity, where
     both exist, are the same cell (:func:`_count_associativity`).
+
+    The table of a labeled loop instance is built as a product, given
+    ``plain``, the table of its plain instance (same graph and length
+    bound) at the same arity bound.  A labeled loop instance is the plain
+    one times the truncated label monoid: a labeled composite is the plain
+    composite carrying the label sum (Leinster, *Higher Operads, Higher
+    Categories*, 2004, for fc-multicategories).
+    ``LoopInstance._build_table`` composes the plain table as above and
+    expands it where it is certified closed and thin and the instance's
+    class overrides neither ``cells`` nor ``compose`` (nor the helpers
+    they make cells with); everywhere else the table is composed.  The
+    population is the plain one with each plain cell p replaced by its
+    fiber, in the monoid's element order, so a slot's candidates are the
+    fibers of the plain candidates, one plain candidate after another.
+    ``compose`` makes (p, a) o_i (q, b) exactly when it makes p o_i q and
+    the total of a + b is within the truncation, and the composite is the
+    plain composite carrying a + b.  That cell is in the labeled
+    population whenever the plain composite is in the plain one: the only
+    label a fiber drops is the zero label over empty inputs (a reduced
+    labeling), and a + b is zero over empty inputs only if q has empty
+    inputs and b is zero, which is no cell, so never a candidate.  Each
+    plain entry q -> s of row (p, i) thus expands, in the row of (p, a) at
+    slot i, into (q, b) -> (s, a + b) for the fiber labels b of q that fit
+    beside a, read off an addition table over element indices; the fitting
+    b are a prefix of the elements, which ascend by total.  A plain entry
+    in ``beyond`` expands the same way, its labeled composites made by
+    ``compose``.  Rows come out in the key order of the composed build.
+
+    ``closed`` and ``thin`` carry over from the plain certificate.  Labels
+    add by construction, and every composite sits over its plain
+    composite's profile, so ``labels_add`` holds and there is no bad
+    profile.  A fiber is empty only over empty inputs at truncation 0
+    under reduction, so a labeled population with any cell has the plain
+    arity cap and the truncation as label cap (every other fiber holds the
+    elements of top total).  A labeled pair then fits exactly when its
+    plain pair fits and its labels sum within the truncation, which is
+    exactly when it has an entry, since on a closed plain table a plain
+    pair has an entry exactly when it fits.  The plain population holds
+    one cell per (input edges, output edge), a fiber's labels are
+    distinct, and every entry's coordinates are its factors' sum, so the
+    labeled table is thin.
     """
 
-    def __init__(self, fc: FcInstance, arity_bound: int):
+    def __init__(self, fc: FcInstance, arity_bound: int,
+                 plain: Optional["_Indexed"] = None):
         self.cells = [c for c in fc.cells() if c.arity() <= arity_bound]
-        idx = {c.id: k for k, c in enumerate(self.cells)}
         self.arity = arity = [c.arity() for c in self.cells]
+        self.by_out: dict[str, list[int]] = {}
+        for k, c in enumerate(self.cells):
+            self.by_out.setdefault(c.profile.output, []).append(k)
+        self.comp: list[list[dict[int, int]]] = []
+        self.beyond: dict[tuple[int, int], dict[int, TwoCell]] = {}
+        self.bad_profile: Optional[tuple[str, int, str]] = None
+        self.totals = totals = [0 if c.label is None else c.label.total()
+                                for c in self.cells]
+        self.labels_add = True
+        self.arity_cap = max(arity, default=0)
+        self.label_cap = max(totals, default=0)
+        if plain is None:
+            self._compose_all(fc, arity_bound)
+        else:
+            self._expand(fc, plain)
+
+    def _compose_all(self, fc: FcInstance, arity_bound: int) -> None:
+        """Fill the table by composing every (cell, slot, candidate)
+        triple the length rule leaves, and decide the certificates."""
+        idx = {c.id: k for k, c in enumerate(self.cells)}
+        arity, totals = self.arity, self.totals
+        arity_cap, label_cap = self.arity_cap, self.label_cap
         ins = [c.profile.inputs.edges for c in self.cells]
         outs = [c.profile.output for c in self.cells]
         coords = [None if c.label is None else c.label.coords
@@ -448,17 +529,6 @@ class _Indexed:
         # coordinates are their totals, which labels_add compares
         kinds = {co if co is None else len(co) for co in coords}
         add_coords = not kinds <= {None} and kinds != {1}
-        self.by_out: dict[str, list[int]] = {}
-        for k, out in enumerate(outs):
-            self.by_out.setdefault(out, []).append(k)
-        self.comp: list[list[dict[int, int]]] = []
-        self.beyond: dict[tuple[int, int], dict[int, TwoCell]] = {}
-        self.bad_profile: Optional[tuple[str, int, str]] = None
-        self.totals = totals = [0 if c.label is None else c.label.total()
-                                for c in self.cells]
-        self.labels_add = True
-        self.arity_cap = arity_cap = max(arity, default=0)
-        self.label_cap = label_cap = max(totals, default=0)
         closed = True
         for x, u in enumerate(self.cells):
             # u o_i v fits the caps when v is within both rooms
@@ -498,6 +568,48 @@ class _Indexed:
         self.closed = (closed and self.labels_add
                        and self.bad_profile is None)
         self.thin = thin and self.labels_add
+
+    def _expand(self, fc: LoopInstance, plain: "_Indexed") -> None:
+        """Fill the table of the labeled loop instance ``fc`` from
+        ``plain``, its plain instance's table, certified closed and thin:
+        the product described in the class docstring."""
+        monoid = fc.labeling.monoid
+        elems = monoid.elements()
+        at = {e.coords: j for j, e in enumerate(elems)}
+        # sums[a][b]: the index of element a + element b, for the b whose
+        # sum with a fits the truncation: a prefix, as elements ascend by
+        # total
+        sums = [[at[tuple(map(operator.add, a.coords, b.coords))]
+                 for b in elems if a.total() + b.total() <= monoid.truncation]
+                for a in elems]
+        # labeled cell (p, a) is cell base[p] + a, for a >= low[p]: a
+        # reduced fiber over empty inputs lacks the zero, element 0
+        low = [int(fc.labeling.reduced and n == 0) for n in plain.arity]
+        base = []
+        size = 0
+        for lo in low:
+            base.append(size - lo)
+            size += len(elems) - lo
+        beyond_of: dict[int, list[tuple[int, dict[int, TwoCell]]]] = {}
+        for (p, i), extra in plain.beyond.items():
+            beyond_of.setdefault(p, []).append((i, extra))
+        cells = self.cells
+        for p, rows in enumerate(plain.comp):
+            for a in range(low[p], len(elems)):
+                plus = sums[a]
+                fit = len(plus)
+                self.comp.append([
+                    {base[q] + b: base[s] + plus[b]
+                     for q, s in row.items() for b in range(low[q], fit)}
+                    for row in rows])
+                x = base[p] + a
+                for i, extra in beyond_of.get(p, ()):
+                    made = {base[q] + b: fc.compose(cells[x], i,
+                                                    cells[base[q] + b])
+                            for q in extra for b in range(low[q], fit)}
+                    if made:
+                        self.beyond[(x, i)] = made
+        self.closed, self.thin = plain.closed, plain.thin
 
 
 def _coords_add(a, b, ab) -> bool:

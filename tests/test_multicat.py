@@ -1123,8 +1123,8 @@ class _Dropping(LoopInstance):
     """A loop instance whose population lacks one cell, which compose
     still returns: within the caps, but beyond the table."""
 
-    def __init__(self, graph, max_len, dropped):
-        super().__init__(graph, max_len)
+    def __init__(self, graph, max_len, dropped, labeling=None):
+        super().__init__(graph, max_len, labeling)
         self.dropped = dropped
 
     def cells(self):
@@ -1337,6 +1337,118 @@ def test_coordinate_swaps_withdraw_thinness(no_count):
         caught += report.failure in ("nested associativity",
                                      "parallel associativity")
     assert caught > 0
+
+
+# ------------------------------------------------ labeled tables as products
+#
+# A labeled loop instance builds its table from its plain instance's table
+# and the monoid's addition (LoopInstance._build_table, _Indexed._expand).
+# The references are the table _Indexed composes entry by entry, the full
+# sweep _swept_table, and the audits on the composed table.
+
+def _every_field(ix):
+    """Every field of a table; rows and beyond entries as item lists, so
+    that their key order counts."""
+    return ([[list(row.items()) for row in rows] for rows in ix.comp],
+            [(key, list(extra.items())) for key, extra in ix.beyond.items()],
+            ix.cells, ix.arity, ix.by_out, ix.totals, ix.arity_cap,
+            ix.label_cap, ix.labels_add, ix.bad_profile, ix.closed, ix.thin)
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Count the tables built as products."""
+    made = []
+    expand = _Indexed._expand
+
+    def counted(ix, fc, plain):
+        made.append(fc)
+        return expand(ix, fc, plain)
+    monkeypatch.setattr(_Indexed, "_expand", counted)
+    return made
+
+
+# members of the acceptance family with at most 40 plain cells at length
+# 4 (116 of 177; the others' labeled tables make the full sweep below too
+# slow for a unit test), sampled with a seed fixed here before any run
+PRODUCT_GRAPHS = sorted(random.Random(20261022).sample(
+    [k for k, g in enumerate(graph_family())
+     if len(LoopInstance(g, 4).cells()) <= 40], 8))
+# (length bound, arity bound); a bound below the length leaves composites
+# beyond the table
+PRODUCT_SHAPES = [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("k", PRODUCT_GRAPHS)
+def test_labeled_product_matches_the_composed_table(k, expansions):
+    # ranks 1 and 2, truncations 0-2, reduced and unreduced, on every
+    # shape; the reports on a seeded sub of each graph too
+    g = graph_family()[k]
+    part = random.Random(k).choice(list(all_subgraphs(g)))
+    for rank, truncation, reduced, (max_len, bound) in itertools.product(
+            (1, 2), (0, 1, 2), (False, True), PRODUCT_SHAPES):
+        def make():
+            return LoopInstance(g, max_len, LabelingFc(
+                g, LabelMonoid(rank, truncation), reduced))
+        fc, ref = make(), make()
+        ref._tables = {bound: _Indexed(ref, bound)}
+        got = fc._indexed(bound)
+        assert expansions[-1] is fc
+        assert _every_field(got) == _every_field(ref._indexed(bound))
+        assert _table_fields(fc, bound) == _swept_table(fc, bound)
+        assert got.closed and got.thin
+        assert check_axioms(fc, bound) == check_axioms(ref, bound)
+        assert is_factor_closed(fc, FullSub(fc, part), bound) == (
+            is_factor_closed(ref, FullSub(ref, part), bound))
+
+
+def test_the_product_sample_has_composites_beyond_the_table():
+    # a plain composite beyond the table at shape (4, 2) is one beyond the
+    # unreduced labeled tables there, at zero labels
+    assert sum(len(LoopInstance(graph_family()[k], 4)._indexed(2).beyond)
+               for k in PRODUCT_GRAPHS) > 0
+
+
+class _Corrupting(LoopInstance):
+    """A labeled loop instance whose compose gives one composite the
+    wrong label: (e,e;e@(0)) o_1 (e;e@(1)) is e,e;e@(2)."""
+
+    def compose(self, u, i, v):
+        uv = super().compose(u, i, v)
+        if (u.id, i, v.id) == ("e,e;e@(0)", 1, "e;e@(1)"):
+            return self._lookup(uv.profile.inputs.edges, "e", (2,))
+        return uv
+
+
+@pytest.fixture
+def no_product(monkeypatch):
+    """Make the product fail the test wherever it is reached."""
+    def expand(ix, fc, plain):
+        raise AssertionError("a table was built as a product")
+    monkeypatch.setattr(_Indexed, "_expand", expand)
+
+
+def test_a_labeled_instance_that_composes_otherwise_is_composed(no_product):
+    g = single_loop()
+    fc = _Corrupting(g, 3, LabelingFc(g, LabelMonoid(1, 2), False))
+    ix = fc._indexed(3)
+    assert not ix.labels_add and not ix.closed
+    assert _table_fields(fc, 3) == _swept_table(fc, 3)
+    # the report of the compose build, which composes every labeled pair
+    assert check_axioms(fc, 3) == AxiomReport(
+        False, "nested associativity",
+        ("e,e;e@(0)", 1, "e;e@(1)", 1, ";e@(0)"), 226, 77)
+
+
+def test_a_labeled_instance_with_another_population_is_composed(
+        no_product):
+    # e,e;e@(1) is within the bounds but not in the population
+    g = single_loop()
+    fc = _Dropping(g, 3, "e,e;e@(1)", LabelingFc(g, LabelMonoid(1, 2), False))
+    ix = fc._indexed(3)
+    assert ix.beyond and not ix.closed
+    assert _table_fields(fc, 3) == _swept_table(fc, 3)
+    assert check_axioms(fc, 3) == AxiomReport(True, None, None, 619, 325)
 
 
 # ------------------------------------------------------- renaming invariance
