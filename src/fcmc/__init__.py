@@ -81,8 +81,7 @@ from .freedg import (
     build_Ainf_bimodule,
     build_Ainf_category,
     build_Ainf_operad,
-    build_module_preset,
-    build_rmodule_preset,
+    build_preset,
     compose_cells,
     delta_squared_report,
     free_cell,

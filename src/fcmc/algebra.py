@@ -45,8 +45,8 @@ from .freedg import (
     build_Ainf_operad,
     leaf_count,
 )
-from .graphs import (CompositionError, EdgePath, ProfileLoop,
-                     enumerate_profile_loops)
+from .graphs import (CompositionError, DirectedGraph, EdgePath, ProfileLoop,
+                     enumerate_profile_loops, path_vertices)
 from .labels import LabelMonoid, MonoidElem, TRIVIAL_MONOID, decompose
 from .multicat import loop_token
 
@@ -251,8 +251,10 @@ def _residue(fc: FreeDgFc, A: AlgebraData, alpha: dict[int, MultiMap],
 # (:func:`_direct_index`), from the graph's edges, ``decompose`` and the
 # complexes alone: the tables by (input word, output edge, label coords),
 # with each edge's internal differential stored under its identity-shaped
-# key; the bridging edges by (source, target) in declaration order; the
-# label splits by coords; and each edge's basis parities and order.
+# key; the label splits by coords; and each edge's basis parities and
+# order.  A loop's vertex walk and the bridging edges between two of its
+# vertices are read from the graph itself (``path_vertices`` and
+# ``DirectedGraph.between``, in declaration order).
 
 
 def _direct_tables(fc: FreeDgFc, A: AlgebraData):
@@ -276,11 +278,11 @@ def _direct_tables(fc: FreeDgFc, A: AlgebraData):
 
 @dataclass(frozen=True)
 class _DirectIndex:
-    """The lookups of one direct check (see :func:`_direct_index`)."""
+    """The lookups of one direct check (see :func:`_direct_index`), and
+    the graph whose walks and bridges it reads."""
+    graph: DirectedGraph
     tables: dict      # (word, out edge, coords) -> {input tuple: vector}
-    bridges: dict     # (src, tgt) -> edge ids in declaration order
     splits: dict      # coords -> [(b1 coords, b2 coords)], decompose order
-    ends: dict        # edge id -> target vertex
     parity: dict      # edge id -> {basis id: degree mod 2}
     order: dict       # edge id -> {basis id: position in the basis}
 
@@ -290,25 +292,21 @@ def _direct_index(fc: FreeDgFc, A: AlgebraData,
     """Index one check: the assignment's tables (:func:`_direct_tables`)
     plus, under each edge's identity-shaped key ``((e,), e, zero coords)``,
     that edge's internal differential (no generator has that key: the unit
-    profile at label 0 has none); the edges bridging each (source, target)
-    pair; the splits of every label in ``betas``; and each edge's target,
-    basis parities and basis order."""
+    profile at label 0 has none); the splits of every label in ``betas``;
+    and each edge's basis parities and basis order."""
     tables = _direct_tables(fc, A)
     zero = (0,) * fc.monoid.rank
-    bridges: dict[tuple[str, str], list[str]] = {}
-    ends, parity, order = {}, {}, {}
+    parity, order = {}, {}
     for edge in fc.graph.edges:
         cx = A.X.complex(edge.id)
         tables[(edge.id,), edge.id, zero] = {
             (x,): vec for x, vec in cx.d.items()}
-        bridges.setdefault((edge.src, edge.tgt), []).append(edge.id)
-        ends[edge.id] = edge.tgt
         parity[edge.id] = {x: d % 2 for x, d in cx.basis.elements}
         order[edge.id] = {x: i for i, x in enumerate(cx.basis.ids())}
     splits = {beta.coords: [(b1.coords, b2.coords)
                             for b1, b2 in decompose(beta)]
               for beta in betas}
-    return _DirectIndex(tables, bridges, splits, ends, parity, order)
+    return _DirectIndex(fc.graph, tables, splits, parity, order)
 
 
 def _direct_residues(index: _DirectIndex, loop: ProfileLoop,
@@ -326,12 +324,12 @@ def _direct_residues(index: _DirectIndex, loop: ProfileLoop,
     tables = index.tables
     word = loop.inputs.edges
     n = len(word)
-    walk = [loop.inputs.source] + [index.ends[e] for e in word]
+    walk = path_vertices(index.graph, loop.inputs)
     parity = [index.parity[e] for e in word]
     splits = index.splits[beta.coords]
     blocks = [(r, s, bridge)
               for r in range(n + 1) for s in range(n - r + 1)
-              for bridge in index.bridges.get((walk[r], walk[r + s]), ())]
+              for bridge in index.graph.between(walk[r], walk[r + s])]
     totals: dict[tuple[str, ...], Vector] = {}
     for r, s, bridge in blocks:
         inner_word = word[r:r + s]

@@ -433,7 +433,9 @@ class FreeDgFc:
     and the preset is ``"custom"`` exactly when such a table is given.
     Its keys and the nodes of its terms must be generators of the
     structure.  The structure keeps each rule as its normalized cell, for
-    documents, and compiles it to records when it is constructed.
+    documents, and compiles it to records when it is constructed.  The
+    bridges of a splitting are read off the graph's edge index
+    (``DirectedGraph.between``).
 
     A generator is numbered when it is interned: ``_find`` makes its spec
     once, under the plain key (source, target, input edges, output, label
@@ -479,11 +481,6 @@ class FreeDgFc:
         # (source, target, input edges, output, label coords) -> the
         # generator's node id, or 0 where there is no generator
         self._generators: dict[tuple, int] = {}
-        # (source, target) -> the ids of the edges between them, in
-        # declaration order: the bridges of ``_splittings``
-        self._bridges: dict[tuple[str, str], list[str]] = {}
-        for e in self.graph.edges:
-            self._bridges.setdefault((e.src, e.tgt), []).append(e.id)
         # label coords -> its splittings (b1, b1 coords, b2, b2 coords)
         self._label_splits: dict[tuple[int, ...], list[tuple]] = {}
         self.custom_rules = None if custom_rules is None else {}
@@ -582,12 +579,13 @@ class FreeDgFc:
         gen's boundary and label.
 
         The block of s inputs from position r is bridged by each edge
-        from ``walk[r]`` to ``walk[r + s]``.  The inner factor, that block
-        closed by the bridge, is looked up first, and the outer one only
-        when the inner is a generator, so no outer generator is interned
-        that no record names (on a reduced structure an empty block at
-        label 0 is none).  Each key is probed in the generator table
-        first; only a miss goes through ``_find``."""
+        from ``walk[r]`` to ``walk[r + s]``, in declaration order
+        (``graph.between``).  The inner factor, that block closed by the
+        bridge, is looked up first, and the outer one only when the inner
+        is a generator, so no outer generator is interned that no record
+        names (on a reduced structure an empty block at label 0 is none).
+        Each key is probed in the generator table first; only a miss goes
+        through ``_find``."""
         loop, beta = gen.profile, gen.label
         n = loop.arity()
         src, tgt, out = loop.inputs.source, loop.inputs.target, loop.output
@@ -597,13 +595,14 @@ class FreeDgFc:
         if splits is None:
             splits = self._label_splits[beta.coords] = [
                 (b1, b1.coords, b2, b2.coords) for b1, b2 in decompose(beta)]
-        gens, find, bridges = self._generators, self._find, self._bridges
+        gens, find = self._generators, self._find
+        between = self.graph._between
         for r in range(n + 1):
             v = walk[r]
             for s in range(n - r + 1):
                 w = walk[r + s]
                 inner_edges = ins[r:r + s]
-                for bridge in bridges.get((v, w), ()):
+                for bridge in between.get((v, w), ()):
                     outer_edges = ins[:r] + (bridge,) + ins[r + s:]
                     for b1, k1, b2, k2 in splits:
                         inner = gens.get((v, w, inner_edges, bridge, k2))
@@ -986,14 +985,3 @@ def build_Ainf_category(object_ids: Sequence[str], monoid: LabelMonoid,
 
 def build_Ainf_bimodule(monoid: LabelMonoid, reduced: bool = True) -> FreeDgFc:
     return build_preset("bimodule", monoid, reduced)
-
-
-def build_module_preset(object_ids: Sequence[str], side: str,
-                        monoid: LabelMonoid, reduced: bool = True) -> FreeDgFc:
-    return build_preset(f"{side}-module", monoid, reduced, object_ids)
-
-
-def build_rmodule_preset(object_ids: Sequence[str],
-                         parts: Sequence[Sequence[str]], monoid: LabelMonoid,
-                         reduced: bool = True) -> FreeDgFc:
-    return build_preset("rmodule", monoid, reduced, object_ids, parts)

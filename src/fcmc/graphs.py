@@ -7,7 +7,12 @@ vertex, so its endpoints stay defined.  A profile-loop pairs an input path
 with one output edge sharing the path's endpoints — the boundary frame of
 a 2-cell.  :func:`is_loop_of` is the one decision of that: every layer
 (labels, instances, the free dg structure, documents through
-:func:`profile_loop`) asks it.
+:func:`profile_loop`) asks it.  Likewise the edges from one vertex to
+another, in declaration order, are indexed once per graph
+(:meth:`DirectedGraph.between`): they close a path into profile-loops,
+witness a failure of endpoint-closedness, give the twin quotient its
+counts and edge images, and bridge the blocks a splitting cuts out, in
+the free dg structure and in the direct algebra route alike.
 
 Also here: the graph constructions every preset is built on (pair graphs,
 one-sided module graphs, the two-vertex bimodule graph, partition
@@ -47,6 +52,10 @@ class DirectedGraph:
     Construction never raises; structural problems are surfaced by
     :func:`validate_graph` so malformed inputs can be *reported* rather
     than crashed on.  All query methods assume a valid graph.
+
+    Construction indexes the edges by source (``out_edges``) and by
+    (source, target) pair (``between``), in declaration order; a hot
+    loop may read the pair dict ``_between`` directly.
     """
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge]):
@@ -55,8 +64,11 @@ class DirectedGraph:
         self._vmap = {v.id: v for v in self.vertices}
         self._emap = {e.id: e for e in self.edges}
         self._out: dict[str, list[Edge]] = {}
+        self._between: dict[tuple[str, str], tuple[str, ...]] = {}
         for e in self.edges:
             self._out.setdefault(e.src, []).append(e)
+            self._between[e.src, e.tgt] = (
+                self._between.get((e.src, e.tgt), ()) + (e.id,))
 
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
@@ -78,6 +90,11 @@ class DirectedGraph:
 
     def out_edges(self, vid: str) -> tuple[Edge, ...]:
         return tuple(self._out.get(vid, ()))
+
+    def between(self, src: str, tgt: str) -> tuple[str, ...]:
+        """The ids of the edges src -> tgt in declaration order; () when
+        there is none."""
+        return self._between.get((src, tgt), ())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedGraph):
@@ -280,12 +297,10 @@ def identity_loop(g: DirectedGraph, eid: str) -> ProfileLoop:
 
 def enumerate_profile_loops(g: DirectedGraph, max_len: int) -> list[ProfileLoop]:
     """All profile-loops with input length <= max_len, in a stable order."""
-    by_ends: dict[tuple[str, str], list[str]] = {}
-    for e in g.edges:
-        by_ends.setdefault((e.src, e.tgt), []).append(e.id)
+    between = g._between
     out = []
     for p in enumerate_paths(g, max_len):
-        for eid in by_ends.get((p.source, p.target), ()):
+        for eid in between.get((p.source, p.target), ()):
             out.append(ProfileLoop(p, eid))
     return out
 
@@ -343,10 +358,6 @@ def endpoint_violation(g: DirectedGraph,
     if not is_subgraph(g, sub):
         raise GraphError("not a subgraph of the ambient graph")
     sub_edge_ids = {e.id for e in sub.edges}
-    by_ends: dict[tuple[str, str], list[str]] = {}
-    for e in g.edges:
-        if e.id not in sub_edge_ids:
-            by_ends.setdefault((e.src, e.tgt), []).append(e.id)
     for v in sub.vertices:
         # breadth-first search inside the subgraph, keeping parent edges
         parent: dict[str, tuple[str, str]] = {}
@@ -354,8 +365,9 @@ def endpoint_violation(g: DirectedGraph,
         queue = deque([v.id])
         while queue:
             at = queue.popleft()
-            missing = by_ends.get((v.id, at), ())
-            if missing:
+            missing = next((eid for eid in g.between(v.id, at)
+                            if eid not in sub_edge_ids), None)
+            if missing is not None:
                 edges = []
                 walk = at
                 while walk != v.id:
@@ -364,7 +376,7 @@ def endpoint_violation(g: DirectedGraph,
                     walk = pprev
                 edges.reverse()
                 path = EdgePath(tuple(edges), v.id, at)
-                return ProfileLoop(path, missing[0])
+                return ProfileLoop(path, missing)
             for e in sub.out_edges(at):
                 if e.tgt not in seen:
                     seen.add(e.tgt)
@@ -386,17 +398,17 @@ def twin_quotient(g: DirectedGraph
     between its members, so the edges between two vertices are as many as
     between their classes' first-declared members.
 
-    Q is the full subgraph on those representatives, and phi sends a
-    vertex to its representative and the i-th edge u->w (in declaration
-    order) to the i-th edge phi(u)->phi(w): a graph map that is a
-    bijection on the edges of every ordered pair.  A graph without twins
-    is its own quotient: Q is ``g`` itself and phi the identity.
+    Q is the full subgraph on those representatives, so it keeps every
+    edge between two of them.  phi sends a vertex to its representative
+    and the i-th edge of ``g.between(u, w)`` to the i-th edge of
+    ``g.between(phi(u), phi(w))``: a graph map that is a bijection on the
+    edges of every ordered pair.  A graph without twins is its own
+    quotient: Q is ``g`` itself and phi the identity.
     """
     rows: dict[str, dict[str, int]] = {v.id: {} for v in g.vertices}
     cols: dict[str, dict[str, int]] = {v.id: {} for v in g.vertices}
-    for e in g.edges:
-        rows[e.src][e.tgt] = rows[e.src].get(e.tgt, 0) + 1
-        cols[e.tgt][e.src] = cols[e.tgt].get(e.src, 0) + 1
+    for (u, w), ids in g._between.items():
+        rows[u][w] = cols[w][u] = len(ids)
     reps: dict[tuple, str] = {}
     vmap = {v.id: reps.setdefault((frozenset(rows[v.id].items()),
                                    frozenset(cols[v.id].items())), v.id)
@@ -404,14 +416,9 @@ def twin_quotient(g: DirectedGraph
     if len(reps) == len(g.vertices):
         return g, {v: v for v in vmap}, {e.id: e.id for e in g.edges}
     kept = [e for e in g.edges if vmap[e.src] == e.src and vmap[e.tgt] == e.tgt]
-    bridges: dict[tuple[str, str], list[str]] = {}
-    for e in kept:
-        bridges.setdefault((e.src, e.tgt), []).append(e.id)
-    seen: dict[tuple[str, str], int] = {}
     emap = {}
-    for e in g.edges:
-        i = seen[e.src, e.tgt] = seen.get((e.src, e.tgt), -1) + 1
-        emap[e.id] = bridges[vmap[e.src], vmap[e.tgt]][i]
+    for (u, w), ids in g._between.items():
+        emap.update(zip(ids, g.between(vmap[u], vmap[w])))
     q = DirectedGraph([v for v in g.vertices if vmap[v.id] == v.id], kept)
     return q, vmap, emap
 

@@ -263,11 +263,10 @@ class LoopInstance(FcInstance):
     def _build_table(self, bound: int) -> "_Indexed":
         """A labeled instance's table is expanded from its plain
         instance's table where that one is certified closed and thin, and
-        where the class composes and enumerates as this one does (see
-        :class:`_Indexed`); any other table is composed entry by entry."""
-        if self.labeling is not None and all(
-                getattr(type(self), name) is getattr(LoopInstance, name)
-                for name in ("cells", "compose", "_cell", "_lookup")):
+        where the instance is a ``LoopInstance`` itself, not a subclass
+        (see :class:`_Indexed`); any other table is composed entry by
+        entry."""
+        if self.labeling is not None and type(self) is LoopInstance:
             plain = _Indexed(LoopInstance(self.graph, self.max_len), bound)
             if plain.closed and plain.thin:
                 return _Indexed(self, bound, plain)
@@ -460,11 +459,12 @@ class _Indexed:
     Categories*, 2004, for fc-multicategories).
     ``LoopInstance._build_table`` composes the plain table as above and
     expands it where it is certified closed and thin and the instance's
-    class overrides neither ``cells`` nor ``compose`` (nor the helpers
-    they make cells with); everywhere else the table is composed.  The
-    population is the plain one with each plain cell p replaced by its
-    fiber, in the monoid's element order, so a slot's candidates are the
-    fibers of the plain candidates, one plain candidate after another.
+    class is ``LoopInstance`` itself, whose ``cells`` and ``compose`` are
+    the ones described here; a subclass, which may override either, and
+    every other instance get the composed table.  The population is the
+    plain one with each plain cell p replaced by its fiber, in the
+    monoid's element order, so a slot's candidates are the fibers of the
+    plain candidates, one plain candidate after another.
     ``compose`` makes (p, a) o_i (q, b) exactly when it makes p o_i q and
     the total of a + b is within the truncation, and the composite is the
     plain composite carrying a + b.  That cell is in the labeled

@@ -41,8 +41,7 @@ from fcmc.freedg import (
     build_Ainf_bimodule,
     build_Ainf_category,
     build_Ainf_operad,
-    build_module_preset,
-    build_rmodule_preset,
+    build_preset,
 )
 
 from test_algebra import (
@@ -111,11 +110,12 @@ def test_acceptance_3_route_equivalence_on_random_assignments():
         ("ainf", build_Ainf_operad(TRIVIAL_MONOID)),
         ("category", build_Ainf_category(["x", "y"], TRIVIAL_MONOID)),
         ("bimodule", build_Ainf_bimodule(TRIVIAL_MONOID)),
-        ("left-module", build_module_preset(["x"], "left", TRIVIAL_MONOID)),
-        ("right-module", build_module_preset(["x"], "right",
-                                             TRIVIAL_MONOID)),
-        ("rmodule", build_rmodule_preset(["x", "y"], [["x"], ["y"]],
-                                         TRIVIAL_MONOID)),
+        ("left-module", build_preset("left-module", TRIVIAL_MONOID,
+                                     objects=["x"])),
+        ("right-module", build_preset("right-module", TRIVIAL_MONOID,
+                                      objects=["x"])),
+        ("rmodule", build_preset("rmodule", TRIVIAL_MONOID,
+                                 objects=["x", "y"], parts=[["x"], ["y"]])),
     ]
     summary = []
     for name, fc in presets:

@@ -7,7 +7,7 @@ import pytest
 
 from fcmc.graphs import (EdgePath, ProfileLoop, enumerate_profile_loops,
                          make_graph)
-from fcmc.labels import LabelMonoid, LabelingFc, TRIVIAL_MONOID, label
+from fcmc.labels import LabelMonoid, LabelingFc, TRIVIAL_MONOID
 import fcmc.algebra
 from fcmc.freedg import (
     FreeDgFc,
@@ -15,8 +15,7 @@ from fcmc.freedg import (
     build_Ainf_bimodule,
     build_Ainf_category,
     build_Ainf_operad,
-    build_module_preset,
-    build_rmodule_preset,
+    build_preset,
     compose_cells,
     generator_cell,
     graft,
@@ -480,12 +479,12 @@ BASIS_CHANGE_PRESETS = {
     "ainf": lambda: build_Ainf_operad(TRIVIAL_MONOID),
     "category": lambda: build_Ainf_category(["x", "y"], TRIVIAL_MONOID),
     "bimodule": lambda: build_Ainf_bimodule(TRIVIAL_MONOID),
-    "left-module": lambda: build_module_preset(["x"], "left",
-                                               TRIVIAL_MONOID),
-    "right-module": lambda: build_module_preset(["x"], "right",
-                                                TRIVIAL_MONOID),
-    "rmodule": lambda: build_rmodule_preset(["x", "y"], [["x"], ["y"]],
-                                            TRIVIAL_MONOID),
+    "left-module": lambda: build_preset("left-module", TRIVIAL_MONOID,
+                                        objects=["x"]),
+    "right-module": lambda: build_preset("right-module", TRIVIAL_MONOID,
+                                         objects=["x"]),
+    "rmodule": lambda: build_preset("rmodule", TRIVIAL_MONOID,
+                                    objects=["x", "y"], parts=[["x"], ["y"]]),
 }
 BASIS_CHANGE_SEEDS = (0, 7, 19, 33, 46)
 
@@ -597,11 +596,10 @@ DIRECT_PRESETS = {
     "ainf": lambda m, red: build_Ainf_operad(m, red),
     "category": lambda m, red: build_Ainf_category(["x", "y"], m, red),
     "bimodule": lambda m, red: build_Ainf_bimodule(m, red),
-    "left-module": lambda m, red: build_module_preset(["x"], "left", m, red),
-    "right-module": lambda m, red: build_module_preset(["x"], "right", m,
-                                                       red),
-    "rmodule": lambda m, red: build_rmodule_preset(["x", "y"],
-                                                   [["x"], ["y"]], m, red),
+    "left-module": lambda m, red: build_preset("left-module", m, red, ["x"]),
+    "right-module": lambda m, red: build_preset("right-module", m, red, ["x"]),
+    "rmodule": lambda m, red: build_preset("rmodule", m, red, ["x", "y"],
+                                           [["x"], ["y"]]),
 }
 
 

@@ -11,7 +11,6 @@ from oracles import ref_compose, ref_hat_d
 from fcmc.graphs import CompositionError, enumerate_profile_loops, make_graph
 from fcmc.chain import (
     ChainError,
-    CochainComplex,
     EndX,
     GradedBasis,
     MultiMap,

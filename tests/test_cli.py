@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fcmc
-from fcmc.cli import main, resolve_bounds, build_parser
+from fcmc.cli import main
 from fcmc.serde import (
     algebra_job_to_doc,
     dumps_doc,
@@ -24,7 +24,7 @@ from fcmc.serde import (
 from fcmc.algebra import AlgebraData, AlgebraError, check_direct, lift_dga
 from fcmc.chain import EndX, make_complex
 from fcmc.freedg import FreeDgFc, build_Ainf_bimodule, build_Ainf_operad, \
-    build_module_preset
+    build_preset
 from fcmc.graphs import build_pair_graph, subgraph
 from fcmc.multicat import FullSub, LoopInstance, is_factor_closed
 from fcmc.labels import TRIVIAL_MONOID, LabelMonoid
@@ -337,6 +337,25 @@ def test_graph_check_not_closed_witness(capsys, tmp_path):
     assert "NO" in out and "aa" in out
 
 
+@pytest.mark.parametrize("inside, outside", [("p", "q"), ("q", "p")])
+def test_graph_check_witness_between_parallel_edges(capsys, tmp_path,
+                                                    inside, outside):
+    # u->w edges p and q straddle the sub: the witness closes the sub's
+    # path by the one outside it
+    edges = [{"id": "p", "src": "u", "tgt": "w"},
+             {"id": "q", "src": "u", "tgt": "w"},
+             {"id": "l", "src": "u", "tgt": "u"}]
+    path = write(tmp_path, "par.json", {
+        "format_version": 1, "kind": "graph",
+        "graph": {"vertices": ["u", "w"], "edges": edges},
+        "sub": {"vertices": ["u", "w"],
+                "edges": [e for e in edges if e["id"] in (inside, "l")]}})
+    code, out, _ = run(capsys, ["graph-check", path])
+    assert code == 1
+    assert (f"endpoint-closed(sub): NO: inputs ['{inside}'] from u admit "
+            f"the outside output {outside}\n") in out
+
+
 def test_graph_check_parse_error_location(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -533,7 +552,7 @@ def test_algebra_check_direct_unavailable(capsys, tmp_path):
     # every preset with the standard splitting has the direct route
     doc = dual_doc()
     doc["preset"] = "generalized"
-    fc = build_module_preset(["o1"], "left", TRIVIAL_MONOID)
+    fc = build_preset("left-module", TRIVIAL_MONOID, objects=["o1"])
     cx = make_complex([("x", 0)], {})
     mod_doc = algebra_job_to_doc(fc, AlgebraData(
         EndX(fc.graph, {e.id: cx for e in fc.graph.edges}), {}))

@@ -26,9 +26,7 @@ from fcmc.freedg import (
     build_Ainf_bimodule,
     build_Ainf_category,
     build_Ainf_operad,
-    build_module_preset,
     build_preset,
-    build_rmodule_preset,
     compose_cells,
     delta_squared_report,
     format_tree,
@@ -493,7 +491,7 @@ def test_bimodule_equals_generalized_on_same_graph():
 
 
 def test_left_module_generator_words():
-    lm = build_module_preset(["v"], "left", TRIVIAL_MONOID)
+    lm = build_preset("left-module", TRIVIAL_MONOID, objects=["v"])
     words = [g.profile.inputs.edges for g in lm.generators(3)]
     assert ("*->v", "v->v") in words
     assert ("*->v", "v->v", "v->v") in words
@@ -503,7 +501,7 @@ def test_left_module_generator_words():
 
 
 def test_right_module_generator_words():
-    rm = build_module_preset(["v"], "right", TRIVIAL_MONOID)
+    rm = build_preset("right-module", TRIVIAL_MONOID, objects=["v"])
     words = [g.profile.inputs.edges for g in rm.generators(3)]
     assert ("v->v", "v->*") in words
     for w in words:
@@ -511,13 +509,13 @@ def test_right_module_generator_words():
 
 
 def test_module_no_output_at_missing_loop():
-    lm = build_module_preset(["v"], "left", TRIVIAL_MONOID)
+    lm = build_preset("left-module", TRIVIAL_MONOID, objects=["v"])
     outs = {g.profile.output for g in lm.generators(4)}
     assert outs == {"v->v", "*->v"}
 
 
 def test_left_module_delta_term_counts():
-    lm = build_module_preset(["v"], "left", TRIVIAL_MONOID)
+    lm = build_preset("left-module", TRIVIAL_MONOID, objects=["v"])
     z = lm.monoid.zero()
     for a in range(1, 5):
         loop = ProfileLoop(
@@ -529,16 +527,17 @@ def test_left_module_delta_term_counts():
 def test_delta_squared_sweep_modules():
     for side in ("left", "right"):
         rep = delta_squared_report(
-            build_module_preset(["v"], side, TRIVIAL_MONOID), 6)
+            build_preset(f"{side}-module", TRIVIAL_MONOID, objects=["v"]), 6)
         assert rep.ok
     rep = delta_squared_report(
-        build_rmodule_preset(["a", "b"], [["a"], ["b"]], TRIVIAL_MONOID), 4)
+        build_preset("rmodule", TRIVIAL_MONOID, objects=["a", "b"],
+                     parts=[["a"], ["b"]]), 4)
     assert rep.ok
 
 
 def test_bad_module_side_rejected():
-    with pytest.raises(Exception):
-        build_module_preset(["v"], "sideways", TRIVIAL_MONOID)
+    with pytest.raises(CompositionError, match="got 'sideways-module'"):
+        build_preset("sideways-module", TRIVIAL_MONOID, objects=["v"])
 
 
 # ------------------------------------------------------------ cell operations
@@ -768,10 +767,10 @@ def test_delta_on_rules_matches_reference():
         (fc0, 6, None),
         (build_Ainf_category(["x", "y"], TRIVIAL_MONOID), 4, None),
         (build_Ainf_bimodule(LabelMonoid(rank=1, truncation=1)), 4, None),
-        (build_module_preset(["v"], "left", TRIVIAL_MONOID), 5, None),
-        (build_module_preset(["v"], "right", TRIVIAL_MONOID), 5, None),
-        (build_rmodule_preset(["a", "b"], [["a"], ["b"]], TRIVIAL_MONOID),
-         4, None),
+        (build_preset("left-module", TRIVIAL_MONOID, objects=["v"]), 5, None),
+        (build_preset("right-module", TRIVIAL_MONOID, objects=["v"]), 5, None),
+        (build_preset("rmodule", TRIVIAL_MONOID, objects=["a", "b"],
+                      parts=[["a"], ["b"]]), 4, None),
         (build_Ainf_operad(LabelMonoid(rank=2, truncation=2)), 3, None),
         (FreeDgFc(fc0.labeling, sign_fault=True), 5, None),
         (custom, 4, [g3, g4]),
@@ -790,10 +789,10 @@ DEEP_TREE_SHAPES = {
                                                         truncation=1)),
     "category": lambda: build_Ainf_category(["x", "y", "z"],
                                             TRIVIAL_MONOID),
-    "rmodule": lambda: build_rmodule_preset(["a", "b"], [["a"], ["b"]],
-                                            TRIVIAL_MONOID),
-    "left-module": lambda: build_module_preset(["x", "y"], "left",
-                                               TRIVIAL_MONOID),
+    "rmodule": lambda: build_preset("rmodule", TRIVIAL_MONOID,
+                                    objects=["a", "b"], parts=[["a"], ["b"]]),
+    "left-module": lambda: build_preset("left-module", TRIVIAL_MONOID,
+                                        objects=["x", "y"]),
     "ainf rank 2": lambda: build_Ainf_operad(LabelMonoid(rank=2,
                                                          truncation=2)),
     "sign fault": lambda: FreeDgFc(

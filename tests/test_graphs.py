@@ -27,12 +27,14 @@ from fcmc.graphs import (
     is_subgraph,
     make_graph,
     make_path,
+    partition_subgraph,
     path_vertices,
     profile_loop,
     subgraph,
     twin_quotient,
     validate_graph,
 )
+from fcmc.labels import TRIVIAL_MONOID
 
 from oracles import (
     ref_endpoint_closed,
@@ -42,6 +44,7 @@ from oracles import (
     ref_twin_classes,
 )
 from test_acceptance import graph_family
+from test_algebra import DENSE_CASES
 
 
 def single_loop():
@@ -162,6 +165,57 @@ def test_path_vertices():
     p = make_path(g, ["e0", "e01", "e1"])
     assert path_vertices(g, p) == ("v0", "v0", "v1", "v1")
     assert path_vertices(g, empty_path(g, "v1")) == ("v1",)
+
+
+# ------------------------------------------------------- edges between
+
+
+def _assert_between_is_a_scan(g):
+    """``between`` gives, for every ordered pair, the edges of a scan of
+    ``g.edges`` in declaration order; a pair without one gives ()."""
+    vids = g.vertex_ids()
+    empty = 0
+    for u in vids:
+        for w in vids:
+            scan = tuple(e.id for e in g.edges if (e.src, e.tgt) == (u, w))
+            assert g.between(u, w) == scan, (g, u, w)
+            empty += not scan
+    assert g.between("no such vertex", vids[0]) == ()
+    return empty
+
+
+def test_between_is_a_scan_on_the_graph_family():
+    family = graph_family()
+    assert len(family) == 177
+    empty = [_assert_between_is_a_scan(g) for g in family]
+    # the family has pairs without an edge and pairs with parallel edges
+    assert sum(empty) > 0
+    assert any(len(g.between(e.src, e.tgt)) > 1
+               for g in family for e in g.edges)
+
+
+@pytest.mark.parametrize("name", ["two-loops", "parallel-edges"])
+def test_between_keeps_parallel_edges_in_declaration_order(name):
+    g = DENSE_CASES[name](TRIVIAL_MONOID, True).graph
+    _assert_between_is_a_scan(g)
+    src, tgt = g.edges[0].src, g.edges[0].tgt
+    assert g.between(src, tgt) == ("b", "c")
+    # the same edges declared the other way round
+    flipped = subgraph(g, g.vertex_ids(), reversed(g.edge_ids()))
+    _assert_between_is_a_scan(flipped)
+    assert flipped.between(src, tgt) == ("c", "b")
+
+
+def test_between_is_a_scan_on_built_graphs():
+    # subgraphs (edges kept in the order given), partition subgraphs and
+    # twin quotients index their own edges
+    for g in graph_family():
+        vids, eids = g.vertex_ids(), g.edge_ids()
+        _assert_between_is_a_scan(subgraph(g, vids, eids[::2]))
+        _assert_between_is_a_scan(subgraph(g, vids, eids[::-1]))
+        _assert_between_is_a_scan(partition_subgraph(g, [vids[:1],
+                                                         vids[1:]]))
+        _assert_between_is_a_scan(twin_quotient(g)[0])
 
 
 def test_enumerate_paths_single_loop():
@@ -418,6 +472,25 @@ def test_endpoint_witness_always_valid():
         assert is_loop_of(g, witness)
         assert set(witness.inputs.edges) <= set(es)
         assert witness.output not in set(es)
+
+
+def test_endpoint_violation_picks_the_parallel_edge_outside_the_sub():
+    # u->w edges p and q straddle the sub, with the loop l at u: the
+    # witness closes the sub's path by the first u->w edge outside it
+    g = make_graph(["u", "w"], [("p", "u", "w"), ("q", "u", "w"),
+                                ("l", "u", "u")])
+    for inside, outside in (("p", "q"), ("q", "p")):
+        witness = endpoint_violation(g, subgraph(g, ["u", "w"],
+                                                 [inside, "l"]))
+        assert witness == ProfileLoop(EdgePath((inside,), "u", "w"),
+                                      outside)
+    # with two edges outside, the first declared one
+    g = make_graph(["u", "w"], [("p", "u", "w"), ("r", "u", "w"),
+                                ("q", "u", "w"), ("l", "u", "u")])
+    witness = endpoint_violation(g, subgraph(g, ["u", "w"], ["q", "l"]))
+    assert witness == ProfileLoop(EdgePath(("q",), "u", "w"), "p")
+    witness = endpoint_violation(g, subgraph(g, ["u", "w"], ["p", "l"]))
+    assert witness == ProfileLoop(EdgePath(("p",), "u", "w"), "r")
 
 
 def test_graph_equality_ignores_declaration_order():

@@ -1,14 +1,20 @@
 """Static checks on the package's sources: every name a module imports is
-used in that module, every error the package defines exits 2 through the
-command line, and the test oracles import nothing from the package."""
+used in that module (the tests and demos are checked too), every error
+the package defines exits 2 through the command line, and the test
+oracles import nothing from the package."""
 import ast
 import builtins
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fcmc"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fcmc"
+# the package's modules (its __init__ imports to re-export), the tests and
+# the demos
+MODULES = sorted([p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+                 + list((ROOT / "tests").glob("*.py"))
+                 + list((ROOT / "demos").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -97,7 +103,7 @@ def test_exception_classes_follow_bases():
 
 def test_oracles_import_nothing_from_the_package():
     # the oracles are independent of both routes they check
-    tree = ast.parse((SRC.parent.parent / "tests" / "oracles.py").read_text(
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(
         encoding="utf-8"))
     modules = [a.name for node in ast.walk(tree)
                if isinstance(node, ast.Import) for a in node.names]

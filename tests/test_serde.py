@@ -10,7 +10,6 @@ from fcmc.freedg import (PRESETS, FreeDgFc, build_Ainf_bimodule,
                          build_Ainf_operad, build_preset)
 from fcmc.chain import ChainError, EndX, make_complex, multimap
 from fcmc.algebra import AlgebraData, check_algebra, lift_dga
-from fcmc import serde
 from fcmc.serde import (
     SerdeError,
     algebra_job_from_doc,

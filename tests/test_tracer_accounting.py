@@ -16,7 +16,7 @@ from pathlib import Path
 
 import fcmc
 from fcmc.algebra import random_assignment, random_endx
-from fcmc.freedg import build_Ainf_category, build_module_preset
+from fcmc.freedg import build_Ainf_category, build_preset
 from fcmc.labels import TRIVIAL_MONOID
 from fcmc.serde import algebra_job_to_doc, dumps_doc
 
@@ -52,7 +52,8 @@ def _traced_algebra_check(path):
 def test_tracer_counts_one_direct_run_per_both_route_check(tmp_path):
     presets = {
         "category": build_Ainf_category(["x", "y"], TRIVIAL_MONOID),
-        "left-module": build_module_preset(["x"], "left", TRIVIAL_MONOID),
+        "left-module": build_preset("left-module", TRIVIAL_MONOID,
+                                    objects=["x"]),
     }
     for name, fc in presets.items():
         X = random_endx(fc.graph, 4, max_dim=2, degree_range=(-1, 2))
