@@ -63,6 +63,10 @@ class OutOfBound:
     total exceeds the truncation, ``"missing-entry"`` when a table has no
     row for the pair.  ``reason`` is the printable detail.
 
+    A result is a frozen value, compared by its fields, so an instance may
+    hand out one object for equal results (a loop instance returns one per
+    overflowing length).
+
     A custom :class:`FcInstance` must return ``"length"`` only when the
     composite's input length (outer arity - 1 + inner arity) exceeds a
     bound fixed for the instance: the composition table then skips every
@@ -108,6 +112,9 @@ def substituted_profile(outer: ProfileLoop, i: int,
 
 def check_slot(outer: ProfileLoop, i: int, inner: ProfileLoop) -> None:
     """Raise unless slot i of ``outer`` exists and takes ``inner``'s output."""
+    edges = outer.inputs.edges
+    if 0 < i <= len(edges) and edges[i - 1] == inner.output:
+        return
     if not 1 <= i <= outer.arity():
         raise CompositionError(
             f"slot {i} out of range for arity {outer.arity()}")
@@ -199,6 +206,8 @@ class LoopInstance(FcInstance):
         self.labeling = labeling
         self._cells: Optional[list[TwoCell]] = None
         self._interned: dict[tuple, TwoCell] = {}
+        # the length overflow of each composite length met, made once
+        self._too_long: dict[int, OutOfBound] = {}
 
     def _cell(self, loop: ProfileLoop, beta: Optional[MonoidElem]) -> TwoCell:
         return TwoCell(cell_token(loop, beta), loop, beta)
@@ -237,7 +246,8 @@ class LoopInstance(FcInstance):
         return self._lookup((eid,), eid, coords) or self._cell(loop, zero)
 
     def compose(self, u: TwoCell, i: int, v: TwoCell) -> ComposeResult:
-        check_slot(u.profile, i, v.profile)
+        up = u.profile
+        check_slot(up, i, v.profile)
         coords = None
         if self.labeling is not None:
             # the label sum stays on coordinates: a MonoidElem is built only
@@ -249,14 +259,19 @@ class LoopInstance(FcInstance):
             truncation = self.labeling.monoid.truncation
             if sum(coords) > truncation:
                 return label_overflow(MonoidElem(coords), truncation)
-        outer = u.profile.inputs
+        outer = up.inputs
         edges = outer.edges[:i - 1] + v.profile.inputs.edges + outer.edges[i:]
-        if len(edges) > self.max_len:
-            return OutOfBound(
-                "length",
-                f"input length {len(edges)} exceeds bound {self.max_len}")
-        output = u.profile.output
-        return self._lookup(edges, output, coords) or self._cell(
+        n = len(edges)
+        if n > self.max_len:
+            too_long = self._too_long.get(n)
+            if too_long is None:
+                too_long = self._too_long[n] = OutOfBound(
+                    "length", f"input length {n} exceeds bound {self.max_len}")
+            return too_long
+        if self._cells is None:
+            self.cells()
+        output = up.output
+        return self._interned.get((edges, output, coords)) or self._cell(
             ProfileLoop(EdgePath(edges, outer.source, outer.target), output),
             None if coords is None else MonoidElem(coords))
 
@@ -530,33 +545,37 @@ class _Indexed:
         kinds = {co if co is None else len(co) for co in coords}
         add_coords = not kinds <= {None} and kinds != {1}
         closed = True
-        for x, u in enumerate(self.cells):
+        cells, comp, beyond, by_out = (self.cells, self.comp, self.beyond,
+                                       self.by_out)
+        compose, at = fc.compose, idx.get
+        for x, u in enumerate(cells):
             # u o_i v fits the caps when v is within both rooms
             room_a = arity_cap + 1 - arity[x]
             room_l = label_cap - totals[x]
+            word, out, total = ins[x], outs[x], totals[x]
             rows = []
-            for i, eid in enumerate(ins[x], start=1):
+            for i, eid in enumerate(word, start=1):
+                pre, post = word[:i - 1], word[i:]
                 row = {}
                 # candidates of arity >= too_long overflow the length bound
                 too_long = arity_bound + 1
-                for k in self.by_out.get(eid, []):
+                for k in by_out.get(eid, ()):
                     made = False
                     if arity[k] < too_long:
-                        uv = fc.compose(u, i, self.cells[k])
+                        uv = compose(u, i, cells[k])
                         if isinstance(uv, OutOfBound):
                             if uv.kind == "length":
                                 too_long = arity[k]
-                        elif (r := idx.get(uv.id, -1)) < 0:
-                            self.beyond.setdefault((x, i), {})[k] = uv
+                        elif (r := at(uv.id, -1)) < 0:
+                            beyond.setdefault((x, i), {})[k] = uv
                         else:
                             made = True
                             row[k] = r
                             if self.bad_profile is None and (
-                                    outs[r] != outs[x] or ins[r] !=
-                                    ins[x][:i - 1] + ins[k] + ins[x][i:]):
-                                self.bad_profile = (u.id, i,
-                                                    self.cells[k].id)
-                            if totals[r] != totals[x] + totals[k]:
+                                    outs[r] != out
+                                    or ins[r] != pre + ins[k] + post):
+                                self.bad_profile = (u.id, i, cells[k].id)
+                            if totals[r] != total + totals[k]:
                                 self.labels_add = False
                             if thin and add_coords:
                                 thin = _coords_add(coords[x], coords[k],
@@ -564,7 +583,7 @@ class _Indexed:
                     if made != (arity[k] <= room_a and totals[k] <= room_l):
                         closed = False
                 rows.append(row)
-            self.comp.append(rows)
+            comp.append(rows)
         self.closed = (closed and self.labels_add
                        and self.bad_profile is None)
         self.thin = thin and self.labels_add
@@ -842,24 +861,40 @@ def _count_gamma_fillings(ix, checked, skipped) -> AxiomReport:
     Topology and Physics*, 2002).  The count for a cell is the number of
     bucket tuples within the budgets, summed by a walk over (arity sum,
     label sum) weighted by the bucket sizes.
+
+    The walk depends only on the cell's input word, so it is made once per
+    distinct word prefix within the call, pruned at ``ix.label_cap``
+    instead of the cell's own label budget, and each cell sums the ways
+    whose label sum is within its budget.  That counts the same tuples:
+    label totals are nonnegative, so partial label sums only grow, and a
+    tuple within the budget at the end was within it, and so within the
+    cap, at every slot.
     """
     sizes = {e: [(a, l, len(ks)) for a, l, ks in groups]
              for e, groups in _buckets(ix).items()}
+    arity_cap, label_cap = ix.arity_cap, ix.label_cap
+    # walks[prefix][(arity sum, label sum)]: inner tuples of the prefix
+    walks: dict[tuple[str, ...], dict[tuple[int, int], int]] = {
+        (): {(0, 0): 1}}
     for u, cell in enumerate(ix.cells):
         if ix.arity[u] < 2:
             continue
-        budget_l = ix.label_cap - ix.totals[u]
-        # ways[(arity sum, label sum)]: inner tuples of the slots so far
-        ways = {(0, 0): 1}
-        for e in cell.profile.inputs.edges:
+        word = cell.profile.inputs.edges
+        known = len(word)
+        while word[:known] not in walks:
+            known -= 1
+        ways = walks[word[:known]]
+        for j in range(known, len(word)):
             step: dict[tuple[int, int], int] = {}
             for (sum_a, sum_l), w in ways.items():
-                for a, l, size in sizes.get(e, ()):
-                    if sum_a + a <= ix.arity_cap and sum_l + l <= budget_l:
+                for a, l, size in sizes.get(word[j], ()):
+                    if sum_a + a <= arity_cap and sum_l + l <= label_cap:
                         at = (sum_a + a, sum_l + l)
                         step[at] = step.get(at, 0) + w * size
-            ways = step
-        checked += sum(ways.values())
+            ways = walks[word[:j + 1]] = step
+        budget_l = label_cap - ix.totals[u]
+        checked += sum(w for (_, sum_l), w in ways.items()
+                       if sum_l <= budget_l)
     return AxiomReport(True, None, None, checked, skipped)
 
 

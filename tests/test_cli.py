@@ -179,6 +179,79 @@ def test_free_d2_json_bytes_are_pinned(capsys, monkeypatch, tmp_path, argv,
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+def _fc_instance(graph, sub=None, **fields):
+    doc = {"format_version": 1, "kind": "fc-instance",
+           "instance": "profile-loop", "graph": graph, **fields}
+    return doc if sub is None else dict(doc, sub=sub)
+
+
+def _graph(edges):
+    verts = sorted({x for _, s, t in edges for x in (s, t)})
+    return {"vertices": verts,
+            "edges": [{"id": i, "src": s, "tgt": t} for i, s, t in edges]}
+
+
+# members 24, 35 and 38 of the acceptance graph family
+FOUR_LOOPS = _graph([(f"g{k}", "w0", "w0") for k in range(4)])
+PARALLEL = _graph([("g0", "w0", "w0"), ("g1", "w0", "w1"),
+                   ("g2", "w0", "w1"), ("g3", "w1", "w0")])
+TWO_VERTEX = _graph([("g0", "w0", "w0"), ("g1", "w0", "w1"),
+                     ("g2", "w1", "w0"), ("g3", "w1", "w1")])
+
+# sha256 of the --format json stdout and the exit code of fc-audit runs
+# covering plain instances with length overflows, labeled products of
+# ranks 1 and 2, a hand-built table, an axiom failure and a sub that is
+# not factor-closed; a speed-up of the audit must leave every byte as it is
+FC_AUDIT_PINS = [
+    ("four-loops", lambda: _fc_instance(FOUR_LOOPS),
+     ["--arity", "4", "--path-len", "4"], 0,
+     "5260423a7e0b77e764869f612d44889c43a3259a20ca15485d22b4475a4e0aba"),
+    ("parallel-sub", lambda: _fc_instance(
+        PARALLEL, _graph([("g0", "w0", "w0")])),
+     ["--arity", "3", "--path-len", "4"], 0,
+     "8c56b69378d1e7c40841c8b05cc9a3a562d908669d7deabc5e1f2306c7ff0989"),
+    ("two-vertex", lambda: _fc_instance(TWO_VERTEX),
+     ["--arity", "4", "--path-len", "4"], 0,
+     "1a5b012f3f5662ded49480b4f75b882906f0a795b72962e9c6084ef7059a910e"),
+    ("labeled-rank1-unreduced-sub", lambda: _fc_instance(
+        BIMOD_GRAPH, {"vertices": ["v0"],
+                      "edges": [{"id": "e0", "src": "v0", "tgt": "v0"}]},
+        instance="labeled", monoid={"rank": 1, "truncation": 2},
+        reduced=False),
+     ["--arity", "3", "--path-len", "3", "--labels", "2"], 0,
+     "247d593cd0b65a21dc8d8294d9cd09b2827b14b95f2503461f80e193f3b4de8b"),
+    ("labeled-rank2-reduced", lambda: _fc_instance(
+        _graph([("a", "v", "v"), ("b", "v", "v")]), instance="labeled",
+        monoid={"rank": 2, "truncation": 2}, reduced=True),
+     ["--arity", "3", "--path-len", "3", "--labels", "2"], 0,
+     "c96f8c1ddb4acc502e2284e1cd3912db9159a0abb3575904efc071a0ba86d0a7"),
+    ("table", lambda: _table_doc(), ["--arity", "3"], 0,
+     "26c184ae30a608a6e56b7e737cdfffee339144b013899763b834b221461b553f"),
+    ("corrupted-table", lambda: _table_doc(result_for_left_unit="u"),
+     ["--arity", "3"], 1,
+     "f056021eb456ccc165658d534d78a213ed0d59047a01661c6ea3be44371d4d29"),
+    ("not-factor-closed", lambda: _fc_instance(
+        graph_to_doc(build_pair_graph(["a", "b"])),
+        {"vertices": ["a", "b"],
+         "edges": [{"id": "a->b", "src": "a", "tgt": "b"}]}),
+     ["--arity", "3", "--path-len", "3"], 1,
+     "6b83b59e24ccf376cea33cfaaad019fcf94f9555fa86477d36787237f78b7923"),
+]
+
+
+@pytest.mark.parametrize("name, make_doc, flags, code, digest",
+                         FC_AUDIT_PINS, ids=[p[0] for p in FC_AUDIT_PINS])
+def test_fc_audit_json_bytes_are_pinned(capsys, monkeypatch, tmp_path, name,
+                                        make_doc, flags, code, digest):
+    write(tmp_path, f"{name}.json", make_doc())
+    # named relative to the working directory, since the report's
+    # "command" holds the path
+    monkeypatch.chdir(tmp_path)
+    got, out, _ = run(capsys, ["fc-audit", f"{name}.json", *flags,
+                               "--format", "json"])
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 def test_free_d2_unknown_preset(capsys):
     code, _, err = run(capsys, ["free-d2", "nope"])
     assert code == 2 and "preset" in err

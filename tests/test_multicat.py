@@ -874,6 +874,53 @@ def test_table_composes_one_length_overflow_per_row(max_len):
     assert max(fc.length_rows.values()) == 1
 
 
+# (family member, plain counts, labeled counts): compose calls, then the
+# report's checked and skipped, of the audits at length and arity bound 3,
+# the labeled one over LabelMonoid(1, 2) unreduced
+COMPOSE_COUNTS = [
+    (35, (416, 1506, 932), (650, 15551, 17044)),
+    (38, (320, 974, 512), (516, 10164, 9392)),
+    (100, (926, 7786, 4096), (1314, 90342, 73984)),
+]
+
+
+@pytest.mark.parametrize("k, plain, labeled", COMPOSE_COUNTS,
+                         ids=[str(k) for k, _, _ in COMPOSE_COUNTS])
+def test_the_audit_composes_every_triple_the_length_rule_leaves(
+        monkeypatch, k, plain, labeled):
+    # the table still calls compose on every (cell, slot, candidate)
+    # triple the length rule leaves (a labeled table composes its plain
+    # factor's), and a loop instance builds one length overflow per length
+    calls = []
+    compose = LoopInstance.compose
+
+    def counted(fc, u, i, v):
+        calls.append(fc)
+        return compose(fc, u, i, v)
+    monkeypatch.setattr(LoopInstance, "compose", counted)
+    made = []
+    post_init = OutOfBound.__post_init__
+
+    def recorded(result):
+        made.append((result.kind, result.reason))
+        post_init(result)
+    monkeypatch.setattr(OutOfBound, "__post_init__", recorded)
+    g = graph_family()[k]
+    for fc, expected in (
+            (LoopInstance(g, 3), plain),
+            (LoopInstance(g, 3, LabelingFc(g, LabelMonoid(1, 2), False)),
+             labeled)):
+        calls.clear()
+        made.clear()
+        report = check_axioms(fc, 3)
+        assert report.ok
+        assert (len(calls), report.checked, report.skipped) == expected
+        lengths = [reason for kind, reason in made if kind == "length"]
+        assert lengths and len(lengths) == len(set(lengths))
+        # one per instance: the labeled audit's plain factor has its own
+        assert len(set(calls)) == (1 if fc.labeling is None else 2)
+
+
 # Hand-built tables over the one-loop graph with unary cells and cells of
 # one higher arity n: each slot takes any unary cell, so there are
 # (n-ary cells) * (unary cells)**n inner tuples, all but one skipped.
@@ -1015,6 +1062,26 @@ def test_closed_form_matches_the_sweep_on_the_family(k):
     for make_fc in (lambda: LoopInstance(g, 3),
                     lambda: _labeled(g, 2, reduced=False),
                     lambda: _labeled(g, 2, reduced=True)):
+        fc = make_fc()
+        assert fc._indexed(3).closed
+        report = check_axioms(fc, 3)
+        assert report.ok
+        assert report == _swept_axioms(make_fc(), 3)
+
+
+# rank-2 labelings give the cells over one word labels of several totals,
+# so label budgets differ within a word; members of COHERENCE_GRAPHS drawn
+# by a seed fixed here before any run
+RANK2_GRAPHS = sorted(random.Random(20261022).sample(COHERENCE_GRAPHS, 5))
+
+
+@pytest.mark.parametrize("k", RANK2_GRAPHS)
+def test_closed_form_matches_the_sweep_on_rank_2_labelings(k):
+    g = graph_family()[k]
+    for truncation, reduced in itertools.product((1, 2), (False, True)):
+        def make_fc():
+            return LoopInstance(g, 3, LabelingFc(
+                g, LabelMonoid(2, truncation), reduced))
         fc = make_fc()
         assert fc._indexed(3).closed
         report = check_axioms(fc, 3)
